@@ -38,7 +38,7 @@ from math import comb
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalError
-from .polyalg import BiPoly, Mod2Poly, Scalar, mod2_reduce
+from .polyalg import BiPoly, Mod2Poly, Scalar, invert, mod2_reduce
 from .rootsys import RootSystem, build_root_system, dominant_representative
 from .powersum import (
     elementary_from_power,
@@ -106,7 +106,7 @@ class CharacterLattice:
         return self.family != "GL"
 
     def root_system(self) -> RootSystem:
-        return _rs(self.kind, self.rank)
+        return build_root_system(self.kind, self.rank)
 
     def weight_length(self) -> int:
         """Number of coordinates a weight takes for this lattice."""
@@ -177,11 +177,6 @@ class SpinorialResult:
 
 
 # -- built-in lattices --------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _rs(kind: str, rank: int) -> RootSystem:
-    return build_root_system(kind, rank)
 
 
 def _chain_rows(r: int) -> list[list[int]]:
@@ -328,29 +323,16 @@ def builtin_lattice(group_name: str) -> CharacterLattice:
 # -- exact linear algebra on lattice bases ------------------------------------
 
 
-def _invert(mat: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(n):
-        piv = next((k for k in range(col, n) if aug[k][col] != 0), None)
-        if piv is None:
-            raise InternalError("lattice basis matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for k in range(n):
-            if k != col and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[col])]
-    return [row[n:] for row in aug]
+def _invert(mat: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, ...], ...]:
+    inv = invert(mat)
+    if inv is None:
+        raise InternalError("lattice basis matrix is singular")
+    return inv
 
 
 @lru_cache(maxsize=None)
 def _basis_inverse(lattice: CharacterLattice) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in _invert(lattice.basis))
+    return _invert(lattice.basis)
 
 
 def _generator_coordinates(
@@ -477,7 +459,7 @@ def _gl_weight_table(
     """Weight multiset in diagonal coordinates, as a dict with multiplicities."""
     n = lattice.torus_rank
     lbar, s = _gl_split(weight)
-    rsA = _rs("A", n - 1)
+    rsA = build_root_system("A", n - 1)
     wm = weight_multiplicities(rsA, lbar, max_dim=max_dim)
     sl = builtin_lattice(f"SL{n}")
     out: Dict[tuple[int, ...], int] = {}
@@ -515,7 +497,7 @@ def _plain_chern(lattice: CharacterLattice, weight: Tuple[int, ...], kmax: int) 
     if lattice.family == "GL":
         n = lattice.torus_rank
         lbar, s = _gl_split(weight)
-        rsA = _rs("A", n - 1)
+        rsA = build_root_system("A", n - 1)
         p_free = [f.embed(n, n) for f in power_sums(rsA, lbar, kmax)]
         p_central = []
         for j in range(kmax + 1):
@@ -628,7 +610,7 @@ def lattice_orthogonality_type(lattice: CharacterLattice, weight: Sequence[int])
         if any(weight[i] + weight[n - 1 - i] != 0 for i in range(n)):
             return "not-self-dual"
         lbar, _ = _gl_split(weight)
-        return orthogonality_type(_rs("A", n - 1), lbar)
+        return orthogonality_type(build_root_system("A", n - 1), lbar)
     return orthogonality_type(lattice.root_system(), weight)
 
 

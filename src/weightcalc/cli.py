@@ -15,13 +15,12 @@ Subcommands::
     oracle weights   brute-force weight multiplicities
     verify       consistency triangle + oracle-equivalence grid
 
-Output is deterministic for a fixed job: canonical term order, sorted JSON
-keys, and a worker pool that joins results in submission order, so bytes do
-not depend on ``--jobs``.  ``--cache-dir`` (default: env ``WEIGHTCALC_CACHE``)
-keeps one JSON file per (kind, rank) for alternating-sum tables and one for
-weight multisets; corrupt or mismatching cache files are silently discarded
-and recomputed.  Exit codes: 0 success, 2 domain error (bad input), 1
-internal invariant violation.
+Output is deterministic for a fixed job: canonical term order and sorted
+JSON keys.  ``fk`` and ``oracle weights`` take ``--cache-dir`` (default: env
+``WEIGHTCALC_CACHE``), which keeps one JSON file per (kind, rank) for
+alternating-sum tables and one for weight multisets; corrupt or mismatching
+cache files are silently discarded and recomputed.  Exit codes: 0 success,
+2 domain error (bad input), 1 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -32,21 +31,15 @@ import os
 import re
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import factorial
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import DomainError, InternalError, WeightcalcError
 from .polyalg import BiPoly, Mod2Poly, mod2_reduce
-from .rootsys import RootSystem, SUPPORTED_RANKS, build_root_system
+from .rootsys import RootSystem, _expected_counts, build_root_system
 from .weylsum import FkTable
-from .powersum import (
-    elementary_from_power,
-    power_sums,
-    weyl_dimension,
-)
+from .powersum import elementary_from_power, power_sums
 from .oracle import (
     DEFAULT_MAX_DIM,
     WeightMultiset,
@@ -57,7 +50,6 @@ from .oracle import (
 from .charclass import (
     PiSpec,
     builtin_lattice,
-    builtin_lattice_names,
     chern_classes,
     chern2_closed,
     is_spinorial,
@@ -69,14 +61,6 @@ from .charclass import (
 
 SCHEMA = 1
 FINGERPRINT = f"weightcalc-{__version__}"
-
-_WEYL_ORDER = {
-    "A": lambda r: factorial(r + 1),
-    "B": lambda r: 2 ** r * factorial(r),
-    "C": lambda r: 2 ** r * factorial(r),
-    "D": lambda r: 2 ** (r - 1) * factorial(r),
-    "G2": lambda r: 12,
-}
 
 
 # -- job parameters ------------------------------------------------------------
@@ -97,7 +81,6 @@ class JobSpec:
     max_dim: int = DEFAULT_MAX_DIM
     # plumbing that must NOT change output bytes:
     cache_dir: Optional[str] = None
-    jobs: int = 1
 
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*([0-9]+)?$")
@@ -139,9 +122,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
     weight = None
     if getattr(args, "weight", None) is not None:
         weight = _parse_weight(args.weight)
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise DomainError("--jobs must be at least 1")
     max_dim = getattr(args, "max_dim", None)
     command = args.command
     if command == "oracle":
@@ -159,7 +139,6 @@ def _job_from_args(args: argparse.Namespace) -> JobSpec:
         cache_dir=getattr(args, "cache_dir", None)
         or os.environ.get("WEIGHTCALC_CACHE")
         or None,
-        jobs=jobs,
     )
 
 
@@ -351,17 +330,18 @@ def _cmd_info(job: JobSpec) -> int:
     else:
         rs = _need_rs(job)
         input_obj["kind"], input_obj["rank"] = rs.kind, rs.rank
+    _, weyl_order = _expected_counts(rs.kind, rs.rank)
     result.update({
         "kind": rs.kind,
         "rank": rs.rank,
         "dim_g": rs.dim_g,
         "positive_roots": rs.num_positive,
-        "weyl_order": _WEYL_ORDER[rs.kind](rs.rank),
+        "weyl_order": weyl_order,
         "minus_one_in_weyl": rs.minus_one_in_weyl,
     })
     lines.append(f"root system {_system_name(rs.kind, rs.rank)}: dim g = {rs.dim_g}, "
                  f"{rs.num_positive} positive roots")
-    lines.append(f"Weyl group order {_WEYL_ORDER[rs.kind](rs.rank)}; "
+    lines.append(f"Weyl group order {weyl_order}; "
                  f"contains -1: {'yes' if rs.minus_one_in_weyl else 'no'}")
     _emit(job, input_obj, result, lines)
     return 0
@@ -592,24 +572,13 @@ def _verify_checks(job: JobSpec) -> list[tuple[str, Callable[[], None]]]:
 def _cmd_verify(job: JobSpec) -> int:
     checks = _verify_checks(job)
     outcomes: list[tuple[str, Optional[str]]] = []
-    if job.jobs > 1:
-        with ThreadPoolExecutor(max_workers=job.jobs) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in checks]
-            for name, fut in futures:  # join in submission order: stable bytes
-                err = None
-                try:
-                    fut.result()
-                except WeightcalcError as exc:
-                    err = str(exc)
-                outcomes.append((name, err))
-    else:
-        for name, fn in checks:
-            err = None
-            try:
-                fn()
-            except WeightcalcError as exc:
-                err = str(exc)
-            outcomes.append((name, err))
+    for name, fn in checks:
+        err = None
+        try:
+            fn()
+        except WeightcalcError as exc:
+            err = str(exc)
+        outcomes.append((name, err))
     ok = all(err is None for _, err in outcomes)
     result = {
         "ok": ok,
@@ -659,16 +628,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="guard on representation dimension "
                                 f"(default {DEFAULT_MAX_DIM})")
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--cache-dir", dest="cache_dir",
-                       help="cache directory (default: env WEIGHTCALC_CACHE)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker pool size for independent sub-tasks")
 
     p = sub.add_parser("info", help="root system / group facts")
     common(p, system=True, group=True)
 
-    p = sub.add_parser("fk", help="alternating Weyl sum F_k")
-    common(p, system=True, k=True)
+    fk = sub.add_parser("fk", help="alternating Weyl sum F_k")
+    common(fk, system=True, k=True)
 
     p = sub.add_parser("powersum", help="power sum P_k of the weight multiset")
     common(p, system=True, weight=True, k=True)
@@ -702,6 +667,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="consistency triangle + oracle grid")
     common(p, max_dim=True)
 
+    for p in (fk, ow):  # the two commands that read the cache
+        p.add_argument("--cache-dir", dest="cache_dir",
+                       help="cache directory (default: env WEIGHTCALC_CACHE)")
     return parser
 
 

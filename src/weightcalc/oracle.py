@@ -2,25 +2,25 @@
 
 Weight multiplicities come from the classical multiplicity recursion
 (norm-difference denominator, root-string numerator), run entirely in
-integers by scaling the invariant form with the adjugate of the Killing
-matrix.  Power sums and elementary symmetric functions are then literal
-sums/products over the expanded weight multiset, and characters at order-2
-torus elements are parity sums over integer lattice coordinates.  Nothing
-here touches alternating Weyl sums, polynomial division, or Newton's
-identities, so agreement with the main engine is genuine corroboration.
+integers by clearing the denominators of the invariant form.  Power sums
+and elementary symmetric functions are then literal sums/products over the
+expanded weight multiset, and characters at order-2 torus elements are
+parity sums over integer lattice coordinates.  Nothing here touches
+alternating Weyl sums, polynomial division, or Newton's identities, so
+agreement with the main engine is genuine corroboration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .polyalg import BiPoly, expand_linear_power
+from .polyalg import BiPoly, expand_linear_power, invert
 from .powersum import validate_dominant, weyl_dimension
-from .rootsys import RootSystem
+from .rootsys import RootSystem, chamber_descent
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -36,64 +36,22 @@ __all__ = [
 DEFAULT_MAX_DIM = 200000
 
 
-# -- integer quadratic form (adjugate of the Killing matrix) -----------------
+# -- integer quadratic form ---------------------------------------------------
 
 
-def _killing_adjugate(rs: RootSystem) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adjugate matrix, determinant) of the Killing matrix on weight coords.
+def _integer_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The inverse Killing form on weight coordinates, scaled to integers.
 
-    killing_dual = K^-1 exactly, so adj = det(K) * K^-1 is integral; the
-    scaled pairing adj(mu, nu) = det(K) * (mu, nu) keeps the multiplicity
-    recursion in integers (the scale cancels between numerator and
-    denominator).
+    killing_dual times the lcm of its denominators is integral; every use in
+    the multiplicity recursion is a comparison of norms or a quotient of two
+    form values, so the positive scale cancels.
     """
-    r = rs.rank
-    det = Fraction(1)
-    # det(K) via det(K^-1) = 1/det(K) is awkward; eliminate K directly.
-    mat = [[Fraction(rs.killing[i][j]) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next((k for k in range(col, r) if mat[k][col] != 0), None)
-        if piv is None:
-            raise InternalError("singular Killing matrix")
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for k in range(col + 1, r):
-            f = mat[k][col] * inv
-            if f:
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[col])]
-    if det.denominator != 1:
-        raise InternalError("Killing determinant is not an integer")
-    d = int(det)
-    adj = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            v = rs.killing_dual[i][j] * d
-            if v.denominator != 1:
-                raise InternalError("Killing adjugate is not integral")
-            row.append(int(v))
-        adj.append(tuple(row))
-    return tuple(adj), d
+    scale = lcm(*(x.denominator for row in rs.killing_dual for x in row))
+    return tuple(tuple(int(x * scale) for x in row) for row in rs.killing_dual)
 
 
-def _form(adj, u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(u[i] * sum(adj[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
-
-
-def _dominant_rep(cartan, vec: Sequence[int]) -> tuple[int, ...]:
-    """Dominant orbit representative by simple-reflection descent."""
-    cur = list(vec)
-    rank = len(cur)
-    while True:
-        i = next((j for j in range(rank) if cur[j] < 0), None)
-        if i is None:
-            return tuple(cur)
-        ci = cur[i]
-        for j in range(rank):
-            cur[j] -= cartan[i][j] * ci
+def _form(gram, u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(u[i] * sum(gram[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
 
 # -- weight multiset ----------------------------------------------------------
@@ -143,7 +101,7 @@ class WeightMultiset:
         return sum(self.expanded().values())
 
     def multiplicity(self, mu: Sequence[int]) -> int:
-        return self.dominant.get(_dominant_rep(self.rs.cartan, mu), 0)
+        return self.dominant.get(chamber_descent(self.rs.cartan, mu), 0)
 
 
 def weight_multiplicities(
@@ -167,10 +125,9 @@ def weight_multiplicities(
         )
     r = rs.rank
     cartan = rs.cartan
-    adj, _ = _killing_adjugate(rs)
-    delta = (1,) * r
+    gram = _integer_form(rs)
     lam_d = tuple(lam[i] + 1 for i in range(r))
-    bound = _form(adj, lam_d, lam_d)
+    bound = _form(gram, lam_d, lam_d)
     simple = [tuple(cartan[i]) for i in range(r)]
 
     # breadth-first sweep of the ball, collecting dominant lattice points
@@ -188,7 +145,7 @@ def weight_multiplicities(
                 if child in seen:
                     continue
                 shifted = tuple(child[i] + 1 for i in range(r))
-                if _form(adj, shifted, shifted) > bound:
+                if _form(gram, shifted, shifted) > bound:
                     continue
                 seen.add(child)
                 levels[child] = lvl + 1
@@ -206,7 +163,7 @@ def weight_multiplicities(
             mult[mu] = 1
             continue
         mu_d = tuple(mu[i] + 1 for i in range(r))
-        denom = bound - _form(adj, mu_d, mu_d)
+        denom = bound - _form(gram, mu_d, mu_d)
         if denom <= 0:
             raise InternalError("norm denominator must be positive below the top")
         total = 0
@@ -215,11 +172,11 @@ def weight_multiplicities(
             while True:
                 nu = tuple(mu[i] + j * alpha[i] for i in range(r))
                 nu_d = tuple(nu[i] + 1 for i in range(r))
-                if _form(adj, nu_d, nu_d) > bound:
+                if _form(gram, nu_d, nu_d) > bound:
                     break
-                m = mult.get(_dominant_rep(cartan, nu), 0)
+                m = mult.get(chamber_descent(cartan, nu), 0)
                 if m:
-                    total += m * _form(adj, nu, alpha)
+                    total += m * _form(gram, nu, alpha)
                 j += 1
         num = 2 * total
         q, rem = divmod(num, denom)
@@ -345,7 +302,9 @@ def character_at_order2(
     else:
         if len(basis) != r or any(len(row) != r for row in basis):
             raise DomainError("lattice basis must be a square matrix of full rank")
-        binv_t = _invert([[Fraction(basis[j][i]) for j in range(r)] for i in range(r)])
+        binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
+        if binv_t is None:
+            raise DomainError("lattice basis must be a square matrix of full rank")
     neg = [i for i, s in enumerate(signs) if s == -1]
     total = 0
     for mu, m in wm.expanded().items():
@@ -359,23 +318,6 @@ def character_at_order2(
             parity += int(ci)
         total += m if parity % 2 == 0 else -m
     return total
-
-
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((k for k in range(col, n) if aug[k][col] != 0), None)
-        if piv is None:
-            raise DomainError("lattice basis must be a square matrix of full rank")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for k in range(n):
-            if k != col and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # -- complete symmetric functions at sign vectors ------------------------------

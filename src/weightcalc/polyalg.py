@@ -19,6 +19,10 @@ and ``^exp`` omitted when the exponent is 1.  The zero polynomial renders
 
 JSON schema: ``{"terms": [{"c": "-5/3", "m": {"a1": 2, "y2": 1}}, ...]}``
 with terms in canonical order and signed coefficient strings.
+
+The exact linear algebra of every layer (Killing-form and lattice-basis
+inverses, invariant bases, sample systems) is the one Gauss-Jordan
+elimination in ``rref``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ __all__ = [
     "substitute_linear",
     "mod2_reduce",
     "expand_linear_power",
+    "rref",
+    "invert",
 ]
 
 Scalar = int | Fraction
@@ -666,6 +672,43 @@ def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> dict[tuple, Scalar]
 
     rec(0, k, [0] * r, 1)
     return out
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over exact rationals.
+
+    Returns the nonzero reduced rows and their pivot columns, so the number
+    of pivots is the rank.  The form is unique, hence so is the output.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        pv = mat[top][col]
+        mat[top] = [x / pv for x in mat[top]]
+        for i, row in enumerate(mat):
+            if i != top and row[col]:
+                f = row[col]
+                mat[i] = [a - f * b for a, b in zip(row, mat[top])]
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    return mat[: len(pivots)], pivots
+
+
+def invert(mat: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Exact inverse of a square matrix, or None when it is singular."""
+    n = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in red)
 
 
 def mod2_reduce(f: BiPoly) -> Mod2Poly:

@@ -95,14 +95,21 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     delta = (1,) * rs.rank
     f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
     f_del = [fk_evaluated(rs, delta, n + j) for j in range(kmax + 1)]
-    fn_delta = f_del[0]
+    return _triangular_solve(n, f_lam, f_del)
+
+
+def _triangular_solve(n: int, f_lam: Sequence[BiPoly], f_del: Sequence[BiPoly]) -> list[BiPoly]:
+    """P_0, P_1, ... from F_{N+i}(lam + delta) and F_{N+i}(delta), i = 0, 1, ...
+
+    Solves F_{N+i}(lam + delta) = sum_k binom(N+i, k) * P_k * F_{N+i-k}(delta)
+    for P_i, lowest degree first; each step is an exact polynomial quotient
+    by F_N(delta).
+    """
     out: list[BiPoly] = []
-    for i in range(kmax + 1):
-        num = f_lam[i]
+    for i, num in enumerate(f_lam):
         for k in range(i):
-            term = (out[k] * f_del[i - k]).scale(comb(n + i, k))
-            num = num - term
-        out.append(exact_divide(num.scale(Fraction(1, comb(n + i, i))), fn_delta))
+            num = num - (out[k] * f_del[i - k]).scale(comb(n + i, k))
+        out.append(exact_divide(num.scale(Fraction(1, comb(n + i, i))), f_del[0]))
     return out
 
 
@@ -180,15 +187,7 @@ def symbolic_power_sums(
     f_lam = [translate_delta(table.entries[n + i]) for i in range(kmax + 1)]
     delta = (1,) * rs.rank
     f_del = [table.entries[n + j].eval_a(delta) for j in range(kmax + 1)]
-    fn_delta = f_del[0]
-    out: list[BiPoly] = []
-    for i in range(kmax + 1):
-        num = f_lam[i]
-        for k in range(i):
-            term = (out[k] * f_del[i - k]).scale(comb(n + i, k))
-            num = num - term
-        out.append(exact_divide(num.scale(Fraction(1, comb(n + i, i))), fn_delta))
-    return out
+    return _triangular_solve(n, f_lam, f_del)
 
 
 def product_power_sums(

@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, InternalError
+from .polyalg import invert
 
 __all__ = [
     "WeightVector",
@@ -40,6 +41,7 @@ __all__ = [
     "act",
     "highest_root",
     "dominant_representative",
+    "chamber_descent",
     "is_dominant",
 ]
 
@@ -295,25 +297,6 @@ class RootSystem:
         return sum(m * n for m, n in zip(mu, nu))
 
 
-def _invert_symmetric(mat: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Exact inverse via Gauss-Jordan over Fractions."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InternalError("singular Killing matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def _parse_type(kind: str, rank: int) -> tuple[str, int]:
     kind = kind.upper()
     if kind == "G" :
@@ -347,6 +330,9 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         tuple(2 * sum(a[i] * a[j] for a in pos_roots) for j in range(rank))
         for i in range(rank)
     )
+    killing_dual = invert(killing)
+    if killing_dual is None:
+        raise InternalError("singular Killing matrix")
     rs = RootSystem(
         kind=kind,
         rank=rank,
@@ -355,7 +341,7 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
         positive_coroots=pos_coroots,
         root_coefficients=tuple(coeffs),
         killing=killing,
-        killing_dual=_invert_symmetric(killing),
+        killing_dual=killing_dual,
         minus_one_in_weyl=_minus_one_in_weyl(cartan),
     )
     _check_counts(rs)
@@ -367,20 +353,10 @@ def _minus_one_in_weyl(cartan: Matrix) -> bool:
 
     -1 is in W exactly when negation preserves each orbit, which the single
     regular weight mu = (1, 2, ..., r) detects: the dominant representative
-    of -mu (by simple-reflection descent, each step adding a positive
-    multiple of a simple root, hence terminating) equals mu iff the duality
-    involution is trivial iff -1 is in W.
+    of -mu equals mu iff the duality involution is trivial iff -1 is in W.
     """
-    rank = len(cartan)
-    mu = list(range(1, rank + 1))
-    cur = [-c for c in mu]
-    while True:
-        i = next((j for j in range(rank) if cur[j] < 0), None)
-        if i is None:
-            return cur == mu
-        ci = cur[i]
-        for j in range(rank):
-            cur[j] -= cartan[i][j] * ci
+    mu = tuple(range(1, len(cartan) + 1))
+    return chamber_descent(cartan, [-c for c in mu]) == mu
 
 
 def _expected_counts(kind: str, rank: int) -> tuple[int, int]:
@@ -423,18 +399,24 @@ def is_dominant(mu: Sequence[Coord]) -> bool:
     return all(c >= 0 for c in mu)
 
 
-def dominant_representative(rs: RootSystem, mu: Sequence[Coord]) -> WeightVector:
-    """Weyl-orbit representative in the closed dominant chamber.
+def chamber_descent(cartan: Matrix, mu: Sequence[Coord]) -> tuple:
+    """Weyl-orbit representative in the closed dominant chamber, as a plain tuple.
 
-    Repeatedly reflects at a negative coordinate; terminates for any input.
+    Repeatedly reflects at a negative coordinate; each step adds a positive
+    multiple of a simple root, so it terminates for any input.
     """
     m = list(mu)
-    cartan = rs.cartan
-    rank = rs.rank
+    rank = len(m)
     while True:
         i = next((k for k in range(rank) if m[k] < 0), None)
         if i is None:
-            return WeightVector(m)
+            return tuple(m)
         mi = m[i]
+        row = cartan[i]
         for j in range(rank):
-            m[j] -= mi * cartan[i][j]
+            m[j] -= mi * row[j]
+
+
+def dominant_representative(rs: RootSystem, mu: Sequence[Coord]) -> WeightVector:
+    """Weyl-orbit representative in the closed dominant chamber."""
+    return WeightVector(chamber_descent(rs.cartan, mu))

@@ -31,7 +31,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .polyalg import BiPoly, exact_divide, expand_linear_power
+from .polyalg import BiPoly, exact_divide, expand_linear_power, rref
 from .rootsys import RootSystem
 
 __all__ = [
@@ -338,7 +338,7 @@ def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:
         for e, c in avg.terms.items():
             row[index[e[r:]]] = Fraction(c)
         rows.append(row)
-    basis_rows = _rref(rows)
+    basis_rows, _ = rref(rows)
     out = []
     for row in basis_rows:
         terms = {}
@@ -349,53 +349,28 @@ def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:
     return out
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form over exact rationals; drops zero rows."""
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivot_row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(pivot_row, nrows) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[pivot_row], mat[piv] = mat[piv], mat[pivot_row]
-        pv = mat[pivot_row][col]
-        mat[pivot_row] = [x / pv for x in mat[pivot_row]]
-        for r2 in range(nrows):
-            if r2 != pivot_row and mat[r2][col] != 0:
-                f = mat[r2][col]
-                mat[r2] = [a - f * b for a, b in zip(mat[r2], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return [row for row in mat[:pivot_row]]
+def _sample_points(rs: RootSystem, attempts: int):
+    """Deterministic regular sample pairs (mu_c, nu_c) for c = 1..attempts.
 
-
-def _sample_points(rs: RootSystem, count: int):
-    """Deterministic sample pairs (mu_c, nu_c), regular points only.
-
-    mu_c = delta + c*(1,2,...,r); nu_c = (r,...,2,1) + (c-1)*(1,2,...,r).
-    Non-regular pairs (d or d-vee vanishing) are skipped; the sequence is the
-    documented fallback for singular systems.
+    mu_c = delta + c*(1,2,...,r) is strictly dominant; nu_c = c*2rho-vee +
+    (1,2,...,r), with 2rho-vee the sum of the positive coroots, pairs to
+    2c*height(alpha) + <alpha, (1,...,r)> with each positive root alpha.
+    Pairs where d or d-vee still vanishes are skipped, so at most
+    ``attempts`` points are tried.
     """
     r = rs.rank
-    produced = 0
-    c = 1
-    while produced < count:
+    two_rho_vee = [sum(av[j] for av in rs.positive_coroots) for j in range(r)]
+    for c in range(1, attempts + 1):
         mu = tuple(1 + c * (j + 1) for j in range(r))
-        nu = tuple((r - j) + (c - 1) * (j + 1) for j in range(r))
-        c += 1
+        nu = tuple(c * two_rho_vee[j] + j + 1 for j in range(r))
         dvee = 1
         for av in rs.positive_coroots:
             dvee *= sum(av[j] * mu[j] for j in range(r))
         dval = 1
         for al in rs.positive_roots:
             dval *= sum(al[j] * nu[j] for j in range(r))
-        if dvee == 0 or dval == 0:
-            continue
-        produced += 1
-        yield mu, nu, dval, dvee
+        if dvee and dval:
+            yield mu, nu, dval, dvee
 
 
 def fk_via_invariants(rs: RootSystem, k: int, sample_budget: int = 64) -> BiPoly:
@@ -448,35 +423,17 @@ def fk_via_invariants(rs: RootSystem, k: int, sample_budget: int = 64) -> BiPoly
                     out = out + beta.scale(c)
             return out * dd
     raise InternalError(
-        f"sample system for F'_{k} stayed singular after {sample_budget} samples"
+        f"sample system for F'_{k} stayed singular after {sample_budget} sample points"
     )
 
 
 def _solve_exact(rows: list[list[Fraction]], vals: list[Fraction]):
     """Solve rows * x = vals if the rank is full; returns (x, consistent) or None."""
     ncols = len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, vals)]
-    mat = [list(r) for r in aug]
-    pivots = []
-    pr = 0
-    for col in range(ncols):
-        piv = next((r for r in range(pr, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[pr], mat[piv] = mat[piv], mat[pr]
-        pv = mat[pr][col]
-        mat[pr] = [x / pv for x in mat[pr]]
-        for r2 in range(len(mat)):
-            if r2 != pr and mat[r2][col] != 0:
-                f = mat[r2][col]
-                mat[r2] = [a - f * b for a, b in zip(mat[r2], mat[pr])]
-        pivots.append(col)
-        pr += 1
-    if len(pivots) < ncols:
+    red, pivots = rref([list(r) + [v] for r, v in zip(rows, vals)])
+    if pivots[:ncols] != list(range(ncols)):
         return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = mat[i][ncols]
+    x = [row[ncols] for row in red[:ncols]]
     # residual check against the original rows (cheap and airtight)
     consistent = all(
         sum(c * xi for c, xi in zip(row, x)) == v for row, v in zip(rows, vals)

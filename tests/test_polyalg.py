@@ -15,10 +15,14 @@ from weightcalc.polyalg import (
     eval_mu,
     exact_divide,
     expand_linear_power,
+    invert,
     mod2_reduce,
+    rref,
     substitute_linear,
     translate_delta,
 )
+from weightcalc.charclass import builtin_lattice, builtin_lattice_names
+from weightcalc.rootsys import SUPPORTED_RANKS, build_root_system
 
 NA, NY = 2, 2
 
@@ -217,3 +221,62 @@ def test_sorted_terms_graded_lex_stability():
     f = BiPoly(1, 1, {(0, 2): 1, (2, 0): 1, (1, 1): 1, (0, 0): 5})
     keys = [e for e, _ in f.sorted_terms()]
     assert keys == sorted(keys, key=lambda e: (-sum(e), tuple(-x for x in e)))
+
+
+# -- exact linear algebra --------------------------------------------------------
+
+
+ALL_TYPES = [
+    (kind, rank) for kind, (lo, hi) in SUPPORTED_RANKS.items() for rank in range(lo, hi + 1)
+]
+
+
+def _is_left_inverse(inv, mat) -> bool:
+    n = len(mat)
+    return all(
+        sum(inv[i][t] * mat[t][j] for t in range(n)) == int(i == j)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def test_invert_killing_matrices_of_all_types():
+    assert len(ALL_TYPES) == 21
+    for kind, rank in ALL_TYPES:
+        killing = build_root_system(kind, rank).killing
+        inv = invert(killing)
+        assert inv is not None and _is_left_inverse(inv, killing), (kind, rank)
+
+
+def test_invert_builtin_lattice_bases():
+    for name in builtin_lattice_names():
+        basis = builtin_lattice(name).basis
+        inv = invert(basis)
+        assert inv is not None and _is_left_inverse(inv, basis), name
+
+
+def test_singular_input_gives_none_or_fewer_pivots():
+    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    assert invert(singular) is None
+    assert invert([[0]]) is None
+    rows, pivots = rref(singular)
+    assert pivots == [0, 1] and len(rows) == 2
+    assert rows == [[1, 0, 1], [0, 1, 1]]
+    assert rref([[0, 0], [0, 0]]) == ([], [])
+
+
+def test_rref_detects_inconsistent_augmented_system():
+    # x + y = 1 and 2x + 2y = 3 have no common solution: the last column pivots
+    _, pivots = rref([[1, 1, 1], [2, 2, 3]])
+    assert pivots[-1] == 2
+    # a consistent system never pivots on the right-hand side
+    rows, pivots = rref([[1, 1, 2], [1, -1, 0]])
+    assert pivots == [0, 1] and [row[2] for row in rows] == [1, 1]
+
+
+def test_rref_is_exact_on_integer_input():
+    rows, _ = rref([[3, 1], [1, 3]])
+    assert rows == [[1, 0], [0, 1]]
+    inv = invert([[3, 1], [1, 3]])
+    assert inv == ((Fraction(3, 8), Fraction(-1, 8)), (Fraction(-1, 8), Fraction(3, 8)))
+    assert all(isinstance(x, Fraction) for row in inv for x in row)

@@ -118,7 +118,8 @@ def test_simultaneous_weyl_invariance(kind, rank):
 
 @pytest.mark.parametrize(
     "kind,rank,kmax",
-    [("A", 2, 7), ("B", 2, 8), ("G", 2, 10)],  # N + 4 each
+    # N + 4 on rank 2; N + 2 on A3 and C3, where fk_direct still takes under a second
+    [("A", 2, 7), ("B", 2, 8), ("G", 2, 10), ("A", 3, 8), ("C", 3, 11)],
 )
 def test_fk_via_invariants_matches_direct(kind, rank, kmax):
     rs = get_rs(kind, rank)

@@ -644,8 +644,8 @@ def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> dict[tuple, Scalar]
     """Expand (sum_i coeffs[i] x_i)^k as {exponent tuple: coefficient}.
 
     Multinomial expansion over the nonzero slots only; the fast path under the
-    Weyl sums and the brute-force oracle, so it works on raw dicts rather than
-    BiPoly objects.
+    symbolic Weyl sum and the brute-force oracle, so it works on raw dicts
+    rather than BiPoly objects.
     """
     r = len(coeffs)
     live = [i for i, c in enumerate(coeffs) if c]
@@ -656,21 +656,21 @@ def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> dict[tuple, Scalar]
     if not live:
         return out
 
-    def rec(pos: int, remaining: int, exps: list, weight: Scalar) -> None:
-        i = live[pos]
-        if pos == len(live) - 1:
-            exps[i] = remaining
-            key = tuple(exps)
-            out[key] = out.get(key, 0) + weight * coeffs[i] ** remaining
-            exps[i] = 0
-            return
-        for e in range(remaining + 1):
-            exps[i] = e
-            rec(pos + 1, remaining - e, exps,
-                weight * comb(remaining, e) * coeffs[i] ** e)
-        exps[i] = 0
-
-    rec(0, k, [0] * r, 1)
+    last = live[-1]
+    tail = (0,) * (r - 1 - last)
+    # depth-first over the slots up to the last live one, smallest exponent first
+    stack = [(0, k, (), 1)]
+    while stack:
+        i, remaining, exps, weight = stack.pop()
+        c = coeffs[i]
+        if i == last:
+            out[exps + (remaining,) + tail] = weight * c**remaining
+        elif not c:
+            stack.append((i + 1, remaining, exps + (0,), weight))
+        else:
+            for e in range(remaining, -1, -1):
+                stack.append((i + 1, remaining - e, exps + (e,),
+                              weight * comb(remaining, e) * c**e))
     return out
 
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError
@@ -58,8 +59,10 @@ MAX_TERMS = 10**7
 Scalar = int | Fraction
 
 
-def _parity_zero(rs: RootSystem, k: int) -> bool:
-    return rs.minus_one_in_weyl and (rs.num_positive + k) % 2 == 1
+def _vanishes(rs: RootSystem, k: int) -> bool:
+    """F_k = 0 identically: k < N, k = N+1, or -1 in W with N + k odd."""
+    n = rs.num_positive
+    return k < n or k == n + 1 or (rs.minus_one_in_weyl and (n + k) % 2 == 1)
 
 
 def fk_direct(rs: RootSystem, k: int) -> BiPoly:
@@ -124,40 +127,128 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
     return out
 
 
-def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
-    """F_k with the weight argument fixed: a y-polynomial of degree k."""
+def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> None:
+    if k < 0:
+        raise DomainError("negative power in Weyl sum")
+    if len(mu) != rs.rank:
+        raise DomainError(f"weight has {len(mu)} coordinates, expected {rs.rank}")
+
+
+def _signed_orbit(
+    rs: RootSystem, mu: Sequence[Scalar]
+) -> tuple[list[int], list[list[Scalar]]]:
+    """Signs and orbit points w mu over W, the points as r coordinate columns.
+
+    Valid only for a k where F_k does not vanish.  When -1 lies in W, the
+    pair w, -w gives the points p, -p with signs that differ by (-1)^N, so
+    their degree-k terms agree for N + k even, which every non-vanishing k
+    is: only the points above 0 in lexicographic order are kept, each with
+    its sign doubled.  That halves every pass over the orbit.
+    """
     r = rs.rank
-    if len(mu) != r:
-        raise DomainError(f"weight has {len(mu)} coordinates, expected {r}")
-    acc: dict[tuple, Scalar] = {}
-    for w in rs.weyl:
-        rows = w.matrix
-        coeffs = tuple(
-            sum(rows[i][j] * mu[j] for j in range(r)) for i in range(r)
-        )
-        for ye, c in expand_linear_power(coeffs, k).items():
-            key = (0,) * r + ye
-            s = acc.get(key, 0) + w.sign * c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+    orbit = [(w.sign, tuple(sum(map(mul, row, mu)) for row in w.matrix)) for w in rs.weyl]
+    if rs.minus_one_in_weyl:
+        zero = (0,) * r
+        orbit = [(2 * sign, p) for sign, p in orbit if p > zero]
+    return [sign for sign, _ in orbit], [[p[i] for _, p in orbit] for i in range(r)]
+
+
+def _monomials(r: int, degree: int) -> list[tuple]:
+    """All exponent tuples of the given total degree, canonical descending order."""
+    if r == 0:
+        return [()] if degree == 0 else []
+    out: list[tuple] = []
+    stack = [((), degree)]
+    while stack:
+        exps, left = stack.pop()
+        if len(exps) == r - 1:
+            out.append(exps + (left,))
+        else:
+            stack.extend((exps + (e,), left - e) for e in range(left + 1))
+    return out
+
+
+def _opposition(rs: RootSystem) -> tuple[int, ...]:
+    """The coordinate permutation of -w0, w0 the element mapping delta to -delta."""
+    w0 = next(w for w in rs.weyl if all(sum(row) == -1 for row in w.matrix))
+    return tuple(row.index(-1) for row in w0.matrix)
+
+
+def _power_product(pows: Sequence[list], exps: tuple, start: list | None = None) -> list:
+    """start (or all ones) times pows[i][e_i] over i, elementwise."""
+    vec = start
+    for p, e in zip(pows, exps):
+        if e:
+            vec = p[e] if vec is None else list(map(mul, vec, p[e]))
+    return pows[0][0] if vec is None else vec
+
+
+def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
+    """F_k with the weight argument fixed: a y-polynomial of degree k.
+
+    The coefficient of y^e is multinomial(k; e) * S_e, where S_e = sum over
+    w of sign(w) * (w mu)^e is a signed moment of the orbit: one dot product
+    over the orbit per monomial.  The dot product pairs the powers of the
+    last two coordinates (the tail) with those of the others (the head), so
+    the tail products of one degree are formed once and shared by every
+    head monomial of the complementary degree.  -w0 permutes the
+    coordinates by sigma, and the coefficient of y^(sigma e) is (-1)^(N+k)
+    times that of y^e; where sigma is not the identity, which is where -1
+    is not in W (A_r with r > 1, D_r with r odd), only one monomial of each
+    pair e, sigma e is summed.
+    """
+    _check_power_and_weight(rs, mu, k)
+    r = rs.rank
     out = BiPoly.zero(r, r)
-    out.terms = acc
+    if _vanishes(rs, k):
+        return out
+    signs, cols = _signed_orbit(rs, mu)
+    pows = []  # pows[i][t] = column i to the power t
+    for col in cols:
+        pows.append([[1] * len(col)])
+        for _ in range(k):
+            pows[-1].append(list(map(mul, pows[-1][-1], col)))
+    head, tail = pows[:-2], pows[-2:]
+    sigma = None if rs.minus_one_in_weyl else _opposition(rs)
+    flip = (-1) ** (rs.num_positive + k)
+    fact = [factorial(t) for t in range(k + 1)]
+    prefix = (0,) * r
+    terms: dict[tuple, Scalar] = {}
+    for hdeg in range(k + 1):
+        heads = _monomials(len(head), hdeg)
+        if not heads:
+            break
+        tdeg = k - hdeg
+        tails = [(te, fact[tdeg] // prod(fact[t] for t in te), _power_product(tail, te))
+                 for te in _monomials(len(tail), tdeg)]
+        for he in heads:
+            hvec = _power_product(head, he, signs)
+            hmul = fact[k] // (fact[tdeg] * prod(fact[t] for t in he))
+            hkey = prefix + he
+            for te, tmul, tvec in tails:
+                if sigma:
+                    e = he + te
+                    se = tuple([e[j] for j in sigma])
+                    if se < e:
+                        continue
+                moment = sum(map(mul, hvec, tvec))
+                if moment:
+                    c = hmul * tmul * moment
+                    if sigma:
+                        terms[prefix + se] = flip * c
+                    terms[hkey + te] = c
+    out.terms = terms
     return out
 
 
 def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int) -> Scalar:
     """F_k evaluated at a rational point pair; cheap even for big Weyl groups."""
-    r = rs.rank
-    total: Scalar = 0
-    for w in rs.weyl:
-        rows = w.matrix
-        pair = sum(
-            sum(rows[i][j] * mu[j] for j in range(r)) * nu[i] for i in range(r)
-        )
-        total += w.sign * pair**k
-    return total
+    _check_power_and_weight(rs, mu, k)
+    if _vanishes(rs, k):
+        return 0
+    signs, cols = _signed_orbit(rs, mu)
+    pairs = [sum(map(mul, point, nu)) for point in zip(*cols)]
+    return sum(s * p**k for s, p in zip(signs, pairs))
 
 
 def weyl_denominator(rs: RootSystem) -> BiPoly:
@@ -270,12 +361,11 @@ class FkTable:
     def build(cls, rs: RootSystem, kmax: int = 10) -> "FkTable":
         if kmax < 0:
             raise DomainError("kmax must be nonnegative")
-        n = rs.num_positive
         entries: dict[int, BiPoly] = {}
         reduced: dict[int, BiPoly] = {}
         zero = BiPoly.zero(rs.rank, rs.rank)
         for k in range(kmax + 1):
-            if k < n or k == n + 1 or _parity_zero(rs, k):
+            if _vanishes(rs, k):
                 entries[k] = zero
                 reduced[k] = zero
             else:
@@ -286,27 +376,6 @@ class FkTable:
 
 
 # -- invariant-basis route ---------------------------------------------------
-
-
-def _monomials(r: int, degree: int) -> list[tuple]:
-    """All exponent tuples of the given total degree, canonical descending order."""
-    out: list[tuple] = []
-
-    def rec(pos: int, remaining: int, cur: list) -> None:
-        if pos == r - 1:
-            cur.append(remaining)
-            out.append(tuple(cur))
-            cur.pop()
-            return
-        for e in range(remaining, -1, -1):
-            cur.append(e)
-            rec(pos + 1, remaining - e, cur)
-            cur.pop()
-
-    if r == 0:
-        return [()] if degree == 0 else []
-    rec(0, degree, [])
-    return out
 
 
 def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:

@@ -117,6 +117,24 @@ def test_oracle_matches_engine_small_grid(kind, rank):
             assert e[k] == oe[k]
 
 
+@pytest.mark.parametrize(
+    "kind,rank,lam,kmax",
+    [
+        ("A", 4, (1, 0, 0, 1), 4),
+        ("B", 4, (1, 0, 0, 0), 4),
+        ("C", 4, (0, 1, 0, 0), 4),
+        ("D", 4, (0, 0, 0, 1), 4),
+        ("A", 5, (1, 0, 0, 0, 0), 2),
+    ],
+)
+def test_oracle_matches_engine_rank_4_and_5(kind, rank, lam, kmax):
+    rs = get_rs(kind, rank)
+    wm = weight_multiplicities(rs, lam)
+    p = power_sums(rs, lam, kmax)
+    for k in range(kmax + 1):
+        assert p[k].terms == oracle_power_sum(wm, k).terms, (kind, rank, lam, k)
+
+
 def test_oracle_newton_identity(a2):
     wm = weight_multiplicities(a2, (2, 1))
     kmax = 5

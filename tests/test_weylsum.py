@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
 
 from conftest import get_rs
 from weightcalc.errors import DomainError
-from weightcalc.polyalg import BiPoly, substitute_linear
+from weightcalc.polyalg import BiPoly, expand_linear_power, substitute_linear
 from weightcalc.weylsum import (
     FkTable,
     closed_form_FN,
@@ -192,8 +193,60 @@ def test_fk_table_build_consistency(a2):
     assert table.entries[2].is_zero() and table.entries[4].is_zero()
 
 
-def test_negative_k_rejected(a1):
+def test_negative_k_rejected(a1, b2):
     with pytest.raises(DomainError):
         fk_direct(a1, -1)
     with pytest.raises(DomainError):
         FkTable.build(a1, kmax=-2)
+    with pytest.raises(DomainError, match="negative power in Weyl sum"):
+        fk_evaluated(a1, (2,), -1)
+    with pytest.raises(DomainError, match="negative power in Weyl sum"):
+        fk_evaluated(b2, (1, 1), -2)
+    with pytest.raises(DomainError, match="negative power in Weyl sum"):
+        fk_scalar(b2, (1, 1), (1, 2), -1)
+
+
+def _exactness_cases():
+    cases = []
+    for kind, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                       ("C", 2), ("C", 3), ("D", 3), ("G", 2)]:
+        rs = get_rs(kind, rank)
+        n = rs.num_positive
+        ks = {0, n - 1, n, n + 1, n + 2}
+        if rs.minus_one_in_weyl:
+            ks.add(n + 3)  # N + k odd: zero by the parity rule
+        cases += [(kind, rank, k) for k in sorted(ks)]
+    return cases
+
+
+@pytest.mark.parametrize("kind,rank,k", _exactness_cases())
+def test_fk_evaluated_and_scalar_match_direct(kind, rank, k):
+    rs = get_rs(kind, rank)
+    fk = fk_direct(rs, k)
+    dominant = tuple(range(1, rank + 1))
+    non_dominant = tuple((-1) ** j * (j + 2) for j in range(rank))
+    fractional = tuple(Fraction(2 * j - 1, j + 2) for j in range(rank))
+    singular = (1,) + (0,) * (rank - 1)  # repeated orbit points
+    nus = [tuple(range(rank, 0, -1)), tuple(Fraction(j - 1, 3) for j in range(rank))]
+    for mu in (dominant, non_dominant, fractional, singular, (0,) * rank):
+        section = fk_evaluated(rs, mu, k)
+        assert section == fk.eval_a(mu)
+        if all(isinstance(x, int) for x in mu):
+            assert all(type(c) is int for c in section.terms.values())
+        for nu in nus:
+            assert fk_scalar(rs, mu, nu, k) == fk.evaluate(mu, nu)
+
+
+def test_kernels_leave_no_reference_cycles(b3):
+    b3.weyl  # enumerate W before collection is switched off
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(8):
+            expand_linear_power((1, -2, 0, 3), k)
+        for k in (9, 11, 13):
+            fk_evaluated(b3, (1, 2, 3), k)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

@@ -14,7 +14,9 @@ convolution identity
 
 is triangular in m = N, N+1, ... because F_j(delta) vanishes below degree
 N, so each P_k is an exact polynomial quotient; Newton's identities then
-convert P to E.  Running the same recursion with the highest weight kept
+convert P to E.  At rank >= 3 the recursion runs on exact values at a few
+sample coweights, and each P_k, a W-invariant of degree k, is rebuilt from
+its values in a basis of products of orbit power sums.  Running the same recursion with the highest weight kept
 symbolic (shifted by delta via translation) yields bivariate versions
 whose a-degrees obey adeg P_k <= N + k and adeg E_k <= floor(k/2)*N + k.
 
@@ -28,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
 from .polyalg import BiPoly, exact_divide, translate_delta
 from .rootsys import RootSystem
 
-from .weylsum import FkTable, fk_evaluated
+from .weylsum import FkTable, _fit_invariants, _signed_orbit, _vanishes, fk_evaluated
 
 __all__ = [
     "PowerSumResult",
@@ -84,8 +87,14 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
 def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     """P_0..P_kmax of the weight multiset, each a y-polynomial.
 
-    Triangular solve of the convolution identity; every division is an
-    exact polynomial quotient by F_N(delta) = N! * d.
+    Triangular solve of the convolution identity.  At rank <= 2 it runs on
+    the y-polynomials F_m, and every division is an exact polynomial quotient
+    by F_N(delta) = N! * d.  At rank >= 3 it runs on the values of F_m at a
+    few exact sample points, and each P_k is rebuilt from its values in a
+    basis of degree-k invariants (``weylsum._fit_invariants``); there the
+    symbolic F_m cost about |W| * C(N+k+r-1, r-1) / 2 per call, where the
+    samples cost about |W| * (r + k) each.  At rank <= 2 the symbolic route
+    measured faster.
     """
     lam = validate_dominant(rs, lam)
     if kmax < 0:
@@ -93,9 +102,35 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     n = rs.num_positive
     shifted = tuple(c + 1 for c in lam)
     delta = (1,) * rs.rank
+    if rs.rank >= 3:
+        orbits = [_signed_orbit(rs, shifted), _signed_orbit(rs, delta)]
+        return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, orbits, nu, kmax))
     f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
     f_del = [fk_evaluated(rs, delta, n + j) for j in range(kmax + 1)]
     return _triangular_solve(n, f_lam, f_del)
+
+
+def _power_sums_at(rs: RootSystem, orbits: Sequence, nu: Sequence[int], kmax: int) -> list[Scalar]:
+    """P_0(nu)..P_kmax(nu) from the signed orbits of lam + delta and delta.
+
+    F_m(mu, nu) for m = N..N+kmax is one signed sum of powers of the pairings
+    <w mu, nu>, formed once.  The values are polynomials in no variables, so
+    the triangular solve runs on them unchanged; its divisor F_N(delta, nu)
+    = N! * d(nu) is nonzero because nu is regular.
+    """
+    n = rs.num_positive
+    f = []
+    for signs, cols in orbits:
+        pairs = [sum(map(mul, point, nu)) for point in zip(*cols)]
+        powers = [p**n for p in pairs]
+        row = []
+        for m in range(n, n + kmax + 1):
+            value = 0 if _vanishes(rs, m) else sum(map(mul, signs, powers))
+            row.append(BiPoly.constant(0, 0, value))
+            if m < n + kmax:
+                powers = list(map(mul, powers, pairs))
+        f.append(row)
+    return [p.constant_term() for p in _triangular_solve(n, *f)]
 
 
 def _triangular_solve(n: int, f_lam: Sequence[BiPoly], f_del: Sequence[BiPoly]) -> list[BiPoly]:
@@ -125,6 +160,8 @@ def elementary_from_power(power: Sequence[BiPoly], kmax: int | None = None) -> l
         raise DomainError("need P_0..P_kmax to produce E_0..E_kmax")
     if not power:
         raise DomainError("empty power-sum sequence")
+    if kmax < 0:
+        raise DomainError("kmax must be nonnegative")
     na, ny = power[0].na, power[0].ny
     ones = BiPoly.constant(na, ny, 1)
     elem: list[BiPoly] = [ones]

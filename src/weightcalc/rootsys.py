@@ -42,6 +42,7 @@ __all__ = [
     "highest_root",
     "dominant_representative",
     "chamber_descent",
+    "dominant_orbit",
     "is_dominant",
 ]
 
@@ -415,6 +416,27 @@ def chamber_descent(cartan: Matrix, mu: Sequence[Coord]) -> tuple:
         row = cartan[i]
         for j in range(rank):
             m[j] -= mi * row[j]
+
+
+def dominant_orbit(cartan: Matrix, mu: Sequence[Coord]) -> list[tuple]:
+    """The Weyl orbit of a dominant weight, sorted, without enumerating W.
+
+    Reflecting at a positive coordinate, p -> p - p_i * alpha_i, steps down
+    from mu, and every orbit point is reached that way: a point other than mu
+    has a negative coordinate, and reflecting there steps back up.
+    """
+    top = tuple(mu)
+    seen = {top}
+    stack = [top]
+    while stack:
+        p = stack.pop()
+        for i, pi in enumerate(p):
+            if pi > 0:
+                q = tuple(x - pi * a for x, a in zip(p, cartan[i]))
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+    return sorted(seen)
 
 
 def dominant_representative(rs: RootSystem, mu: Sequence[Coord]) -> WeightVector:

@@ -20,20 +20,25 @@ of bidegree (k, k).  Facts used as computational shortcuts and cross-checks:
 F'_k lives in the span of the symmetrized products of any basis of the
 degree-(k-N) W-invariants, which is what fk_via_invariants exploits: it
 solves for the coefficients from exact scalar samples and never expands the
-big alternating sum symbolically.
+big alternating sum symbolically.  The invariants of each degree are spanned
+by products of orbit power sums over W.w1 (and, on D_r, the half-spin orbit
+W.w_r); _fit_invariants rebuilds any invariant from its values in that basis.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial, prod
 from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError
 from .polyalg import BiPoly, exact_divide, expand_linear_power, rref
-from .rootsys import RootSystem
+from .rootsys import RootSystem, dominant_orbit
 
 __all__ = [
     "FkTable",
@@ -244,6 +249,8 @@ def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
 def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int) -> Scalar:
     """F_k evaluated at a rational point pair; cheap even for big Weyl groups."""
     _check_power_and_weight(rs, mu, k)
+    if len(nu) != rs.rank:
+        raise DomainError(f"coweight has {len(nu)} coordinates, expected {rs.rank}")
     if _vanishes(rs, k):
         return 0
     signs, cols = _signed_orbit(rs, mu)
@@ -378,43 +385,190 @@ class FkTable:
 # -- invariant-basis route ---------------------------------------------------
 
 
+def _fundamental_degrees(rs: RootSystem) -> list[int]:
+    """Degrees of the basic W-invariants, read off the heights of the positive roots.
+
+    An exponent h occurs (number of roots of height h) - (number of height
+    h + 1) times (Kostant), and each degree is an exponent plus one.
+    """
+    heights = Counter(sum(c) for c in rs.root_coefficients)
+    return sorted(h + 1 for h in heights for _ in range(heights[h] - heights[h + 1]))
+
+
+def _invariant_generators(rs: RootSystem) -> list[tuple[int, list[tuple]]]:
+    """(d, orbit) for each basic invariant p_d(y) = sum over v in the orbit of <v, y>^d.
+
+    The orbit W.w1 gives p_2..p_{r+1} on A_r, the even p_2..p_2r on B_r and
+    C_r, and p_2, p_6 on G2.  On D_r it gives the even p_2..p_{2r-2}, and the
+    half-spin orbit W.w_r supplies the degree-r generator, whose Pfaffian part
+    no power sum over W.w1 has.
+    """
+    r = rs.rank
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    vector = dominant_orbit(rs.cartan, unit[0])
+    if rs.kind == "A":
+        degrees = range(2, r + 2)
+    elif rs.kind == "G2":
+        degrees = (2, 6)
+    else:
+        degrees = range(2, 2 * r + (-1 if rs.kind == "D" else 1), 2)
+    gens = [(d, vector) for d in degrees]
+    if rs.kind == "D":
+        gens.append((r, dominant_orbit(rs.cartan, unit[-1])))
+    return gens
+
+
+def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tuple[int, ...]]:
+    """Generator index tuples, nondecreasing, of the products of total degree ``degree``.
+
+    Their number must be the dimension of the degree-m invariants, the
+    coefficient of t^m in the product of 1/(1 - t^d) over the fundamental
+    degrees d (Chevalley); InternalError otherwise.
+    """
+    out = []
+    stack = [((), 0, degree)]
+    while stack:
+        idx, start, left = stack.pop()
+        if not left:
+            out.append(idx)
+            continue
+        stack.extend((idx + (j,), j, left - gens[j][0])
+                     for j in range(start, len(gens)) if gens[j][0] <= left)
+    count = [1] + [0] * degree
+    for d in _fundamental_degrees(rs):
+        for m in range(d, degree + 1):
+            count[m] += count[m - d]
+    if len(out) != count[degree]:
+        raise InternalError(
+            f"{rs.kind}{rs.rank}: {len(out)} invariant products of degree {degree},"
+            f" the fundamental degrees give {count[degree]}"
+        )
+    return out
+
+
+def _product_poly(r: int, gens: Sequence, idx: tuple, cache: dict) -> BiPoly:
+    """The product of the generators in idx as a y-polynomial; cache holds each p_d."""
+    out = BiPoly.constant(r, r, 1)
+    for j in idx:
+        if j not in cache:
+            d, orbit = gens[j]
+            acc: dict[tuple, Scalar] = {}
+            for v in orbit:
+                for e, c in expand_linear_power(v, d).items():
+                    acc[e] = acc.get(e, 0) + c
+            cache[j] = BiPoly(r, r, {(0,) * r + e: c for e, c in acc.items()})
+        out = out * cache[j]
+    return out
+
+
 def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:
     """Canonical basis of the degree-m W-invariant polynomials on the coweight side.
 
-    Reynolds operator (orbit average of each degree-m y-monomial) followed by
-    exact row reduction; the result is the reduced-echelon basis over the
-    canonical monomial list, so it is deterministic.
+    Exact row reduction of the products of orbit power sums of degree m over
+    the canonical monomial list; the reduced-echelon form depends only on
+    the space they span, so the basis is deterministic.
     """
     if degree < 0:
         raise DomainError("invariant degree must be nonnegative")
     r = rs.rank
-    monoms = _monomials(r, degree)
-    index = {m: i for i, m in enumerate(monoms)}
-    rows: list[list[Fraction]] = []
-    order = rs.weyl_order
-    for m in monoms:
-        mono = BiPoly(r, r, {(0,) * r + m: 1})
-        avg = BiPoly.zero(r, r)
-        for w in rs.weyl:
-            # y-substitution matrix for the action on functions is w^T
-            y_images = [
-                BiPoly.y_linear([w.matrix[j][i] for j in range(r)], na=r)
-                for i in range(r)
-            ]
-            avg = avg + mono.compose(y_images=y_images)
-        avg = avg.scale(Fraction(1, order))
-        row = [Fraction(0)] * len(monoms)
-        for e, c in avg.terms.items():
-            row[index[e[r:]]] = Fraction(c)
-        rows.append(row)
+    gens = _invariant_generators(rs)
+    products = _invariant_products(rs, gens, degree)
+    monoms = [(0,) * r + m for m in _monomials(r, degree)]
+    cache: dict = {}
+    rows = []
+    for idx in products:
+        terms = _product_poly(r, gens, idx, cache).terms
+        rows.append([terms.get(m, 0) for m in monoms])
     basis_rows, _ = rref(rows)
+    if len(basis_rows) != len(products):
+        raise InternalError(
+            f"{rs.kind}{rs.rank}: the invariant products of degree {degree} are dependent"
+        )
+    return [BiPoly(r, r, {m: c for m, c in zip(monoms, row) if c}) for row in basis_rows]
+
+
+def _fit_points(rs: RootSystem):
+    """Endless integral coweights nu = 2q*2rho-vee + t, t pseudo-random in [1, q]^r.
+
+    <alpha_i, 2rho-vee> = 2 and <alpha_i, t> >= 2 - 3q for every simple root,
+    so <alpha_i, nu> > 0: each point is strictly dominant, hence regular.  The
+    offsets keep the points off any line: on the line c*2rho-vee + (1, ..., r)
+    the degree-7 invariants of A6 and the degree-8 invariants of C4 are
+    linearly dependent, so no number of its points can separate them.  The
+    seed is fixed, so every run draws the same points.
+    """
+    q = 16
+    rng = random.Random(rs.rank)
+    two_rho_vee = [sum(av[j] for av in rs.positive_coroots) for j in range(rs.rank)]
+    while True:
+        yield tuple(2 * q * x + rng.randint(1, q) for x in two_rho_vee)
+
+
+def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
+    """The W-invariant y-polynomials f_0..f_kmax, f_k of degree k, from their values.
+
+    values(nu) returns [f_0(nu), ..., f_kmax(nu)] at an integral regular
+    coweight nu.  Each f_k is solved exactly in the basis of products of
+    orbit power sums (``_invariant_products``) from the values at
+    ``_fit_points``, adding points until every system has full rank, then
+    checked at two regular points of the line c*2rho-vee + (1, ..., r)
+    (``_sample_points``), which the fitting points are off.  A failed count,
+    rank, consistency or off-line check raises InternalError: the result is
+    never a wrong polynomial.
+    """
+    gens = _invariant_generators(rs)
+    products = [_invariant_products(rs, gens, k) for k in range(kmax + 1)]
+
+    def basis_values(nu):
+        gval = [sum(sum(map(mul, v, nu)) ** d for v in orbit) if d <= kmax else None
+                for d, orbit in gens]
+        return [[prod(gval[j] for j in idx) for idx in prods] for prods in products]
+
+    need = max(len(prods) for prods in products)
+    rows: list[list[list[Scalar]]] = [[] for _ in products]
+    vals: list[list[Scalar]] = [[] for _ in products]
+    coeffs: list = [None] * (kmax + 1)
+    points = _fit_points(rs)
+    for _ in range(need + 8):
+        nu = next(points)
+        for k, (b, f) in enumerate(zip(basis_values(nu), values(nu))):
+            rows[k].append(b)
+            vals[k].append(f)
+        if len(vals[0]) < need:
+            continue
+        for k in range(kmax + 1):
+            if coeffs[k] is None:
+                solution = _solve_exact(rows[k], vals[k])
+                if solution is not None:
+                    coeffs[k], consistent = solution
+                    if not consistent:
+                        raise InternalError(
+                            f"{rs.kind}{rs.rank}: degree-{k} sample values fit no invariant"
+                        )
+        if all(c is not None for c in coeffs):
+            break
+    else:
+        raise InternalError(
+            f"{rs.kind}{rs.rank}: invariant sample systems stayed singular"
+            f" after {len(vals[0])} points"
+        )
+    checks = [nu for _, nu, _, _ in islice(_sample_points(rs, 64), 2)]
+    for nu in checks:
+        for k, (b, f) in enumerate(zip(basis_values(nu), values(nu))):
+            if sum(map(mul, coeffs[k], b)) != f:
+                raise InternalError(
+                    f"{rs.kind}{rs.rank}: the degree-{k} invariant fit fails"
+                    f" the off-line check at {nu}"
+                )
+    r = rs.rank
+    cache: dict = {}
     out = []
-    for row in basis_rows:
-        terms = {}
-        for j, c in enumerate(row):
-            if c:
-                terms[(0,) * r + monoms[j]] = c
-        out.append(BiPoly(r, r, terms))
+    for c, prods in zip(coeffs, products):
+        f = BiPoly.zero(r, r)
+        for x, idx in zip(c, prods):
+            if x:
+                f = f + _product_poly(r, gens, idx, cache).scale(x)
+        out.append(f)
     return out
 
 
@@ -450,6 +604,8 @@ def fk_via_invariants(rs: RootSystem, k: int, sample_budget: int = 64) -> BiPoly
     scalar samples, and multiplies d * d-vee back in.  Must agree with
     fk_direct exactly.
     """
+    if k < 0:
+        raise DomainError("negative power in Weyl sum")
     r = rs.rank
     n = rs.num_positive
     zero = BiPoly.zero(r, r)

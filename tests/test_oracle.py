@@ -125,6 +125,10 @@ def test_oracle_matches_engine_small_grid(kind, rank):
         ("C", 4, (0, 1, 0, 0), 4),
         ("D", 4, (0, 0, 0, 1), 4),
         ("A", 5, (1, 0, 0, 0, 0), 2),
+        ("A", 5, (0, 1, 0, 0, 0), 4),
+        ("B", 5, (0, 0, 0, 0, 1), 4),
+        ("D", 5, (1, 0, 0, 0, 0), 4),
+        ("D", 5, (0, 0, 0, 0, 1), 4),
     ],
 )
 def test_oracle_matches_engine_rank_4_and_5(kind, rank, lam, kmax):
@@ -133,6 +137,14 @@ def test_oracle_matches_engine_rank_4_and_5(kind, rank, lam, kmax):
     p = power_sums(rs, lam, kmax)
     for k in range(kmax + 1):
         assert p[k].terms == oracle_power_sum(wm, k).terms, (kind, rank, lam, k)
+
+
+def test_oracle_matches_engine_rank_6():
+    a6 = get_rs("A", 6)
+    wm = weight_multiplicities(a6, (1, 0, 0, 0, 0, 0))
+    p = power_sums(a6, (1, 0, 0, 0, 0, 0), 2)
+    for k in range(3):
+        assert p[k].terms == oracle_power_sum(wm, k).terms, k
 
 
 def test_oracle_newton_identity(a2):

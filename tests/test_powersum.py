@@ -8,9 +8,11 @@ from math import comb
 import pytest
 
 from conftest import get_rs, y_poly
-from weightcalc.errors import DomainError
+from weightcalc import powersum, weylsum
+from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import BiPoly
 from weightcalc.powersum import (
+    _triangular_solve,
     elementary_from_power,
     power_sum_result,
     power_sums,
@@ -20,7 +22,7 @@ from weightcalc.powersum import (
     weyl_dimension,
 )
 from weightcalc.rootsys import highest_root
-from weightcalc.weylsum import FkTable, fk_evaluated, q2_poly
+from weightcalc.weylsum import FkTable, fk_evaluated, invariant_basis, q2_poly
 from test_rootsys import reflection_matrix
 
 RANK_LE_4 = [
@@ -147,6 +149,75 @@ def test_egf_convolution_identity(kind, rank, lam):
         assert lhs == rhs
 
 
+def _symbolic_route(rs, lam, kmax):
+    """Reference: the triangular solve on the y-polynomials F_m(lam + delta), F_m(delta)."""
+    n = rs.num_positive
+    shifted = tuple(c + 1 for c in lam)
+    delta = (1,) * rs.rank
+    f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
+    f_del = [fk_evaluated(rs, delta, n + i) for i in range(kmax + 1)]
+    return _triangular_solve(n, f_lam, f_del)
+
+
+@pytest.mark.parametrize(
+    "kind,rank,lam",
+    [
+        ("A", 3, (1, 0, 1)), ("A", 3, (0, 2, 0)),
+        ("A", 4, (1, 0, 0, 0)), ("A", 4, (0, 1, 0, 1)),
+        ("B", 3, (0, 0, 1)), ("B", 3, (1, 1, 0)),
+        ("B", 4, (1, 0, 0, 0)), ("B", 4, (0, 0, 0, 1)),
+        ("C", 3, (1, 0, 0)), ("C", 3, (0, 1, 1)),
+        ("C", 4, (1, 0, 0, 0)), ("C", 4, (0, 1, 0, 0)),
+        ("D", 3, (0, 1, 1)), ("D", 3, (0, 0, 2)),
+        ("D", 4, (1, 0, 0, 0)), ("D", 4, (0, 0, 1, 1)),
+    ],
+)
+def test_sampled_route_matches_symbolic_route(kind, rank, lam):
+    rs = get_rs(kind, rank)
+    got = power_sums(rs, lam, 6)
+    for k, want in enumerate(_symbolic_route(rs, lam, 6)):
+        assert got[k].terms == want.terms, k
+        assert [type(c) for c in got[k].terms.values()] == [
+            type(want.terms[e]) for e in got[k].terms
+        ], k
+
+
+@pytest.mark.parametrize(
+    "kind,rank,lam,kmax", [("A", 3, (1, 0, 0), 12), ("C", 4, (1, 0, 0, 0), 8)]
+)
+def test_sampled_route_where_line_samples_are_degenerate(kind, rank, lam, kmax):
+    # on the line c*2rho-vee + (1, ..., r) the degree-12 invariants of A3 and
+    # the degree-8 invariants of C4 are linearly dependent
+    rs = get_rs(kind, rank)
+    assert power_sums(rs, lam, kmax) == _symbolic_route(rs, lam, kmax)
+
+
+def test_missing_generator_fails_the_count_check(monkeypatch, b3):
+    generators = weylsum._invariant_generators
+    monkeypatch.setattr(weylsum, "_invariant_generators", lambda rs: generators(rs)[:-1])
+    with pytest.raises(InternalError, match="fundamental degrees give 3"):
+        power_sums(b3, (1, 0, 0), 6)
+    with pytest.raises(InternalError, match="fundamental degrees give 3"):
+        invariant_basis(b3, 6)
+
+
+@pytest.mark.parametrize("corrupt_check_points", [True, False])
+def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points):
+    line = {nu for _, nu, _, _ in weylsum._sample_points(d4, 4)}
+    values_at = powersum._power_sums_at
+
+    def corrupted(rs, orbits, nu, kmax):
+        values = values_at(rs, orbits, nu, kmax)
+        if (nu in line) == corrupt_check_points:
+            values[4] += 1
+        return values
+
+    monkeypatch.setattr(powersum, "_power_sums_at", corrupted)
+    match = "off-line check" if corrupt_check_points else "degree-4"
+    with pytest.raises(InternalError, match=match):
+        power_sums(d4, (1, 0, 0, 0), 4)
+
+
 def test_symbolic_specializes_to_numeric(a2):
     kmax = 4
     table = FkTable.build(a2, a2.num_positive + kmax)
@@ -200,6 +271,8 @@ def test_newton_identities_round(a2):
         assert acc == e[k].scale(k)
     with pytest.raises(DomainError):
         elementary_from_power(p, 9)
+    with pytest.raises(DomainError, match="kmax must be nonnegative"):
+        elementary_from_power(p, -1)
     with pytest.raises(DomainError):
         elementary_from_power([])
 

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import get_rs
+from conftest import all_supported_types, get_rs
 from weightcalc.errors import DomainError
-from weightcalc.polyalg import BiPoly, expand_linear_power, substitute_linear
+from weightcalc.polyalg import BiPoly, expand_linear_power, rref, substitute_linear
 from weightcalc.weylsum import (
     FkTable,
+    _monomials,
     closed_form_FN,
     closed_form_FN2,
     coweyl_denominator,
@@ -143,6 +144,72 @@ def test_invariant_basis_dimensions(kind, rank, dims):
         assert len(basis) == expected
 
 
+def _fundamental_degrees(kind, rank):
+    """Humphreys, Reflection Groups and Coxeter Groups, Table 3.1."""
+    if kind == "A":
+        return list(range(2, rank + 2))
+    if kind in ("B", "C"):
+        return list(range(2, 2 * rank + 1, 2))
+    if kind == "D":
+        return sorted([*range(2, 2 * rank - 1, 2), rank])
+    return [2, 6]
+
+
+def _invariant_count(kind, rank, degree):
+    """Coefficient of t^degree in the product of 1/(1 - t^d) over the degrees."""
+    count = [1] + [0] * degree
+    for d in _fundamental_degrees(kind, rank):
+        for m in range(d, degree + 1):
+            count[m] += count[m - d]
+    return count[degree]
+
+
+def _reynolds_basis(rs, degree):
+    """Reference: the reduced-echelon span of the W-averages of the monomials.
+
+    Averages one monomial at a time, in canonical order, and stops once the
+    averages span as many dimensions as the fundamental degrees give.
+    """
+    r = rs.rank
+    monoms = _monomials(r, degree)
+    target = _invariant_count(rs.kind[0], r, degree)
+    rows = []
+    for m in monoms:
+        if len(rref(rows)[1]) == target:
+            break
+        mono = BiPoly(r, r, {(0,) * r + m: 1})
+        avg = BiPoly.zero(r, r)
+        for w in rs.weyl:
+            y_images = [
+                BiPoly.y_linear([w.matrix[j][i] for j in range(r)], na=r)
+                for i in range(r)
+            ]
+            avg = avg + mono.compose(y_images=y_images)
+        rows.append([Fraction(avg.terms.get((0,) * r + e, 0), rs.weyl_order) for e in monoms])
+    basis_rows, _ = rref(rows)
+    return [
+        BiPoly(r, r, {(0,) * r + e: c for e, c in zip(monoms, row) if c})
+        for row in basis_rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 3), ("D", 4)],
+)
+def test_invariant_basis_matches_reynolds_reference(kind, rank):
+    rs = get_rs(kind, rank)
+    for degree in range(7):
+        assert invariant_basis(rs, degree) == _reynolds_basis(rs, degree), degree
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_invariant_basis_size_is_fundamental_degree_count(kind, rank):
+    rs = get_rs(kind, rank)
+    for degree in range(9):
+        assert len(invariant_basis(rs, degree)) == _invariant_count(kind, rank, degree)
+
+
 def test_invariant_basis_members_are_invariant(a2):
     r = 2
     for f in invariant_basis(a2, 3):
@@ -161,6 +228,11 @@ def test_fk_evaluated_sections_and_scalars(b2):
         assert fk.eval_a(mu) == fk_evaluated(b2, mu, 6)
         for nu in [(1, 1), (1, 2)]:
             assert fk_scalar(b2, mu, nu, 6) == fk.evaluate(mu, nu)
+
+
+def test_fk_scalar_rejects_coweight_of_wrong_length(a2):
+    with pytest.raises(DomainError, match="coweight has 1 coordinates"):
+        fk_scalar(a2, (1, 1), (1,), 3)
 
 
 def test_weyl_denominator_structure(a2):
@@ -193,9 +265,11 @@ def test_fk_table_build_consistency(a2):
     assert table.entries[2].is_zero() and table.entries[4].is_zero()
 
 
-def test_negative_k_rejected(a1, b2):
+def test_negative_k_rejected(a1, a2, b2):
     with pytest.raises(DomainError):
         fk_direct(a1, -1)
+    with pytest.raises(DomainError, match="negative power in Weyl sum"):
+        fk_via_invariants(a2, -1)
     with pytest.raises(DomainError):
         FkTable.build(a1, kmax=-2)
     with pytest.raises(DomainError, match="negative power in Weyl sum"):

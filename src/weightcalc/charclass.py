@@ -635,6 +635,8 @@ def swc_restrict(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> SWCResult
     variables.  The input must be orthogonal, either as a plain weight or as
     the doubled form.
     """
+    if kmax < 0:
+        raise DomainError("kmax must be nonnegative")
     pi = _as_pi(lattice, pi_spec)
     _require_orthogonal(lattice, pi, "the Stiefel-Whitney restriction")
     ch = chern_classes(lattice, pi, kmax)
@@ -789,6 +791,8 @@ def total_swc_factorization(
     and the expanded product must reproduce the mod-2 Chern reduction degree
     by degree; either failure signals a broken torus convention.
     """
+    if kmax < 0:
+        raise DomainError("kmax must be nonnegative")
     if lattice.family not in _FACTORIZATION_FAMILIES:
         raise DomainError(
             "the total-class factorization is defined for the SL, GL, Sp and "

@@ -163,12 +163,17 @@ def _need_weight(job: JobSpec) -> Tuple[int, ...]:
     return job.weight
 
 
+def _kmax(job: JobSpec) -> int:
+    kmax = 6 if job.k is None else job.k
+    if kmax < 0:
+        raise DomainError("--k must be nonnegative")
+    return kmax
+
+
 def _need_k(job: JobSpec) -> int:
     if job.k is None:
         raise DomainError("this command needs --k")
-    if job.k < 0:
-        raise DomainError("--k must be nonnegative")
-    return job.k
+    return _kmax(job)
 
 
 # -- cache ----------------------------------------------------------------------
@@ -395,9 +400,7 @@ def _group_input(job: JobSpec, lat, weight: Tuple[int, ...]) -> dict:
 def _cmd_chern(job: JobSpec) -> int:
     lat = _need_group(job)
     weight = _need_weight(job)
-    kmax = job.k if job.k is not None else 6
-    if kmax < 0:
-        raise DomainError("--k must be nonnegative")
+    kmax = _kmax(job)
     res = chern_classes(lat, PiSpec(weight, job.s_wrap), kmax)
     names = list(lat.gen_names)
     result = {
@@ -425,7 +428,7 @@ def _cmd_chern2(job: JobSpec) -> int:
 def _cmd_swc(job: JobSpec) -> int:
     lat = _need_group(job)
     weight = _need_weight(job)
-    kmax = job.k if job.k is not None else 6
+    kmax = _kmax(job)
     res = swc_restrict(lat, PiSpec(weight, job.s_wrap), kmax)
     names = list(lat.v_names)
     result = {"w": [_mod2_json(wk, names) for wk in res.w]}
@@ -437,7 +440,7 @@ def _cmd_swc(job: JobSpec) -> int:
 def _cmd_swc_total(job: JobSpec) -> int:
     lat = _need_group(job)
     weight = _need_weight(job)
-    kmax = job.k if job.k is not None else 6
+    kmax = _kmax(job)
     res = total_swc_factorization(lat, PiSpec(weight, job.s_wrap), kmax,
                                   max_dim=job.max_dim)
     names = list(lat.v_names)

@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import DomainError, InternalError
 from .polyalg import BiPoly, expand_linear_power, invert
 from .powersum import validate_dominant, weyl_dimension
-from .rootsys import RootSystem, chamber_descent
+from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -73,22 +73,14 @@ class WeightMultiset:
     def expanded(self) -> dict:
         """Every distinct weight with its multiplicity (cached)."""
         if self._expanded is None:
-            rs = self.rs
-            r = rs.rank
             full: dict[tuple, int] = {}
             for mu, m in self.dominant.items():
-                orbit = set()
-                for w in rs.weyl:
-                    mat = w.matrix
-                    orbit.add(
-                        tuple(sum(mat[i][j] * mu[j] for j in range(r)) for i in range(r))
-                    )
-                for nu in orbit:
+                for nu in dominant_orbit(self.rs.cartan, mu):
                     if nu in full:
                         raise InternalError("weight orbits are not disjoint")
                     full[nu] = m
             total = sum(full.values())
-            dim = weyl_dimension(rs, self.highest_weight)
+            dim = weyl_dimension(self.rs, self.highest_weight)
             if total != dim:
                 raise InternalError(
                     f"weight multiset sums to {total}, dimension formula says {dim}"

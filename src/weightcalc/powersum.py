@@ -16,9 +16,10 @@ is triangular in m = N, N+1, ... because F_j(delta) vanishes below degree
 N, so each P_k is an exact polynomial quotient; Newton's identities then
 convert P to E.  At rank >= 3 the recursion runs on exact values at a few
 sample coweights, and each P_k, a W-invariant of degree k, is rebuilt from
-its values in a basis of products of orbit power sums.  Running the same recursion with the highest weight kept
-symbolic (shifted by delta via translation) yields bivariate versions
-whose a-degrees obey adeg P_k <= N + k and adeg E_k <= floor(k/2)*N + k.
+its values in a basis of products of orbit power sums.  Running the same
+recursion with the highest weight kept symbolic (shifted by delta via
+translation) yields bivariate versions whose a-degrees obey
+adeg P_k <= N + k and adeg E_k <= floor(k/2)*N + k.
 
 Degree-0 terms: P_0 is the dimension of the representation and E_0 = 1.
 P_1 = 0 always (the weights of a semisimple representation sum to zero),

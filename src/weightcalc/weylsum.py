@@ -17,12 +17,14 @@ of bidegree (k, k).  Facts used as computational shortcuts and cross-checks:
   F_{N+2} = binom(N+2, 2)/dim(g) * q2 * q2-vee * F_N,
   with q2, q2-vee the Killing quadratics on the two sides.
 
-F'_k lives in the span of the symmetrized products of any basis of the
-degree-(k-N) W-invariants, which is what fk_via_invariants exploits: it
-solves for the coefficients from exact scalar samples and never expands the
-big alternating sum symbolically.  The invariants of each degree are spanned
-by products of orbit power sums over W.w1 (and, on D_r, the half-spin orbit
-W.w_r); _fit_invariants rebuilds any invariant from its values in that basis.
+Each P_k of a weight multiset (``powersum``) and each F'_k is a W-invariant,
+and one exact fit, _fit_exact, rebuilds both from sample values: it solves
+for the coefficients in a basis of products of orbit power sums over W.w1
+(and, on D_r, the half-spin orbit W.w_r), for F'_k their transport-
+symmetrized products of degree k-N, and checks the fit at two points off
+the fitting set.  FkTable and fk_via_invariants take F'_k from that fit and
+never expand the big alternating sum; fk_direct and fk_reduced expand and
+divide it, and are kept as the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import comb, factorial, prod
 from operator import mul
 from typing import Sequence
@@ -75,8 +77,8 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
 
     Expands <w mu, nu>^k = (sum_i l_i(a) y_i)^k per Weyl element by the
     multinomial over y-exponents, with the powers of the r linear forms
-    l_i(a) shared along the recursion.  Intended for small rank; the term
-    count is guarded by MAX_TERMS.
+    l_i(a) shared along the recursion.  The test reference for the fitted
+    F_k; intended for small rank, and the term count is guarded by MAX_TERMS.
     """
     if k < 0:
         raise DomainError("negative power in Weyl sum")
@@ -331,7 +333,7 @@ def closed_form_FN2(rs: RootSystem) -> BiPoly:
 
 
 def fk_reduced(rs: RootSystem, k: int, fk: BiPoly | None = None) -> BiPoly:
-    """F'_k = F_k / (d * d-vee); exact by the divisibility theorem."""
+    """F'_k = F_k / (d * d-vee), by exact division; the test reference for the fit."""
     if fk is None:
         fk = fk_direct(rs, k)
     return exact_divide(fk, weyl_denominator(rs) * coweyl_denominator(rs))
@@ -366,19 +368,15 @@ class FkTable:
 
     @classmethod
     def build(cls, rs: RootSystem, kmax: int = 10) -> "FkTable":
+        """F'_k fitted from exact samples (``_fit_reduced``), F_k = F'_k * d * d-vee."""
         if kmax < 0:
             raise DomainError("kmax must be nonnegative")
-        entries: dict[int, BiPoly] = {}
-        reduced: dict[int, BiPoly] = {}
-        zero = BiPoly.zero(rs.rank, rs.rank)
-        for k in range(kmax + 1):
-            if _vanishes(rs, k):
-                entries[k] = zero
-                reduced[k] = zero
-            else:
-                fk = fk_direct(rs, k)
-                entries[k] = fk
-                reduced[k] = fk_reduced(rs, k, fk)
+        reduced = dict.fromkeys(range(kmax + 1), BiPoly.zero(rs.rank, rs.rank))
+        ks = [k for k in reduced if not _vanishes(rs, k)]
+        if ks:
+            reduced.update(_fit_reduced(rs, ks))
+        dd = weyl_denominator(rs) * coweyl_denominator(rs)
+        entries = {k: f * dd for k, f in reduced.items()}
         return cls(kind=rs.kind, rank=rs.rank, kmax=kmax, entries=entries, reduced=reduced)
 
 
@@ -491,11 +489,12 @@ def _fit_points(rs: RootSystem):
     """Endless integral coweights nu = 2q*2rho-vee + t, t pseudo-random in [1, q]^r.
 
     <alpha_i, 2rho-vee> = 2 and <alpha_i, t> >= 2 - 3q for every simple root,
-    so <alpha_i, nu> > 0: each point is strictly dominant, hence regular.  The
-    offsets keep the points off any line: on the line c*2rho-vee + (1, ..., r)
-    the degree-7 invariants of A6 and the degree-8 invariants of C4 are
-    linearly dependent, so no number of its points can separate them.  The
-    seed is fixed, so every run draws the same points.
+    so <alpha_i, nu> > 0: each point is strictly dominant, hence regular.  Its
+    coordinates are positive, so read as a weight it is strictly dominant
+    too.  The offsets keep the points off any line: on the line
+    c*2rho-vee + (1, ..., r) the degree-7 invariants of A6 and the degree-8
+    invariants of C4 are linearly dependent, so no number of its points can
+    separate them.  The seed is fixed, so every run draws the same points.
     """
     q = 16
     rng = random.Random(rs.rank)
@@ -504,163 +503,150 @@ def _fit_points(rs: RootSystem):
         yield tuple(2 * q * x + rng.randint(1, q) for x in two_rho_vee)
 
 
+def _denominators(rs: RootSystem, mu: Sequence[int], nu: Sequence[int]) -> tuple[int, int]:
+    """d(nu) and d-vee(mu): the positive roots' product at nu, the coroots' at mu."""
+    return (prod(sum(map(mul, al, nu)) for al in rs.positive_roots),
+            prod(sum(map(mul, av, mu)) for av in rs.positive_coroots))
+
+
+def _product_values(gens: Sequence, products: Sequence[list]):
+    """The map point -> the value at point of each generator product, one list per system."""
+    used = {j for prods in products for idx in prods for j in idx}
+
+    def values(point):
+        gval = {j: sum(sum(map(mul, v, point)) ** gens[j][0] for v in gens[j][1])
+                for j in used}
+        return [[prod(gval[j] for j in idx) for idx in prods] for prods in products]
+
+    return values
+
+
+def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
+               rows_at, points, checks) -> list[list[Fraction]]:
+    """Exact solutions of linear systems whose rows are sampled at points.
+
+    rows_at(point) returns, for each system, its row of basis values and its
+    target value at that point.  A system of n unknowns is solved with
+    ``rref`` once it has n rows (at least one), and again after each further
+    point while it is singular, over at most max(sizes) + 8 ``points``.  The
+    solutions are then checked at ``checks``, points off the fitting set.  An
+    inconsistent system, one still singular at the bound, or a failed check
+    raises InternalError.
+    """
+    label = f"{rs.kind}{rs.rank}"
+    rows: list[list[list[Scalar]]] = [[] for _ in sizes]
+    coeffs: list = [None] * len(sizes)
+    for count, point in enumerate(islice(points, max(sizes) + 8), 1):
+        for system, (row, val) in zip(rows, zip(*rows_at(point))):
+            system.append(row + [val])
+        for s, n in enumerate(sizes):
+            if coeffs[s] is None and count >= max(n, 1):
+                red, pivots = rref(rows[s])
+                if pivots[:n] == list(range(n)):
+                    coeffs[s] = [row[n] for row in red[:n]]
+                    if any(sum(map(mul, coeffs[s], row)) != row[n] for row in rows[s]):
+                        raise InternalError(f"{label}: {names[s]} sample values fit no invariant")
+        if None not in coeffs:
+            break
+    else:
+        raise InternalError(
+            f"{label}: invariant sample systems stayed singular after {count} points"
+        )
+    for point in checks:
+        for s, (row, val) in enumerate(zip(*rows_at(point))):
+            if sum(map(mul, coeffs[s], row)) != val:
+                raise InternalError(
+                    f"{label}: the {names[s]} invariant fit fails the off-line check at {point}"
+                )
+    return coeffs
+
+
+def _check_points(rs: RootSystem) -> list[tuple]:
+    """The first two regular pairs (mu_c, nu_c), c = 1, 2, ..., off every fitting set.
+
+    mu_c = delta + c*(1,2,...,r) is strictly dominant; nu_c = c*2rho-vee +
+    (1,2,...,r), with 2rho-vee the sum of the positive coroots, pairs to
+    2c*height(alpha) + <alpha, (1,...,r)> with each positive root alpha.  A
+    pair where d(nu_c) vanishes is skipped; each root pairs to 0 at one c at
+    most, so the search ends.
+    """
+    r = rs.rank
+    two_rho_vee = [sum(av[j] for av in rs.positive_coroots) for j in range(r)]
+    pairs = ((tuple(1 + c * (j + 1) for j in range(r)),
+              tuple(c * two_rho_vee[j] + j + 1 for j in range(r))) for c in count(1))
+    return list(islice(((mu, nu) for mu, nu in pairs if all(_denominators(rs, mu, nu))), 2))
+
+
 def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
     """The W-invariant y-polynomials f_0..f_kmax, f_k of degree k, from their values.
 
     values(nu) returns [f_0(nu), ..., f_kmax(nu)] at an integral regular
-    coweight nu.  Each f_k is solved exactly in the basis of products of
+    coweight nu.  ``_fit_exact`` solves each f_k in the basis of products of
     orbit power sums (``_invariant_products``) from the values at
-    ``_fit_points``, adding points until every system has full rank, then
-    checked at two regular points of the line c*2rho-vee + (1, ..., r)
-    (``_sample_points``), which the fitting points are off.  A failed count,
-    rank, consistency or off-line check raises InternalError: the result is
-    never a wrong polynomial.
+    ``_fit_points`` and checks it at the coweights nu of ``_check_points``.
     """
     gens = _invariant_generators(rs)
     products = [_invariant_products(rs, gens, k) for k in range(kmax + 1)]
-
-    def basis_values(nu):
-        gval = [sum(sum(map(mul, v, nu)) ** d for v in orbit) if d <= kmax else None
-                for d, orbit in gens]
-        return [[prod(gval[j] for j in idx) for idx in prods] for prods in products]
-
-    need = max(len(prods) for prods in products)
-    rows: list[list[list[Scalar]]] = [[] for _ in products]
-    vals: list[list[Scalar]] = [[] for _ in products]
-    coeffs: list = [None] * (kmax + 1)
-    points = _fit_points(rs)
-    for _ in range(need + 8):
-        nu = next(points)
-        for k, (b, f) in enumerate(zip(basis_values(nu), values(nu))):
-            rows[k].append(b)
-            vals[k].append(f)
-        if len(vals[0]) < need:
-            continue
-        for k in range(kmax + 1):
-            if coeffs[k] is None:
-                solution = _solve_exact(rows[k], vals[k])
-                if solution is not None:
-                    coeffs[k], consistent = solution
-                    if not consistent:
-                        raise InternalError(
-                            f"{rs.kind}{rs.rank}: degree-{k} sample values fit no invariant"
-                        )
-        if all(c is not None for c in coeffs):
-            break
-    else:
-        raise InternalError(
-            f"{rs.kind}{rs.rank}: invariant sample systems stayed singular"
-            f" after {len(vals[0])} points"
-        )
-    checks = [nu for _, nu, _, _ in islice(_sample_points(rs, 64), 2)]
-    for nu in checks:
-        for k, (b, f) in enumerate(zip(basis_values(nu), values(nu))):
-            if sum(map(mul, coeffs[k], b)) != f:
-                raise InternalError(
-                    f"{rs.kind}{rs.rank}: the degree-{k} invariant fit fails"
-                    f" the off-line check at {nu}"
-                )
+    basis_values = _product_values(gens, products)
+    coeffs = _fit_exact(
+        rs, [f"degree-{k}" for k in range(kmax + 1)], [len(p) for p in products],
+        lambda nu: (basis_values(nu), values(nu)), _fit_points(rs),
+        [nu for _, nu in _check_points(rs)],
+    )
     r = rs.rank
     cache: dict = {}
-    out = []
-    for c, prods in zip(coeffs, products):
-        f = BiPoly.zero(r, r)
-        for x, idx in zip(c, prods):
-            if x:
-                f = f + _product_poly(r, gens, idx, cache).scale(x)
-        out.append(f)
+    return [sum((_product_poly(r, gens, idx, cache).scale(x) for x, idx in zip(c, prods) if x),
+                BiPoly.zero(r, r)) for c, prods in zip(coeffs, products)]
+
+
+def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
+    """F'_k for each k in ks, none of which vanishes, from exact samples of F_k.
+
+    F'_k is W x W-invariant of bidegree (m, m), m = k - N, and invariant under
+    the Killing transport, so it is a combination of the
+    beta_ij(a, y) = pi_i(y) pi_j(K-vee a) + pi_j(y) pi_i(K-vee a), i <= j, over
+    the products pi_i of orbit power sums of degree m.  ``_fit_exact`` solves
+    for the coefficients from F_k(mu, nu) / (d(nu) d-vee(mu)) with mu, nu two
+    consecutive ``_fit_points``, and checks them at ``_check_points``.
+    """
+    r, n = rs.rank, rs.num_positive
+    gens = _invariant_generators(rs)
+    products = [_invariant_products(rs, gens, k - n) for k in ks]
+    pairs = [[(i, j) for i in range(len(p)) for j in range(i, len(p))] for p in products]
+    basis_values = _product_values(gens, products)
+    kd = rs.killing_dual
+
+    def rows_at(point):
+        mu, nu = point
+        dval, dvee = _denominators(rs, mu, nu)
+        at_nu = basis_values(nu)
+        at_kmu = basis_values([sum(map(mul, row, mu)) for row in kd])
+        rows = [[x[i] * z[j] + x[j] * z[i] for i, j in ps]
+                for x, z, ps in zip(at_nu, at_kmu, pairs)]
+        return rows, [Fraction(fk_scalar(rs, mu, nu, k), dval * dvee) for k in ks]
+
+    fit = _fit_points(rs)
+    coeffs = _fit_exact(rs, [f"F'_{k}" for k in ks], [len(p) for p in pairs], rows_at,
+                        zip(fit, fit), _check_points(rs))
+    y_images = [BiPoly.a_linear(row, ny=r) for row in kd]  # pi(K-vee a) = pi(y := K-vee a)
+    cache: dict = {}
+    out = {}
+    for k, prods, ps, c in zip(ks, products, pairs, coeffs):
+        on_y = [_product_poly(r, gens, idx, cache) for idx in prods]
+        on_a = [f.compose(y_images=y_images) for f in on_y]
+        out[k] = sum(((on_y[i] * on_a[j] + on_y[j] * on_a[i]).scale(x)
+                      for (i, j), x in zip(ps, c) if x), BiPoly.zero(r, r))
     return out
 
 
-def _sample_points(rs: RootSystem, attempts: int):
-    """Deterministic regular sample pairs (mu_c, nu_c) for c = 1..attempts.
+def fk_via_invariants(rs: RootSystem, k: int) -> BiPoly:
+    """F_k as the fitted F'_k (``_fit_reduced``) times d * d-vee.
 
-    mu_c = delta + c*(1,2,...,r) is strictly dominant; nu_c = c*2rho-vee +
-    (1,2,...,r), with 2rho-vee the sum of the positive coroots, pairs to
-    2c*height(alpha) + <alpha, (1,...,r)> with each positive root alpha.
-    Pairs where d or d-vee still vanishes are skipped, so at most
-    ``attempts`` points are tried.
-    """
-    r = rs.rank
-    two_rho_vee = [sum(av[j] for av in rs.positive_coroots) for j in range(r)]
-    for c in range(1, attempts + 1):
-        mu = tuple(1 + c * (j + 1) for j in range(r))
-        nu = tuple(c * two_rho_vee[j] + j + 1 for j in range(r))
-        dvee = 1
-        for av in rs.positive_coroots:
-            dvee *= sum(av[j] * mu[j] for j in range(r))
-        dval = 1
-        for al in rs.positive_roots:
-            dval *= sum(al[j] * nu[j] for j in range(r))
-        if dvee and dval:
-            yield mu, nu, dval, dvee
-
-
-def fk_via_invariants(rs: RootSystem, k: int, sample_budget: int = 64) -> BiPoly:
-    """F_k reconstructed from the invariant-basis ansatz.
-
-    Writes F'_k = sum c_ij beta_ij with beta_ij the transport-symmetrized
-    products of a degree-(k-N) invariant basis, solves the c_ij from exact
-    scalar samples, and multiplies d * d-vee back in.  Must agree with
+    Never expands the alternating sum symbolically; must agree with
     fk_direct exactly.
     """
     if k < 0:
         raise DomainError("negative power in Weyl sum")
-    r = rs.rank
-    n = rs.num_positive
-    zero = BiPoly.zero(r, r)
-    if k < n:
-        return zero
-    m = k - n
-    basis = invariant_basis(rs, m)
-    dd = weyl_denominator(rs) * coweyl_denominator(rs)
-    if not basis:
-        return zero
-    # transport each basis element to the weight side: y := K-dual a
-    y_images = [
-        BiPoly.a_linear([rs.killing_dual[i][j] for j in range(r)], ny=r)
-        for i in range(r)
-    ]
-    basis_a = [b.compose(y_images=y_images) for b in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
-    betas = []
-    for i, j in pairs:
-        beta = basis[i] * basis_a[j] + basis[j] * basis_a[i]
-        betas.append(beta)
-    # exact linear solve from deterministic samples
-    rows: list[list[Fraction]] = []
-    vals: list[Fraction] = []
-    for mu, nu, dval, dvee in _sample_points(rs, sample_budget):
-        muf = [Fraction(x) for x in mu]
-        nuf = [Fraction(x) for x in nu]
-        row = [Fraction(b.evaluate(muf, nuf)) for b in betas]
-        fval = Fraction(fk_scalar(rs, muf, nuf, k))
-        rows.append(row)
-        vals.append(fval / (Fraction(dval) * Fraction(dvee)))
-        solution = _solve_exact(rows, vals)
-        if solution is not None:
-            coeffs, consistent = solution
-            if not consistent:
-                raise InternalError("inconsistent sample system for F'_k")
-            out = zero
-            for c, beta in zip(coeffs, betas):
-                if c:
-                    out = out + beta.scale(c)
-            return out * dd
-    raise InternalError(
-        f"sample system for F'_{k} stayed singular after {sample_budget} sample points"
-    )
-
-
-def _solve_exact(rows: list[list[Fraction]], vals: list[Fraction]):
-    """Solve rows * x = vals if the rank is full; returns (x, consistent) or None."""
-    ncols = len(rows[0])
-    red, pivots = rref([list(r) + [v] for r, v in zip(rows, vals)])
-    if pivots[:ncols] != list(range(ncols)):
-        return None
-    x = [row[ncols] for row in red[:ncols]]
-    # residual check against the original rows (cheap and airtight)
-    consistent = all(
-        sum(c * xi for c, xi in zip(row, x)) == v for row, v in zip(rows, vals)
-    )
-    return x, consistent
+    if _vanishes(rs, k):
+        return BiPoly.zero(rs.rank, rs.rank)
+    return _fit_reduced(rs, [k])[k] * weyl_denominator(rs) * coweyl_denominator(rs)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dominant_grid, gen_poly, get_rs
+from weightcalc import charclass
 from weightcalc.charclass import (
     PiSpec,
     builtin_lattice,
@@ -173,6 +174,19 @@ def test_swc_requires_orthogonal():
         swc_restrict(builtin_lattice("SL2"), (1,))
     with pytest.raises(DomainError, match="not-self-dual.*s_wrap"):
         swc_restrict(builtin_lattice("SL3"), (1, 0))
+
+
+def test_swc_negative_kmax_refused_before_the_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for a refused kmax")
+
+    monkeypatch.setattr(charclass, "_character_values", no_work)
+    monkeypatch.setattr(charclass, "chern_classes", no_work)
+    so12 = builtin_lattice("SO12")
+    with pytest.raises(DomainError, match="kmax must be nonnegative"):
+        swc_restrict(so12, (1, 0, 0, 0, 0, 0), -1)
+    with pytest.raises(DomainError, match="kmax must be nonnegative"):
+        total_swc_factorization(so12, (1, 0, 0, 0, 0, 0), -1)
 
 
 def test_sl2_doubled_swc():

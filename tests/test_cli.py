@@ -255,6 +255,13 @@ def test_domain_errors_exit_2(capsys):
     assert rc == 2 and "comma-separated integers" in err
 
 
+@pytest.mark.parametrize("command", ["swc", "swc-total"])
+def test_negative_k_exits_2(capsys, command):
+    argv = [command, "--group", "SO12", "--weight", "1,0,0,0,0,0", "--k", "-1"]
+    rc, out, err = _call(capsys, argv)
+    assert (rc, out, err) == (2, "", "error: --k must be nonnegative\n")
+
+
 def test_run_propagates_domain_error():
     with pytest.raises(DomainError):
         run(["chern", "--group", "PGL2", "--weight", "3"])

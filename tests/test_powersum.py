@@ -203,7 +203,7 @@ def test_missing_generator_fails_the_count_check(monkeypatch, b3):
 
 @pytest.mark.parametrize("corrupt_check_points", [True, False])
 def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points):
-    line = {nu for _, nu, _, _ in weylsum._sample_points(d4, 4)}
+    line = {nu for _, nu in weylsum._check_points(d4)}
     values_at = powersum._power_sums_at
 
     def corrupted(rs, orbits, nu, kmax):

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_supported_types, get_rs
-from weightcalc.errors import DomainError
+from weightcalc import weylsum
+from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import BiPoly, expand_linear_power, rref, substitute_linear
 from weightcalc.weylsum import (
     FkTable,
@@ -254,15 +255,42 @@ def test_q2_pairing_normalization(a2):
     assert q2v.evaluate((1, 1), (0, 0)) == Fraction(1, 3)
 
 
-def test_fk_table_build_consistency(a2):
-    table = FkTable.build(a2, kmax=6)
-    assert table.kind == "A" and table.rank == 2 and table.kmax == 6
-    dd = weyl_denominator(a2) * coweyl_denominator(a2)
-    for k in range(7):
-        assert table.entries[k] == fk_direct(a2, k)
-        assert table.reduced[k] * dd == table.entries[k]
+@pytest.mark.parametrize(
+    "kind,rank,kmax", [("A", 2, 6), ("G", 2, 10), ("A", 3, 10), ("B", 3, 11), ("C", 3, 11)]
+)
+def test_fk_table_build_consistency(kind, rank, kmax):
+    rs = get_rs(kind, rank)
+    table = FkTable.build(rs, kmax=kmax)
+    assert (table.kind, table.rank, table.kmax) == (rs.kind, rank, kmax)
+    dd = weyl_denominator(rs) * coweyl_denominator(rs)
+    for k in range(kmax + 1):
+        assert table.entries[k] == fk_direct(rs, k), k
+        assert table.reduced[k] * dd == table.entries[k], k
     # zero shortcuts: below N and at N+1 the stored entry is the zero polynomial
-    assert table.entries[2].is_zero() and table.entries[4].is_zero()
+    n = rs.num_positive
+    assert table.entries[n - 1].is_zero() and table.entries[n + 1].is_zero()
+
+
+@pytest.mark.parametrize("corrupt", ["first check point", "second check point", "fit point"])
+def test_corrupted_fk_sample_is_caught(monkeypatch, corrupt):
+    rs, k = get_rs("G", 2), 12  # F'_12 has three unknowns: pairs of p2^3 and p6
+    if corrupt == "fit point":
+        fit = weylsum._fit_points(rs)
+        target, match = (next(fit), next(fit)), "F'_12"
+    else:
+        target = weylsum._check_points(rs)[0 if corrupt == "first check point" else 1]
+        match = "F'_12 invariant fit fails the off-line check"
+    exact = weylsum.fk_scalar
+
+    def corrupted(rs, mu, nu, m):
+        value = exact(rs, mu, nu, m)
+        return value + 1 if (mu, nu) == target and m == k else value
+
+    monkeypatch.setattr(weylsum, "fk_scalar", corrupted)
+    with pytest.raises(InternalError, match=match):
+        fk_via_invariants(rs, k)
+    with pytest.raises(InternalError, match=match):
+        FkTable.build(rs, k)
 
 
 def test_negative_k_rejected(a1, a2, b2):

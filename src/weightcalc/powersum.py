@@ -31,14 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import mul
 from typing import Sequence
 
 from .errors import DomainError
 from .polyalg import BiPoly, exact_divide, translate_delta
 from .rootsys import RootSystem
-
-from .weylsum import FkTable, _fit_invariants, _signed_orbit, _vanishes, fk_evaluated
+from .weylsum import (FkTable, _fit_invariants, _orbit_power_sums, _signed_orbit, _vanishes,
+                      fk_evaluated)
 
 __all__ = [
     "PowerSumResult",
@@ -120,17 +119,11 @@ def _power_sums_at(rs: RootSystem, orbits: Sequence, nu: Sequence[int], kmax: in
     = N! * d(nu) is nonzero because nu is regular.
     """
     n = rs.num_positive
+    ms = [m for m in range(n, n + kmax + 1) if not _vanishes(rs, m)]
     f = []
-    for signs, cols in orbits:
-        pairs = [sum(map(mul, point, nu)) for point in zip(*cols)]
-        powers = [p**n for p in pairs]
-        row = []
-        for m in range(n, n + kmax + 1):
-            value = 0 if _vanishes(rs, m) else sum(map(mul, signs, powers))
-            row.append(BiPoly.constant(0, 0, value))
-            if m < n + kmax:
-                powers = list(map(mul, powers, pairs))
-        f.append(row)
+    for orbit in orbits:
+        values = dict(zip(ms, _orbit_power_sums(orbit, nu, ms)))
+        f.append([BiPoly.constant(0, 0, values.get(m, 0)) for m in range(n, n + kmax + 1)])
     return [p.constant_term() for p in _triangular_solve(n, *f)]
 
 

@@ -160,6 +160,21 @@ def _signed_orbit(
     return [sign for sign, _ in orbit], [[p[i] for _, p in orbit] for i in range(r)]
 
 
+def _orbit_power_sums(orbit: tuple, nu: Sequence[Scalar], ks: Sequence[int]) -> list[Scalar]:
+    """Sum of sign * <p, nu>^k over a ``_signed_orbit``, for each k of the ascending ks.
+
+    The pairings <p, nu> are formed once and their powers built up along ks.
+    """
+    signs, cols = orbit
+    pairs = [sum(map(mul, point, nu)) for point in zip(*cols)]
+    powers, last, out = signs, 0, []
+    for k in ks:
+        powers = [q * p ** (k - last) for q, p in zip(powers, pairs)]
+        out.append(sum(powers))
+        last = k
+    return out
+
+
 def _monomials(r: int, degree: int) -> list[tuple]:
     """All exponent tuples of the given total degree, canonical descending order."""
     if r == 0:
@@ -255,33 +270,34 @@ def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int
         raise DomainError(f"coweight has {len(nu)} coordinates, expected {rs.rank}")
     if _vanishes(rs, k):
         return 0
-    signs, cols = _signed_orbit(rs, mu)
-    pairs = [sum(map(mul, point, nu)) for point in zip(*cols)]
-    return sum(s * p**k for s, p in zip(signs, pairs))
+    return _orbit_power_sums(_signed_orbit(rs, mu), nu, [k])[0]
 
 
 def weyl_denominator(rs: RootSystem) -> BiPoly:
     """d = product of the positive roots, as a y-polynomial."""
-    out = BiPoly.constant(rs.rank, rs.rank, 1)
-    for alpha in rs.positive_roots:
-        out = out * BiPoly.y_linear(list(alpha), na=rs.rank)
-    return out
+    one = BiPoly.constant(rs.rank, rs.rank, 1)
+    return prod((BiPoly.y_linear(list(al), na=rs.rank) for al in rs.positive_roots), start=one)
 
 
 def coweyl_denominator(rs: RootSystem) -> BiPoly:
     """d-vee = product of the positive coroots, as an a-polynomial."""
-    out = BiPoly.constant(rs.rank, rs.rank, 1)
-    for av in rs.positive_coroots:
-        out = out * BiPoly.a_linear(list(av), ny=rs.rank)
-    return out
+    one = BiPoly.constant(rs.rank, rs.rank, 1)
+    return prod((BiPoly.a_linear(list(av), ny=rs.rank) for av in rs.positive_coroots), start=one)
+
+
+def _times_denominators(rs: RootSystem, f: BiPoly) -> BiPoly:
+    """f * d * d-vee, one root or coroot factor at a time, within MAX_TERMS terms."""
+    for factor in ([BiPoly.y_linear(list(al), na=rs.rank) for al in rs.positive_roots]
+                   + [BiPoly.a_linear(list(av), ny=rs.rank) for av in rs.positive_coroots]):
+        f = f * factor
+        if len(f.terms) > MAX_TERMS:
+            raise InternalError("Weyl sum exceeded the term budget")
+    return f
 
 
 def coweyl_denominator_at_delta(rs: RootSystem) -> int:
     """d-vee(delta) = product over positive coroots of their coordinate sums."""
-    val = 1
-    for av in rs.positive_coroots:
-        val *= sum(av)
-    return val
+    return prod(sum(av) for av in rs.positive_coroots)
 
 
 def q2_poly(rs: RootSystem) -> BiPoly:
@@ -316,11 +332,9 @@ def q2_dual_poly(rs: RootSystem) -> BiPoly:
 
 def closed_form_FN(rs: RootSystem) -> BiPoly:
     """F_N = N! * d * d-vee / d-vee(delta)."""
-    import math
-
     n = rs.num_positive
     return (weyl_denominator(rs) * coweyl_denominator(rs)).scale(
-        Fraction(math.factorial(n), coweyl_denominator_at_delta(rs))
+        Fraction(factorial(n), coweyl_denominator_at_delta(rs))
     )
 
 
@@ -375,8 +389,7 @@ class FkTable:
         ks = [k for k in reduced if not _vanishes(rs, k)]
         if ks:
             reduced.update(_fit_reduced(rs, ks))
-        dd = weyl_denominator(rs) * coweyl_denominator(rs)
-        entries = {k: f * dd for k, f in reduced.items()}
+        entries = {k: _times_denominators(rs, f) for k, f in reduced.items()}
         return cls(kind=rs.kind, rank=rs.rank, kmax=kmax, entries=entries, reduced=reduced)
 
 
@@ -528,10 +541,12 @@ def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
     rows_at(point) returns, for each system, its row of basis values and its
     target value at that point.  A system of n unknowns is solved with
     ``rref`` once it has n rows (at least one), and again after each further
-    point while it is singular, over at most max(sizes) + 8 ``points``.  The
-    solutions are then checked at ``checks``, points off the fitting set.  An
-    inconsistent system, one still singular at the bound, or a failed check
-    raises InternalError.
+    point while it is singular, over at most max(sizes) + 8 ``points``.  Rows
+    keep coming until the last system is solved, so each smaller one is
+    overdetermined; every solution is checked against all the rows of its
+    system, then at ``checks``, points off the fitting set.  An inconsistent
+    system, one still singular at the bound, or a failed check raises
+    InternalError.
     """
     label = f"{rs.kind}{rs.rank}"
     rows: list[list[list[Scalar]]] = [[] for _ in sizes]
@@ -544,14 +559,15 @@ def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
                 red, pivots = rref(rows[s])
                 if pivots[:n] == list(range(n)):
                     coeffs[s] = [row[n] for row in red[:n]]
-                    if any(sum(map(mul, coeffs[s], row)) != row[n] for row in rows[s]):
-                        raise InternalError(f"{label}: {names[s]} sample values fit no invariant")
         if None not in coeffs:
             break
     else:
         raise InternalError(
             f"{label}: invariant sample systems stayed singular after {count} points"
         )
+    for s, system in enumerate(rows):  # every row, also those drawn after the solve
+        if any(sum(map(mul, coeffs[s], row)) != row[-1] for row in system):
+            raise InternalError(f"{label}: {names[s]} sample values fit no invariant")
     for point in checks:
         for s, (row, val) in enumerate(zip(*rows_at(point))):
             if sum(map(mul, coeffs[s], row)) != val:
@@ -623,7 +639,8 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
         at_kmu = basis_values([sum(map(mul, row, mu)) for row in kd])
         rows = [[x[i] * z[j] + x[j] * z[i] for i, j in ps]
                 for x, z, ps in zip(at_nu, at_kmu, pairs)]
-        return rows, [Fraction(fk_scalar(rs, mu, nu, k), dval * dvee) for k in ks]
+        values = _orbit_power_sums(_signed_orbit(rs, mu), nu, ks)
+        return rows, [Fraction(v, dval * dvee) for v in values]
 
     fit = _fit_points(rs)
     coeffs = _fit_exact(rs, [f"F'_{k}" for k in ks], [len(p) for p in pairs], rows_at,
@@ -649,4 +666,4 @@ def fk_via_invariants(rs: RootSystem, k: int) -> BiPoly:
         raise DomainError("negative power in Weyl sum")
     if _vanishes(rs, k):
         return BiPoly.zero(rs.rank, rs.rank)
-    return _fit_reduced(rs, [k])[k] * weyl_denominator(rs) * coweyl_denominator(rs)
+    return _times_denominators(rs, _fit_reduced(rs, [k])[k])

@@ -256,7 +256,9 @@ def test_q2_pairing_normalization(a2):
 
 
 @pytest.mark.parametrize(
-    "kind,rank,kmax", [("A", 2, 6), ("G", 2, 10), ("A", 3, 10), ("B", 3, 11), ("C", 3, 11)]
+    "kind,rank,kmax",
+    [("A", 1, 8), ("A", 2, 6), ("G", 2, 10), ("A", 3, 10), ("B", 3, 11), ("C", 3, 11),
+     ("D", 3, 10)],
 )
 def test_fk_table_build_consistency(kind, rank, kmax):
     rs = get_rs(kind, rank)
@@ -271,6 +273,33 @@ def test_fk_table_build_consistency(kind, rank, kmax):
     assert table.entries[n - 1].is_zero() and table.entries[n + 1].is_zero()
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 6), ("B", 6)])
+def test_fk_table_below_n_is_zero_without_expanding_d(kind, rank):
+    # d * d-vee alone would run to millions of terms here; every F_k, k <= 5, is zero
+    rs = get_rs(kind, rank)
+    table = FkTable.build(rs, kmax=5)
+    assert all(table.entries[k].is_zero() and table.reduced[k].is_zero() for k in range(6))
+
+
+def test_fk_term_budget_is_enforced(monkeypatch):
+    rs = get_rs("B", 3)
+    monkeypatch.setattr(weylsum, "MAX_TERMS", 200)
+    with pytest.raises(InternalError, match="term budget"):
+        FkTable.build(rs, kmax=11)
+    with pytest.raises(InternalError, match="term budget"):
+        fk_via_invariants(rs, 11)
+
+
+def _corrupt_sample(monkeypatch, nu_target, k):
+    """Add 1 to the Weyl sum of power k at the coweight nu_target in the F'_k fit."""
+    exact = weylsum._orbit_power_sums
+
+    def corrupted(orbit, nu, ks):
+        return [v + (tuple(nu) == nu_target and m == k) for v, m in zip(exact(orbit, nu, ks), ks)]
+
+    monkeypatch.setattr(weylsum, "_orbit_power_sums", corrupted)
+
+
 @pytest.mark.parametrize("corrupt", ["first check point", "second check point", "fit point"])
 def test_corrupted_fk_sample_is_caught(monkeypatch, corrupt):
     rs, k = get_rs("G", 2), 12  # F'_12 has three unknowns: pairs of p2^3 and p6
@@ -280,17 +309,22 @@ def test_corrupted_fk_sample_is_caught(monkeypatch, corrupt):
     else:
         target = weylsum._check_points(rs)[0 if corrupt == "first check point" else 1]
         match = "F'_12 invariant fit fails the off-line check"
-    exact = weylsum.fk_scalar
-
-    def corrupted(rs, mu, nu, m):
-        value = exact(rs, mu, nu, m)
-        return value + 1 if (mu, nu) == target and m == k else value
-
-    monkeypatch.setattr(weylsum, "fk_scalar", corrupted)
+    _corrupt_sample(monkeypatch, target[1], k)
     with pytest.raises(InternalError, match=match):
         fk_via_invariants(rs, k)
     with pytest.raises(InternalError, match=match):
         FkTable.build(rs, k)
+
+
+def test_corrupted_sample_after_the_solve_is_caught(monkeypatch):
+    # F'_6 on G2 is one constant, solved at the first pair; the G2 table keeps
+    # drawing pairs for F'_12, and each later F'_6 row must still be checked
+    rs = get_rs("G", 2)
+    fit = weylsum._fit_points(rs)
+    second_nu = [next(fit) for _ in range(4)][3]
+    _corrupt_sample(monkeypatch, second_nu, 6)
+    with pytest.raises(InternalError, match="F'_6 sample values fit no invariant"):
+        FkTable.build(rs, 12)
 
 
 def test_negative_k_rejected(a1, a2, b2):

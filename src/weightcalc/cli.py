@@ -16,16 +16,17 @@ Subcommands::
     verify       consistency triangle + oracle-equivalence grid
 
 Output is deterministic for a fixed job: canonical term order and sorted
-JSON keys.  ``fk`` and ``oracle weights`` take ``--cache-dir`` (default: env
-``WEIGHTCALC_CACHE``), which keeps one JSON file per (kind, rank) for
-alternating-sum tables and one for weight multisets; corrupt or mismatching
-cache files are silently discarded and recomputed.  Exit codes: 0 success,
-2 domain error (bad input), 1 internal invariant violation.
+JSON keys.  ``fk`` takes ``--cache-dir`` (default: env ``WEIGHTCALC_CACHE``),
+which keeps one JSON file of alternating-sum tables per (kind, rank);
+corrupt, incomplete or mismatching cache files are silently recomputed and
+rewritten, and a cache that cannot be written is skipped.  Exit codes:
+0 success, 2 domain error (bad input), 1 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -42,7 +43,6 @@ from .weylsum import FkTable
 from .powersum import elementary_from_power, power_sums
 from .oracle import (
     DEFAULT_MAX_DIM,
-    WeightMultiset,
     oracle_elementary,
     oracle_power_sum,
     weight_multiplicities,
@@ -184,8 +184,8 @@ def _system_name(kind: str, rank: int) -> str:
     return kind if kind[-1].isdigit() else f"{kind}{rank}"
 
 
-def _cache_path(cache_dir: str, prefix: str, kind: str, rank: int) -> str:
-    return os.path.join(cache_dir, f"{prefix}_{_system_name(kind, rank)}.json")
+def _cache_path(cache_dir: str, kind: str, rank: int) -> str:
+    return os.path.join(cache_dir, f"fk_{_system_name(kind, rank)}.json")
 
 
 def _cache_load(path: str) -> Optional[dict]:
@@ -202,36 +202,36 @@ def _cache_load(path: str) -> Optional[dict]:
 
 
 def _cache_store(path: str, obj: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    """Write obj to path atomically; a store that fails is skipped."""
+    directory = os.path.dirname(path) or "."
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, sort_keys=True)
         os.replace(tmp, path)  # atomic swap: readers only ever see whole files
     except OSError:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _fk_table(job: JobSpec, rs: RootSystem, kmax: int) -> FkTable:
     if job.cache_dir is None:
         return FkTable.build(rs, kmax)
-    path = _cache_path(job.cache_dir, "fk", rs.kind, rs.rank)
+    path = _cache_path(job.cache_dir, rs.kind, rs.rank)
     data = _cache_load(path)
     if data is not None and data.get("kind") == rs.kind and data.get("rank") == rs.rank:
         try:
             stored_kmax = int(data["kmax"])
             if stored_kmax >= kmax:
-                entries = {
-                    int(k): BiPoly.from_json_obj(v, rs.rank, rs.rank)
-                    for k, v in data["entries"].items()
-                }
-                reduced = {
-                    int(k): BiPoly.from_json_obj(v, rs.rank, rs.rank)
-                    for k, v in data["reduced"].items()
-                }
+                # a missing entry raises KeyError: the file is corrupt
+                entries, reduced = (
+                    {k: BiPoly.from_json_obj(data[part][str(k)], rs.rank, rs.rank)
+                     for k in range(stored_kmax + 1)}
+                    for part in ("entries", "reduced")
+                )
                 return FkTable(
                     kind=rs.kind, rank=rs.rank, kmax=stored_kmax,
                     entries=entries, reduced=reduced,
@@ -250,40 +250,6 @@ def _fk_table(job: JobSpec, rs: RootSystem, kmax: int) -> FkTable:
         "reduced": {str(k): v.to_json_obj() for k, v in table.reduced.items()},
     })
     return table
-
-
-def _weights_cached(job: JobSpec, rs: RootSystem, lam: Tuple[int, ...]) -> WeightMultiset:
-    if job.cache_dir is None:
-        return weight_multiplicities(rs, lam, max_dim=job.max_dim)
-    path = _cache_path(job.cache_dir, "wm", rs.kind, rs.rank)
-    key = ",".join(str(c) for c in lam)
-    data = _cache_load(path)
-    entries = {}
-    if data is not None and data.get("kind") == rs.kind and data.get("rank") == rs.rank:
-        entries = data.get("entries", {})
-        stored = entries.get(key)
-        if isinstance(stored, dict):
-            try:
-                dominant = {
-                    tuple(int(c) for c in mu.split(",")): int(m)
-                    for mu, m in stored.items()
-                }
-                return WeightMultiset(rs=rs, highest_weight=lam, dominant=dominant)
-            except (TypeError, ValueError):
-                entries = {k: v for k, v in entries.items() if k != key}
-    wm = weight_multiplicities(rs, lam, max_dim=job.max_dim)
-    entries = dict(entries)
-    entries[key] = {
-        ",".join(str(c) for c in mu): m for mu, m in sorted(wm.dominant.items())
-    }
-    _cache_store(path, {
-        "schema": SCHEMA,
-        "fingerprint": FINGERPRINT,
-        "kind": rs.kind,
-        "rank": rs.rank,
-        "entries": entries,
-    })
-    return wm
 
 
 # -- rendering -------------------------------------------------------------------
@@ -495,7 +461,7 @@ def _cmd_orthotype(job: JobSpec) -> int:
 def _cmd_oracle_weights(job: JobSpec) -> int:
     rs = _need_rs(job)
     lam = _need_weight(job)
-    wm = _weights_cached(job, rs, lam)
+    wm = weight_multiplicities(rs, lam, max_dim=job.max_dim)
     items = sorted(wm.expanded().items(), key=lambda kv: (sum(kv[0]), kv[0]),
                    reverse=True)
     result = {
@@ -670,9 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="consistency triangle + oracle grid")
     common(p, max_dim=True)
 
-    for p in (fk, ow):  # the two commands that read the cache
-        p.add_argument("--cache-dir", dest="cache_dir",
-                       help="cache directory (default: env WEIGHTCALC_CACHE)")
+    fk.add_argument("--cache-dir", dest="cache_dir",
+                    help="cache directory (default: env WEIGHTCALC_CACHE)")
     return parser
 
 

@@ -101,12 +101,13 @@ def weight_multiplicities(
 ) -> WeightMultiset:
     """Exact weight multiplicities of the irreducible with highest weight lam.
 
-    Dominant candidates are gathered by walking down from lam one simple
-    root at a time inside the norm ball |mu + delta| <= |lam + delta| (every
-    weight lies in the ball and is reachable through weights, so nothing is
-    missed).  Multiplicities fill in by increasing depth; each one is an
-    exact integer quotient, and the total is checked against the dimension
-    formula on first expansion.
+    The dominant weights are gathered by walking down from lam one positive
+    root at a time and keeping the dominant points: they form a saturated
+    set, and each one is reached from lam through dominant weights
+    (Stembridge, "The partial order of dominant weights", 1998).  Each
+    weight's depth is the height of lam - mu.  Multiplicities fill in by
+    increasing depth; each one is an exact integer quotient, and the total
+    is checked against the dimension formula on first expansion.
     """
     lam = validate_dominant(rs, lam)
     dim = weyl_dimension(rs, lam)
@@ -120,38 +121,24 @@ def weight_multiplicities(
     gram = _integer_form(rs)
     lam_d = tuple(lam[i] + 1 for i in range(r))
     bound = _form(gram, lam_d, lam_d)
-    simple = [tuple(cartan[i]) for i in range(r)]
+    pos_roots = [tuple(a) for a in rs.positive_roots]
+    steps = list(zip(pos_roots, map(sum, rs.root_coefficients)))
 
-    # breadth-first sweep of the ball, collecting dominant lattice points
-    start = tuple(lam)
-    seen = {start}
-    frontier = [start]
-    levels: dict[tuple, int] = {start: 0}
-    dominant_levels: list[tuple[int, tuple]] = [(0, start)]
+    depth = {lam: 0}
+    frontier = [lam]
     while frontier:
         nxt = []
-        for node in frontier:
-            lvl = levels[node]
-            for s in simple:
-                child = tuple(node[i] - s[i] for i in range(r))
-                if child in seen:
-                    continue
-                shifted = tuple(child[i] + 1 for i in range(r))
-                if _form(gram, shifted, shifted) > bound:
-                    continue
-                seen.add(child)
-                levels[child] = lvl + 1
-                nxt.append(child)
-                if all(c >= 0 for c in child):
-                    dominant_levels.append((lvl + 1, child))
+        for mu in frontier:
+            for alpha, height in steps:
+                nu = tuple(mu[i] - alpha[i] for i in range(r))
+                if nu not in depth and min(nu) >= 0:
+                    depth[nu] = depth[mu] + height
+                    nxt.append(nu)
         frontier = nxt
-    del levels
-    dominant_levels.sort()
 
-    pos_roots = [tuple(a) for a in rs.positive_roots]
     mult: dict[tuple, int] = {}
-    for lvl, mu in dominant_levels:
-        if lvl == 0:
+    for mu in sorted(depth, key=lambda mu: (depth[mu], mu)):
+        if mu == lam:
             mult[mu] = 1
             continue
         mu_d = tuple(mu[i] + 1 for i in range(r))

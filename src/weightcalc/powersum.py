@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .polyalg import BiPoly, exact_divide, translate_delta
 from .rootsys import RootSystem
 from .weylsum import (FkTable, _fit_invariants, _orbit_power_sums, _signed_orbit, _vanishes,
@@ -49,8 +49,6 @@ __all__ = [
     "symbolic_power_sums",
     "product_power_sums",
 ]
-
-Scalar = int | Fraction
 
 
 def validate_dominant(rs: RootSystem, lam: Sequence[int]) -> tuple[int, ...]:
@@ -107,38 +105,46 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
         return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, orbits, nu, kmax))
     f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
     f_del = [fk_evaluated(rs, delta, n + j) for j in range(kmax + 1)]
-    return _triangular_solve(n, f_lam, f_del)
+    return _triangular_solve(n, f_lam, f_del, exact_divide)
 
 
-def _power_sums_at(rs: RootSystem, orbits: Sequence, nu: Sequence[int], kmax: int) -> list[Scalar]:
+def _power_sums_at(rs: RootSystem, orbits: Sequence, nu: Sequence[int], kmax: int) -> list[int]:
     """P_0(nu)..P_kmax(nu) from the signed orbits of lam + delta and delta.
 
     F_m(mu, nu) for m = N..N+kmax is one signed sum of powers of the pairings
-    <w mu, nu>, formed once.  The values are polynomials in no variables, so
-    the triangular solve runs on them unchanged; its divisor F_N(delta, nu)
-    = N! * d(nu) is nonzero because nu is regular.
+    <w mu, nu>, formed once.  The triangular solve runs on these integers;
+    its divisor F_N(delta, nu) = N! * d(nu) is nonzero because nu is regular,
+    and each P_k(nu) is an integer because nu is integral.
     """
     n = rs.num_positive
     ms = [m for m in range(n, n + kmax + 1) if not _vanishes(rs, m)]
     f = []
     for orbit in orbits:
         values = dict(zip(ms, _orbit_power_sums(orbit, nu, ms)))
-        f.append([BiPoly.constant(0, 0, values.get(m, 0)) for m in range(n, n + kmax + 1)])
-    return [p.constant_term() for p in _triangular_solve(n, *f)]
+        f.append([values.get(m, 0) for m in range(n, n + kmax + 1)])
+    return _triangular_solve(n, *f, _int_divide)
 
 
-def _triangular_solve(n: int, f_lam: Sequence[BiPoly], f_del: Sequence[BiPoly]) -> list[BiPoly]:
+def _int_divide(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise InternalError(f"sampled power sum {num}/{den} is not an integer")
+    return q
+
+
+def _triangular_solve(n: int, f_lam: Sequence, f_del: Sequence, divide: Callable) -> list:
     """P_0, P_1, ... from F_{N+i}(lam + delta) and F_{N+i}(delta), i = 0, 1, ...
 
     Solves F_{N+i}(lam + delta) = sum_k binom(N+i, k) * P_k * F_{N+i-k}(delta)
-    for P_i, lowest degree first; each step is an exact polynomial quotient
-    by F_N(delta).
+    for P_i, lowest degree first.  The F are y-polynomials or their integer
+    values at one sample point; each step is the exact quotient ``divide``
+    by binom(N+i, i) * F_N(delta).
     """
-    out: list[BiPoly] = []
+    out: list = []
     for i, num in enumerate(f_lam):
         for k in range(i):
-            num = num - (out[k] * f_del[i - k]).scale(comb(n + i, k))
-        out.append(exact_divide(num.scale(Fraction(1, comb(n + i, i))), f_del[0]))
+            num = num - out[k] * f_del[i - k] * comb(n + i, k)
+        out.append(divide(num, f_del[0] * comb(n + i, i)))
     return out
 
 
@@ -218,7 +224,7 @@ def symbolic_power_sums(
     f_lam = [translate_delta(table.entries[n + i]) for i in range(kmax + 1)]
     delta = (1,) * rs.rank
     f_del = [table.entries[n + j].eval_a(delta) for j in range(kmax + 1)]
-    return _triangular_solve(n, f_lam, f_del)
+    return _triangular_solve(n, f_lam, f_del, exact_divide)
 
 
 def product_power_sums(

@@ -10,10 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dominant_grid, get_rs
+from test_acceptance import GRID_TYPES, ORACLE_GUARD
 from weightcalc.charclass import builtin_lattice
 from weightcalc.errors import DomainError
 from weightcalc.oracle import (
     DEFAULT_MAX_DIM,
+    _form,
+    _integer_form,
     character_at_order2,
     oracle_elementary,
     oracle_power_sum,
@@ -22,7 +25,7 @@ from weightcalc.oracle import (
 )
 from weightcalc.polyalg import BiPoly
 from weightcalc.powersum import elementary_from_power, power_sums, weyl_dimension
-from weightcalc.rootsys import act
+from weightcalc.rootsys import act, chamber_descent
 
 
 # -- multiplicity tables ---------------------------------------------------------
@@ -101,6 +104,62 @@ def test_max_dim_guard(a2):
         weight_multiplicities(a2, (-1, 0))
 
 
+def _ball_sweep_multiplicities(rs, lam):
+    """Reference: dominant multiplicities from a sweep of the norm ball.
+
+    Every lattice point reached from lam by simple-root steps inside
+    |mu + delta| <= |lam + delta| is visited; the dominant ones are filled in
+    by the same multiplicity recursion in (level, mu) order.
+    """
+    r = rs.rank
+    gram = _integer_form(rs)
+    lam_d = tuple(c + 1 for c in lam)
+    bound = _form(gram, lam_d, lam_d)
+    levels = {tuple(lam): 0}
+    frontier = [tuple(lam)]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for s in rs.cartan:
+                child = tuple(node[i] - s[i] for i in range(r))
+                shifted = tuple(c + 1 for c in child)
+                if child not in levels and _form(gram, shifted, shifted) <= bound:
+                    levels[child] = levels[node] + 1
+                    nxt.append(child)
+        frontier = nxt
+    mult = {}
+    for lvl, mu in sorted((lvl, mu) for mu, lvl in levels.items() if min(mu) >= 0):
+        if lvl == 0:
+            mult[mu] = 1
+            continue
+        mu_d = tuple(c + 1 for c in mu)
+        total = 0
+        for alpha in rs.positive_roots:
+            j = 1
+            while True:
+                nu = tuple(mu[i] + j * alpha[i] for i in range(r))
+                nu_d = tuple(c + 1 for c in nu)
+                if _form(gram, nu_d, nu_d) > bound:
+                    break
+                total += mult.get(chamber_descent(rs.cartan, nu), 0) * _form(gram, nu, alpha)
+                j += 1
+        q, rem = divmod(2 * total, bound - _form(gram, mu_d, mu_d))
+        assert rem == 0 and q > 0, (lam, mu)
+        mult[mu] = q
+    return mult
+
+
+@pytest.mark.parametrize(
+    "kind,rank,top", [(k, r, 3) for k, r in GRID_TYPES] + [(k, 4, 1) for k in "ABCD"]
+)
+def test_dominant_walk_matches_ball_sweep(kind, rank, top):
+    # the acceptance-05 grid (coordinates <= 3) and the rank-4 grid (<= 1)
+    rs = get_rs(kind, rank)
+    for lam in dominant_grid(rank, top):
+        got = weight_multiplicities(rs, lam, max_dim=ORACLE_GUARD).dominant
+        assert list(got.items()) == list(_ball_sweep_multiplicities(rs, lam).items()), lam
+
+
 # -- oracle versus engine ----------------------------------------------------------
 
 
@@ -129,6 +188,9 @@ def test_oracle_matches_engine_small_grid(kind, rank):
         ("B", 5, (0, 0, 0, 0, 1), 4),
         ("D", 5, (1, 0, 0, 0, 0), 4),
         ("D", 5, (0, 0, 0, 0, 1), 4),
+        ("C", 5, (1, 0, 0, 0, 0), 4),
+        ("C", 5, (0, 1, 0, 0, 0), 4),
+        ("B", 5, (1, 0, 0, 0, 0), 4),
     ],
 )
 def test_oracle_matches_engine_rank_4_and_5(kind, rank, lam, kmax):

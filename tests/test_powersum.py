@@ -10,7 +10,7 @@ import pytest
 from conftest import get_rs, y_poly
 from weightcalc import powersum, weylsum
 from weightcalc.errors import DomainError, InternalError
-from weightcalc.polyalg import BiPoly
+from weightcalc.polyalg import BiPoly, exact_divide
 from weightcalc.powersum import (
     _triangular_solve,
     elementary_from_power,
@@ -156,7 +156,7 @@ def _symbolic_route(rs, lam, kmax):
     delta = (1,) * rs.rank
     f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
     f_del = [fk_evaluated(rs, delta, n + i) for i in range(kmax + 1)]
-    return _triangular_solve(n, f_lam, f_del)
+    return _triangular_solve(n, f_lam, f_del, exact_divide)
 
 
 @pytest.mark.parametrize(

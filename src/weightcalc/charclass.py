@@ -101,16 +101,8 @@ class CharacterLattice:
     gen_names: Tuple[str, ...]
     v_names: Tuple[str, ...]
 
-    @property
-    def is_semisimple(self) -> bool:
-        return self.family != "GL"
-
     def root_system(self) -> RootSystem:
         return build_root_system(self.kind, self.rank)
-
-    def weight_length(self) -> int:
-        """Number of coordinates a weight takes for this lattice."""
-        return self.torus_rank if self.family == "GL" else self.rank
 
 
 @dataclass(frozen=True)
@@ -603,9 +595,12 @@ def orthogonality_type(rs: RootSystem, lam: Sequence[int]) -> str:
 
 
 def lattice_orthogonality_type(lattice: CharacterLattice, weight: Sequence[int]) -> str:
-    """Orthogonality typing in lattice terms (handles the GL family)."""
+    """Orthogonality typing in lattice terms (handles the GL family).
+
+    The weight must lie in the lattice, as for ``chern_classes``.
+    """
+    weight = _as_pi(lattice, weight).weight
     if lattice.family == "GL":
-        weight = _validate_gl_weight(lattice, weight)
         n = lattice.torus_rank
         if any(weight[i] + weight[n - 1 - i] != 0 for i in range(n)):
             return "not-self-dual"

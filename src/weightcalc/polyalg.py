@@ -161,11 +161,6 @@ class BiPoly:
             return -1
         return max(sum(e[self.na:]) for e in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def leading(self) -> tuple[tuple, Scalar]:
         """(exponents, coefficient) of the canonical leading term."""
         if not self.terms:

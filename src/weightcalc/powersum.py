@@ -90,7 +90,7 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     by F_N(delta) = N! * d.  At rank >= 3 it runs on the values of F_m at a
     few exact sample points, and each P_k is rebuilt from its values in a
     basis of degree-k invariants (``weylsum._fit_invariants``); there the
-    symbolic F_m cost about |W| * C(N+k+r-1, r-1) / 2 per call, where the
+    symbolic F_m would cost about |W| * r * C(N+k+r-1, r-1) per call, where the
     samples cost about |W| * (r + k) each.  At rank <= 2 the symbolic route
     measured faster.
     """
@@ -219,6 +219,10 @@ def symbolic_power_sums(
     n = rs.num_positive
     if table is None:
         table = FkTable.build(rs, n + kmax)
+    if (table.kind, table.rank) != (rs.kind, rs.rank):
+        raise DomainError(
+            f"the supplied table is for {table.kind}{table.rank}, not {rs.kind}{rs.rank}"
+        )
     if table.kmax < n + kmax:
         raise DomainError("the supplied table is too short for the requested kmax")
     f_lam = [translate_delta(table.entries[n + i]) for i in range(kmax + 1)]
@@ -236,6 +240,8 @@ def product_power_sums(
     must live in the same ring with disjoint y-variable support, so the
     products are literal polynomial products.
     """
+    if kmax < 0:
+        raise DomainError("kmax must be nonnegative")
     if len(p) <= kmax or len(q) <= kmax:
         raise DomainError("need factor power sums up to kmax")
     if not p or not q or p[0].na != q[0].na or p[0].ny != q[0].ny:

@@ -288,15 +288,6 @@ class RootSystem:
     def weyl_order(self) -> int:
         return len(self.weyl)
 
-    @property
-    def delta(self) -> WeightVector:
-        """Half sum of positive roots: all-ones in fundamental-weight coords."""
-        return WeightVector((1,) * self.rank)
-
-    def pairing(self, mu: Sequence[Coord], nu: Sequence[Coord]):
-        """<mu, nu> in the chosen coordinates (identity pairing matrix)."""
-        return sum(m * n for m, n in zip(mu, nu))
-
 
 def _parse_type(kind: str, rank: int) -> tuple[str, int]:
     kind = kind.upper()

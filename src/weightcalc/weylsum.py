@@ -190,34 +190,14 @@ def _monomials(r: int, degree: int) -> list[tuple]:
     return out
 
 
-def _opposition(rs: RootSystem) -> tuple[int, ...]:
-    """The coordinate permutation of -w0, w0 the element mapping delta to -delta."""
-    w0 = next(w for w in rs.weyl if all(sum(row) == -1 for row in w.matrix))
-    return tuple(row.index(-1) for row in w0.matrix)
-
-
-def _power_product(pows: Sequence[list], exps: tuple, start: list | None = None) -> list:
-    """start (or all ones) times pows[i][e_i] over i, elementwise."""
-    vec = start
-    for p, e in zip(pows, exps):
-        if e:
-            vec = p[e] if vec is None else list(map(mul, vec, p[e]))
-    return pows[0][0] if vec is None else vec
-
-
 def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
     """F_k with the weight argument fixed: a y-polynomial of degree k.
 
     The coefficient of y^e is multinomial(k; e) * S_e, where S_e = sum over
-    w of sign(w) * (w mu)^e is a signed moment of the orbit: one dot product
-    over the orbit per monomial.  The dot product pairs the powers of the
-    last two coordinates (the tail) with those of the others (the head), so
-    the tail products of one degree are formed once and shared by every
-    head monomial of the complementary degree.  -w0 permutes the
-    coordinates by sigma, and the coefficient of y^(sigma e) is (-1)^(N+k)
-    times that of y^e; where sigma is not the identity, which is where -1
-    is not in W (A_r with r > 1, D_r with r odd), only one monomial of each
-    pair e, sigma e is summed.
+    w of sign(w) * (w mu)^e is a signed moment of the orbit: one product of
+    tabulated column powers and one sum over the orbit per monomial, about
+    |W| * r * C(k+r-1, r-1) products in all.  Intended for small rank; the
+    rank <= 2 route of ``powersum.power_sums`` calls it.
     """
     _check_power_and_weight(rs, mu, k)
     r = rs.rank
@@ -230,36 +210,16 @@ def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
         pows.append([[1] * len(col)])
         for _ in range(k):
             pows[-1].append(list(map(mul, pows[-1][-1], col)))
-    head, tail = pows[:-2], pows[-2:]
-    sigma = None if rs.minus_one_in_weyl else _opposition(rs)
-    flip = (-1) ** (rs.num_positive + k)
     fact = [factorial(t) for t in range(k + 1)]
     prefix = (0,) * r
-    terms: dict[tuple, Scalar] = {}
-    for hdeg in range(k + 1):
-        heads = _monomials(len(head), hdeg)
-        if not heads:
-            break
-        tdeg = k - hdeg
-        tails = [(te, fact[tdeg] // prod(fact[t] for t in te), _power_product(tail, te))
-                 for te in _monomials(len(tail), tdeg)]
-        for he in heads:
-            hvec = _power_product(head, he, signs)
-            hmul = fact[k] // (fact[tdeg] * prod(fact[t] for t in he))
-            hkey = prefix + he
-            for te, tmul, tvec in tails:
-                if sigma:
-                    e = he + te
-                    se = tuple([e[j] for j in sigma])
-                    if se < e:
-                        continue
-                moment = sum(map(mul, hvec, tvec))
-                if moment:
-                    c = hmul * tmul * moment
-                    if sigma:
-                        terms[prefix + se] = flip * c
-                    terms[hkey + te] = c
-    out.terms = terms
+    for e in _monomials(r, k):
+        vec = signs
+        for p, t in zip(pows, e):
+            if t:
+                vec = map(mul, vec, p[t])
+        moment = sum(vec)
+        if moment:
+            out.terms[prefix + e] = fact[k] // prod(fact[t] for t in e) * moment
     return out
 
 
@@ -300,34 +260,29 @@ def coweyl_denominator_at_delta(rs: RootSystem) -> int:
     return prod(sum(av) for av in rs.positive_coroots)
 
 
-def q2_poly(rs: RootSystem) -> BiPoly:
-    """Killing quadratic on the coweight side: sum K_ij y_i y_j."""
-    r = rs.rank
+def _quadratic(m: Sequence[Sequence[Scalar]], offset: int) -> BiPoly:
+    """sum m_ij x_i x_j for a symmetric m, x the variable block starting at offset."""
+    r = len(m)
     terms: dict[tuple, Scalar] = {}
     for i in range(r):
         for j in range(i, r):
-            c = rs.killing[i][j] if i == j else 2 * rs.killing[i][j]
+            c = m[i][j] if i == j else 2 * m[i][j]
             if c:
                 e = [0] * (2 * r)
-                e[r + i] += 1
-                e[r + j] += 1
+                e[offset + i] += 1
+                e[offset + j] += 1
                 terms[tuple(e)] = c
     return BiPoly(r, r, terms)
+
+
+def q2_poly(rs: RootSystem) -> BiPoly:
+    """Killing quadratic on the coweight side: sum K_ij y_i y_j."""
+    return _quadratic(rs.killing, rs.rank)
 
 
 def q2_dual_poly(rs: RootSystem) -> BiPoly:
     """Inverse Killing quadratic on the weight side: sum K-dual_ij a_i a_j."""
-    r = rs.rank
-    terms: dict[tuple, Scalar] = {}
-    for i in range(r):
-        for j in range(i, r):
-            c = rs.killing_dual[i][j] if i == j else 2 * rs.killing_dual[i][j]
-            if c:
-                e = [0] * (2 * r)
-                e[i] += 1
-                e[j] += 1
-                terms[tuple(e)] = c
-    return BiPoly(r, r, terms)
+    return _quadratic(rs.killing_dual, 0)
 
 
 def closed_form_FN(rs: RootSystem) -> BiPoly:

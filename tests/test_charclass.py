@@ -166,6 +166,12 @@ def test_gl_orthogonality_type():
     assert lattice_orthogonality_type(gl2, (1, 0)) == "not-self-dual"
 
 
+@pytest.mark.parametrize("group,weight", [("SO7", (0, 0, 1)), ("PGL2", (1,)), ("SO8", (0, 0, 0, 1))])
+def test_orthogonality_type_rejects_weights_outside_the_lattice(group, weight):
+    with pytest.raises(DomainError, match="weight not in character lattice"):
+        lattice_orthogonality_type(builtin_lattice(group), weight)
+
+
 # -- Stiefel-Whitney restriction ------------------------------------------------------
 
 

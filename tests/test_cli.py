@@ -236,6 +236,9 @@ def test_domain_errors_exit_2(capsys):
     assert rc == 2 and out == ""
     assert err == "error: weight not in character lattice\n"
 
+    rc, out, err = _call(capsys, ["orthotype", "--group", "SO7", "--weight", "0,0,1"])
+    assert (rc, out, err) == (2, "", "error: weight not in character lattice\n")
+
     rc, _, err = _call(capsys, ["powersum", "--type", "A2", "--weight", "1,1"])
     assert rc == 2 and err == "error: this command needs --k\n"
 

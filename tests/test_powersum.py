@@ -230,6 +230,14 @@ def test_symbolic_specializes_to_numeric(a2):
         symbolic_power_sums(a2, kmax + 1, table)
 
 
+def test_symbolic_rejects_a_table_of_another_type():
+    b2 = get_rs("B", 2)
+    for kind, rank in [("C", 2), ("A", 2)]:
+        table = FkTable.build(get_rs(kind, rank), 6)
+        with pytest.raises(DomainError, match=f"table is for {kind}2, not B2"):
+            symbolic_power_sums(b2, 2, table)
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2)])
 def test_symbolic_degree_bounds(kind, rank):
     rs = get_rs(kind, rank)
@@ -283,6 +291,8 @@ def test_product_power_sums_hand_example():
     p1 = [f.embed(2, 2) for f in power_sums(a1, (1,), 2)]
     p2 = [f.embed(2, 2, a_offset=1, y_offset=1) for f in power_sums(a1, (2,), 2)]
     prod = product_power_sums(p1, p2, 2)
+    with pytest.raises(DomainError, match="kmax must be nonnegative"):
+        product_power_sums(p1, p2, -1)
     assert prod[0] == BiPoly.constant(2, 2, 6)
     assert prod[1].is_zero()
     assert prod[2] == y_poly(2, {(2, 0): 6, (0, 2): 16})

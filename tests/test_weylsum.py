@@ -231,6 +231,31 @@ def test_fk_evaluated_sections_and_scalars(b2):
             assert fk_scalar(b2, mu, nu, 6) == fk.evaluate(mu, nu)
 
 
+@pytest.mark.parametrize(
+    "kind,rank,extra",
+    [(kind, rank, extra) for kind, rank in [("A", 2), ("A", 3), ("A", 4), ("D", 3)]
+     for extra in (0, 2, 3)] + [("A", 5, 0)],
+)
+def test_fk_evaluated_opposition_symmetry(kind, rank, extra):
+    # -w0 permutes the coordinates by sigma, so the coefficient of y^(sigma e)
+    # is (-1)^(N+k) times that of y^e; -1 is not in W on these types
+    rs = get_rs(kind, rank)
+    k = rs.num_positive + extra
+    w0 = next(w for w in rs.weyl if all(sum(row) == -1 for row in w.matrix))
+    sigma = [row.index(-1) for row in w0.matrix]
+    assert sigma != list(range(rank))
+    mu = tuple((-1) ** j * (j * j + 2) for j in range(rank))
+    assert all(sum(c * x for c, x in zip(av, mu)) for av in rs.positive_coroots)  # regular
+    f = fk_evaluated(rs, mu, k)
+    assert not f.is_zero()
+    flip = (-1) ** (rs.num_positive + k)
+    for e, c in f.terms.items():
+        y = e[rank:]
+        assert f.terms.get((0,) * rank + tuple(y[j] for j in sigma)) == flip * c
+    for _, nu in weylsum._check_points(rs):  # regular coweights
+        assert f.evaluate((0,) * rank, nu) == fk_scalar(rs, mu, nu, k) != 0
+
+
 def test_fk_scalar_rejects_coweight_of_wrong_length(a2):
     with pytest.raises(DomainError, match="coweight has 1 coordinates"):
         fk_scalar(a2, (1, 1), (1,), 3)

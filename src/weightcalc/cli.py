@@ -115,6 +115,8 @@ def _parse_weight(value: str) -> Tuple[int, ...]:
 
 def _job_from_args(args: argparse.Namespace) -> JobSpec:
     kind = rank = None
+    if getattr(args, "type", None) is not None and getattr(args, "group", None) is not None:
+        raise DomainError("pass --type or --group, not both")
     if getattr(args, "type", None) is not None:
         kind, rank = _parse_type(args.type, getattr(args, "rank", None))
     elif getattr(args, "rank", None) is not None:

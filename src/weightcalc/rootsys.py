@@ -11,9 +11,9 @@ Coordinate conventions (fixed once, used everywhere):
   Bourbaki node labeling, so row ``i`` of the Cartan matrix is exactly the
   simple root ``alpha_i`` written in fundamental-weight coordinates.
 * Simple reflections act on weight coordinates by
-  ``s_i(w_j) = w_j - delta_ij alpha_i``; the Weyl group is enumerated as the
-  breadth-first closure of the simple reflections, deduplicated by the integer
-  matrix itself, with ``sign(w) = det(w)`` tracked as word-length parity.
+  ``s_i(w_j) = w_j - delta_ij alpha_i``; ``dominant_orbit`` walks an orbit
+  with ``sign(w) = (-1)^l(w)``, and only tests and ``weylsum.fk_direct`` read
+  ``RootSystem.weyl``, the Weyl group as matrices.
 
 The Killing form on the coweight side is computed from the root sum
 ``K(nu1, nu2) = sum over all roots alpha of <alpha, nu1><alpha, nu2>`` and is
@@ -236,10 +236,9 @@ def _enumerate_weyl(cartan: Matrix) -> Tuple[WeylElement, ...]:
 class RootSystem:
     """Immutable root-system data for one simple type.
 
-    The Weyl group is enumerated lazily on first access to ``weyl`` (or
-    ``weyl_order``), since many consumers need only the roots and the
-    Killing form; enumeration is verified against the closed-form order
-    and against the reflection-descent prediction for ``-1 in W``.
+    ``weyl`` enumerates W as matrices on first access, for tests and the
+    reference ``weylsum.fk_direct`` only; it is verified against the
+    closed-form order and the reflection-descent prediction for ``-1 in W``.
     """
 
     kind: str
@@ -283,10 +282,6 @@ class RootSystem:
                 )
             object.__setattr__(self, "_weyl", elems)
         return self._weyl
-
-    @property
-    def weyl_order(self) -> int:
-        return len(self.weyl)
 
 
 def _parse_type(kind: str, rank: int) -> tuple[str, int]:
@@ -409,25 +404,31 @@ def chamber_descent(cartan: Matrix, mu: Sequence[Coord]) -> tuple:
             m[j] -= mi * row[j]
 
 
-def dominant_orbit(cartan: Matrix, mu: Sequence[Coord]) -> list[tuple]:
-    """The Weyl orbit of a dominant weight, sorted, without enumerating W.
+def dominant_orbit(cartan: Matrix, mu: Sequence[Coord]) -> dict[tuple, int]:
+    """The Weyl orbit of a dominant weight as {point: sign}, sorted by point.
 
     Reflecting at a positive coordinate, p -> p - p_i * alpha_i, steps down
     from mu, and every orbit point is reached that way: a point other than mu
-    has a negative coordinate, and reflecting there steps back up.
+    has a negative coordinate, and reflecting there steps back up.  Each step
+    flips the sign: (-1)^depth = (-1)^l(w) for w mu = point, if mu is regular.
     """
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
     top = tuple(mu)
-    seen = {top}
+    sign = {top: 1}
     stack = [top]
     while stack:
         p = stack.pop()
+        s = -sign[p]
         for i, pi in enumerate(p):
             if pi > 0:
-                q = tuple(x - pi * a for x, a in zip(p, cartan[i]))
-                if q not in seen:
-                    seen.add(q)
+                q = list(p)
+                for j, a in rows[i]:
+                    q[j] -= pi * a
+                q = tuple(q)
+                if q not in sign:
+                    sign[q] = s
                     stack.append(q)
-    return sorted(seen)
+    return {p: sign[p] for p in sorted(sign)}
 
 
 def dominant_representative(rs: RootSystem, mu: Sequence[Coord]) -> WeightVector:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import DomainError, InternalError
 from .polyalg import BiPoly, exact_divide, expand_linear_power, rref
-from .rootsys import RootSystem, dominant_orbit
+from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
     "FkTable",
@@ -134,17 +134,29 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
     return out
 
 
+def _check_exact(rs: RootSystem, coords: Sequence[Scalar], what: str) -> None:
+    """DomainError unless coords has rank many int or Fraction entries (bool and float fail)."""
+    if len(coords) != rs.rank:
+        raise DomainError(f"{what} has {len(coords)} coordinates, expected {rs.rank}")
+    if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in coords):
+        raise DomainError(f"{what} coordinates must be int or Fraction, got {tuple(coords)!r}")
+
+
 def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> None:
     if k < 0:
         raise DomainError("negative power in Weyl sum")
-    if len(mu) != rs.rank:
-        raise DomainError(f"weight has {len(mu)} coordinates, expected {rs.rank}")
+    _check_exact(rs, mu, "weight")
 
 
 def _signed_orbit(
     rs: RootSystem, mu: Sequence[Scalar]
 ) -> tuple[list[int], list[list[Scalar]]]:
     """Signs and orbit points w mu over W, the points as r coordinate columns.
+
+    ``dominant_orbit`` walks the orbit from its dominant point u mu and gives
+    mu itself the sign of u, the descent sign; multiplied by it, each sign is
+    sign(w) for w mu = point.  A singular mu, whose dominant point has a zero
+    coordinate, has F_k(mu, .) = 0 and the empty orbit.
 
     Valid only for a k where F_k does not vanish.  When -1 lies in W, the
     pair w, -w gives the points p, -p with signs that differ by (-1)^N, so
@@ -153,11 +165,16 @@ def _signed_orbit(
     its sign doubled.  That halves every pass over the orbit.
     """
     r = rs.rank
-    orbit = [(w.sign, tuple(sum(map(mul, row, mu)) for row in w.matrix)) for w in rs.weyl]
+    top = chamber_descent(rs.cartan, mu)
+    if 0 in top:
+        return [], [[] for _ in range(r)]
+    orbit = dominant_orbit(rs.cartan, top)
+    descent = orbit[tuple(mu)]
     if rs.minus_one_in_weyl:
         zero = (0,) * r
-        orbit = [(2 * sign, p) for sign, p in orbit if p > zero]
-    return [sign for sign, _ in orbit], [[p[i] for _, p in orbit] for i in range(r)]
+        descent *= 2
+        orbit = {p: sign for p, sign in orbit.items() if p > zero}
+    return [descent * sign for sign in orbit.values()], [[p[i] for p in orbit] for i in range(r)]
 
 
 def _orbit_power_sums(orbit: tuple, nu: Sequence[Scalar], ks: Sequence[int]) -> list[Scalar]:
@@ -226,8 +243,7 @@ def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
 def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int) -> Scalar:
     """F_k evaluated at a rational point pair; cheap even for big Weyl groups."""
     _check_power_and_weight(rs, mu, k)
-    if len(nu) != rs.rank:
-        raise DomainError(f"coweight has {len(nu)} coordinates, expected {rs.rank}")
+    _check_exact(rs, nu, "coweight")
     if _vanishes(rs, k):
         return 0
     return _orbit_power_sums(_signed_orbit(rs, mu), nu, [k])[0]

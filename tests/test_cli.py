@@ -257,6 +257,10 @@ def test_domain_errors_exit_2(capsys):
     rc, _, err = _call(capsys, ["powersum", "--type", "A2", "--weight", "1,x", "--k", "2"])
     assert rc == 2 and "comma-separated integers" in err
 
+    for argv in (["info", "--type", "B3", "--group", "SL3"],
+                 ["orthotype", "--type", "B3", "--group", "SL3", "--weight", "1,1"]):
+        assert _call(capsys, argv) == (2, "", "error: pass --type or --group, not both\n")
+
 
 @pytest.mark.parametrize("command", ["swc", "swc-total"])
 def test_negative_k_exits_2(capsys, command):

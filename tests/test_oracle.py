@@ -191,6 +191,9 @@ def test_oracle_matches_engine_small_grid(kind, rank):
         ("C", 5, (1, 0, 0, 0, 0), 4),
         ("C", 5, (0, 1, 0, 0, 0), 4),
         ("B", 5, (1, 0, 0, 0, 0), 4),
+        ("B", 6, (1, 0, 0, 0, 0, 0), 4),
+        ("C", 6, (1, 0, 0, 0, 0, 0), 4),
+        ("D", 6, (1, 0, 0, 0, 0, 0), 4),
     ],
 )
 def test_oracle_matches_engine_rank_4_and_5(kind, rank, lam, kmax):

@@ -21,7 +21,8 @@ from weightcalc.powersum import (
     validate_dominant,
     weyl_dimension,
 )
-from weightcalc.rootsys import highest_root
+from weightcalc.oracle import weight_multiplicities
+from weightcalc.rootsys import build_root_system, highest_root
 from weightcalc.weylsum import FkTable, fk_evaluated, invariant_basis, q2_poly
 from test_rootsys import reflection_matrix
 
@@ -322,3 +323,14 @@ def test_power_sum_result_bundle(b2):
     assert len(res.power) == 4 and len(res.elementary) == 4
     assert res.power[0] == BiPoly.constant(2, 2, 5)
     assert res.elementary[0] == BiPoly.constant(2, 2, 1)
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("B", 3)])
+def test_engine_never_enumerates_the_weyl_group(kind, rank):
+    rs = build_root_system.__wrapped__(kind, rank)  # uncached: no test has read its weyl
+    lam = (1,) + (0,) * (rank - 1)
+    power_sums(rs, lam, 4)
+    FkTable.build(rs, rs.num_positive + 2)
+    weylsum.fk_scalar(rs, (1,) * rank, (1,) * rank, rs.num_positive)
+    weight_multiplicities(rs, lam).expanded()
+    assert rs._weyl is None

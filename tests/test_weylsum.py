@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gc
 from fractions import Fraction
+from math import comb, factorial
+from operator import mul
 
 import pytest
 
@@ -186,7 +188,7 @@ def _reynolds_basis(rs, degree):
                 for i in range(r)
             ]
             avg = avg + mono.compose(y_images=y_images)
-        rows.append([Fraction(avg.terms.get((0,) * r + e, 0), rs.weyl_order) for e in monoms])
+        rows.append([Fraction(avg.terms.get((0,) * r + e, 0), len(rs.weyl)) for e in monoms])
     basis_rows, _ = rref(rows)
     return [
         BiPoly(r, r, {(0,) * r + e: c for e, c in zip(monoms, row) if c})
@@ -259,6 +261,72 @@ def test_fk_evaluated_opposition_symmetry(kind, rank, extra):
 def test_fk_scalar_rejects_coweight_of_wrong_length(a2):
     with pytest.raises(DomainError, match="coweight has 1 coordinates"):
         fk_scalar(a2, (1, 1), (1,), 3)
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1.0), (True, 1), (1, "2")])
+def test_inexact_coordinates_rejected(a2, bad):
+    # float round-off would defeat the orbit walk's point dedupe
+    with pytest.raises(DomainError, match="weight coordinates must be int or Fraction"):
+        fk_scalar(a2, bad, (1, 2), 3)
+    with pytest.raises(DomainError, match="weight coordinates must be int or Fraction"):
+        fk_evaluated(a2, bad, 3)
+    with pytest.raises(DomainError, match="coweight coordinates must be int or Fraction"):
+        fk_scalar(a2, (1, 2), bad, 3)
+
+
+def _matrix_orbit(rs, mu):
+    """sum of sign(w) over the w with w mu = p, for each point p, from the Weyl matrices.
+
+    Halved like ``_signed_orbit`` when -1 lies in W; a singular mu cancels to nothing.
+    """
+    acc = {}
+    for w in rs.weyl:
+        p = tuple(sum(map(mul, row, mu)) for row in w.matrix)
+        acc[p] = acc.get(p, 0) + w.sign
+    if rs.minus_one_in_weyl:
+        acc = {p: 2 * s for p, s in acc.items() if p > (0,) * rs.rank}
+    return {p: s for p, s in acc.items() if s}
+
+
+def _reflect_down(rs, mu):
+    """mu reflected at each simple root in turn: regular if mu is, and not dominant."""
+    m = list(mu)
+    for i, row in enumerate(rs.cartan):
+        mi = m[i]
+        m = [x - mi * a for x, a in zip(m, row)]
+    return tuple(m)
+
+
+@pytest.mark.parametrize(
+    "kind,rank", [(kind, rank) for kind, rank in all_supported_types() if rank <= 5] + [("D", 6)]
+)
+def test_signed_walk_matches_matrix_orbit(kind, rank):
+    rs = get_rs(kind, rank)
+    regular = tuple(range(1, rank + 1))
+    halves = tuple(Fraction(2 * j + 1, 2) for j in range(rank))
+    singular = (0,) + regular[1:]
+    for mu in (regular, _reflect_down(rs, regular), halves, _reflect_down(rs, halves),
+               singular, _reflect_down(rs, singular)):
+        signs, cols = weylsum._signed_orbit(rs, mu)
+        walk = dict(zip(zip(*cols), signs))
+        assert len(walk) == len(signs) and walk == _matrix_orbit(rs, mu), mu
+        assert {type(c) for col in cols for c in col} <= {type(mu[0])}
+    assert min(_reflect_down(rs, regular)) < 0
+    assert weylsum._signed_orbit(rs, singular)[0] == []
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_fk_scalar_matches_closed_forms(kind, rank):
+    # F_N = N! d(nu) d-vee(mu) / d-vee(delta), F_{N+2} = C(N+2, 2)/dim g q2(nu) q2-vee(mu) F_N
+    rs = get_rs(kind, rank)
+    n = rs.num_positive
+    for mu, nu in weylsum._check_points(rs):
+        d, d_vee = weylsum._denominators(rs, mu, nu)
+        f_n = Fraction(factorial(n) * d * d_vee, coweyl_denominator_at_delta(rs))
+        q2 = sum(rs.killing[i][j] * nu[i] * nu[j] for i in range(rank) for j in range(rank))
+        q2_vee = sum(rs.killing_dual[i][j] * mu[i] * mu[j] for i in range(rank) for j in range(rank))
+        assert fk_scalar(rs, mu, nu, n) == f_n != 0
+        assert fk_scalar(rs, mu, nu, n + 2) == Fraction(comb(n + 2, 2), rs.dim_g) * q2 * q2_vee * f_n
 
 
 def test_weyl_denominator_structure(a2):
@@ -399,7 +467,6 @@ def test_fk_evaluated_and_scalar_match_direct(kind, rank, k):
 
 
 def test_kernels_leave_no_reference_cycles(b3):
-    b3.weyl  # enumerate W before collection is switched off
     gc.collect()
     gc.disable()
     try:

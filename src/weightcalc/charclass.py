@@ -39,7 +39,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalError
 from .polyalg import BiPoly, Mod2Poly, Scalar, invert, mod2_reduce
-from .rootsys import RootSystem, build_root_system, dominant_representative
+from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
     elementary_from_power,
     power_sums,
@@ -194,19 +194,29 @@ def _freeze(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
 _NAME_RE = re.compile(r"(?i)^(SL|PGL|GL|SP|SO|SPIN|G)[-_ ]?([0-9]+)$")
 
 
+def _ranks(kind: str) -> range:
+    lo, hi = SUPPORTED_RANKS[kind]
+    return range(lo, hi + 1)
+
+
+#: Display name -> (family, root-system kind, rank) of every built-in group,
+#: in display order; the ranks are those ``SUPPORTED_RANKS`` allows.
+_BUILTIN = {
+    **{f"SL{r + 1}": ("SL", "A", r) for r in _ranks("A")},
+    "PGL2": ("PGL", "A", 1),
+    **{f"GL{r + 1}": ("GL", "A", r) for r in _ranks("A")},
+    **{f"Sp{2 * r}": ("Sp", "C", r) for r in _ranks("C")},
+    **{f"SO{2 * r + 1}": ("SO", "B", r) for r in _ranks("B")},
+    **{f"SO{2 * r}": ("SO", "D", r) for r in _ranks("D")},
+    **{f"Spin{2 * r + 1}": ("Spin", "B", r) for r in _ranks("B")},
+    **{f"Spin{2 * r}": ("Spin", "D", r) for r in _ranks("D")},
+    **{f"G{r}": ("G", "G", r) for r in _ranks("G2")},
+}
+
+
 def builtin_lattice_names() -> list[str]:
     """All recognized built-in group names, in display order."""
-    names: list[str] = []
-    names += [f"SL{n}" for n in range(2, 8)]
-    names += ["PGL2"]
-    names += [f"GL{n}" for n in range(2, 8)]
-    names += [f"Sp{2 * n}" for n in range(2, 7)]
-    names += [f"SO{2 * n + 1}" for n in range(2, 7)]
-    names += [f"SO{2 * n}" for n in range(3, 7)]
-    names += [f"Spin{2 * n + 1}" for n in range(2, 7)]
-    names += [f"Spin{2 * n}" for n in range(3, 7)]
-    names += ["G2"]
-    return names
+    return list(_BUILTIN)
 
 
 @lru_cache(maxsize=None)
@@ -221,95 +231,49 @@ def builtin_lattice(group_name: str) -> CharacterLattice:
     2-torsion side.
     """
     m = _NAME_RE.match(group_name.strip())
-    if not m:
+    display = None
+    if m:
+        fam = m.group(1).upper()
+        display = {"SP": "Sp", "SPIN": "Spin"}.get(fam, fam) + str(int(m.group(2)))
+    if display not in _BUILTIN:
         raise DomainError(
-            f"unknown group name {group_name!r}; supported: "
-            + ", ".join(builtin_lattice_names())
+            f"unknown group name {group_name!r}; supported: " + ", ".join(_BUILTIN)
         )
-    fam, num = m.group(1).upper(), int(m.group(2))
-    if fam == "G":
-        fam_name = "G"
-    else:
-        fam_name = {"SL": "SL", "PGL": "PGL", "GL": "GL", "SP": "Sp",
-                    "SO": "SO", "SPIN": "Spin"}[fam]
-    display = f"{fam_name}{num}"
-
-    def bad() -> DomainError:
-        return DomainError(
-            f"unknown group name {group_name!r}; supported: "
-            + ", ".join(builtin_lattice_names())
-        )
-
-    if fam_name == "SL":
-        if not 2 <= num <= 7:
-            raise bad()
-        r = num - 1
-        gen = ("e",) if num == 2 else tuple(f"e{i+1}" for i in range(r))
-        vn = ("v",) if num == 2 else tuple(f"v{i+1}" for i in range(r))
-        return CharacterLattice(display, "SL", "A", r, r, _freeze(_chain_rows(r)), gen, vn)
-    if fam_name == "PGL":
-        if num != 2:
-            raise bad()
+    family, kind, r = _BUILTIN[display]
+    if family == "PGL":
         return CharacterLattice(display, "PGL", "A", 1, 1, ((2,),), ("eb",), ("vb",))
-    if fam_name == "GL":
-        if not 2 <= num <= 7:
-            raise bad()
-        gen = tuple(f"e{i+1}" for i in range(num))
-        vn = tuple(f"v{i+1}" for i in range(num))
+    if family == "GL":
+        gen = tuple(f"e{i+1}" for i in range(r + 1))
+        vn = tuple(f"v{i+1}" for i in range(r + 1))
         return CharacterLattice(
-            display, "GL", "A", num - 1, num, _freeze(_identity_rows(num)), gen, vn
+            display, "GL", "A", r, r + 1, _freeze(_identity_rows(r + 1)), gen, vn
         )
-    if fam_name == "Sp":
-        if num % 2 or not 4 <= num <= 12:
-            raise bad()
-        r = num // 2
-        gen = tuple(f"e{i+1}" for i in range(r))
+    if family in ("Spin", "G"):
+        gen = tuple(f"x{i+1}" for i in range(r))
         vn = tuple(f"v{i+1}" for i in range(r))
-        return CharacterLattice(display, "Sp", "C", r, r, _freeze(_chain_rows(r)), gen, vn)
-    if fam_name in ("SO", "Spin"):
-        if num % 2 == 1:
-            r = (num - 1) // 2
-            if not 2 <= r <= 6:
-                raise bad()
-            kind = "B"
-        else:
-            r = num // 2
-            if not 3 <= r <= 6:
-                raise bad()
-            kind = "D"
-        if fam_name == "Spin":
-            gen = tuple(f"x{i+1}" for i in range(r))
-            vn = tuple(f"v{i+1}" for i in range(r))
-            return CharacterLattice(
-                display, "Spin", kind, r, r, _freeze(_identity_rows(r)), gen, vn
-            )
-        rows = _chain_rows(r)
-        if kind == "B":
-            # last generator is the last diagonal coordinate: 2w_r - w_(r-1)
-            rows[r - 1] = [0] * r
-            rows[r - 1][r - 1] = 2
-            if r >= 2:
-                rows[r - 1][r - 2] = -1
-        else:
-            # fork: e_(r-1) = w_(r-1) + w_r - w_(r-2), e_r = w_r - w_(r-1)
-            rows[r - 2] = [0] * r
-            rows[r - 2][r - 2] = 1
-            rows[r - 2][r - 1] = 1
-            if r >= 3:
-                rows[r - 2][r - 3] = -1
-            rows[r - 1] = [0] * r
+        return CharacterLattice(
+            display, family, kind, r, r, _freeze(_identity_rows(r)), gen, vn
+        )
+    rows = _chain_rows(r)
+    if family == "SO" and kind == "B":
+        # last generator is the last diagonal coordinate: 2w_r - w_(r-1)
+        rows[r - 1] = [0] * r
+        rows[r - 1][r - 1] = 2
+        if r >= 2:
             rows[r - 1][r - 2] = -1
-            rows[r - 1][r - 1] = 1
-        gen = tuple(f"e{i+1}" for i in range(r))
-        vn = tuple(f"v{i+1}" for i in range(r))
-        return CharacterLattice(display, "SO", kind, r, r, _freeze(rows), gen, vn)
-    if fam_name == "G":
-        if num != 2:
-            raise bad()
-        return CharacterLattice(
-            display, "G", "G", 2, 2, _freeze(_identity_rows(2)), ("x1", "x2"), ("v1", "v2")
-        )
-    raise bad()
+    elif family == "SO":
+        # fork: e_(r-1) = w_(r-1) + w_r - w_(r-2), e_r = w_r - w_(r-1)
+        rows[r - 2] = [0] * r
+        rows[r - 2][r - 2] = 1
+        rows[r - 2][r - 1] = 1
+        if r >= 3:
+            rows[r - 2][r - 3] = -1
+        rows[r - 1] = [0] * r
+        rows[r - 1][r - 2] = -1
+        rows[r - 1][r - 1] = 1
+    gen = ("e",) if display == "SL2" else tuple(f"e{i+1}" for i in range(r))
+    vn = ("v",) if display == "SL2" else tuple(f"v{i+1}" for i in range(r))
+    return CharacterLattice(display, family, kind, r, r, _freeze(rows), gen, vn)
 
 
 # -- exact linear algebra on lattice bases ------------------------------------

@@ -1,42 +1,35 @@
 """Command-line front end: exact Lie-theory computations with JSON/text output.
 
-Subcommands::
+``_DISPATCH`` is the one table of subcommands: each name maps to its
+handler, its help line and the common flags it takes, and ``_build_parser``
+builds every subparser from it, ``oracle weights`` included.  Flag defaults
+live on the top-level parser only; ``_check_flags`` validates --type, --rank,
+--group and --weight once, and the handlers then read the namespace.
 
-    info         facts about a root system or built-in group
-    fk           alternating Weyl sum F_k (and its reduced quotient)
-    powersum     power sum P_k of the weight multiset of a highest weight
-    elementary   elementary symmetric function E_k of the same multiset
-    chern        Chern classes in character-lattice generators
-    chern2       closed form for the second Chern class
-    swc          Stiefel-Whitney classes of an orthogonal representation
-    swc-total    factorization of the total Stiefel-Whitney class
-    spinorial    spin-lift decision with certificate
-    orthotype    orthogonal / symplectic / not-self-dual typing
-    oracle weights   brute-force weight multiplicities
-    verify       consistency triangle + oracle-equivalence grid
-
-Output is deterministic for a fixed job: canonical term order and sorted
-JSON keys.  ``fk`` takes ``--cache-dir`` (default: env ``WEIGHTCALC_CACHE``),
-which keeps one JSON file of alternating-sum tables per (kind, rank);
-corrupt, incomplete or mismatching cache files are silently recomputed and
-rewritten, and a cache that cannot be written is skipped.  Exit codes:
-0 success, 2 domain error (bad input), 1 internal invariant violation.
+Output is deterministic: canonical term order and sorted JSON keys.  ``fk``
+takes ``--cache-dir`` (default: env ``WEIGHTCALC_CACHE``), which keeps one
+JSON file of alternating-sum tables per root system; corrupt, incomplete or
+mismatching cache files are recomputed and rewritten, and a cache that
+cannot be written is skipped.  Exit codes: 0 success, 2 domain error (bad
+input, or a guard such as ``--max-dim`` refusing the work), 1 internal
+invariant violation; ``verify`` also exits 1 when one of its checks fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import DomainError, InternalError, WeightcalcError
+from .errors import DomainError, InternalError
 from .polyalg import BiPoly, Mod2Poly, mod2_reduce
 from .rootsys import RootSystem, _expected_counts, build_root_system
 from .weylsum import FkTable
@@ -63,119 +56,77 @@ SCHEMA = 1
 FINGERPRINT = f"weightcalc-{__version__}"
 
 
-# -- job parameters ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One validated CLI job; every field that affects output bytes."""
-
-    command: str
-    kind: Optional[str] = None
-    rank: Optional[int] = None
-    group: Optional[str] = None
-    weight: Optional[Tuple[int, ...]] = None
-    k: Optional[int] = None
-    s_wrap: bool = False
-    fmt: str = "text"
-    max_dim: int = DEFAULT_MAX_DIM
-    # plumbing that must NOT change output bytes:
-    cache_dir: Optional[str] = None
-
+# -- common flags ----------------------------------------------------------------
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*([0-9]+)?$")
 
 
-def _parse_type(value: str, rank: Optional[int]) -> tuple[str, int]:
-    m = _TYPE_RE.match(value.strip())
-    if not m:
-        raise DomainError(
-            f"bad --type {value!r}; expected a letter A-G with an optional rank, e.g. A2"
-        )
-    kind = m.group(1).upper()
-    inline = m.group(2)
-    if inline is not None and rank is not None and int(inline) != rank:
-        raise DomainError("--type carries a rank that contradicts --rank")
-    if inline is not None:
-        return kind, int(inline)
-    if rank is None:
-        raise DomainError("missing rank: pass --rank N or a combined --type like A2")
-    return kind, rank
+def _check_flags(args: argparse.Namespace) -> None:
+    """Validate --type, --rank, --group and --weight in place, before dispatch.
 
-
-def _parse_weight(value: str) -> Tuple[int, ...]:
-    parts = [p.strip() for p in value.split(",")]
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise DomainError(
-            f"bad --weight {value!r}; expected comma-separated integers like 1,0,2"
-        ) from None
-
-
-def _job_from_args(args: argparse.Namespace) -> JobSpec:
-    kind = rank = None
-    if getattr(args, "type", None) is not None and getattr(args, "group", None) is not None:
+    Afterwards ``args.type`` is the kind letter and ``args.rank`` its rank
+    (both None without --type), and ``args.weight`` is a tuple of ints.
+    """
+    if args.type is not None and args.group is not None:
         raise DomainError("pass --type or --group, not both")
-    if getattr(args, "type", None) is not None:
-        kind, rank = _parse_type(args.type, getattr(args, "rank", None))
-    elif getattr(args, "rank", None) is not None:
+    if args.type is not None:
+        m = _TYPE_RE.match(args.type.strip())
+        if not m:
+            raise DomainError(
+                f"bad --type {args.type!r}; expected a letter A-G with an optional rank, e.g. A2"
+            )
+        inline = m.group(2)
+        if inline is not None:
+            if args.rank is not None and int(inline) != args.rank:
+                raise DomainError("--type carries a rank that contradicts --rank")
+            args.rank = int(inline)
+        elif args.rank is None:
+            raise DomainError("missing rank: pass --rank N or a combined --type like A2")
+        args.type = m.group(1).upper()
+    elif args.rank is not None:
         raise DomainError("--rank makes sense only together with --type")
-    weight = None
-    if getattr(args, "weight", None) is not None:
-        weight = _parse_weight(args.weight)
-    max_dim = getattr(args, "max_dim", None)
-    command = args.command
-    if command == "oracle":
-        command = f"oracle {args.oracle_command}"
-    return JobSpec(
-        command=command,
-        kind=kind,
-        rank=rank,
-        group=getattr(args, "group", None),
-        weight=weight,
-        k=getattr(args, "k", None),
-        s_wrap=bool(getattr(args, "s_wrap", False)),
-        fmt=getattr(args, "format", "text"),
-        max_dim=DEFAULT_MAX_DIM if max_dim is None else max_dim,
-        cache_dir=getattr(args, "cache_dir", None)
-        or os.environ.get("WEIGHTCALC_CACHE")
-        or None,
-    )
+    if args.weight is not None:
+        try:
+            args.weight = tuple(int(p) for p in args.weight.split(","))
+        except ValueError:
+            raise DomainError(
+                f"bad --weight {args.weight!r}; expected comma-separated integers like 1,0,2"
+            ) from None
 
 
-def _need_rs(job: JobSpec) -> RootSystem:
+def _need_rs(args: argparse.Namespace) -> RootSystem:
     """Root system from --type/--rank, or from the group's underlying system."""
-    if job.kind is not None:
-        return build_root_system(job.kind, job.rank)
-    if job.group is not None:
-        return builtin_lattice(job.group).root_system()
+    if args.type is not None:
+        return build_root_system(args.type, args.rank)
+    if args.group is not None:
+        return builtin_lattice(args.group).root_system()
     raise DomainError("missing root system: pass --type (e.g. --type A2) or --group")
 
 
-def _need_group(job: JobSpec):
-    if job.group is None:
-        raise DomainError("this command needs --group (e.g. --group SL3)")
-    return builtin_lattice(job.group)
-
-
-def _need_weight(job: JobSpec) -> Tuple[int, ...]:
-    if job.weight is None:
+def _need_weight(args: argparse.Namespace) -> Tuple[int, ...]:
+    if args.weight is None:
         raise DomainError("this command needs --weight c1,c2,...")
-    return job.weight
+    return args.weight
 
 
-def _kmax(job: JobSpec) -> int:
-    kmax = 6 if job.k is None else job.k
+def _need_group_weight(args: argparse.Namespace):
+    """The --group lattice and the --weight of a group-side command."""
+    if args.group is None:
+        raise DomainError("this command needs --group (e.g. --group SL3)")
+    return builtin_lattice(args.group), _need_weight(args)
+
+
+def _kmax(args: argparse.Namespace) -> int:
+    kmax = 6 if args.k is None else args.k
     if kmax < 0:
         raise DomainError("--k must be nonnegative")
     return kmax
 
 
-def _need_k(job: JobSpec) -> int:
-    if job.k is None:
+def _need_k(args: argparse.Namespace) -> int:
+    if args.k is None:
         raise DomainError("this command needs --k")
-    return _kmax(job)
+    return _kmax(args)
 
 
 # -- cache ----------------------------------------------------------------------
@@ -184,10 +135,6 @@ def _need_k(job: JobSpec) -> int:
 def _system_name(kind: str, rank: int) -> str:
     """Display name: the rank is appended unless the kind already carries it."""
     return kind if kind[-1].isdigit() else f"{kind}{rank}"
-
-
-def _cache_path(cache_dir: str, kind: str, rank: int) -> str:
-    return os.path.join(cache_dir, f"fk_{_system_name(kind, rank)}.json")
 
 
 def _cache_load(path: str) -> Optional[dict]:
@@ -219,10 +166,11 @@ def _cache_store(path: str, obj: dict) -> None:
                 os.remove(tmp)
 
 
-def _fk_table(job: JobSpec, rs: RootSystem, kmax: int) -> FkTable:
-    if job.cache_dir is None:
+def _fk_table(args: argparse.Namespace, rs: RootSystem, kmax: int) -> FkTable:
+    cache_dir = args.cache_dir or os.environ.get("WEIGHTCALC_CACHE")
+    if not cache_dir:
         return FkTable.build(rs, kmax)
-    path = _cache_path(job.cache_dir, rs.kind, rs.rank)
+    path = os.path.join(cache_dir, f"fk_{_system_name(rs.kind, rs.rank)}.json")
     data = _cache_load(path)
     if data is not None and data.get("kind") == rs.kind and data.get("rank") == rs.rank:
         try:
@@ -258,33 +206,39 @@ def _fk_table(job: JobSpec, rs: RootSystem, kmax: int) -> FkTable:
 
 
 def _mod2_json(p: Mod2Poly, names: Sequence[str]) -> dict:
-    terms = []
-    for e in sorted(p.terms, key=lambda t: (sum(t), t), reverse=True):
-        terms.append({names[i]: k for i, k in enumerate(e) if k})
-    return {"terms": terms}
+    terms = sorted(p.terms, key=lambda t: (sum(t), t), reverse=True)
+    return {"terms": [{names[i]: k for i, k in enumerate(e) if k} for e in terms]}
 
 
-def _emit(job: JobSpec, input_obj: dict, result_obj: dict, text_lines: list[str]) -> None:
-    if job.fmt == "json":
+def _emit(args: argparse.Namespace, input_obj: dict, result_obj: dict,
+          text_lines: list[str]) -> None:
+    if args.format == "json":
         doc = {"schema": SCHEMA, "input": input_obj, "result": result_obj}
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _system_input(job: JobSpec, rs: RootSystem) -> dict:
+def _system_input(rs: RootSystem) -> dict:
     return {"kind": rs.kind, "rank": rs.rank}
+
+
+def _group_input(args: argparse.Namespace, lat, weight: Tuple[int, ...]) -> dict:
+    obj = {"group": lat.name, "weight": list(weight)}
+    if args.s_wrap:
+        obj["s_wrap"] = True
+    return obj
 
 
 # -- command implementations ------------------------------------------------------
 
 
-def _cmd_info(job: JobSpec) -> int:
+def _cmd_info(args: argparse.Namespace) -> int:
     result: dict = {}
     lines: list[str] = []
     input_obj: dict = {}
-    if job.group is not None:
-        lat = builtin_lattice(job.group)
+    if args.group is not None:
+        lat = builtin_lattice(args.group)
         rs = lat.root_system()
         input_obj["group"] = lat.name
         result.update({
@@ -301,7 +255,7 @@ def _cmd_info(job: JobSpec) -> int:
         lines.append("lattice basis rows (fundamental-weight coordinates): "
                      + "; ".join(str(list(row)) for row in lat.basis))
     else:
-        rs = _need_rs(job)
+        rs = _need_rs(args)
         input_obj["kind"], input_obj["rank"] = rs.kind, rs.rank
     _, weyl_order = _expected_counts(rs.kind, rs.rank)
     result.update({
@@ -316,60 +270,39 @@ def _cmd_info(job: JobSpec) -> int:
                  f"{rs.num_positive} positive roots")
     lines.append(f"Weyl group order {weyl_order}; "
                  f"contains -1: {'yes' if rs.minus_one_in_weyl else 'no'}")
-    _emit(job, input_obj, result, lines)
+    _emit(args, input_obj, result, lines)
     return 0
 
 
-def _cmd_fk(job: JobSpec) -> int:
-    rs = _need_rs(job)
-    k = _need_k(job)
-    table = _fk_table(job, rs, k)
-    fk = table.entries[k]
-    red = table.reduced[k]
-    result = {
-        "k": k,
-        "f": fk.to_json_obj(),
-        "f_reduced": red.to_json_obj(),
-    }
+def _cmd_fk(args: argparse.Namespace) -> int:
+    rs = _need_rs(args)
+    k = _need_k(args)
+    table = _fk_table(args, rs, k)
+    fk, red = table.entries[k], table.reduced[k]
+    result = {"k": k, "f": fk.to_json_obj(), "f_reduced": red.to_json_obj()}
     lines = [f"F_{k} = {fk.render()}", f"F_{k} / (d * d-dual) = {red.render()}"]
-    _emit(job, {**_system_input(job, rs), "k": k}, result, lines)
+    _emit(args, {**_system_input(rs), "k": k}, result, lines)
     return 0
 
 
-def _cmd_powersum(job: JobSpec) -> int:
-    rs = _need_rs(job)
-    lam = _need_weight(job)
-    k = _need_k(job)
-    p = power_sums(rs, lam, k)[k]
-    result = {"k": k, "weight": list(lam), "p": p.to_json_obj()}
-    _emit(job, {**_system_input(job, rs), "weight": list(lam), "k": k},
-          result, [p.render()])
+def _cmd_multiset(args: argparse.Namespace, key: str = "p") -> int:
+    """P_k of the weight multiset (key "p"), or E_k from it by Newton (key "e")."""
+    rs = _need_rs(args)
+    lam = _need_weight(args)
+    k = _need_k(args)
+    sums = power_sums(rs, lam, k)
+    if key == "e":
+        sums = elementary_from_power(sums, k)
+    result = {"k": k, "weight": list(lam), key: sums[k].to_json_obj()}
+    _emit(args, {**_system_input(rs), "weight": list(lam), "k": k},
+          result, [sums[k].render()])
     return 0
 
 
-def _cmd_elementary(job: JobSpec) -> int:
-    rs = _need_rs(job)
-    lam = _need_weight(job)
-    k = _need_k(job)
-    e = elementary_from_power(power_sums(rs, lam, k), k)[k]
-    result = {"k": k, "weight": list(lam), "e": e.to_json_obj()}
-    _emit(job, {**_system_input(job, rs), "weight": list(lam), "k": k},
-          result, [e.render()])
-    return 0
-
-
-def _group_input(job: JobSpec, lat, weight: Tuple[int, ...]) -> dict:
-    obj = {"group": lat.name, "weight": list(weight)}
-    if job.s_wrap:
-        obj["s_wrap"] = True
-    return obj
-
-
-def _cmd_chern(job: JobSpec) -> int:
-    lat = _need_group(job)
-    weight = _need_weight(job)
-    kmax = _kmax(job)
-    res = chern_classes(lat, PiSpec(weight, job.s_wrap), kmax)
+def _cmd_chern(args: argparse.Namespace) -> int:
+    lat, weight = _need_group_weight(args)
+    kmax = _kmax(args)
+    res = chern_classes(lat, PiSpec(weight, args.s_wrap), kmax)
     names = list(lat.gen_names)
     result = {
         "degree": res.degree,
@@ -378,39 +311,36 @@ def _cmd_chern(job: JobSpec) -> int:
     lines = [f"degree {res.degree}"]
     lines += [f"c_{k} = {ck.render(a_names=names, y_names=[])}"
               for k, ck in enumerate(res.c)]
-    _emit(job, {**_group_input(job, lat, weight), "kmax": kmax}, result, lines)
+    _emit(args, {**_group_input(args, lat, weight), "kmax": kmax}, result, lines)
     return 0
 
 
-def _cmd_chern2(job: JobSpec) -> int:
-    lat = _need_group(job)
-    weight = _need_weight(job)
+def _cmd_chern2(args: argparse.Namespace) -> int:
+    lat, weight = _need_group_weight(args)
     c2 = chern2_closed(lat, weight)
     names = list(lat.gen_names)
     result = {"c2": c2.to_json_obj(a_names=names, y_names=[])}
-    _emit(job, _group_input(job, lat, weight), result,
+    _emit(args, _group_input(args, lat, weight), result,
           [f"c_2 = {c2.render(a_names=names, y_names=[])}"])
     return 0
 
 
-def _cmd_swc(job: JobSpec) -> int:
-    lat = _need_group(job)
-    weight = _need_weight(job)
-    kmax = _kmax(job)
-    res = swc_restrict(lat, PiSpec(weight, job.s_wrap), kmax)
+def _cmd_swc(args: argparse.Namespace) -> int:
+    lat, weight = _need_group_weight(args)
+    kmax = _kmax(args)
+    res = swc_restrict(lat, PiSpec(weight, args.s_wrap), kmax)
     names = list(lat.v_names)
     result = {"w": [_mod2_json(wk, names) for wk in res.w]}
     lines = [f"w_{k} = {wk.render(names)}" for k, wk in enumerate(res.w)]
-    _emit(job, {**_group_input(job, lat, weight), "kmax": kmax}, result, lines)
+    _emit(args, {**_group_input(args, lat, weight), "kmax": kmax}, result, lines)
     return 0
 
 
-def _cmd_swc_total(job: JobSpec) -> int:
-    lat = _need_group(job)
-    weight = _need_weight(job)
-    kmax = _kmax(job)
-    res = total_swc_factorization(lat, PiSpec(weight, job.s_wrap), kmax,
-                                  max_dim=job.max_dim)
+def _cmd_swc_total(args: argparse.Namespace) -> int:
+    lat, weight = _need_group_weight(args)
+    kmax = _kmax(args)
+    res = total_swc_factorization(lat, PiSpec(weight, args.s_wrap), kmax,
+                                  max_dim=args.max_dim)
     names = list(lat.v_names)
     result = {
         "m": list(res.total_factorization),
@@ -420,14 +350,13 @@ def _cmd_swc_total(job: JobSpec) -> int:
     lines = ["m = " + ", ".join(
         f"m_{k+1}={m}" for k, m in enumerate(res.total_factorization))]
     lines += [f"w_{k} = {wk.render(names)}" for k, wk in enumerate(res.w)]
-    _emit(job, {**_group_input(job, lat, weight), "kmax": kmax}, result, lines)
+    _emit(args, {**_group_input(args, lat, weight), "kmax": kmax}, result, lines)
     return 0
 
 
-def _cmd_spinorial(job: JobSpec) -> int:
-    lat = _need_group(job)
-    weight = _need_weight(job)
-    res = is_spinorial(lat, PiSpec(weight, job.s_wrap))
+def _cmd_spinorial(args: argparse.Namespace) -> int:
+    lat, weight = _need_group_weight(args)
+    res = is_spinorial(lat, PiSpec(weight, args.s_wrap))
     names = list(lat.gen_names)
     result = {
         "spinorial": res.spinorial,
@@ -442,28 +371,28 @@ def _cmd_spinorial(job: JobSpec) -> int:
     if res.valuation is not None:
         lines.append(f"j = {res.valuation}; 2^(-j) * Q2 integral: "
                      f"{'yes' if res.secondary_integral else 'no'}")
-    _emit(job, _group_input(job, lat, weight), result, lines)
+    _emit(args, _group_input(args, lat, weight), result, lines)
     return 0
 
 
-def _cmd_orthotype(job: JobSpec) -> int:
-    weight = _need_weight(job)
-    if job.group is not None:
-        lat = builtin_lattice(job.group)
+def _cmd_orthotype(args: argparse.Namespace) -> int:
+    weight = _need_weight(args)
+    if args.group is not None:
+        lat = builtin_lattice(args.group)
         kind = lattice_orthogonality_type(lat, weight)
         input_obj = {"group": lat.name, "weight": list(weight)}
     else:
-        rs = _need_rs(job)
+        rs = _need_rs(args)
         kind = orthogonality_type(rs, weight)
-        input_obj = {**_system_input(job, rs), "weight": list(weight)}
-    _emit(job, input_obj, {"type": kind}, [kind])
+        input_obj = {**_system_input(rs), "weight": list(weight)}
+    _emit(args, input_obj, {"type": kind}, [kind])
     return 0
 
 
-def _cmd_oracle_weights(job: JobSpec) -> int:
-    rs = _need_rs(job)
-    lam = _need_weight(job)
-    wm = weight_multiplicities(rs, lam, max_dim=job.max_dim)
+def _cmd_oracle_weights(args: argparse.Namespace) -> int:
+    rs = _need_rs(args)
+    lam = _need_weight(args)
+    wm = weight_multiplicities(rs, lam, max_dim=args.max_dim)
     items = sorted(wm.expanded().items(), key=lambda kv: (sum(kv[0]), kv[0]),
                    reverse=True)
     result = {
@@ -472,20 +401,20 @@ def _cmd_oracle_weights(job: JobSpec) -> int:
     }
     lines = [f"dimension {wm.dimension}"]
     lines += [f"mu = {','.join(str(c) for c in mu)}  m = {m}" for mu, m in items]
-    _emit(job, {**_system_input(job, rs), "weight": list(lam)}, result, lines)
+    _emit(args, {**_system_input(rs), "weight": list(lam)}, result, lines)
     return 0
 
 
 # -- verify ------------------------------------------------------------------------
 
 
-def _verify_checks(job: JobSpec) -> list[tuple[str, Callable[[], None]]]:
+def _verify_checks(args: argparse.Namespace) -> list[tuple[str, Callable[[], None]]]:
     checks: list[tuple[str, Callable[[], None]]] = []
 
     def oracle_case(kind: str, rank: int, lam: Tuple[int, ...], kmax: int):
         def run() -> None:
             rs = build_root_system(kind, rank)
-            wm = weight_multiplicities(rs, lam, max_dim=job.max_dim)
+            wm = weight_multiplicities(rs, lam, max_dim=args.max_dim)
             power = power_sums(rs, lam, kmax)
             elem = elementary_from_power(power, kmax)
             oelem = oracle_elementary(wm, kmax)
@@ -497,13 +426,7 @@ def _verify_checks(job: JobSpec) -> list[tuple[str, Callable[[], None]]]:
         return run
 
     for kind, rank in (("A", 1), ("A", 2), ("B", 2)):
-        rank_coords = rank
-        lams = []
-        if rank_coords == 1:
-            lams = [(0,), (1,), (2,)]
-        else:
-            lams = [(a, b) for a in range(3) for b in range(3)]
-        for lam in lams:
+        for lam in itertools.product(range(3), repeat=rank):
             checks.append(
                 (f"oracle {kind}{rank} weight {','.join(map(str, lam))}",
                  oracle_case(kind, rank, lam, 4))
@@ -513,7 +436,7 @@ def _verify_checks(job: JobSpec) -> list[tuple[str, Callable[[], None]]]:
         def run() -> None:
             lat = builtin_lattice(group)
             pi = PiSpec(weight, s_wrap)
-            fac = total_swc_factorization(lat, pi, 6, max_dim=job.max_dim)
+            fac = total_swc_factorization(lat, pi, 6, max_dim=args.max_dim)
             ref = swc_restrict(lat, pi, 6)
             ch = chern_classes(lat, pi, 6)
             for k in range(7):
@@ -540,14 +463,14 @@ def _verify_checks(job: JobSpec) -> list[tuple[str, Callable[[], None]]]:
     return checks
 
 
-def _cmd_verify(job: JobSpec) -> int:
-    checks = _verify_checks(job)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    """Run every check; a failed one exits 1, a DomainError (bad input) exits 2."""
     outcomes: list[tuple[str, Optional[str]]] = []
-    for name, fn in checks:
+    for name, fn in _verify_checks(args):
         err = None
         try:
             fn()
-        except WeightcalcError as exc:
+        except InternalError as exc:
             err = str(exc)
         outcomes.append((name, err))
     ok = all(err is None for _, err in outcomes)
@@ -563,11 +486,46 @@ def _cmd_verify(job: JobSpec) -> int:
         for name, err in outcomes
     ]
     lines.append(f"{sum(1 for _, e in outcomes if e is None)}/{len(outcomes)} checks passed")
-    _emit(job, {"command": "verify"}, result, lines)
+    _emit(args, {"command": args.command}, result, lines)
     return 0 if ok else 1
 
 
-# -- argument parser -----------------------------------------------------------------
+# -- the command table and its parser -------------------------------------------------
+
+#: Keyword arguments of each common flag ``--<name>`` (underscores become dashes),
+#: in the order every usage line lists them.  Every command takes --format.
+_FLAGS = {
+    "type": {"help": "root-system type, e.g. A2 (or A with --rank)"},
+    "rank": {"type": int, "help": "root-system rank"},
+    "group": {"help": "built-in group name, e.g. SL3, PGL2, Sp4"},
+    "weight": {"help": "weight coordinates c1,c2,..."},
+    "k": {"type": int, "help": "degree / truncation order"},
+    "s_wrap": {"action": "store_true", "help": "use the doubled form: the sum with the dual"},
+    "max_dim": {"type": int,
+                "help": f"guard on representation dimension (default {DEFAULT_MAX_DIM})"},
+    "format": {"choices": ("json", "text")},
+    "cache_dir": {"help": "cache directory (default: env WEIGHTCALC_CACHE)"},
+}
+
+#: Command name -> (handler, help line, the common flags it takes besides --format).
+_DISPATCH = {
+    "info": (_cmd_info, "root system / group facts", "type rank group"),
+    "fk": (_cmd_fk, "alternating Weyl sum F_k", "type rank k cache_dir"),
+    "powersum": (_cmd_multiset, "power sum P_k of the weight multiset", "type rank weight k"),
+    "elementary": (partial(_cmd_multiset, key="e"), "elementary symmetric E_k",
+                   "type rank weight k"),
+    "chern": (_cmd_chern, "Chern classes in lattice generators", "group weight k s_wrap"),
+    "chern2": (_cmd_chern2, "closed form for c_2", "group weight"),
+    "swc": (_cmd_swc, "Stiefel-Whitney classes", "group weight k s_wrap"),
+    "swc-total": (_cmd_swc_total, "total-class factorization",
+                  "group weight k s_wrap max_dim"),
+    "spinorial": (_cmd_spinorial, "spin-lift decision with certificate", "group weight s_wrap"),
+    "orthotype": (_cmd_orthotype, "orthogonal / symplectic / not-self-dual",
+                  "type rank group weight"),
+    "oracle weights": (_cmd_oracle_weights, "weight multiplicities by Freudenthal recursion",
+                       "type rank weight max_dim"),
+    "verify": (_cmd_verify, "consistency triangle + oracle grid", "max_dim"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -577,97 +535,31 @@ def _build_parser() -> argparse.ArgumentParser:
                     "classes for simple compact groups.",
     )
     parser.add_argument("--version", action="version", version=FINGERPRINT)
+    # The one place flag defaults live: subparsers leave absent flags unset.
+    parser.set_defaults(**{**dict.fromkeys(_FLAGS), "s_wrap": False,
+                           "max_dim": DEFAULT_MAX_DIM, "format": "text"})
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def common(p: argparse.ArgumentParser, *, weight: bool = False,
-               k: bool = False, group: bool = False, system: bool = False,
-               s_wrap: bool = False, max_dim: bool = False) -> None:
-        if system:
-            p.add_argument("--type", help="root-system type, e.g. A2 (or A with --rank)")
-            p.add_argument("--rank", type=int, help="root-system rank")
-        if group:
-            p.add_argument("--group", help="built-in group name, e.g. SL3, PGL2, Sp4")
-        if weight:
-            p.add_argument("--weight", help="weight coordinates c1,c2,...")
-        if k:
-            p.add_argument("--k", type=int, help="degree / truncation order")
-        if s_wrap:
-            p.add_argument("--s-wrap", dest="s_wrap", action="store_true",
-                           help="use the doubled form: the sum with the dual")
-        if max_dim:
-            p.add_argument("--max-dim", dest="max_dim", type=int,
-                           help="guard on representation dimension "
-                                f"(default {DEFAULT_MAX_DIM})")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("info", help="root system / group facts")
-    common(p, system=True, group=True)
-
-    fk = sub.add_parser("fk", help="alternating Weyl sum F_k")
-    common(fk, system=True, k=True)
-
-    p = sub.add_parser("powersum", help="power sum P_k of the weight multiset")
-    common(p, system=True, weight=True, k=True)
-
-    p = sub.add_parser("elementary", help="elementary symmetric E_k")
-    common(p, system=True, weight=True, k=True)
-
-    p = sub.add_parser("chern", help="Chern classes in lattice generators")
-    common(p, group=True, weight=True, k=True, s_wrap=True)
-
-    p = sub.add_parser("chern2", help="closed form for c_2")
-    common(p, group=True, weight=True)
-
-    p = sub.add_parser("swc", help="Stiefel-Whitney classes")
-    common(p, group=True, weight=True, k=True, s_wrap=True)
-
-    p = sub.add_parser("swc-total", help="total-class factorization")
-    common(p, group=True, weight=True, k=True, s_wrap=True, max_dim=True)
-
-    p = sub.add_parser("spinorial", help="spin-lift decision with certificate")
-    common(p, group=True, weight=True, s_wrap=True)
-
-    p = sub.add_parser("orthotype", help="orthogonal / symplectic / not-self-dual")
-    common(p, system=True, group=True, weight=True)
-
-    p = sub.add_parser("oracle", help="brute-force reference computations")
-    osub = p.add_subparsers(dest="oracle_command", required=True, metavar="WHAT")
-    ow = osub.add_parser("weights", help="weight multiplicities by Freudenthal recursion")
-    common(ow, system=True, weight=True, max_dim=True)
-
-    p = sub.add_parser("verify", help="consistency triangle + oracle grid")
-    common(p, max_dim=True)
-
-    fk.add_argument("--cache-dir", dest="cache_dir",
-                    help="cache directory (default: env WEIGHTCALC_CACHE)")
+    subparsers = {"": sub}
+    for name, (handler, help_line, flags) in _DISPATCH.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:  # first word of a two-word command: the oracle group
+            subparsers[group] = sub.add_parser(
+                group, help="brute-force reference computations",
+            ).add_subparsers(required=True, metavar="WHAT")
+        p = subparsers[group].add_parser(leaf, help=help_line,
+                                         argument_default=argparse.SUPPRESS)
+        for flag, kwargs in _FLAGS.items():
+            if flag == "format" or flag in flags.split():
+                p.add_argument("--" + flag.replace("_", "-"), **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
-_DISPATCH = {
-    "info": _cmd_info,
-    "fk": _cmd_fk,
-    "powersum": _cmd_powersum,
-    "elementary": _cmd_elementary,
-    "chern": _cmd_chern,
-    "chern2": _cmd_chern2,
-    "swc": _cmd_swc,
-    "swc-total": _cmd_swc_total,
-    "spinorial": _cmd_spinorial,
-    "orthotype": _cmd_orthotype,
-    "oracle weights": _cmd_oracle_weights,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse arguments, dispatch, and return the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    job = _job_from_args(args)
-    handler = _DISPATCH.get(job.command)
-    if handler is None:
-        raise DomainError(f"unknown command {job.command!r}")
-    return handler(job)
+    """Parse arguments, check the common flags, and return the handler's exit code."""
+    args = _build_parser().parse_args(argv)
+    _check_flags(args)
+    return args.handler(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -677,9 +569,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except WeightcalcError as exc:  # base class fallback
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -205,9 +205,7 @@ def power_sum_result(rs: RootSystem, lam: Sequence[int], kmax: int) -> PowerSumR
     )
 
 
-def symbolic_power_sums(
-    rs: RootSystem, kmax: int, table: FkTable | None = None
-) -> list[BiPoly]:
+def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     """P_0..P_kmax with the highest weight symbolic (a-variables).
 
     Same triangular recursion with lam + delta realized by translating
@@ -217,14 +215,7 @@ def symbolic_power_sums(
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
     n = rs.num_positive
-    if table is None:
-        table = FkTable.build(rs, n + kmax)
-    if (table.kind, table.rank) != (rs.kind, rs.rank):
-        raise DomainError(
-            f"the supplied table is for {table.kind}{table.rank}, not {rs.kind}{rs.rank}"
-        )
-    if table.kmax < n + kmax:
-        raise DomainError("the supplied table is too short for the requested kmax")
+    table = FkTable.build(rs, n + kmax)
     f_lam = [translate_delta(table.entries[n + i]) for i in range(kmax + 1)]
     delta = (1,) * rs.rank
     f_del = [table.entries[n + j].eval_a(delta) for j in range(kmax + 1)]

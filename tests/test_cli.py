@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
-from weightcalc import __version__
+from weightcalc import __version__, cli
 from weightcalc.cli import main, run
-from weightcalc.errors import DomainError
+from weightcalc.errors import DomainError, InternalError
 
 
 def _call(capsys, argv):
@@ -262,6 +263,47 @@ def test_domain_errors_exit_2(capsys):
         assert _call(capsys, argv) == (2, "", "error: pass --type or --group, not both\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("info --group SL3 --rank 2", "--rank makes sense only together with --type"),
+    ("fk --k 2", "missing root system: pass --type (e.g. --type A2) or --group"),
+    ("info", "missing root system: pass --type (e.g. --type A2) or --group"),
+    ("chern --weight 1,1", "this command needs --group (e.g. --group SL3)"),
+    ("chern --group SL3", "this command needs --weight c1,c2,..."),
+    ("info --type Q2",
+     "bad --type 'Q2'; expected a letter A-G with an optional rank, e.g. A2"),
+    ("fk --type A2", "this command needs --k"),
+    ("orthotype --type A2", "this command needs --weight c1,c2,..."),
+])
+def test_flag_errors_exit_2(capsys, argv, message):
+    assert _call(capsys, argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_internal_error_exits_1(capsys, monkeypatch):
+    def broken(*args):
+        raise InternalError("P_2 disagrees with the oracle")
+
+    monkeypatch.setattr(cli, "power_sums", broken)
+    argv = ["powersum", "--type", "A2", "--weight", "1,1", "--k", "2"]
+    assert _call(capsys, argv) == (1, "", "internal error: P_2 disagrees with the oracle\n")
+
+
+def test_verify_guard_exits_2(capsys):
+    """A --max-dim too small for the grid is bad input, not a failed check."""
+    rc, out, err = _call(capsys, ["verify", "--max-dim", "1"])
+    assert (rc, out) == (2, "")
+    assert err == ("error: representation dimension 2 exceeds the guard 1; "
+                   "raise max_dim to force the brute-force computation\n")
+
+
+def test_negative_weight_needs_an_attached_value(capsys):
+    rc, out, err = _call(capsys, ["chern", "--group", "GL2", "--weight=-1,-2", "--k", "2"])
+    assert rc == 0 and err == "" and out.startswith("degree 2\n")
+    with pytest.raises(SystemExit) as exc:  # argparse reads -1,-2 as an option
+        main(["chern", "--group", "GL2", "--weight", "-1,-2", "--k", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["swc", "swc-total"])
 def test_negative_k_exits_2(capsys, command):
     argv = [command, "--group", "SO12", "--weight", "1,0,0,0,0,0", "--k", "-1"]
@@ -289,6 +331,32 @@ def test_argparse_failures_raise_system_exit(capsys):
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+#: Options each command accepts besides -h, in the order its usage line shows.
+OPTIONS = {
+    "info": ["--type", "--rank", "--group", "--format"],
+    "fk": ["--type", "--rank", "--k", "--format", "--cache-dir"],
+    "powersum": ["--type", "--rank", "--weight", "--k", "--format"],
+    "elementary": ["--type", "--rank", "--weight", "--k", "--format"],
+    "chern": ["--group", "--weight", "--k", "--s-wrap", "--format"],
+    "chern2": ["--group", "--weight", "--format"],
+    "swc": ["--group", "--weight", "--k", "--s-wrap", "--format"],
+    "swc-total": ["--group", "--weight", "--k", "--s-wrap", "--max-dim", "--format"],
+    "spinorial": ["--group", "--weight", "--s-wrap", "--format"],
+    "orthotype": ["--type", "--rank", "--group", "--weight", "--format"],
+    "oracle weights": ["--type", "--rank", "--weight", "--max-dim", "--format"],
+    "verify": ["--max-dim", "--format"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_command_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[(--?[\w-]+)", usage) == ["-h", *OPTIONS[command]]
 
 
 def test_version_flag(capsys):

@@ -221,22 +221,13 @@ def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points)
 
 def test_symbolic_specializes_to_numeric(a2):
     kmax = 4
-    table = FkTable.build(a2, a2.num_positive + kmax)
-    symb = symbolic_power_sums(a2, kmax, table)
+    symb = symbolic_power_sums(a2, kmax)
     for lam in [(0, 0), (1, 2), (3, 1)]:
         numeric = power_sums(a2, lam, kmax)
         for k in range(kmax + 1):
             assert symb[k].eval_a(lam) == numeric[k]
     with pytest.raises(DomainError):
-        symbolic_power_sums(a2, kmax + 1, table)
-
-
-def test_symbolic_rejects_a_table_of_another_type():
-    b2 = get_rs("B", 2)
-    for kind, rank in [("C", 2), ("A", 2)]:
-        table = FkTable.build(get_rs(kind, rank), 6)
-        with pytest.raises(DomainError, match=f"table is for {kind}2, not B2"):
-            symbolic_power_sums(b2, 2, table)
+        symbolic_power_sums(a2, -1)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2)])

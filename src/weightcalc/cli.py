@@ -95,12 +95,11 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def _need_rs(args: argparse.Namespace) -> RootSystem:
-    """Root system from --type/--rank, or from the group's underlying system."""
-    if args.type is not None:
-        return build_root_system(args.type, args.rank)
-    if args.group is not None:
-        return builtin_lattice(args.group).root_system()
-    raise DomainError("missing root system: pass --type (e.g. --type A2) or --group")
+    """Root system from --type/--rank; the commands that take --group read it first."""
+    if args.type is None:
+        hint = " or --group" if args.takes_group else ""
+        raise DomainError(f"missing root system: pass --type (e.g. --type A2){hint}")
+    return build_root_system(args.type, args.rank)
 
 
 def _need_weight(args: argparse.Namespace) -> Tuple[int, ...]:
@@ -551,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in _FLAGS.items():
             if flag == "format" or flag in flags.split():
                 p.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, takes_group="group" in flags.split())
     return parser
 
 

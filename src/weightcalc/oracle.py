@@ -18,7 +18,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .polyalg import BiPoly, expand_linear_power, invert
+from .polyalg import BiPoly, _mul_into, expand_linear_power, invert
 from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
@@ -182,14 +182,8 @@ def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
     for mu, m in wm.expanded().items():
         for ye, c in expand_linear_power(mu, k).items():
             key = prefix + ye
-            s = acc.get(key, 0) + m * c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    out = BiPoly.zero(r, r)
-    out.terms = acc
-    return out
+            acc[key] = acc.get(key, 0) + m * c
+    return BiPoly(r, r, acc)
 
 
 def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
@@ -218,23 +212,9 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     def mul(f: list[dict], g: list[dict]) -> list[dict]:
         out = [dict() for _ in range(kmax + 1)]
         for da in range(kmax + 1):
-            fa = f[da]
-            if not fa:
-                continue
             for db in range(kmax + 1 - da):
-                gb = g[db]
-                if not gb:
-                    continue
-                blk = out[da + db]
-                for e1, c1 in fa.items():
-                    for e2, c2 in gb.items():
-                        key = tuple(x + y for x, y in zip(e1, e2))
-                        s = blk.get(key, 0) + c1 * c2
-                        if s:
-                            blk[key] = s
-                        else:
-                            blk.pop(key, None)
-        return out
+                _mul_into(out[da + db], f[da], g[db])
+        return [{e: c for e, c in blk.items() if c} for blk in out]
 
     factors = [leaf(mu, m) for mu, m in wm.expanded().items()]
     if not factors:
@@ -246,14 +226,8 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
         if len(factors) % 2:
             nxt.append(factors[-1])
         factors = nxt
-    buckets = factors[0]
     prefix = (0,) * r
-    out = []
-    for k in range(kmax + 1):
-        p = BiPoly.zero(r, r)
-        p.terms = {prefix + ye: c for ye, c in buckets[k].items()}
-        out.append(p)
-    return out
+    return [BiPoly(r, r, {prefix + ye: c for ye, c in blk.items()}) for blk in factors[0]]
 
 
 # -- characters at order-2 torus elements -------------------------------------

@@ -20,6 +20,14 @@ and ``^exp`` omitted when the exponent is 1.  The zero polynomial renders
 JSON schema: ``{"terms": [{"c": "-5/3", "m": {"a1": 2, "y2": 1}}, ...]}``
 with terms in canonical order and signed coefficient strings.
 
+Every product of two term dicts goes through one kernel, ``_mul_into``:
+``BiPoly`` products and powers, ``compose`` (and through it ``eval_a``,
+``translate_a``, ``evaluate`` and ``embed``, which substitute constant,
+shifted or variable images), the oracle's product tree and ``fk_direct``.
+The kernel leaves cancelled terms as zeros; each operation drops them once,
+when it builds its result.  ``exact_divide`` is the exception: it removes a
+cancelled term at once, because its leading-term scan must never see a zero.
+
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
 elimination in ``rref``.
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InternalError
@@ -74,6 +83,19 @@ def _order_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def _mul_into(acc: dict, f: Mapping[tuple, Scalar], g: Mapping[tuple, Scalar]) -> None:
+    """Add the product of the term dicts f and g into acc.
+
+    The one product loop of the package.  A cancelled term stays in acc as a
+    zero, so the caller drops zeros once, when it builds its result.
+    """
+    get = acc.get
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+
+
 class BiPoly:
     """Sparse exact-rational polynomial in a-variables and y-variables.
 
@@ -96,6 +118,13 @@ class BiPoly:
                         )
                     t[tuple(exps)] = c
         self.terms = t
+
+    @classmethod
+    def _result(cls, na: int, ny: int, t: Mapping[tuple, Scalar]) -> "BiPoly":
+        """The polynomial of an accumulated term dict: zeros dropped, Fractions collapsed."""
+        out = cls.zero(na, ny)
+        out.terms = {e: _norm(c) for e, c in t.items() if c}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -196,14 +225,8 @@ class BiPoly:
         self._check_compat(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, 0) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        out = BiPoly.zero(self.na, self.ny)
-        out.terms = {e: _norm(c) for e, c in t.items() if c}
-        return out
+            t[e] = t.get(e, 0) + c
+        return BiPoly._result(self.na, self.ny, t)
 
     def __neg__(self) -> "BiPoly":
         out = BiPoly.zero(self.na, self.ny)
@@ -222,18 +245,8 @@ class BiPoly:
         else:
             big, small = other.terms, self.terms
         t: dict[tuple, Scalar] = {}
-        n = self.na + self.ny
-        for e1, c1 in small.items():
-            for e2, c2 in big.items():
-                e = tuple(e1[i] + e2[i] for i in range(n))
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        out = BiPoly.zero(self.na, self.ny)
-        out.terms = {e: _norm(c) for e, c in t.items() if c}
-        return out
+        _mul_into(t, small, big)
+        return BiPoly._result(self.na, self.ny, t)
 
     __rmul__ = __mul__
 
@@ -262,89 +275,38 @@ class BiPoly:
         """Substitute rational values for all a-variables (a-degree 0 result)."""
         if len(values) != self.na:
             raise DomainError(f"expected {self.na} values, got {len(values)}")
-        vals = [_norm(Fraction(v) if not isinstance(v, (int, Fraction)) else v)
-                for v in values]
-        t: dict[tuple, Scalar] = {}
-        zero_a = (0,) * self.na
-        for e, c in self.terms.items():
-            s = c
-            for i in range(self.na):
-                if e[i]:
-                    s = s * vals[i] ** e[i]
-            if s:
-                key = zero_a + e[self.na:]
-                acc = t.get(key, 0) + s
-                if acc:
-                    t[key] = acc
-                else:
-                    t.pop(key, None)
-        out = BiPoly.zero(self.na, self.ny)
-        out.terms = {e: _norm(c) for e, c in t.items() if c}
-        return out
+        return self.compose(a_images=[
+            BiPoly.constant(self.na, self.ny, v if isinstance(v, (int, Fraction)) else Fraction(v))
+            for v in values
+        ])
 
     def translate_a(self, shifts: Sequence[Scalar]) -> "BiPoly":
-        """Substitute a_i := a_i + shifts[i]; binomial expansion per term."""
+        """Substitute a_i := a_i + shifts[i]."""
         if len(shifts) != self.na:
             raise DomainError(f"expected {self.na} shifts, got {len(shifts)}")
-        t: dict[tuple, Scalar] = {}
-        for e, c in self.terms.items():
-            partial = {e[: self.na]: c}
-            for i, sh in enumerate(shifts):
-                if not sh or not e[i]:
-                    continue
-                nxt: dict[tuple, Scalar] = {}
-                for ae, pc in partial.items():
-                    deg = ae[i]
-                    for down in range(deg + 1):
-                        ne = list(ae)
-                        ne[i] = deg - down
-                        coef = pc * comb(deg, down) * sh**down
-                        key = tuple(ne)
-                        acc = nxt.get(key, 0) + coef
-                        if acc:
-                            nxt[key] = acc
-                        else:
-                            nxt.pop(key, None)
-                partial = nxt
-            ytail = e[self.na:]
-            for ae, pc in partial.items():
-                key = ae + ytail
-                acc = t.get(key, 0) + pc
-                if acc:
-                    t[key] = acc
-                else:
-                    t.pop(key, None)
-        out = BiPoly.zero(self.na, self.ny)
-        out.terms = {e: _norm(c) for e, c in t.items() if c}
-        return out
+        return self.compose(a_images=[
+            BiPoly.a_var(i, self.na, self.ny) + BiPoly.constant(self.na, self.ny, sh)
+            for i, sh in enumerate(shifts)
+        ])
 
     def evaluate(self, a_values: Sequence[Scalar], y_values: Sequence[Scalar]) -> Scalar:
         """Full scalar evaluation at rational points."""
         if len(a_values) != self.na or len(y_values) != self.ny:
             raise DomainError("evaluation point does not match arity")
-        vals = list(a_values) + list(y_values)
-        total: Scalar = 0
-        for e, c in self.terms.items():
-            s = c
-            for i, k in enumerate(e):
-                if k:
-                    s = s * vals[i] ** k
-            total += s
-        return _norm(total)
+        point = [BiPoly.constant(0, 0, v) for v in (*a_values, *y_values)]
+        return self.compose(a_images=point[: self.na],
+                            y_images=point[self.na:]).constant_term()
 
     def embed(self, na: int, ny: int, a_offset: int = 0, y_offset: int = 0) -> "BiPoly":
         """Reinterpret inside a larger ring, shifting each block by an offset."""
         if self.na + a_offset > na or self.ny + y_offset > ny:
             raise DomainError("embed target too small")
-        t = {}
-        for e, c in self.terms.items():
-            ne = [0] * (na + ny)
-            for i in range(self.na):
-                ne[a_offset + i] = e[i]
-            for i in range(self.ny):
-                ne[na + y_offset + i] = e[self.na + i]
-            t[tuple(ne)] = c
-        return BiPoly(na, ny, t)
+        if not self.na and not self.ny:  # no image can carry the target arity
+            return BiPoly.constant(na, ny, self.constant_term())
+        return self.compose(
+            a_images=[BiPoly.a_var(a_offset + i, na, ny) for i in range(self.na)],
+            y_images=[BiPoly.y_var(y_offset + i, na, ny) for i in range(self.ny)],
+        )
 
     def compose(
         self,
@@ -354,12 +316,13 @@ class BiPoly:
         """General substitution: variable i is replaced by its image polynomial.
 
         Omitted blocks keep their variables.  All images must share one arity,
-        which becomes the arity of the result.
+        which becomes the arity of the result; with no image at all the
+        polynomial is returned unchanged.
         """
-        if a_images is None and y_images is None:
+        given = [*(a_images or ()), *(y_images or ())]
+        if not given:
             return self
-        ref = (a_images or y_images)[0]
-        na2, ny2 = ref.na, ref.ny
+        na2, ny2 = given[0].na, given[0].ny
         if a_images is None:
             a_images = [BiPoly.a_var(i, na2, ny2) for i in range(self.na)]
         if y_images is None:
@@ -370,24 +333,25 @@ class BiPoly:
         for im in images:
             if im.na != na2 or im.ny != ny2:
                 raise DomainError("compose images must share one arity")
-        pow_cache: dict[tuple[int, int], BiPoly] = {}
+        pow_cache: dict[tuple[int, int], dict] = {}
 
-        def img_pow(i: int, k: int) -> BiPoly:
-            key = (i, k)
-            got = pow_cache.get(key)
+        def img_pow(i: int, k: int) -> dict:
+            got = pow_cache.get((i, k))
             if got is None:
-                got = images[i] ** k
-                pow_cache[key] = got
+                got = pow_cache[i, k] = (images[i] ** k).terms
             return got
 
-        acc = BiPoly.zero(na2, ny2)
+        zero = (0,) * (na2 + ny2)
+        acc: dict[tuple, Scalar] = {}
         for e, c in self.terms.items():
-            term = BiPoly.constant(na2, ny2, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * img_pow(i, k)
-            acc = acc + term
-        return acc
+            term = {zero: c}
+            factors = [img_pow(i, k) for i, k in enumerate(e) if k] or [{zero: 1}]
+            for f in factors[:-1]:
+                nxt: dict[tuple, Scalar] = {}
+                _mul_into(nxt, term, f)
+                term = nxt
+            _mul_into(acc, term, factors[-1])
+        return BiPoly._result(na2, ny2, acc)
 
     # -- rendering ----------------------------------------------------------
 
@@ -607,11 +571,8 @@ def exact_divide(f: BiPoly, g: BiPoly) -> BiPoly:
         fc = rem[fe]
         diff = tuple(fe[i] - ge[i] for i in range(n))
         if any(x < 0 for x in diff):
-            leftover = BiPoly.zero(f.na, f.ny)
-            leftover.terms = {e: c for e, c in rem.items()}
-            raise InternalError(
-                f"inexact polynomial division; remainder {leftover.render()}"
-            )
+            leftover = BiPoly._result(f.na, f.ny, rem)
+            raise InternalError(f"inexact polynomial division; remainder {leftover.render()}")
         c = _norm(Fraction(fc, gc) if not isinstance(fc, Fraction) and not isinstance(gc, Fraction)
                   else Fraction(fc) / Fraction(gc))
         q[diff] = c
@@ -622,9 +583,7 @@ def exact_divide(f: BiPoly, g: BiPoly) -> BiPoly:
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    out = BiPoly.zero(f.na, f.ny)
-    out.terms = {e: _norm(c) for e, c in q.items() if c}
-    return out
+    return BiPoly._result(f.na, f.ny, q)
 
 
 def substitute_linear(f: BiPoly, matrix: Sequence[Sequence[Scalar]]) -> BiPoly:

@@ -26,14 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, InternalError
 from .polyalg import invert
 
 __all__ = [
-    "WeightVector",
-    "CoweightVector",
     "WeylElement",
     "RootSystem",
     "SUPPORTED_RANKS",
@@ -54,26 +52,6 @@ SUPPORTED_RANKS = {"A": (1, 6), "B": (2, 6), "C": (2, 6), "D": (3, 6), "G2": (2,
 
 #: Hard cap on Weyl group enumeration.
 _WEYL_CAP = 10**6
-
-
-class WeightVector(tuple):
-    """Weight in fundamental-weight coordinates (hashable tuple subclass)."""
-
-    __slots__ = ()
-    basis = "fundamental-weight"
-
-    def __new__(cls, coords: Iterable[Coord]):
-        return super().__new__(cls, tuple(coords))
-
-
-class CoweightVector(tuple):
-    """Coweight in simple-coroot coordinates (hashable tuple subclass)."""
-
-    __slots__ = ()
-    basis = "simple-coroot"
-
-    def __new__(cls, coords: Iterable[Coord]):
-        return super().__new__(cls, tuple(coords))
 
 
 class WeylElement(NamedTuple):
@@ -244,8 +222,8 @@ class RootSystem:
     kind: str
     rank: int
     cartan: Matrix
-    positive_roots: Tuple[WeightVector, ...]
-    positive_coroots: Tuple[CoweightVector, ...]
+    positive_roots: Tuple[Tuple[int, ...], ...]  # fundamental-weight coordinates
+    positive_coroots: Tuple[Tuple[int, ...], ...]  # simple-coroot coordinates
     root_coefficients: Tuple[Tuple[int, ...], ...]  # over the simple roots
     killing: Tuple[Tuple[int, ...], ...]
     killing_dual: Tuple[Tuple[Fraction, ...], ...]
@@ -310,8 +288,8 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(kind, rank)
     d = _simple_root_half_norms(kind, rank)
     coeffs = _positive_roots(cartan, d)
-    pos_roots = tuple(WeightVector(_root_weight_coords(k, cartan)) for k in coeffs)
-    pos_coroots = tuple(CoweightVector(_coroot_coords(k, cartan, d)) for k in coeffs)
+    pos_roots = tuple(_root_weight_coords(k, cartan) for k in coeffs)
+    pos_coroots = tuple(_coroot_coords(k, cartan, d) for k in coeffs)
     # Killing form from the root sum: K_ij = sum over all roots of a_i a_j
     killing = tuple(
         tuple(2 * sum(a[i] * a[j] for a in pos_roots) for j in range(rank))
@@ -367,16 +345,16 @@ def _check_counts(rs: RootSystem) -> None:
         )
 
 
-def act(w: WeylElement, mu: Sequence[Coord]) -> WeightVector:
+def act(w: WeylElement, mu: Sequence[Coord]) -> tuple:
     """Apply a Weyl element to a weight (matrix times coordinate vector)."""
     mat = w.matrix
     n = len(mat)
     if len(mu) != n:
         raise DomainError(f"weight has {len(mu)} coordinates, expected {n}")
-    return WeightVector(tuple(sum(mat[i][j] * mu[j] for j in range(n)) for i in range(n)))
+    return tuple(sum(mat[i][j] * mu[j] for j in range(n)) for i in range(n))
 
 
-def highest_root(rs: RootSystem) -> WeightVector:
+def highest_root(rs: RootSystem) -> Tuple[int, ...]:
     """The unique maximal-height positive root, in weight coordinates."""
     best = max(range(rs.num_positive), key=lambda i: sum(rs.root_coefficients[i]))
     return rs.positive_roots[best]
@@ -431,6 +409,6 @@ def dominant_orbit(cartan: Matrix, mu: Sequence[Coord]) -> dict[tuple, int]:
     return {p: sign[p] for p in sorted(sign)}
 
 
-def dominant_representative(rs: RootSystem, mu: Sequence[Coord]) -> WeightVector:
+def dominant_representative(rs: RootSystem, mu: Sequence[Coord]) -> tuple:
     """Weyl-orbit representative in the closed dominant chamber."""
-    return WeightVector(chamber_descent(rs.cartan, mu))
+    return chamber_descent(rs.cartan, mu)

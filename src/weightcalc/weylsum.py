@@ -39,7 +39,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError
-from .polyalg import BiPoly, exact_divide, expand_linear_power, rref
+from .polyalg import BiPoly, _mul_into, exact_divide, expand_linear_power, rref
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
@@ -83,55 +83,37 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
     if k < 0:
         raise DomainError("negative power in Weyl sum")
     r = rs.rank
+    zero = (0,) * r
     acc: dict[tuple, Scalar] = {}
     for w in rs.weyl:
-        sign = w.sign
         rows = w.matrix  # row i = linear form l_i(a)
         # powers of each linear form, expanded over a-exponents
         pows = [
             [expand_linear_power(rows[i], t) for t in range(k + 1)] for i in range(r)
         ]
+        # the last form's powers with an empty y-block, for the final product
+        last = [{ae + zero: c for ae, c in p.items()} for p in pows[-1]]
 
         # iterative enumeration of y-exponent compositions of k
-        stack = [(0, k, {(0,) * r: 1}, 1, ())]
+        stack = [(0, k, {zero: w.sign}, 1, ())]
         while stack:
             i, remaining, aparts, multi, yexp = stack.pop()
             if i == r - 1:
-                block = pows[i][remaining]
                 ye = yexp + (remaining,)
-                for ae0, c0 in aparts.items():
-                    for ae, c in block.items():
-                        key = tuple(x + z for x, z in zip(ae0, ae)) + ye
-                        s = acc.get(key, 0) + sign * multi * c0 * c
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
+                _mul_into(acc, {ae + ye: multi * c for ae, c in aparts.items()},
+                          last[remaining])
                 continue
             for e in range(remaining + 1):
-                block = pows[i][e]
-                if not block:
-                    continue
-                if e == 0:
-                    nparts = aparts
-                else:
+                nparts = aparts
+                if e:
                     nparts = {}
-                    for ae0, c0 in aparts.items():
-                        for ae, c in block.items():
-                            key = tuple(x + z for x, z in zip(ae0, ae))
-                            s = nparts.get(key, 0) + c0 * c
-                            if s:
-                                nparts[key] = s
-                            else:
-                                nparts.pop(key, None)
+                    _mul_into(nparts, aparts, pows[i][e])
                 stack.append(
                     (i + 1, remaining - e, nparts, multi * comb(remaining, e), yexp + (e,))
                 )
             if len(acc) > MAX_TERMS:
                 raise InternalError("Weyl sum exceeded the term budget")
-    out = BiPoly.zero(r, r)
-    out.terms = {e: c for e, c in acc.items() if c}
-    return out
+    return BiPoly(r, r, acc)
 
 
 def _check_exact(rs: RootSystem, coords: Sequence[Scalar], what: str) -> None:

@@ -265,7 +265,9 @@ def test_domain_errors_exit_2(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     ("info --group SL3 --rank 2", "--rank makes sense only together with --type"),
-    ("fk --k 2", "missing root system: pass --type (e.g. --type A2) or --group"),
+    ("fk --k 2", "missing root system: pass --type (e.g. --type A2)"),
+    ("powersum --weight 1 --k 2", "missing root system: pass --type (e.g. --type A2)"),
+    ("oracle weights --weight 1", "missing root system: pass --type (e.g. --type A2)"),
     ("info", "missing root system: pass --type (e.g. --type A2) or --group"),
     ("chern --weight 1,1", "this command needs --group (e.g. --group SL3)"),
     ("chern --group SL3", "this command needs --weight c1,c2,..."),

@@ -212,6 +212,15 @@ def test_oracle_matches_engine_rank_6():
         assert p[k].terms == oracle_power_sum(wm, k).terms, k
 
 
+def test_oracle_drops_cancelled_terms(b2):
+    """-1 is in W(B2), so every odd P_k and E_k cancels; no zero may stay behind."""
+    wm = weight_multiplicities(b2, (1, 1))
+    assert oracle_power_sum(wm, 3).terms == {}
+    e = oracle_elementary(wm, 6)
+    assert all(all(f.terms.values()) for f in e)
+    assert [f.is_zero() for f in e] == [False, True, False, True, False, True, False]
+
+
 def test_oracle_newton_identity(a2):
     wm = weight_multiplicities(a2, (2, 1))
     kmax = 5

@@ -48,13 +48,30 @@ mod2_terms = st.frozensets(
     st.tuples(*([st.integers(min_value=0, max_value=3)] * 3)), max_size=6
 )
 mod2_polys = mod2_terms.map(lambda t: Mod2Poly(3, t))
+points = st.tuples(*([coeffs] * (NA + NY)))
+
+
+def termwise(f: BiPoly, point) -> Fraction:
+    """Sum of c * prod v^k over the terms: evaluation that shares no code with compose."""
+    total = Fraction(0)
+    for e, c in f.terms.items():
+        for v, k in zip(point, e):
+            c = c * Fraction(v) ** k
+        total += c
+    return total
+
+
+def canonical(f: BiPoly) -> bool:
+    """No zero coefficient and no integral Fraction in the term dict."""
+    return all(c and not (isinstance(c, Fraction) and c.denominator == 1)
+               for c in f.terms.values())
 
 
 # -- ring axioms ---------------------------------------------------------------
 
 
-@given(bipolys, bipolys, bipolys)
-def test_ring_axioms(f, g, h):
+@given(bipolys, bipolys, bipolys, points)
+def test_ring_axioms(f, g, h, pt):
     zero = BiPoly.zero(NA, NY)
     one = BiPoly.constant(NA, NY, 1)
     assert f + g == g + f
@@ -67,6 +84,9 @@ def test_ring_axioms(f, g, h):
     assert f * zero == zero
     assert f * (g + h) == f * g + f * h
     assert -(-f) == f
+    assert termwise(f * g, pt) == termwise(f, pt) * termwise(g, pt)
+    assert termwise(f - g, pt) == termwise(f, pt) - termwise(g, pt)
+    assert all(canonical(x) for x in (f + g, f - g, f * g, f - f, -f))
 
 
 @given(bipolys, st.integers(min_value=0, max_value=4))
@@ -75,6 +95,7 @@ def test_pow_matches_repeated_product(f, k):
     for _ in range(k):
         expected = expected * f
     assert f**k == expected
+    assert canonical(f**k)
 
 
 @given(bipolys, nonzero_bipolys)
@@ -101,24 +122,40 @@ def test_translate_is_ring_homomorphism(f, g):
     assert (f + g).translate_a(shift) == f.translate_a(shift) + g.translate_a(shift)
 
 
-@given(bipolys)
-def test_translate_matches_shifted_evaluation(f):
-    shift = (3, -2)
-    point_a, point_y = (1, 2), (2, -1)
+@given(bipolys, points, points)
+def test_translate_matches_shifted_evaluation(f, pt, shift):
+    shift = shift[:NA]
     shifted = f.translate_a(shift)
-    moved = tuple(p + s for p, s in zip(point_a, shift))
-    assert shifted.evaluate(point_a, point_y) == f.evaluate(moved, point_y)
+    moved = tuple(p + s for p, s in zip(pt, shift)) + pt[NA:]
+    assert termwise(shifted, pt) == termwise(f, moved)
+    assert shifted.evaluate(pt[:NA], pt[NA:]) == termwise(f, moved)
+    assert canonical(shifted)
     assert translate_delta(f) == f.translate_a((1,) * NA)
 
 
-@given(bipolys)
-def test_eval_a_consistent_with_full_evaluation(f):
-    mu = (2, -3)
+@given(bipolys, points)
+def test_eval_a_consistent_with_full_evaluation(f, pt):
+    mu, y = pt[:NA], pt[NA:]
     partial = f.eval_a(mu)
     assert eval_mu(f, mu) == partial
     assert partial.a_degree() <= 0
-    y = (1, 4)
-    assert partial.evaluate((0,) * NA, y) == f.evaluate(mu, y)
+    assert termwise(partial, (0,) * NA + y) == termwise(f, pt)
+    assert canonical(partial)
+    value = f.evaluate(mu, y)
+    assert value == termwise(f, pt)
+    assert not (isinstance(value, Fraction) and value.denominator == 1)
+
+
+@given(bipolys, points)
+def test_compose_and_embed_match_termwise_evaluation(f, pt):
+    images = [BiPoly.constant(1, 1, v) for v in pt]
+    composed = f.compose(a_images=images[:NA], y_images=images[NA:])
+    assert (composed.na, composed.ny) == (1, 1) and composed.a_degree() <= 0
+    assert composed.y_degree() <= 0
+    assert composed.constant_term() == termwise(f, pt)
+    wide = f.embed(3, 3, a_offset=1, y_offset=1)
+    assert termwise(wide, (0, *pt[:NA], 0, *pt[NA:])) == termwise(f, pt)
+    assert canonical(composed) and canonical(wide)
 
 
 @given(bipolys)
@@ -138,6 +175,27 @@ def test_compose_shared_arity_and_embedding():
     a_img = [BiPoly.y_linear([1, 1], na=2)]  # a := y1 + y2
     composed = f.compose(a_images=a_img, y_images=[BiPoly.y_var(0, 2, 2)])
     assert composed == BiPoly(2, 2, {(0, 0, 1, 0): 2, (0, 0, 0, 1): 2, (0, 0, 2, 0): 1})
+
+
+def test_compose_without_a_variables_keeps_the_polynomial():
+    f = BiPoly(0, 2, {(1, 1): 3})
+    assert f.compose(a_images=[]) == f
+
+
+def test_constant_of_the_empty_ring_evaluates():
+    assert BiPoly.constant(0, 0, 5).evaluate([], []) == 5
+
+
+def test_constant_of_the_empty_ring_substitutes_and_embeds():
+    five = BiPoly.constant(0, 0, 5)
+    assert five.eval_a(()) == five and repr(five.eval_a(())) == "BiPoly(5)"
+    assert five.embed(1, 1) == BiPoly.constant(1, 1, 5)
+    assert repr(five.embed(1, 1)) == "BiPoly(5)"
+
+
+def test_eval_a_takes_a_float_as_its_exact_fraction():
+    y1 = BiPoly(1, 1, {(1, 1): 2}).eval_a([0.5])
+    assert y1 == BiPoly.y_var(0, 1, 1) and canonical(y1)
 
 
 @given(st.tuples(*([st.integers(min_value=-4, max_value=4)] * 3)),

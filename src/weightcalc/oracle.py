@@ -8,6 +8,13 @@ expanded weight multiset, and characters at order-2 torus elements are
 parity sums over integer lattice coordinates.  Nothing here touches
 alternating Weyl sums, polynomial division, or Newton's identities, so
 agreement with the main engine is genuine corroboration.
+
+The sums and products fold each weight with its negative: a pair
+{mu, -mu} with multiplicities a and b contributes (a + (-1)^k b) <mu, y>^k
+to P_k and the factor (1 + <mu, y>)^a (1 - <mu, y>)^b to the product of
+the E_k.  The pairs are read off the multiset by looking up -mu in it, not
+off the Weyl group, so representations that are not self-dual fold only
+the pairs they have.
 """
 
 from __future__ import annotations
@@ -93,6 +100,8 @@ class WeightMultiset:
         return sum(self.expanded().values())
 
     def multiplicity(self, mu: Sequence[int]) -> int:
+        if len(mu) != self.rs.rank:
+            raise DomainError(f"weight has {len(mu)} coordinates, expected {self.rs.rank}")
         return self.dominant.get(chamber_descent(self.rs.cartan, mu), 0)
 
 
@@ -172,41 +181,63 @@ def weight_multiplicities(
 # -- direct sums and products over the multiset -------------------------------
 
 
+def _check_degree(k, name: str) -> None:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise DomainError(f"{name} must be an integer, got {k!r}")
+    if k < 0:
+        raise DomainError(f"{name} must be nonnegative")
+
+
+def _folded(wm: WeightMultiset):
+    """Yield (mu, m(mu), m(-mu)) once for each pair {mu, -mu} of weights.
+
+    The lexicographically larger weight represents its pair; a weight whose
+    negative is missing, and the zero weight, come with m(-mu) = 0.
+    """
+    full = wm.expanded()
+    for mu, m in full.items():
+        neg = tuple(-c for c in mu)
+        if neg == mu or neg not in full:
+            yield mu, m, 0
+        elif mu > neg:
+            yield mu, m, full[neg]
+
+
 def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
     """Sum of m(mu) * <mu, .>^k over all weights, as a y-polynomial."""
-    if k < 0:
-        raise DomainError("negative power")
+    _check_degree(k, "k")
     r = wm.rs.rank
     acc: dict[tuple, int] = {}
     prefix = (0,) * r
-    for mu, m in wm.expanded().items():
-        for ye, c in expand_linear_power(mu, k).items():
-            key = prefix + ye
-            acc[key] = acc.get(key, 0) + m * c
+    for mu, a, b in _folded(wm):
+        w = a - b if k % 2 else a + b
+        if w:
+            for ye, c in expand_linear_power(mu, k).items():
+                key = prefix + ye
+                acc[key] = acc.get(key, 0) + w * c
     return BiPoly(r, r, acc)
 
 
 def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     """E_0..E_kmax as the degree-truncated product of (1 + mu-hat)^m.
 
-    Each weight contributes the binomially expanded factor truncated at
-    total degree kmax; factors are combined pairwise (a balanced product
-    tree) so most multiplications involve short polynomials.
+    Each pair {mu, -mu} contributes (1 + l)^a (1 - l)^b with l = <mu, y>,
+    binomially expanded and truncated at total degree kmax; factors are
+    combined pairwise (a balanced product tree) so most multiplications
+    involve short polynomials.
     """
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    _check_degree(kmax, "kmax")
     r = wm.rs.rank
-    one = [dict() for _ in range(kmax + 1)]
-    one[0][(0,) * r] = 1
 
-    def leaf(mu: tuple, m: int) -> list[dict]:
+    def leaf(mu: tuple, a: int, b: int) -> list[dict]:
         buckets = [dict() for _ in range(kmax + 1)]
         buckets[0][(0,) * r] = 1
-        for j in range(1, min(m, kmax) + 1):
-            cj = comb(m, j)
-            blk = buckets[j]
-            for ye, c in expand_linear_power(mu, j).items():
-                blk[ye] = cj * c
+        for j in range(1, min(a + b, kmax) + 1):
+            cj = sum((-1) ** (j - i) * comb(a, i) * comb(b, j - i) for i in range(j + 1))
+            if cj:
+                blk = buckets[j]
+                for ye, c in expand_linear_power(mu, j).items():
+                    blk[ye] = cj * c
         return buckets
 
     def mul(f: list[dict], g: list[dict]) -> list[dict]:
@@ -216,9 +247,7 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
                 _mul_into(out[da + db], f[da], g[db])
         return [{e: c for e, c in blk.items() if c} for blk in out]
 
-    factors = [leaf(mu, m) for mu, m in wm.expanded().items()]
-    if not factors:
-        factors = [one]
+    factors = [leaf(mu, a, b) for mu, a, b in _folded(wm)] or [leaf((0,) * r, 0, 0)]
     while len(factors) > 1:
         nxt = [
             mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)
@@ -243,7 +272,9 @@ def character_at_order2(
     ``basis`` rows are the lattice generators in fundamental-weight
     coordinates (identity = full weight lattice).  Each weight is solved for
     integer coordinates against the basis and contributes m(mu) times the
-    parity sign picked out by the -1 entries.
+    parity sign picked out by the -1 entries.  The rows of the inverse basis
+    that those entries need are scaled to integers once, so each coordinate
+    is one integer quotient whose remainder must vanish.
     """
     r = wm.rs.rank
     if len(signs) != r:
@@ -258,17 +289,19 @@ def character_at_order2(
         binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
         if binv_t is None:
             raise DomainError("lattice basis must be a square matrix of full rank")
-    neg = [i for i, s in enumerate(signs) if s == -1]
+    rows = [binv_t[i] for i, s in enumerate(signs) if s == -1]
+    scale = lcm(1, *(x.denominator for row in rows for x in row))
+    rows = [[int(x * scale) for x in row] for row in rows]
     total = 0
     for mu, m in wm.expanded().items():
         parity = 0
-        for i in neg:
-            ci = sum(binv_t[i][j] * mu[j] for j in range(r))
-            if ci.denominator != 1:
+        for row in rows:
+            q, rem = divmod(sum(c * x for c, x in zip(row, mu)), scale)
+            if rem:
                 raise DomainError(
                     "weight does not lie in the span of the given lattice basis"
                 )
-            parity += int(ci)
+            parity += q
         total += m if parity % 2 == 0 else -m
     return total
 

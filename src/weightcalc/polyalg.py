@@ -65,6 +65,18 @@ def _norm(c: Scalar) -> Scalar:
     return c
 
 
+def _exact(c) -> Scalar:
+    """A coefficient checked to be exact: int or Fraction, integral ones as int."""
+    if not isinstance(c, (int, Fraction)):
+        raise DomainError(f"coefficient {c!r} is not an exact rational (int or Fraction)")
+    return _norm(c)
+
+
+def _to_fraction(v) -> Scalar:
+    """An evaluation point as an exact rational; a float becomes its exact Fraction."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
 def _scalar_str(c: Scalar) -> str:
     c = _norm(c)
     if isinstance(c, int):
@@ -110,7 +122,7 @@ class BiPoly:
         t: dict[tuple, Scalar] = {}
         if terms:
             for exps, c in terms.items():
-                c = _norm(c)
+                c = _exact(c)
                 if c:
                     if len(exps) != na + ny:
                         raise DomainError(
@@ -237,7 +249,7 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, BiPoly):
             return self.scale(other)
         self._check_compat(other)
         if len(self.terms) > len(other.terms):
@@ -251,7 +263,7 @@ class BiPoly:
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "BiPoly":
-        c = _norm(c)
+        c = _exact(c)
         out = BiPoly.zero(self.na, self.ny)
         if c:
             out.terms = {e: _norm(v * c) for e, v in self.terms.items()}
@@ -276,8 +288,7 @@ class BiPoly:
         if len(values) != self.na:
             raise DomainError(f"expected {self.na} values, got {len(values)}")
         return self.compose(a_images=[
-            BiPoly.constant(self.na, self.ny, v if isinstance(v, (int, Fraction)) else Fraction(v))
-            for v in values
+            BiPoly.constant(self.na, self.ny, _to_fraction(v)) for v in values
         ])
 
     def translate_a(self, shifts: Sequence[Scalar]) -> "BiPoly":
@@ -293,7 +304,7 @@ class BiPoly:
         """Full scalar evaluation at rational points."""
         if len(a_values) != self.na or len(y_values) != self.ny:
             raise DomainError("evaluation point does not match arity")
-        point = [BiPoly.constant(0, 0, v) for v in (*a_values, *y_values)]
+        point = [BiPoly.constant(0, 0, _to_fraction(v)) for v in (*a_values, *y_values)]
         return self.compose(a_images=point[: self.na],
                             y_images=point[self.na:]).constant_term()
 

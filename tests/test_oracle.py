@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import dominant_grid, get_rs
 from test_acceptance import GRID_TYPES, ORACLE_GUARD
-from weightcalc.charclass import builtin_lattice
+from weightcalc.charclass import builtin_lattice, builtin_lattice_names
 from weightcalc.errors import DomainError
 from weightcalc.oracle import (
     DEFAULT_MAX_DIM,
+    WeightMultiset,
     _form,
     _integer_form,
     character_at_order2,
@@ -23,9 +25,9 @@ from weightcalc.oracle import (
     schur_at_signs,
     weight_multiplicities,
 )
-from weightcalc.polyalg import BiPoly
+from weightcalc.polyalg import BiPoly, _mul_into, expand_linear_power, invert
 from weightcalc.powersum import elementary_from_power, power_sums, weyl_dimension
-from weightcalc.rootsys import act, chamber_descent
+from weightcalc.rootsys import SUPPORTED_RANKS, act, chamber_descent
 
 
 # -- multiplicity tables ---------------------------------------------------------
@@ -53,6 +55,14 @@ def test_a1_string_multiplicities(ell):
     a1 = get_rs("A", 1)
     wm = weight_multiplicities(a1, (ell,))
     assert wm.expanded() == {(ell - 2 * j,): 1 for j in range(ell + 1)}
+
+
+def test_multiplicity_refuses_a_weight_of_the_wrong_length(a2):
+    wm = weight_multiplicities(a2, (1, 1))
+    with pytest.raises(DomainError):
+        wm.multiplicity((1,))
+    with pytest.raises(DomainError):
+        wm.multiplicity((1, 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -160,6 +170,143 @@ def test_dominant_walk_matches_ball_sweep(kind, rank, top):
         assert list(got.items()) == list(_ball_sweep_multiplicities(rs, lam).items()), lam
 
 
+# -- unfolded reference ------------------------------------------------------------
+
+
+def _unfolded_power_sum(wm, k):
+    """Reference: P_k as one expanded power per weight, no pairing with -mu."""
+    r = wm.rs.rank
+    acc = {}
+    for mu, m in wm.expanded().items():
+        for ye, c in expand_linear_power(mu, k).items():
+            key = (0,) * r + ye
+            acc[key] = acc.get(key, 0) + m * c
+    return BiPoly(r, r, acc)
+
+
+def _unfolded_elementary(wm, kmax):
+    """Reference: E_0..E_kmax from one leaf (1 + mu-hat)^m per weight, in a product tree."""
+    r = wm.rs.rank
+
+    def leaf(mu, m):
+        buckets = [{} for _ in range(kmax + 1)]
+        buckets[0][(0,) * r] = 1
+        for j in range(1, min(m, kmax) + 1):
+            for ye, c in expand_linear_power(mu, j).items():
+                buckets[j][ye] = comb(m, j) * c
+        return buckets
+
+    def mul(f, g):
+        out = [{} for _ in range(kmax + 1)]
+        for da in range(kmax + 1):
+            for db in range(kmax + 1 - da):
+                _mul_into(out[da + db], f[da], g[db])
+        return [{e: c for e, c in blk.items() if c} for blk in out]
+
+    factors = [leaf(mu, m) for mu, m in wm.expanded().items()]
+    while len(factors) > 1:
+        nxt = [mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            nxt.append(factors[-1])
+        factors = nxt
+    return [BiPoly(r, r, {(0,) * r + ye: c for ye, c in blk.items()}) for blk in factors[0]]
+
+
+def _fraction_character(wm, signs, basis=None):
+    """Reference: the order-2 character with one Fraction coordinate per weight."""
+    r = wm.rs.rank
+    if basis is None:
+        binv_t = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+    else:
+        binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
+    total = 0
+    for mu, m in wm.expanded().items():
+        parity = 0
+        for i, s in enumerate(signs):
+            if s == -1:
+                ci = sum(binv_t[i][j] * mu[j] for j in range(r))
+                if ci.denominator != 1:
+                    raise DomainError("weight does not lie in the span of the basis")
+                parity += int(ci)
+        total += m if parity % 2 == 0 else -m
+    return total
+
+
+def _assert_matches_unfolded(wm, kmax):
+    e = oracle_elementary(wm, kmax)
+    ref = _unfolded_elementary(wm, kmax)
+    assert [f.terms for f in e] == [f.terms for f in ref]
+    for k in range(kmax + 1):
+        assert oracle_power_sum(wm, k).terms == _unfolded_power_sum(wm, k).terms, k
+
+
+@pytest.mark.parametrize("kind,rank", GRID_TYPES)
+def test_folded_oracle_matches_unfolded_grid(kind, rank):
+    # the acceptance-05 grid with coordinates <= 2
+    rs = get_rs(kind, rank)
+    for lam in dominant_grid(rank, 2):
+        wm = weight_multiplicities(rs, lam, max_dim=ORACLE_GUARD)
+        _assert_matches_unfolded(wm, 6)
+        for i in range(rank + 1):
+            signs = tuple(-1 if j < i else 1 for j in range(rank))
+            assert character_at_order2(wm, signs) == _fraction_character(wm, signs)
+
+
+@pytest.mark.parametrize(
+    "kind,rank,lam",
+    [
+        ("A", 2, (2, 0)),
+        ("A", 3, (1, 0, 0)),
+        ("A", 3, (2, 1, 0)),
+        ("D", 3, (0, 0, 1)),
+        ("A", 4, (0, 1, 0, 0)),
+        ("D", 5, (0, 0, 0, 0, 1)),
+    ],
+)
+def test_folded_oracle_matches_unfolded_not_self_dual(kind, rank, lam):
+    wm = weight_multiplicities(get_rs(kind, rank), lam)
+    assert any(tuple(-c for c in mu) not in wm.expanded() for mu in wm.expanded())
+    _assert_matches_unfolded(wm, 6)
+
+
+def test_folded_oracle_matches_unfolded_synthetic_multiset(a2):
+    # m(mu) != m(-mu), weights whose negative is missing, and a zero weight
+    full = {
+        (1, 0): 2, (-1, 0): 1,
+        (1, -1): 1, (-1, 1): 4,
+        (0, 1): 3, (2, -1): 1,
+        (0, 0): 2,
+    }
+    wm = WeightMultiset(rs=a2, highest_weight=(1, 1), dominant={}, _expanded=full)
+    _assert_matches_unfolded(wm, 7)
+    for signs in [(1, 1), (-1, 1), (-1, -1), (1, -1)]:
+        assert character_at_order2(wm, signs) == _fraction_character(wm, signs)
+
+
+def test_character_matches_fraction_reference_on_builtin_lattices():
+    # GL lattices are written in diagonal coordinates, not on the root system's
+    # weights, so character_at_order2 does not take them
+    for name in builtin_lattice_names():
+        lattice = builtin_lattice(name)
+        if lattice.family == "GL":
+            continue
+        rs = lattice.root_system()
+        r = rs.rank
+        weights = [(0,) * r] + [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        weights.append((2,) + (0,) * (r - 1))
+        for lam in weights:
+            wm = weight_multiplicities(rs, lam)
+            for i in range(r + 1):
+                signs = tuple(-1 if j < i else 1 for j in range(r))
+                try:
+                    want = _fraction_character(wm, signs, lattice.basis)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        character_at_order2(wm, signs, basis=lattice.basis)
+                else:
+                    assert character_at_order2(wm, signs, basis=lattice.basis) == want
+
+
 # -- oracle versus engine ----------------------------------------------------------
 
 
@@ -210,6 +357,45 @@ def test_oracle_matches_engine_rank_6():
     p = power_sums(a6, (1, 0, 0, 0, 0, 0), 2)
     for k in range(3):
         assert p[k].terms == oracle_power_sum(wm, k).terms, k
+
+
+_ALL_TYPES = [("G" if kind == "G2" else kind, rank)
+              for kind, (lo, hi) in SUPPORTED_RANKS.items() for rank in range(lo, hi + 1)]
+
+
+@st.composite
+def _small_representation(draw):
+    kind, rank = draw(st.sampled_from(_ALL_TYPES))
+    coords = draw(st.dictionaries(st.integers(0, rank - 1), st.integers(1, 2), max_size=2))
+    lam = tuple(coords.get(i, 0) for i in range(rank))
+    rs = get_rs(kind, rank)
+    assume(weyl_dimension(rs, lam) <= 2000)
+    return rs, lam
+
+
+@settings(max_examples=60)
+@given(_small_representation())
+def test_oracle_matches_engine_random_type(case):
+    rs, lam = case
+    wm = weight_multiplicities(rs, lam)
+    p = power_sums(rs, lam, 4)
+    e = elementary_from_power(p, 4)
+    oe = oracle_elementary(wm, 4)
+    for k in range(5):
+        assert p[k].terms == oracle_power_sum(wm, k).terms, (rs.kind, rs.rank, lam, k)
+        assert e[k].terms == oe[k].terms, (rs.kind, rs.rank, lam, k)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", -1])
+def test_oracle_power_sum_refuses_a_bad_degree(a2, bad):
+    with pytest.raises(DomainError):
+        oracle_power_sum(weight_multiplicities(a2, (1, 0)), bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", -1])
+def test_oracle_elementary_refuses_a_bad_degree(a2, bad):
+    with pytest.raises(DomainError):
+        oracle_elementary(weight_multiplicities(a2, (1, 0)), bad)
 
 
 def test_oracle_drops_cancelled_terms(b2):

@@ -198,6 +198,28 @@ def test_eval_a_takes_a_float_as_its_exact_fraction():
     assert y1 == BiPoly.y_var(0, 1, 1) and canonical(y1)
 
 
+def test_evaluate_takes_a_float_as_its_exact_fraction():
+    got = BiPoly(1, 1, {(1, 1): 2}).evaluate([0.1], [3])
+    assert got == 6 * Fraction(0.1) and isinstance(got, Fraction)
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(DomainError):
+        BiPoly.constant(1, 1, 0.1)
+    with pytest.raises(DomainError):
+        BiPoly(1, 1, {(1, 0): 0.5})
+
+
+def test_float_scalars_are_refused():
+    f = BiPoly(1, 1, {(1, 1): 2})
+    with pytest.raises(DomainError):
+        f.scale(0.5)
+    with pytest.raises(DomainError):
+        f * 0.5
+    with pytest.raises(DomainError):
+        0.5 * f
+
+
 @given(st.tuples(*([st.integers(min_value=-4, max_value=4)] * 3)),
        st.integers(min_value=0, max_value=5))
 def test_expand_linear_power(coeff_vec, k):

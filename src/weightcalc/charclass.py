@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, check_degree
 from .polyalg import BiPoly, Mod2Poly, Scalar, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
@@ -321,36 +321,45 @@ def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _generator_images(lattice: CharacterLattice) -> tuple[BiPoly, ...]:
-    """Images of the weight-side variables in the generator polynomial ring.
+def _generator_images(lattice: CharacterLattice) -> tuple[tuple[BiPoly, ...], int]:
+    """Integer images of the weight-side variables, and their common denominator D.
 
     The weight-side variable y_j stands for the j-th fundamental weight
     (for GL: the j-th diagonal coordinate, with the extra last variable
     standing for the average of all diagonal coordinates).  Its expression
-    in lattice generators is row j of the inverse basis matrix.
+    in lattice generators is row j of the inverse basis matrix (for GL:
+    column j of the inverse transition matrix).  D is the lcm of the
+    denominators of those rows, and each image is its row scaled by D, so
+    every coefficient is an int.
     """
     if lattice.family == "GL":
         n = lattice.torus_rank
-        rmat = _gl_transition(n)
-        rinv = _invert(rmat)
-        # y_j maps to column j of the inverse transition matrix
-        return tuple(
-            BiPoly.a_linear([rinv[m][j] for m in range(n)], ny=0) for j in range(n)
-        )
-    binv = _basis_inverse(lattice)
-    return tuple(BiPoly.a_linear(list(row), ny=0) for row in binv)
+        rinv = _invert(_gl_transition(n))
+        rows = [[rinv[m][j] for m in range(n)] for j in range(n)]
+    else:
+        rows = _basis_inverse(lattice)
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(BiPoly.a_linear([int(x * d) for x in row], ny=0) for row in rows), d
 
 
 def _to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
-    """Re-express a weight-side polynomial in the lattice generators."""
+    """Re-express a weight-side polynomial in the lattice generators.
+
+    The substitution runs on the integer images y_j -> D * (row j); a linear
+    substitution keeps degrees, so each output term of degree d is then
+    divided by D^d once, which gives f at the rational rows exactly.
+    """
     if any(any(e[i] for i in range(f.na)) for e in f.terms):
         raise InternalError("expected a polynomial without symbolic weight variables")
-    images = _generator_images(lattice)
+    images, d = _generator_images(lattice)
     if f.ny != len(images):
         raise InternalError("arity mismatch between polynomial and lattice")
-    tr = lattice.torus_rank
-    zero = BiPoly.zero(tr, 0)
-    return f.compose(a_images=[zero] * f.na, y_images=list(images))
+    zero = BiPoly.zero(lattice.torus_rank, 0)
+    g = f.compose(a_images=[zero] * f.na, y_images=list(images))
+    if d == 1:
+        return g
+    scale = [d ** k for k in range(max(map(sum, g.terms), default=0) + 1)]
+    return BiPoly(g.na, g.ny, {e: Fraction(c) / scale[sum(e)] for e, c in g.terms.items()})
 
 
 def _require_integer(f: BiPoly, what: str) -> BiPoly:
@@ -485,8 +494,7 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     convolved.  All coefficients are integers; anything else signals an
     internal inconsistency.
     """
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    check_degree(kmax, "kmax")
     pi = _as_pi(lattice, pi_spec)
     cs, degree = _plain_chern(lattice, pi.weight, kmax)
     if pi.s_wrap:
@@ -594,8 +602,7 @@ def swc_restrict(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> SWCResult
     variables.  The input must be orthogonal, either as a plain weight or as
     the doubled form.
     """
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    check_degree(kmax, "kmax")
     pi = _as_pi(lattice, pi_spec)
     _require_orthogonal(lattice, pi, "the Stiefel-Whitney restriction")
     ch = chern_classes(lattice, pi, kmax)
@@ -750,8 +757,7 @@ def total_swc_factorization(
     and the expanded product must reproduce the mod-2 Chern reduction degree
     by degree; either failure signals a broken torus convention.
     """
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    check_degree(kmax, "kmax")
     if lattice.family not in _FACTORIZATION_FAMILIES:
         raise DomainError(
             "the total-class factorization is defined for the SL, GL, Sp and "

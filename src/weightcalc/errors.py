@@ -10,7 +10,7 @@ InternalError to exit code 1.
 
 from __future__ import annotations
 
-__all__ = ["WeightcalcError", "DomainError", "InternalError"]
+__all__ = ["WeightcalcError", "DomainError", "InternalError", "check_degree"]
 
 
 class WeightcalcError(Exception):
@@ -23,3 +23,11 @@ class DomainError(WeightcalcError):
 
 class InternalError(WeightcalcError):
     """Broken internal invariant, i.e. a bug (CLI exit code 1)."""
+
+
+def check_degree(k, name: str) -> None:
+    """Refuse a degree bound that is not a nonnegative int (bool included)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise DomainError(f"{name} must be an integer, got {k!r}")
+    if k < 0:
+        raise DomainError(f"{name} must be nonnegative")

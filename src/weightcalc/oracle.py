@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, check_degree
 from .polyalg import BiPoly, _mul_into, expand_linear_power, invert
 from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
@@ -181,13 +181,6 @@ def weight_multiplicities(
 # -- direct sums and products over the multiset -------------------------------
 
 
-def _check_degree(k, name: str) -> None:
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"{name} must be an integer, got {k!r}")
-    if k < 0:
-        raise DomainError(f"{name} must be nonnegative")
-
-
 def _folded(wm: WeightMultiset):
     """Yield (mu, m(mu), m(-mu)) once for each pair {mu, -mu} of weights.
 
@@ -205,7 +198,7 @@ def _folded(wm: WeightMultiset):
 
 def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
     """Sum of m(mu) * <mu, .>^k over all weights, as a y-polynomial."""
-    _check_degree(k, "k")
+    check_degree(k, "k")
     r = wm.rs.rank
     acc: dict[tuple, int] = {}
     prefix = (0,) * r
@@ -226,7 +219,7 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     combined pairwise (a balanced product tree) so most multiplications
     involve short polynomials.
     """
-    _check_degree(kmax, "kmax")
+    check_degree(kmax, "kmax")
     r = wm.rs.rank
 
     def leaf(mu: tuple, a: int, b: int) -> list[dict]:

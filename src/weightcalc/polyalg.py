@@ -74,7 +74,12 @@ def _exact(c) -> Scalar:
 
 def _to_fraction(v) -> Scalar:
     """An evaluation point as an exact rational; a float becomes its exact Fraction."""
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    if isinstance(v, (int, Fraction)):
+        return v
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"evaluation point {v!r} is not a finite rational") from exc
 
 
 def _scalar_str(c: Scalar) -> str:
@@ -85,10 +90,12 @@ def _scalar_str(c: Scalar) -> str:
 
 
 def _parse_scalar(s: str) -> Scalar:
-    try:
-        return _norm(Fraction(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad coefficient string {s!r}") from exc
+    if isinstance(s, str):
+        try:
+            return _norm(Fraction(s))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DomainError(f"bad coefficient string {s!r}")
 
 
 def _order_key(exps: tuple) -> tuple:
@@ -431,7 +438,11 @@ class BiPoly:
         )
         index = {n: i for i, n in enumerate(names)}
         terms: dict[tuple, Scalar] = {}
+        if not isinstance(obj, Mapping) or not isinstance(obj.get("terms", []), list):
+            raise DomainError("polynomial JSON must be an object with a list of terms")
         for t in obj.get("terms", []):
+            if not isinstance(t, Mapping) or not isinstance(t.get("m", {}), Mapping):
+                raise DomainError(f"bad term {t!r} in polynomial JSON")
             e = [0] * (na + ny)
             for var, k in t.get("m", {}).items():
                 if var not in index:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, check_degree
 from .polyalg import BiPoly, exact_divide, translate_delta
 from .rootsys import RootSystem
 from .weylsum import (FkTable, _fit_invariants, _orbit_power_sums, _signed_orbit, _vanishes,
@@ -95,8 +95,7 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     measured faster.
     """
     lam = validate_dominant(rs, lam)
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    check_degree(kmax, "kmax")
     n = rs.num_positive
     shifted = tuple(c + 1 for c in lam)
     delta = (1,) * rs.rank
@@ -154,14 +153,13 @@ def elementary_from_power(power: Sequence[BiPoly], kmax: int | None = None) -> l
     k * E_k = sum_{i=1..k} (-1)^(i-1) * E_{k-i} * P_i.  Works for concrete
     (y-only) and symbolic (bivariate) inputs alike.
     """
-    if kmax is None:
-        kmax = len(power) - 1
-    if kmax >= len(power):
-        raise DomainError("need P_0..P_kmax to produce E_0..E_kmax")
     if not power:
         raise DomainError("empty power-sum sequence")
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    if kmax is None:
+        kmax = len(power) - 1
+    check_degree(kmax, "kmax")
+    if kmax >= len(power):
+        raise DomainError("need P_0..P_kmax to produce E_0..E_kmax")
     na, ny = power[0].na, power[0].ny
     ones = BiPoly.constant(na, ny, 1)
     elem: list[BiPoly] = [ones]
@@ -212,8 +210,7 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     every a-variable by one.  P_0 is the dimension polynomial
     d-vee(a + delta)/d-vee(delta).
     """
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    check_degree(kmax, "kmax")
     n = rs.num_positive
     table = FkTable.build(rs, n + kmax)
     f_lam = [translate_delta(table.entries[n + i]) for i in range(kmax + 1)]
@@ -231,8 +228,7 @@ def product_power_sums(
     must live in the same ring with disjoint y-variable support, so the
     products are literal polynomial products.
     """
-    if kmax < 0:
-        raise DomainError("kmax must be nonnegative")
+    check_degree(kmax, "kmax")
     if len(p) <= kmax or len(q) <= kmax:
         raise DomainError("need factor power sums up to kmax")
     if not p or not q or p[0].na != q[0].na or p[0].ny != q[0].ny:

@@ -38,7 +38,7 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import Sequence
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, check_degree
 from .polyalg import BiPoly, _mul_into, exact_divide, expand_linear_power, rref
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
@@ -336,8 +336,7 @@ class FkTable:
     @classmethod
     def build(cls, rs: RootSystem, kmax: int = 10) -> "FkTable":
         """F'_k fitted from exact samples (``_fit_reduced``), F_k = F'_k * d * d-vee."""
-        if kmax < 0:
-            raise DomainError("kmax must be nonnegative")
+        check_degree(kmax, "kmax")
         reduced = dict.fromkeys(range(kmax + 1), BiPoly.zero(rs.rank, rs.rank))
         ks = [k for k in reduced if not _vanishes(rs, k)]
         if ks:

@@ -23,8 +23,9 @@ from weightcalc.charclass import (
     swc_restrict,
     total_swc_factorization,
 )
-from weightcalc.errors import DomainError
-from weightcalc.polyalg import Mod2Poly
+from weightcalc.errors import DomainError, InternalError
+from weightcalc.polyalg import BiPoly, Mod2Poly, invert
+from weightcalc.powersum import weyl_dimension
 
 
 # -- built-in lattices --------------------------------------------------------------
@@ -136,6 +137,70 @@ def test_chern_rejects_bad_weights():
         chern_classes(builtin_lattice("GL2"), (-1, 1))
 
 
+# -- change to lattice generators -----------------------------------------------------
+
+
+def _fraction_to_generators(lat, f):
+    """Reference: substitute the rational rows of the inverse basis directly."""
+    if lat.family == "GL":
+        n = lat.torus_rank
+        rinv = invert(charclass._gl_transition(n))
+        rows = [[rinv[m][j] for m in range(n)] for j in range(n)]
+    else:
+        rows = invert(lat.basis)
+    zero = BiPoly.zero(lat.torus_rank, 0)
+    images = [BiPoly.a_linear(list(row), ny=0) for row in rows]
+    return f.compose(a_images=[zero] * f.na, y_images=images)
+
+
+def _two_lattice_weights(lat):
+    """Two nonzero dominant lattice weights of small dimension."""
+    if lat.family == "GL":
+        n = lat.torus_rank
+        return [(1,) + (0,) * (n - 1), (1,) + (0,) * (n - 2) + (-1,)]
+    rs = lat.root_system()
+    grid = [lam for lam in dominant_grid(lat.rank, 4 if lat.rank == 1 else 2) if any(lam) and lattice_contains(lat, lam)]
+    return sorted(grid, key=lambda lam: (weyl_dimension(rs, lam), lam))[:2]
+
+
+@pytest.mark.parametrize("group", builtin_lattice_names())
+def test_integer_generator_change_matches_fraction_route(group, monkeypatch):
+    lat = builtin_lattice(group)
+    n = lat.torus_rank
+    seen = []
+    to_generators = charclass._to_generators
+
+    def spy(lattice, f):
+        seen.append(f)
+        return to_generators(lattice, f)
+
+    monkeypatch.setattr(charclass, "_to_generators", spy)
+    for weight in _two_lattice_weights(lat):
+        chern_classes(lat, weight, 6)
+    assert len(seen) == 14  # E_0..E_6 of each weight
+    y1, yn = BiPoly.y_var(0, n, n), BiPoly.y_var(n - 1, n, n)
+    mixed = (yn * yn).scale(Fraction(1, 3)) - (y1 * yn).scale(Fraction(5, 2)) \
+        + (y1 ** 3).scale(4) + BiPoly.constant(n, n, Fraction(7, 4))
+    for f in seen + [mixed, BiPoly.zero(n, n)]:
+        assert to_generators(lat, f).terms == _fraction_to_generators(lat, f).terms
+
+
+@pytest.mark.parametrize("group", ["SL3", "GL3", "SO7", "Spin7"])
+def test_non_integral_chern_class_is_an_internal_error(group, monkeypatch):
+    lat = builtin_lattice(group)
+    elementary = charclass.elementary_from_power
+
+    def off_by_half(power, kmax):
+        elem = elementary(power, kmax)
+        elem[1] = elem[1] + BiPoly.constant(elem[1].na, elem[1].ny, Fraction(1, 2))
+        return elem
+
+    monkeypatch.setattr(charclass, "elementary_from_power", off_by_half)
+    weight = _two_lattice_weights(lat)[0]
+    with pytest.raises(InternalError, match="non-integer coefficient 1/2 in c_1"):
+        chern_classes(lat, weight, 2)
+
+
 # -- orthogonality type -------------------------------------------------------------
 
 
@@ -193,6 +258,14 @@ def test_swc_negative_kmax_refused_before_the_work(monkeypatch):
         swc_restrict(so12, (1, 0, 0, 0, 0, 0), -1)
     with pytest.raises(DomainError, match="kmax must be nonnegative"):
         total_swc_factorization(so12, (1, 0, 0, 0, 0, 0), -1)
+
+
+@pytest.mark.parametrize("kmax", [2.0, True])
+def test_degree_bound_must_be_an_int(kmax):
+    so5 = builtin_lattice("SO5")
+    for fn in (chern_classes, swc_restrict, total_swc_factorization):
+        with pytest.raises(DomainError, match="kmax must be an integer"):
+            fn(so5, (1, 0), kmax)
 
 
 def test_sl2_doubled_swc():

@@ -222,6 +222,20 @@ def test_incomplete_cache_file_is_rebuilt(capsys, tmp_path):
     assert "3" in json.loads(path.read_text())["entries"]
 
 
+@pytest.mark.parametrize("entries", [{"0": [1, 2]}, {"0": {"terms": "zzz"}}])
+def test_malformed_cache_entry_is_rebuilt(capsys, tmp_path, entries):
+    argv = ["fk", "--type", "A2", "--k", "3", "--cache-dir", str(tmp_path)]
+    rc, clean, _ = _call(capsys, argv)
+    path = tmp_path / "fk_A2.json"
+    stored = json.loads(path.read_text())
+    good = stored["entries"]
+    stored["entries"] = entries
+    path.write_text(json.dumps(stored))
+    rc, out, _ = _call(capsys, argv)
+    assert rc == 0 and out == clean
+    assert json.loads(path.read_text())["entries"] == good
+
+
 def test_cache_env_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WEIGHTCALC_CACHE", str(tmp_path))
     rc, _, _ = _call(capsys, ["fk", "--type", "A1", "--k", "2"])

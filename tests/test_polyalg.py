@@ -203,6 +203,17 @@ def test_evaluate_takes_a_float_as_its_exact_fraction():
     assert got == 6 * Fraction(0.1) and isinstance(got, Fraction)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), "x", None])
+def test_evaluate_refuses_a_non_numeric_point(bad):
+    with pytest.raises(DomainError):
+        BiPoly(1, 1, {(1, 1): 2}).evaluate([bad], [3])
+
+
+def test_eval_a_refuses_an_infinite_point():
+    with pytest.raises(DomainError):
+        BiPoly(1, 1, {(1, 1): 2}).eval_a([float("inf")])
+
+
 def test_float_coefficients_are_refused():
     with pytest.raises(DomainError):
         BiPoly.constant(1, 1, 0.1)
@@ -287,6 +298,10 @@ def test_json_rejects_malformed_input():
         BiPoly.from_json_obj({"terms": [{"c": "1", "m": {"zz": 1}}]}, NA, NY)
     with pytest.raises(DomainError):
         BiPoly.from_json_obj({"terms": [{"c": "1", "m": {"a1": -2}}]}, NA, NY)
+    for shape in ([1, 2], "zzz", {"terms": "zzz"}, {"terms": [1]},
+                  {"terms": [{"c": "1", "m": [1]}]}, {"terms": [{"c": 1, "m": {}}]}):
+        with pytest.raises(DomainError):
+            BiPoly.from_json_obj(shape, NA, NY)
 
 
 def test_render_canonical_examples():

@@ -277,6 +277,15 @@ def test_newton_identities_round(a2):
         elementary_from_power([])
 
 
+@pytest.mark.parametrize("kmax", [2.0, True])
+def test_degree_bound_must_be_an_int(kmax):
+    a2 = get_rs("A", 2)
+    with pytest.raises(DomainError, match="kmax must be an integer"):
+        power_sums(a2, (1, 1), kmax)
+    with pytest.raises(DomainError, match="kmax must be an integer"):
+        elementary_from_power(power_sums(a2, (1, 1), 2), kmax)
+
+
 def test_product_power_sums_hand_example():
     a1 = get_rs("A", 1)
     # {y1, -y1} times {2y2, 0, -2y2}: embed the factors disjointly

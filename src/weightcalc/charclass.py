@@ -41,9 +41,9 @@ from .errors import DomainError, InternalError, check_degree
 from .polyalg import BiPoly, Mod2Poly, Scalar, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
+    _binomial_convolution,
     elementary_from_power,
     power_sums,
-    product_power_sums,
     validate_dominant,
     weyl_dimension,
 )
@@ -321,16 +321,16 @@ def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _generator_images(lattice: CharacterLattice) -> tuple[tuple[BiPoly, ...], int]:
-    """Integer images of the weight-side variables, and their common denominator D.
+def _generator_images(lattice: CharacterLattice) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows A, the images of the weight-side variables, and their common denominator D.
 
     The weight-side variable y_j stands for the j-th fundamental weight
     (for GL: the j-th diagonal coordinate, with the extra last variable
     standing for the average of all diagonal coordinates).  Its expression
     in lattice generators is row j of the inverse basis matrix (for GL:
     column j of the inverse transition matrix).  D is the lcm of the
-    denominators of those rows, and each image is its row scaled by D, so
-    every coefficient is an int.
+    denominators of those rows, and row j of A is that row scaled by D, so
+    every entry is an int.
     """
     if lattice.family == "GL":
         n = lattice.torus_rank
@@ -339,27 +339,73 @@ def _generator_images(lattice: CharacterLattice) -> tuple[tuple[BiPoly, ...], in
     else:
         rows = _basis_inverse(lattice)
     d = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(BiPoly.a_linear([int(x * d) for x in row], ny=0) for row in rows), d
+    return tuple(tuple(int(x * d) for x in row) for row in rows), d
 
 
-def _to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
-    """Re-express a weight-side polynomial in the lattice generators.
+_EXP_BITS = 16  # width of one exponent in a packed monomial
 
-    The substitution runs on the integer images y_j -> D * (row j); a linear
-    substitution keeps degrees, so each output term of degree d is then
-    divided by D^d once, which gives f at the rational rows exactly.
+
+def _pack(e: Sequence[int]) -> int:
+    """A monomial as one int, exponent i in bits [16i, 16i + 16): monomials multiply by adding."""
+    return sum(x << (_EXP_BITS * i) for i, x in enumerate(e))
+
+
+@lru_cache(maxsize=None)
+def _monomial_images(lattice: CharacterLattice) -> tuple[list[dict], dict]:
+    """The integer rows as packed term dicts, and the memo of ``_scaled_to_generators``.
+
+    The memo maps a packed weight-side monomial to the packed terms of its
+    image at the integer rows.  It starts with the constant 1 and fills on
+    demand; it holds the images of the monomials met so far and of their
+    divisors.
+    """
+    rows, _ = _generator_images(lattice)
+    linear = [{_pack((0,) * i + (1,)): x for i, x in enumerate(row) if x} for row in rows]
+    return linear, {0: {0: 1}}
+
+
+def _scaled_to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
+    """A weight-side polynomial with each y_j replaced by row j of the integer rows.
+
+    With the rows of ``_generator_images``, scaled by D to integers, a term of
+    degree k picks up D^k: for f homogeneous of degree k the result is D^k
+    times f in the lattice generators.  The callers divide by D^k once.  Each
+    monomial's image is that of the monomial one degree lower times a row,
+    built once per lattice and kept, so a warm substitution is one scaled
+    add per term of each image.  Monomials are packed ints (``_pack``) while
+    the images are built and summed.
     """
     if any(any(e[i] for i in range(f.na)) for e in f.terms):
         raise InternalError("expected a polynomial without symbolic weight variables")
-    images, d = _generator_images(lattice)
-    if f.ny != len(images):
+    linear, memo = _monomial_images(lattice)
+    if f.ny != len(linear):
         raise InternalError("arity mismatch between polynomial and lattice")
-    zero = BiPoly.zero(lattice.torus_rank, 0)
-    g = f.compose(a_images=[zero] * f.na, y_images=list(images))
-    if d == 1:
-        return g
-    scale = [d ** k for k in range(max(map(sum, g.terms), default=0) + 1)]
-    return BiPoly(g.na, g.ny, {e: Fraction(c) / scale[sum(e)] for e, c in g.terms.items()})
+    if max(map(sum, f.terms), default=0) >> _EXP_BITS:
+        raise DomainError(f"degree over {(1 << _EXP_BITS) - 1} in a change to lattice generators")
+    out: dict = {}
+    get = out.get
+    for e, c in f.terms.items():
+        y = list(e[f.na:])
+        key = _pack(y)
+        image, steps = memo.get(key), []
+        while image is None:  # divide by the last variable until the memo knows the quotient
+            j = max(i for i, x in enumerate(y) if x)
+            steps.append((key, j))
+            y[j] -= 1
+            key -= 1 << (_EXP_BITS * j)
+            image = memo.get(key)
+        for key, j in reversed(steps):
+            acc: dict = {}
+            acc_get = acc.get
+            for m, a in image.items():
+                for u, x in linear[j].items():
+                    acc[m + u] = acc_get(m + u, 0) + a * x
+            image = memo[key] = {m: a for m, a in acc.items() if a}
+        for m, x in image.items():
+            out[m] = get(m, 0) + c * x
+    n, mask = lattice.torus_rank, (1 << _EXP_BITS) - 1
+    return BiPoly._result(n, 0, {tuple((m >> (_EXP_BITS * i)) & mask for i in range(n)): c
+                                 for m, c in out.items()})
 
 
 def _require_integer(f: BiPoly, what: str) -> BiPoly:
@@ -458,30 +504,37 @@ def _as_pi(lattice: CharacterLattice, spec) -> PiSpec:
 
 
 def _plain_chern(lattice: CharacterLattice, weight: Tuple[int, ...], kmax: int) -> tuple[list[BiPoly], int]:
-    """Chern classes of the plain irreducible, plus its degree."""
+    """Chern classes of the plain irreducible, plus its degree.
+
+    Each weight-side P_k goes to the generators at the integer rows of
+    ``_generator_images``, which gives D^k * P_k.  Newton's identities are
+    homogeneous, so they then give D^k * E_k, and each E_k is divided by D^k
+    once.  E_k of a multiset of m weights is 0 for k > m, so nothing past
+    degree m is computed.  For GL every weight is a weight of the trace-free
+    part shifted by the central character s times the last row, one linear
+    form.
+    """
+    rows, d = _generator_images(lattice)
     if lattice.family == "GL":
         n = lattice.torus_rank
         lbar, s = _gl_split(weight)
         rsA = build_root_system("A", n - 1)
-        p_free = [f.embed(n, n) for f in power_sums(rsA, lbar, kmax)]
-        p_central = []
-        for j in range(kmax + 1):
-            e = [0] * (2 * n)
-            e[2 * n - 1] = j
-            coeff = s ** j
-            terms = {tuple(e): coeff} if coeff else {}
-            p_central.append(BiPoly(n, n, terms))
-        power = product_power_sums(p_free, p_central, kmax)
         degree = weyl_dimension(rsA, lbar)
+        top = min(kmax, degree)
+        free = [_scaled_to_generators(lattice, f.embed(n, n)) for f in power_sums(rsA, lbar, top)]
+        central = BiPoly.a_linear([s * x for x in rows[-1]], ny=0)
+        power = _binomial_convolution(free, [central ** j for j in range(top + 1)], top)
     else:
         rs = lattice.root_system()
-        power = power_sums(rs, weight, kmax)
         degree = weyl_dimension(rs, weight)
-    elem = elementary_from_power(power, kmax)
+        top = min(kmax, degree)
+        power = [_scaled_to_generators(lattice, f) for f in power_sums(rs, weight, top)]
+    elem = elementary_from_power(power, top)
     cs = [
-        _require_integer(_to_generators(lattice, ek), f"c_{k}")
+        _require_integer(ek if d == 1 else ek.scale(Fraction(1, d ** k)), f"c_{k}")
         for k, ek in enumerate(elem)
     ]
+    cs += [BiPoly.zero(lattice.torus_rank, 0)] * (kmax - top)
     return cs, degree
 
 
@@ -526,7 +579,8 @@ def _dual_norm_shift(rs: RootSystem, lam: Sequence[int]) -> Fraction:
 @lru_cache(maxsize=None)
 def _q2_in_generators(lattice: CharacterLattice) -> BiPoly:
     """The invariant quadratic form, expressed in lattice generators."""
-    return _to_generators(lattice, q2_poly(lattice.root_system()))
+    d = _generator_images(lattice)[1]
+    return _scaled_to_generators(lattice, q2_poly(lattice.root_system())).scale(Fraction(1, d * d))
 
 
 def chern2_closed(lattice: CharacterLattice, lam: Sequence[int]) -> BiPoly:

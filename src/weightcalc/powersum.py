@@ -36,8 +36,8 @@ from typing import Callable, Sequence
 from .errors import DomainError, InternalError, check_degree
 from .polyalg import BiPoly, exact_divide, translate_delta
 from .rootsys import RootSystem
-from .weylsum import (FkTable, _fit_invariants, _orbit_power_sums, _signed_orbit, _vanishes,
-                      fk_evaluated)
+from .weylsum import (FkTable, _fit_invariants, _fk_at_delta, _orbit_power_sums, _signed_orbit,
+                      _vanishes, fk_evaluated)
 
 __all__ = [
     "PowerSumResult",
@@ -90,38 +90,39 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     by F_N(delta) = N! * d.  At rank >= 3 it runs on the values of F_m at a
     few exact sample points, and each P_k is rebuilt from its values in a
     basis of degree-k invariants (``weylsum._fit_invariants``); there the
-    symbolic F_m would cost about |W| * r * C(N+k+r-1, r-1) per call, where the
-    samples cost about |W| * (r + k) each.  At rank <= 2 the symbolic route
-    measured faster.
+    symbolic F_m would cost about |W| * r * C(N+k+r-1, r-1) per call, where a
+    sample costs about |W| * (r + k) for the orbit of lam + delta and about
+    N * (k/2)^2 for F_m(delta, nu), which comes from the Weyl denominator
+    product (``weylsum._fk_at_delta``) without an orbit.  At rank <= 2 the
+    symbolic route measured faster.
     """
     lam = validate_dominant(rs, lam)
     check_degree(kmax, "kmax")
     n = rs.num_positive
     shifted = tuple(c + 1 for c in lam)
-    delta = (1,) * rs.rank
     if rs.rank >= 3:
-        orbits = [_signed_orbit(rs, shifted), _signed_orbit(rs, delta)]
-        return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, orbits, nu, kmax))
+        orbit = _signed_orbit(rs, shifted)
+        return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, orbit, nu, kmax))
+    delta = (1,) * rs.rank
     f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
     f_del = [fk_evaluated(rs, delta, n + j) for j in range(kmax + 1)]
     return _triangular_solve(n, f_lam, f_del, exact_divide)
 
 
-def _power_sums_at(rs: RootSystem, orbits: Sequence, nu: Sequence[int], kmax: int) -> list[int]:
-    """P_0(nu)..P_kmax(nu) from the signed orbits of lam + delta and delta.
+def _power_sums_at(rs: RootSystem, orbit: tuple, nu: Sequence[int], kmax: int) -> list[int]:
+    """P_0(nu)..P_kmax(nu) from the signed orbit of lam + delta.
 
-    F_m(mu, nu) for m = N..N+kmax is one signed sum of powers of the pairings
-    <w mu, nu>, formed once.  The triangular solve runs on these integers;
+    F_m(lam + delta, nu) for m = N..N+kmax is one signed sum of powers of the
+    pairings <w(lam + delta), nu>, formed once; F_m(delta, nu) comes from the
+    Weyl denominator product.  The triangular solve runs on these integers;
     its divisor F_N(delta, nu) = N! * d(nu) is nonzero because nu is regular,
     and each P_k(nu) is an integer because nu is integral.
     """
     n = rs.num_positive
     ms = [m for m in range(n, n + kmax + 1) if not _vanishes(rs, m)]
-    f = []
-    for orbit in orbits:
-        values = dict(zip(ms, _orbit_power_sums(orbit, nu, ms)))
-        f.append([values.get(m, 0) for m in range(n, n + kmax + 1)])
-    return _triangular_solve(n, *f, _int_divide)
+    values = dict(zip(ms, _orbit_power_sums(orbit, nu, ms)))
+    f_lam = [values.get(m, 0) for m in range(n, n + kmax + 1)]
+    return _triangular_solve(n, f_lam, _fk_at_delta(rs, nu, kmax), _int_divide)
 
 
 def _int_divide(num: int, den: int) -> int:
@@ -237,6 +238,15 @@ def product_power_sums(
     sup_q = {i for f in q for e in f.terms for i in range(f.ny) if e[f.na + i]}
     if sup_p & sup_q:
         raise DomainError("factor power sums must use disjoint y-variables")
+    return _binomial_convolution(p, q, kmax)
+
+
+def _binomial_convolution(p: Sequence[BiPoly], q: Sequence[BiPoly], kmax: int) -> list[BiPoly]:
+    """sum_i binom(k, i) * p_i * q_(k-i) for k = 0..kmax, on any shared support.
+
+    The power sums of {mu + nu} when p and q are those of {mu} and {nu}: the
+    binomial theorem holds for linear forms in the same variables too.
+    """
     out: list[BiPoly] = []
     for k in range(kmax + 1):
         acc = BiPoly.zero(p[0].na, p[0].ny)

@@ -25,7 +25,8 @@ from weightcalc.charclass import (
 )
 from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import BiPoly, Mod2Poly, invert
-from weightcalc.powersum import weyl_dimension
+from weightcalc.powersum import elementary_from_power, power_sums, product_power_sums, weyl_dimension
+from weightcalc.weylsum import q2_poly
 
 
 # -- built-in lattices --------------------------------------------------------------
@@ -163,30 +164,56 @@ def _two_lattice_weights(lat):
     return sorted(grid, key=lambda lam: (weyl_dimension(rs, lam), lam))[:2]
 
 
+def _fraction_route_elementary(lat, weight, kmax):
+    """E_0..E_kmax of the weight multiset as y-polynomials, before any change of variables."""
+    if lat.family != "GL":
+        return elementary_from_power(power_sums(lat.root_system(), weight, kmax), kmax)
+    n = lat.torus_rank
+    lbar, s = charclass._gl_split(weight)
+    free = [f.embed(n, n) for f in power_sums(get_rs("A", n - 1), lbar, kmax)]
+    central = [BiPoly.y_var(n - 1, n, n).scale(s) ** j for j in range(kmax + 1)]
+    return elementary_from_power(product_power_sums(free, central, kmax), kmax)
+
+
 @pytest.mark.parametrize("group", builtin_lattice_names())
-def test_integer_generator_change_matches_fraction_route(group, monkeypatch):
+def test_integer_generator_change_matches_fraction_route(group):
+    # chern_classes maps each P_k to the generators at the integer rows, which
+    # scales it by D^k; the reference substitutes the rational rows into the
+    # y-side E_k
     lat = builtin_lattice(group)
     n = lat.torus_rank
+    d = charclass._generator_images(lat)[1]
     seen = []
-    to_generators = charclass._to_generators
-
-    def spy(lattice, f):
-        seen.append(f)
-        return to_generators(lattice, f)
-
-    monkeypatch.setattr(charclass, "_to_generators", spy)
     for weight in _two_lattice_weights(lat):
-        chern_classes(lat, weight, 6)
-    assert len(seen) == 14  # E_0..E_6 of each weight
+        elem = _fraction_route_elementary(lat, weight, 6)
+        assert [c.terms for c in chern_classes(lat, weight, 6).c] == \
+            [_fraction_to_generators(lat, e).terms for e in elem]
+        seen += elem
     y1, yn = BiPoly.y_var(0, n, n), BiPoly.y_var(n - 1, n, n)
-    mixed = (yn * yn).scale(Fraction(1, 3)) - (y1 * yn).scale(Fraction(5, 2)) \
-        + (y1 ** 3).scale(4) + BiPoly.constant(n, n, Fraction(7, 4))
-    for f in seen + [mixed, BiPoly.zero(n, n)]:
-        assert to_generators(lat, f).terms == _fraction_to_generators(lat, f).terms
+    others = [BiPoly.constant(n, n, Fraction(7, 4)), BiPoly.zero(n, n), (y1 ** 3).scale(4),
+              (yn * yn).scale(Fraction(1, 3)) - (y1 * yn).scale(Fraction(5, 2))]
+    if lat.family != "GL":
+        others.append(q2_poly(lat.root_system()))  # the substitution c_2's closed form uses
+    for f in seen + others:  # homogeneous, so one power of D scales each
+        k = max(map(sum, f.terms), default=0)
+        assert charclass._scaled_to_generators(lat, f).scale(Fraction(1, d ** k)).terms == \
+            _fraction_to_generators(lat, f).terms
+
+
+def test_generator_change_refuses_exponents_wider_than_the_packing():
+    # monomials are packed 16 bits per exponent while they are mapped
+    lat = builtin_lattice("SL3")
+    with pytest.raises(DomainError, match="degree over 65535"):
+        charclass._scaled_to_generators(lat, BiPoly(2, 2, {(0, 0, 1 << 16, 0): 1}))
+    assert charclass._scaled_to_generators(lat, BiPoly(2, 2, {(0, 0, 0, 2): 3})).terms == \
+        {(2, 0): 3, (1, 1): 6, (0, 2): 3}
 
 
 @pytest.mark.parametrize("group", ["SL3", "GL3", "SO7", "Spin7"])
 def test_non_integral_chern_class_is_an_internal_error(group, monkeypatch):
+    # Newton's identities run on D^k * P_k, so a 1/2 injected into D * E_1
+    # surfaces as 1/(2D) once E_1 is divided by D (D = 1, 3, 2, 1 here)
+    shown = {"SL3": "1/2", "GL3": "1/6", "SO7": "1/4", "Spin7": "1/2"}[group]
     lat = builtin_lattice(group)
     elementary = charclass.elementary_from_power
 
@@ -197,7 +224,7 @@ def test_non_integral_chern_class_is_an_internal_error(group, monkeypatch):
 
     monkeypatch.setattr(charclass, "elementary_from_power", off_by_half)
     weight = _two_lattice_weights(lat)[0]
-    with pytest.raises(InternalError, match="non-integer coefficient 1/2 in c_1"):
+    with pytest.raises(InternalError, match=f"non-integer coefficient {shown} in c_1"):
         chern_classes(lat, weight, 2)
 
 

@@ -231,6 +231,17 @@ def test_float_scalars_are_refused():
         0.5 * f
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_coefficients_and_scalars_are_refused(flag):
+    # a bool would otherwise pass as the int 1 or 0 and be written "True" to JSON
+    with pytest.raises(DomainError):
+        BiPoly(1, 1, {(0, 1): flag})
+    with pytest.raises(DomainError):
+        BiPoly.constant(1, 1, flag)
+    with pytest.raises(DomainError):
+        BiPoly(1, 1, {(1, 1): 2}).scale(flag)
+
+
 @given(st.tuples(*([st.integers(min_value=-4, max_value=4)] * 3)),
        st.integers(min_value=0, max_value=5))
 def test_expand_linear_power(coeff_vec, k):

@@ -258,6 +258,23 @@ def test_fk_evaluated_opposition_symmetry(kind, rank, extra):
         assert f.evaluate((0,) * rank, nu) == fk_scalar(rs, mu, nu, k) != 0
 
 
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_fk_at_delta_matches_the_orbit_sum(kind, rank):
+    # the Weyl denominator product against the signed orbit sum of delta, at a
+    # regular dominant, a regular negative and a singular integral coweight
+    rs = get_rs(kind, rank)
+    n = rs.num_positive
+    nu = weylsum._check_points(rs)[0][1]
+    c0 = rs.cartan[0]
+    singular = (-sum(c0[j] * nu[j] for j in range(1, rank)),) + tuple(2 * x for x in nu[1:])
+    assert sum(map(mul, c0, singular)) == 0  # pairs to 0 with the first simple root
+    for point, regular in ((nu, True), (tuple(-x for x in nu), True), (singular, False)):
+        got = weylsum._fk_at_delta(rs, point, 8)
+        assert got == [fk_scalar(rs, (1,) * rank, point, n + i) for i in range(9)]
+        assert all(got[i] == 0 for i in range(1, 9, 2))
+        assert (got[0] != 0) == regular
+
+
 def test_fk_scalar_rejects_coweight_of_wrong_length(a2):
     with pytest.raises(DomainError, match="coweight has 1 coordinates"):
         fk_scalar(a2, (1, 1), (1,), 3)

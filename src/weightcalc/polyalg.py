@@ -22,8 +22,8 @@ with terms in canonical order and signed coefficient strings.
 
 Every product of two term dicts goes through one kernel, ``_mul_into``:
 ``BiPoly`` products and powers, ``compose`` (and through it ``eval_a``,
-``translate_a``, ``evaluate`` and ``embed``, which substitute constant,
-shifted or variable images), the oracle's product tree and ``fk_direct``.
+``translate_a`` and ``evaluate``, which substitute constant or shifted
+images), the oracle's product tree and ``fk_direct``.
 The kernel leaves cancelled terms as zeros; each operation drops them once,
 when it builds its result.  ``exact_divide`` is the exception: it removes a
 cancelled term at once, because its leading-term scan must never see a zero.
@@ -323,12 +323,16 @@ class BiPoly:
         """Reinterpret inside a larger ring, shifting each block by an offset."""
         if self.na + a_offset > na or self.ny + y_offset > ny:
             raise DomainError("embed target too small")
-        if not self.na and not self.ny:  # no image can carry the target arity
-            return BiPoly.constant(na, ny, self.constant_term())
-        return self.compose(
-            a_images=[BiPoly.a_var(a_offset + i, na, ny) for i in range(self.na)],
-            y_images=[BiPoly.y_var(y_offset + i, na, ny) for i in range(self.ny)],
-        )
+        if a_offset < 0 or y_offset < 0:
+            raise DomainError("embed offsets must be non-negative")
+        a_pad = (0,) * a_offset, (0,) * (na - self.na - a_offset)
+        y_pad = (0,) * y_offset, (0,) * (ny - self.ny - y_offset)
+        out = BiPoly.zero(na, ny)
+        out.terms = {
+            a_pad[0] + e[: self.na] + a_pad[1] + y_pad[0] + e[self.na:] + y_pad[1]: c
+            for e, c in self.terms.items()
+        }
+        return out
 
     def compose(
         self,

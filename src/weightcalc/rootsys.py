@@ -12,8 +12,10 @@ Coordinate conventions (fixed once, used everywhere):
   simple root ``alpha_i`` written in fundamental-weight coordinates.
 * Simple reflections act on weight coordinates by
   ``s_i(w_j) = w_j - delta_ij alpha_i``; ``dominant_orbit`` walks an orbit
-  with ``sign(w) = (-1)^l(w)``, and only tests and ``weylsum.fk_direct`` read
-  ``RootSystem.weyl``, the Weyl group as matrices.
+  with ``sign(w) = (-1)^l(w)``.  ``RootSystem.weyl``, the Weyl group as
+  matrices, is read off that walk for one packed regular weight, each point's
+  coordinates decoding to the rows of one matrix; only tests and
+  ``weylsum.fk_direct`` read it.
 
 The Killing form on the coweight side is computed from the root sum
 ``K(nu1, nu2) = sum over all roots alpha of <alpha, nu1><alpha, nu2>`` and is
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, InternalError
@@ -49,9 +52,6 @@ Matrix = Tuple[Tuple[int, ...], ...]
 
 #: Supported rank range per type kind.
 SUPPORTED_RANKS = {"A": (1, 6), "B": (2, 6), "C": (2, 6), "D": (3, 6), "G2": (2, 2)}
-
-#: Hard cap on Weyl group enumeration.
-_WEYL_CAP = 10**6
 
 
 class WeylElement(NamedTuple):
@@ -169,53 +169,33 @@ def _coroot_coords(k: Sequence[int], cartan: Matrix, d: Sequence[Fraction]) -> T
     return tuple(coords)
 
 
-def _simple_reflection_matrix(i: int, cartan: Matrix) -> Matrix:
-    """Matrix of s_i on weight coordinates: (s_i m)_j = m_j - C[i][j] m_i."""
+def _enumerate_weyl(cartan: Matrix, coroots: Sequence[Sequence[int]]) -> Tuple[WeylElement, ...]:
+    """W read off the orbit of one packed regular weight, sorted by matrix.
+
+    Entry M[i][j] = <w w_j, alpha_i-vee> = <w_j, w^-1 alpha_i-vee> is a coroot
+    coefficient, so |M[i][j]| <= c, the largest positive-coroot coefficient.
+    With B = 2c + 1 and x = sum_j B^(r-1-j) w_j, coordinate i of w x packs row
+    i of M (the coroot w^-1 alpha_i-vee) as balanced base-B digits, most
+    significant first, so the walk's sorted points are the sorted matrices.
+    x is regular: its orbit has |W| points, and the walk's sign is (-1)^l(w).
+    """
     rank = len(cartan)
-    rows = []
-    for j in range(rank):
-        row = [1 if j == kcol else 0 for kcol in range(rank)]
-        row[i] -= cartan[i][j]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
+    c = max(map(max, coroots))
+    x = tuple((2 * c + 1) ** (rank - 1 - j) for j in range(rank))
+    coroot = {sum(map(mul, b, x)): tuple(b) for b in coroots}
+    coroot.update({-v: tuple(-k for k in b) for v, b in coroot.items()})
     return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
+        WeylElement(tuple(map(coroot.__getitem__, p)), s)
+        for p, s in dominant_orbit(cartan, x).items()
     )
-
-
-def _enumerate_weyl(cartan: Matrix) -> Tuple[WeylElement, ...]:
-    """Breadth-first closure of the simple reflections, matrix-keyed dedup."""
-    rank = len(cartan)
-    gens = [_simple_reflection_matrix(i, cartan) for i in range(rank)]
-    identity = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    seen = {identity: 1}
-    frontier = [(identity, 1)]
-    while frontier:
-        nxt = []
-        for mat, sign in frontier:
-            for g in gens:
-                prod = _mat_mul(g, mat)
-                if prod not in seen:
-                    seen[prod] = -sign
-                    nxt.append((prod, -sign))
-                    if len(seen) > _WEYL_CAP:
-                        raise InternalError("Weyl group enumeration exceeded cap")
-        frontier = nxt
-    elems = sorted(seen.items(), key=lambda kv: kv[0])
-    return tuple(WeylElement(m, s) for m, s in elems)
 
 
 @dataclass(frozen=True)
 class RootSystem:
     """Immutable root-system data for one simple type.
 
-    ``weyl`` enumerates W as matrices on first access, for tests and the
-    reference ``weylsum.fk_direct`` only; it is verified against the
+    ``weyl`` reads W as matrices off one orbit walk on first access, for tests
+    and the reference ``weylsum.fk_direct`` only; it is verified against the
     closed-form order and the reflection-descent prediction for ``-1 in W``.
     """
 
@@ -243,7 +223,7 @@ class RootSystem:
     @property
     def weyl(self) -> Tuple[WeylElement, ...]:
         if self._weyl is None:
-            elems = _enumerate_weyl(self.cartan)
+            elems = _enumerate_weyl(self.cartan, self.positive_coroots)
             _, w_exp = _expected_counts(self.kind, self.rank)
             if len(elems) != w_exp:
                 raise InternalError(

@@ -177,6 +177,11 @@ def test_compose_shared_arity_and_embedding():
     assert composed == BiPoly(2, 2, {(0, 0, 1, 0): 2, (0, 0, 0, 1): 2, (0, 0, 2, 0): 1})
 
 
+def test_embed_refuses_a_negative_offset():
+    with pytest.raises(DomainError):
+        BiPoly(1, 1, {(1, 0): 2}).embed(2, 2, a_offset=-1)
+
+
 def test_compose_without_a_variables_keeps_the_polynomial():
     f = BiPoly(0, 2, {(1, 1): 3})
     assert f.compose(a_images=[]) == f

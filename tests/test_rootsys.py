@@ -113,6 +113,70 @@ def test_simple_reflections_in_weyl_with_sign(kind, rank):
         assert mats[m] == -1
 
 
+def closure_weyl(rs):
+    """W as the breadth-first closure of the simple-reflection matrices.
+
+    Each new product g * w gets the opposite sign of w; the result is sorted
+    by matrix, the order ``RootSystem.weyl`` promises.
+    """
+    r = rs.rank
+    gens = [tuple(map(tuple, reflection_matrix(rs, i))) for i in range(r)]
+    identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    seen = {identity: 1}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for mat in frontier:
+            cols = tuple(zip(*mat))
+            for g in gens:
+                prod = tuple(
+                    tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in g
+                )
+                if prod not in seen:
+                    seen[prod] = -seen[mat]
+                    nxt.append(prod)
+        frontier = nxt
+    return tuple((m, seen[m]) for m in sorted(seen))
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [(k, r) for k, r in all_supported_types() if WEYL_ORDER[k](r) <= 5040],
+)
+def test_orbit_walk_weyl_equals_the_matrix_closure(kind, rank):
+    rs = get_rs(kind, rank)
+    assert [tuple(w) for w in rs.weyl] == list(closure_weyl(rs))
+
+
+def det(mat) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in mat]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_weyl_signs_are_determinants_and_entries_are_coroot_coefficients(kind, rank):
+    # the decode of the orbit walk relies on |M[i][j]| <= c
+    rs = get_rs(kind, rank)
+    c = max(max(b) for b in rs.positive_coroots)
+    assert len({w.matrix for w in rs.weyl}) == WEYL_ORDER[kind](rank)
+    for w in rs.weyl:
+        assert max(abs(x) for row in w.matrix for x in row) <= c
+        assert w.sign == det(w.matrix)
+
+
 @pytest.mark.parametrize("kind,rank", all_supported_types())
 def test_killing_form_reflection_invariant(kind, rank):
     rs = get_rs(kind, rank)

@@ -9,6 +9,15 @@ parity sums over integer lattice coordinates.  Nothing here touches
 alternating Weyl sums, polynomial division, or Newton's identities, so
 agreement with the main engine is genuine corroboration.
 
+Both run on dense degree blocks: the coefficients of all monomials of one
+degree, in the order of ``polyalg._monomials``.  The moments mu^e over the
+weights are built one monomial at a time, as the column of a monomial one
+degree lower times one coordinate column; P_k is one weighted sum of such
+a column per monomial, and each factor of the E_k product is one row of
+them.  Two blocks multiply through a table cached per rank and degree
+pair, which gathers the two factors of every pair of monomials and sums
+the products that land on the same output monomial.
+
 The sums and products fold each weight with its negative: a pair
 {mu, -mu} with multiplicities a and b contributes (a + (-1)^k b) <mu, y>^k
 to P_k and the factor (1 + <mu, y>)^a (1 - <mu, y>)^b to the product of
@@ -21,11 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from functools import lru_cache
+from itertools import accumulate
+from math import comb, factorial, lcm, prod
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, _mul_into, expand_linear_power, invert
+from .polyalg import BiPoly, _monomials, invert
 from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
@@ -55,6 +67,11 @@ def _integer_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """
     scale = lcm(*(x.denominator for row in rs.killing_dual for x in row))
     return tuple(tuple(int(x * scale) for x in row) for row in rs.killing_dual)
+
+
+def _is_int(c) -> bool:
+    """An int that is not a bool."""
+    return isinstance(c, int) and not isinstance(c, bool)
 
 
 def _form(gram, u: Sequence[int], v: Sequence[int]) -> int:
@@ -102,6 +119,8 @@ class WeightMultiset:
     def multiplicity(self, mu: Sequence[int]) -> int:
         if len(mu) != self.rs.rank:
             raise DomainError(f"weight has {len(mu)} coordinates, expected {self.rs.rank}")
+        if not all(map(_is_int, mu)):
+            raise DomainError("weight coordinates must be integers")
         return self.dominant.get(chamber_descent(self.rs.cartan, mu), 0)
 
 
@@ -196,60 +215,166 @@ def _folded(wm: WeightMultiset):
             yield mu, m, full[neg]
 
 
+@lru_cache(maxsize=None)
+def _moment_steps(r: int, d: int) -> tuple[tuple[int, int], ...]:
+    """For each monomial e of degree d >= 1: (position of e / y_i in degree d - 1, i).
+
+    y_i is the first variable of e, so mu^e is one column of degree d - 1
+    times coordinate column i.
+    """
+    index = {e: n for n, e in enumerate(_monomials(r, d - 1))}
+    steps = []
+    for e in _monomials(r, d):
+        i = next(t for t, x in enumerate(e) if x)
+        steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _multinomials(r: int, d: int) -> tuple[int, ...]:
+    """multinomial(d; e) for each monomial e of degree d, in ``_monomials`` order."""
+    return tuple(factorial(d) // prod(map(factorial, e)) for e in _monomials(r, d))
+
+
+def _moment_columns(base: Sequence[int], coords: Sequence[Sequence[int]], kmax: int) -> list[list]:
+    """cols[d][n] lists base[i] * mu_i^e over the rows i, e the n-th monomial of degree d."""
+    r = len(coords)
+    cols = [[list(base)]]
+    for d in range(1, kmax + 1):
+        below = cols[-1]
+        cols.append([list(map(mul, below[n], coords[i])) for n, i in _moment_steps(r, d)])
+    return cols
+
+
 def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
-    """Sum of m(mu) * <mu, .>^k over all weights, as a y-polynomial."""
+    """Sum of m(mu) * <mu, .>^k over all weights, as a y-polynomial.
+
+    The coefficient of y^e is multinomial(k; e) times the moment
+    sum over pairs of (a + (-1)^k b) * mu^e.
+    """
     check_degree(k, "k")
     r = wm.rs.rank
-    acc: dict[tuple, int] = {}
+    rows = [(mu, a - b if k % 2 else a + b) for mu, a, b in _folded(wm)]
+    rows = [(mu, w) for mu, w in rows if w]
+    if not rows:
+        return BiPoly.zero(r, r)
+    mus, ws = zip(*rows)
+    cols = _moment_columns(ws, list(zip(*mus)), k)[k]
     prefix = (0,) * r
-    for mu, a, b in _folded(wm):
-        w = a - b if k % 2 else a + b
-        if w:
-            for ye, c in expand_linear_power(mu, k).items():
-                key = prefix + ye
-                acc[key] = acc.get(key, 0) + w * c
-    return BiPoly(r, r, acc)
+    return BiPoly(r, r, {
+        prefix + e: m * sum(col)
+        for e, m, col in zip(_monomials(r, k), _multinomials(r, k), cols)
+    })
+
+
+def _pair_coefficients(a: int, b: int, kmax: int) -> tuple[int, ...]:
+    """c_0..c_kmax of (1 + t)^a (1 - t)^b."""
+    return tuple(
+        sum((-1) ** (j - i) * comb(a, i) * comb(b, j - i) for i in range(j + 1))
+        for j in range(kmax + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _block_product(r: int, da: int, db: int):
+    """Gathers and output spans that multiply a degree-da block by a degree-db block.
+
+    Every pair of monomials is listed once, sorted by the position of their
+    product in degree da + db; the two gathers pick the factors of each pair
+    and span n slices the products that add up to output entry n.  Both index
+    lists end in one extra 0, outside every span, so that an itemgetter
+    always returns a tuple.
+    """
+    index = {e: n for n, e in enumerate(_monomials(r, da + db))}
+    pairs = sorted(
+        (index[tuple(map(add, e1, e2))], i, j)
+        for i, e1 in enumerate(_monomials(r, da))
+        for j, e2 in enumerate(_monomials(r, db))
+    )
+    counts = [0] * len(index)
+    for n, _, _ in pairs:
+        counts[n] += 1
+    spans = tuple(slice(end - c, end) for c, end in zip(counts, accumulate(counts)))
+    return (
+        itemgetter(*(i for _, i, _ in pairs), 0),
+        itemgetter(*(j for _, _, j in pairs), 0),
+        spans,
+    )
+
+
+def _add_block(out: list, d: int, blk) -> None:
+    out[d] = blk if out[d] is None else list(map(add, out[d], blk))
+
+
+def _block_times(r: int, f: list, g: list) -> list:
+    """Product of two factors truncated at their last block.
+
+    A factor is a list of degree blocks, None for a zero block; the block of
+    degree 0 is 1 in every factor, so f[d] and g[d] enter the product as
+    they are and only blocks of positive degree are multiplied.
+    """
+    kmax = len(f) - 1
+    out = list(f)
+    for d in range(1, kmax + 1):
+        if g[d] is not None:
+            _add_block(out, d, g[d])
+    for da in range(1, kmax):
+        if f[da] is None:
+            continue
+        for db in range(1, kmax + 1 - da):
+            if g[db] is None:
+                continue
+            rows, cols, spans = _block_product(r, da, db)
+            prods = list(map(mul, rows(f[da]), cols(g[db])))
+            _add_block(out, da + db, list(map(sum, map(prods.__getitem__, spans))))
+    return out
 
 
 def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     """E_0..E_kmax as the degree-truncated product of (1 + mu-hat)^m.
 
-    Each pair {mu, -mu} contributes (1 + l)^a (1 - l)^b with l = <mu, y>,
-    binomially expanded and truncated at total degree kmax; factors are
-    combined pairwise (a balanced product tree) so most multiplications
-    involve short polynomials.
+    Each pair {mu, -mu} contributes the factor (1 + l)^a (1 - l)^b with
+    l = <mu, y>.  A factor is a list of dense degree blocks, the coefficients
+    of all monomials of one degree in ``_monomials`` order, with None for a
+    zero block: block j of a pair's factor is c_j(a, b) * multinomial(j; e)
+    * mu^e over the monomials e, read off the moment columns of all pairs.
+    Factors are combined pairwise (a balanced product tree), each pair of
+    blocks through a table of index gathers cached per degree pair, so
+    most multiplications involve short polynomials.
     """
     check_degree(kmax, "kmax")
     r = wm.rs.rank
-
-    def leaf(mu: tuple, a: int, b: int) -> list[dict]:
-        buckets = [dict() for _ in range(kmax + 1)]
-        buckets[0][(0,) * r] = 1
-        for j in range(1, min(a + b, kmax) + 1):
-            cj = sum((-1) ** (j - i) * comb(a, i) * comb(b, j - i) for i in range(j + 1))
-            if cj:
-                blk = buckets[j]
-                for ye, c in expand_linear_power(mu, j).items():
-                    blk[ye] = cj * c
-        return buckets
-
-    def mul(f: list[dict], g: list[dict]) -> list[dict]:
-        out = [dict() for _ in range(kmax + 1)]
-        for da in range(kmax + 1):
-            for db in range(kmax + 1 - da):
-                _mul_into(out[da + db], f[da], g[db])
-        return [{e: c for e, c in blk.items() if c} for blk in out]
-
-    factors = [leaf(mu, a, b) for mu, a, b in _folded(wm)] or [leaf((0,) * r, 0, 0)]
+    folded = list(_folded(wm))
+    factors = [[(1,)] + [None] * kmax for _ in range(max(1, len(folded)))]
+    if folded:
+        mus, a, b = zip(*folded)
+        cols = _moment_columns([1] * len(folded), list(zip(*mus)), kmax)
+        pair = {ab: _pair_coefficients(*ab, kmax) for ab in set(zip(a, b))}
+        coeffs = [pair[ab] for ab in zip(a, b)]
+        for j in range(1, kmax + 1):
+            cj = [c[j] for c in coeffs]
+            if not any(cj):
+                continue
+            scaled = [
+                [m * v for v in map(mul, col, cj)]
+                for m, col in zip(_multinomials(r, j), cols[j])
+            ]
+            for factor, row in zip(factors, zip(*scaled)):
+                if any(row):
+                    factor[j] = row
     while len(factors) > 1:
         nxt = [
-            mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)
+            _block_times(r, factors[i], factors[i + 1])
+            for i in range(0, len(factors) - 1, 2)
         ]
         if len(factors) % 2:
             nxt.append(factors[-1])
         factors = nxt
     prefix = (0,) * r
-    return [BiPoly(r, r, {prefix + ye: c for ye, c in blk.items()}) for blk in factors[0]]
+    return [
+        BiPoly(r, r, {prefix + e: c for e, c in zip(_monomials(r, d), blk)} if blk else None)
+        for d, blk in enumerate(factors[0])
+    ]
 
 
 # -- characters at order-2 torus elements -------------------------------------
@@ -272,7 +397,7 @@ def character_at_order2(
     r = wm.rs.rank
     if len(signs) != r:
         raise DomainError(f"sign vector has {len(signs)} entries, expected {r}")
-    if any(s not in (1, -1) for s in signs):
+    if any(not _is_int(s) or s not in (1, -1) for s in signs):
         raise DomainError("entries of an order-2 element must be +1 or -1")
     if basis is None:
         binv_t = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
@@ -304,8 +429,6 @@ def character_at_order2(
 
 def _h_series(a_minus: int, b_plus: int, pmax: int) -> list[int]:
     """Coefficients H_0..H_pmax of (1+t)^(-a) (1-t)^(-b)."""
-    if a_minus < 0 or b_plus < 0:
-        raise DomainError("sign counts must be nonnegative")
     neg = [
         (-1) ** k * comb(a_minus + k - 1, k) if a_minus else (1 if k == 0 else 0)
         for k in range(pmax + 1)
@@ -327,7 +450,9 @@ def schur_at_signs(partition: Sequence[int], a_minus: int, b_plus: int) -> int:
     symmetric values.  Must agree with character_at_order2 on type A.
     """
     part = list(partition)
-    if any(not isinstance(p, int) or isinstance(p, bool) or p < 0 for p in part):
+    check_degree(a_minus, "a_minus")
+    check_degree(b_plus, "b_plus")
+    if any(not _is_int(p) or p < 0 for p in part):
         raise DomainError("partition parts must be nonnegative integers")
     if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
         raise DomainError("partition parts must be nonincreasing")

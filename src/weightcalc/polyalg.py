@@ -23,7 +23,8 @@ with terms in canonical order and signed coefficient strings.
 Every product of two term dicts goes through one kernel, ``_mul_into``:
 ``BiPoly`` products and powers, ``compose`` (and through it ``eval_a``,
 ``translate_a`` and ``evaluate``, which substitute constant or shifted
-images), the oracle's product tree and ``fk_direct``.
+images) and ``fk_direct``.  The oracle's E_k product multiplies dense
+degree blocks instead (``oracle._block_times``).
 The kernel leaves cancelled terms as zeros; each operation drops them once,
 when it builds its result.  ``exact_divide`` is the exception: it removes a
 cancelled term at once, because its leading-term scan must never see a zero.
@@ -36,6 +37,7 @@ elimination in ``rref``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -104,6 +106,22 @@ def _parse_scalar(s: str) -> Scalar:
 
 def _order_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
+
+
+@lru_cache(maxsize=None)
+def _monomials(r: int, degree: int) -> tuple[tuple, ...]:
+    """All exponent tuples of the given total degree, canonical descending order (cached)."""
+    if r == 0:
+        return ((),) if degree == 0 else ()
+    out: list[tuple] = []
+    stack = [((), degree)]
+    while stack:
+        exps, left = stack.pop()
+        if len(exps) == r - 1:
+            out.append(exps + (left,))
+        else:
+            stack.extend((exps + (e,), left - e) for e in range(left + 1))
+    return tuple(out)
 
 
 def _mul_into(acc: dict, f: Mapping[tuple, Scalar], g: Mapping[tuple, Scalar]) -> None:
@@ -628,8 +646,8 @@ def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> dict[tuple, Scalar]
     """Expand (sum_i coeffs[i] x_i)^k as {exponent tuple: coefficient}.
 
     Multinomial expansion over the nonzero slots only; the fast path under the
-    symbolic Weyl sum and the brute-force oracle, so it works on raw dicts
-    rather than BiPoly objects.
+    symbolic Weyl sum and the orbit power sums of the invariant basis, so it
+    works on raw dicts rather than BiPoly objects.
     """
     r = len(coeffs)
     live = [i for i, c in enumerate(coeffs) if c]

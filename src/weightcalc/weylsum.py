@@ -41,7 +41,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, _mul_into, exact_divide, expand_linear_power, rref
+from .polyalg import BiPoly, _monomials, _mul_into, exact_divide, expand_linear_power, rref
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
@@ -173,21 +173,6 @@ def _orbit_power_sums(orbit: tuple, nu: Sequence[Scalar], ks: Sequence[int]) -> 
         powers = [q * p ** (k - last) for q, p in zip(powers, pairs)]
         out.append(sum(powers))
         last = k
-    return out
-
-
-def _monomials(r: int, degree: int) -> list[tuple]:
-    """All exponent tuples of the given total degree, canonical descending order."""
-    if r == 0:
-        return [()] if degree == 0 else []
-    out: list[tuple] = []
-    stack = [((), degree)]
-    while stack:
-        exps, left = stack.pop()
-        if len(exps) == r - 1:
-            out.append(exps + (left,))
-        else:
-            stack.extend((exps + (e,), left - e) for e in range(left + 1))
     return out
 
 

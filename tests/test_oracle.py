@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dominant_grid, get_rs
+from conftest import all_supported_types, dominant_grid, get_rs
 from test_acceptance import GRID_TYPES, ORACLE_GUARD
 from weightcalc.charclass import builtin_lattice, builtin_lattice_names
 from weightcalc.errors import DomainError
@@ -63,6 +63,12 @@ def test_multiplicity_refuses_a_weight_of_the_wrong_length(a2):
         wm.multiplicity((1,))
     with pytest.raises(DomainError):
         wm.multiplicity((1, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [(0.5, 0), ("1", 0), (True, 0), (1.0, 0)])
+def test_multiplicity_refuses_a_non_integer_coordinate(a2, bad):
+    with pytest.raises(DomainError):
+        weight_multiplicities(a2, (1, 1)).multiplicity(bad)
 
 
 @pytest.mark.parametrize(
@@ -281,6 +287,20 @@ def test_folded_oracle_matches_unfolded_synthetic_multiset(a2):
     _assert_matches_unfolded(wm, 7)
     for signs in [(1, 1), (-1, 1), (-1, -1), (1, -1)]:
         assert character_at_order2(wm, signs) == _fraction_character(wm, signs)
+    # no weights at all: the empty product and empty sums
+    empty = WeightMultiset(rs=a2, highest_weight=(0, 0), dominant={}, _expanded={})
+    assert oracle_elementary(empty, 7) == [BiPoly.constant(2, 2, 1)] + [BiPoly.zero(2, 2)] * 7
+    assert all(oracle_power_sum(empty, k).is_zero() for k in range(8))
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_folded_oracle_matches_unfolded_fundamental_and_zero(kind, rank):
+    # kmax 1 lies below the degree of most leaves, 7 above the bench's 6
+    rs = get_rs(kind, rank)
+    for lam in [(1,) + (0,) * (rank - 1), (0,) * rank]:
+        wm = weight_multiplicities(rs, lam)
+        for kmax in (0, 1, 7):
+            _assert_matches_unfolded(wm, kmax)
 
 
 def test_character_matches_fraction_reference_on_builtin_lattices():
@@ -447,6 +467,13 @@ def test_character_with_sublattice_basis():
         character_at_order2(wm, (2,))
 
 
+@pytest.mark.parametrize("bad", [(True, -1), (1.0, -1), ("1", -1)])
+def test_character_refuses_a_non_integer_sign(a2, bad):
+    # True == 1 and 1.0 == 1, so a membership test alone would accept both
+    with pytest.raises(DomainError):
+        character_at_order2(weight_multiplicities(a2, (1, 1)), bad)
+
+
 def test_schur_small_values_and_errors():
     assert schur_at_signs((), 1, 2) == 1
     assert schur_at_signs((1,), 0, 3) == 3
@@ -458,6 +485,12 @@ def test_schur_small_values_and_errors():
         schur_at_signs((-1,), 0, 3)
     with pytest.raises(DomainError):
         schur_at_signs((1, 1, 1), 1, 1)
+
+
+@pytest.mark.parametrize("a_minus,b_plus", [(1.5, 3), (1, 3.0), (True, 3), ("1", 3), (1, -1)])
+def test_schur_refuses_a_bad_sign_count(a_minus, b_plus):
+    with pytest.raises(DomainError):
+        schur_at_signs((2, 1), a_minus, b_plus)
 
 
 def _partitions(length: int, top: int):

@@ -12,10 +12,9 @@ import pytest
 from conftest import all_supported_types, get_rs
 from weightcalc import weylsum
 from weightcalc.errors import DomainError, InternalError
-from weightcalc.polyalg import BiPoly, expand_linear_power, rref, substitute_linear
+from weightcalc.polyalg import BiPoly, _monomials, expand_linear_power, rref, substitute_linear
 from weightcalc.weylsum import (
     FkTable,
-    _monomials,
     closed_form_FN,
     closed_form_FN2,
     coweyl_denominator,

@@ -34,11 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
-from typing import Dict, Optional, Sequence, Tuple
+from math import lcm
+from operator import mul
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, Mod2Poly, Scalar, invert, mod2_reduce
+from .polyalg import BiPoly, Mod2Poly, Scalar, _substitution, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
     _binomial_convolution,
@@ -50,6 +51,7 @@ from .powersum import (
 from .weylsum import q2_poly
 from .oracle import (
     DEFAULT_MAX_DIM,
+    _pair_coefficients,
     character_at_order2,
     schur_at_signs,
     weight_multiplicities,
@@ -342,26 +344,11 @@ def _generator_images(lattice: CharacterLattice) -> tuple[tuple[tuple[int, ...],
     return tuple(tuple(int(x * d) for x in row) for row in rows), d
 
 
-_EXP_BITS = 16  # width of one exponent in a packed monomial
-
-
-def _pack(e: Sequence[int]) -> int:
-    """A monomial as one int, exponent i in bits [16i, 16i + 16): monomials multiply by adding."""
-    return sum(x << (_EXP_BITS * i) for i, x in enumerate(e))
-
-
 @lru_cache(maxsize=None)
-def _monomial_images(lattice: CharacterLattice) -> tuple[list[dict], dict]:
-    """The integer rows as packed term dicts, and the memo of ``_scaled_to_generators``.
-
-    The memo maps a packed weight-side monomial to the packed terms of its
-    image at the integer rows.  It starts with the constant 1 and fills on
-    demand; it holds the images of the monomials met so far and of their
-    divisors.
-    """
+def _generator_substitution(lattice: CharacterLattice) -> Callable[[BiPoly], BiPoly]:
+    """The integer rows substituted for the y-variables; its memo of images lives per lattice."""
     rows, _ = _generator_images(lattice)
-    linear = [{_pack((0,) * i + (1,)): x for i, x in enumerate(row) if x} for row in rows]
-    return linear, {0: {0: 1}}
+    return _substitution(len(rows), len(rows), None, [BiPoly.a_linear(row, ny=0) for row in rows])
 
 
 def _scaled_to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
@@ -369,43 +356,11 @@ def _scaled_to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
 
     With the rows of ``_generator_images``, scaled by D to integers, a term of
     degree k picks up D^k: for f homogeneous of degree k the result is D^k
-    times f in the lattice generators.  The callers divide by D^k once.  Each
-    monomial's image is that of the monomial one degree lower times a row,
-    built once per lattice and kept, so a warm substitution is one scaled
-    add per term of each image.  Monomials are packed ints (``_pack``) while
-    the images are built and summed.
+    times f in the lattice generators.  The callers divide by D^k once.
     """
-    if any(any(e[i] for i in range(f.na)) for e in f.terms):
+    if any(any(e[: f.na]) for e in f.terms):
         raise InternalError("expected a polynomial without symbolic weight variables")
-    linear, memo = _monomial_images(lattice)
-    if f.ny != len(linear):
-        raise InternalError("arity mismatch between polynomial and lattice")
-    if max(map(sum, f.terms), default=0) >> _EXP_BITS:
-        raise DomainError(f"degree over {(1 << _EXP_BITS) - 1} in a change to lattice generators")
-    out: dict = {}
-    get = out.get
-    for e, c in f.terms.items():
-        y = list(e[f.na:])
-        key = _pack(y)
-        image, steps = memo.get(key), []
-        while image is None:  # divide by the last variable until the memo knows the quotient
-            j = max(i for i, x in enumerate(y) if x)
-            steps.append((key, j))
-            y[j] -= 1
-            key -= 1 << (_EXP_BITS * j)
-            image = memo.get(key)
-        for key, j in reversed(steps):
-            acc: dict = {}
-            acc_get = acc.get
-            for m, a in image.items():
-                for u, x in linear[j].items():
-                    acc[m + u] = acc_get(m + u, 0) + a * x
-            image = memo[key] = {m: a for m, a in acc.items() if a}
-        for m, x in image.items():
-            out[m] = get(m, 0) + c * x
-    n, mask = lattice.torus_rank, (1 << _EXP_BITS) - 1
-    return BiPoly._result(n, 0, {tuple((m >> (_EXP_BITS * i)) & mask for i in range(n)): c
-                                 for m, c in out.items()})
+    return _generator_substitution(lattice)(f)
 
 
 def _require_integer(f: BiPoly, what: str) -> BiPoly:
@@ -724,14 +679,6 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
 _FACTORIZATION_FAMILIES = ("SL", "GL", "Sp", "SO")
 
 
-def _sign_pattern_coefficient(r: int, i: int, k: int) -> int:
-    """Coefficient of x^i in (1-x)^k (1+x)^(r-k)."""
-    return sum(
-        (-1) ** t * comb(k, t) * comb(r - k, i - t)
-        for t in range(max(0, i - (r - k)), min(i, k) + 1)
-    )
-
-
 def _sl_partition(weight: Sequence[int]) -> list[int]:
     """Partition whose Schur function is the character (last coordinate 0)."""
     return [sum(weight[j:]) for j in range(len(weight))]
@@ -825,7 +772,7 @@ def total_swc_factorization(
         chi = [2 * c for c in chi]
     exponents: list[int] = []
     for k in range(r + 1):
-        total = sum(_sign_pattern_coefficient(r, i, k) * chi[i] for i in range(r + 1))
+        total = sum(map(mul, _pair_coefficients(r - k, k, r), chi))
         mk = Fraction(total, 2 ** r)
         if mk.denominator != 1 or mk < 0:
             raise InternalError(

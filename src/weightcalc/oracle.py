@@ -138,6 +138,7 @@ def weight_multiplicities(
     is checked against the dimension formula on first expansion.
     """
     lam = validate_dominant(rs, lam)
+    check_degree(max_dim, "max_dim")
     dim = weyl_dimension(rs, lam)
     if dim > max_dim:
         raise DomainError(
@@ -404,6 +405,8 @@ def character_at_order2(
     else:
         if len(basis) != r or any(len(row) != r for row in basis):
             raise DomainError("lattice basis must be a square matrix of full rank")
+        if not all(_is_int(x) for row in basis for x in row):
+            raise DomainError("lattice basis entries must be integers")
         binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
         if binv_t is None:
             raise DomainError("lattice basis must be a square matrix of full rank")

@@ -21,13 +21,17 @@ JSON schema: ``{"terms": [{"c": "-5/3", "m": {"a1": 2, "y2": 1}}, ...]}``
 with terms in canonical order and signed coefficient strings.
 
 Every product of two term dicts goes through one kernel, ``_mul_into``:
-``BiPoly`` products and powers, ``compose`` (and through it ``eval_a``,
+``BiPoly`` products and powers and ``fk_direct``.  The kernel leaves
+cancelled terms as zeros; each operation drops them once, when it builds its
+result.  ``exact_divide`` is the exception: it removes a cancelled term at
+once, because its leading-term scan must never see a zero.  The oracle's E_k
+product multiplies dense degree blocks instead (``oracle._block_times``).
+
+Every substitution goes through one kernel with its own loop on packed
+monomials, ``_substitution``: ``compose`` (and through it ``eval_a``,
 ``translate_a`` and ``evaluate``, which substitute constant or shifted
-images) and ``fk_direct``.  The oracle's E_k product multiplies dense
-degree blocks instead (``oracle._block_times``).
-The kernel leaves cancelled terms as zeros; each operation drops them once,
-when it builds its result.  ``exact_divide`` is the exception: it removes a
-cancelled term at once, because its leading-term scan must never see a zero.
+images) and the change to lattice generators of the Chern path
+(``charclass._scaled_to_generators``).
 
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
@@ -38,19 +42,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from operator import add, itemgetter
+from struct import Struct
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InternalError
 
 __all__ = [
     "BiPoly",
     "Mod2Poly",
-    "eval_mu",
     "translate_delta",
     "exact_divide",
-    "substitute_linear",
     "mod2_reduce",
     "expand_linear_power",
     "rref",
@@ -127,14 +131,93 @@ def _monomials(r: int, degree: int) -> tuple[tuple, ...]:
 def _mul_into(acc: dict, f: Mapping[tuple, Scalar], g: Mapping[tuple, Scalar]) -> None:
     """Add the product of the term dicts f and g into acc.
 
-    The one product loop of the package.  A cancelled term stays in acc as a
-    zero, so the caller drops zeros once, when it builds its result.
+    The loop under every product of two term dicts.  A cancelled term stays
+    in acc as a zero, so the caller drops zeros once, when it builds its
+    result.
     """
     get = acc.get
     for e1, c1 in f.items():
         for e2, c2 in g.items():
             e = tuple(map(add, e1, e2))
             acc[e] = get(e, 0) + c1 * c2
+
+
+_EXP_MAX = (1 << 16) - 1  # the widest exponent of a packed monomial
+
+
+def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], "BiPoly"]:
+    """The one substitution kernel: images for the variables of polynomials of arity (na, ny).
+
+    A block given as None keeps its variables.  Monomials are packed into
+    ints, 16 bits per exponent, so that they multiply by adding.  The image
+    of a monomial is that of the monomial with its last exponent lowered by
+    one, times one image, memoised for the life of the returned function.
+    Kept exponents are added as one packed shift.  An output
+    exponent is at most the substituted degree times the largest image
+    degree, plus the largest kept exponent; that is checked before anything
+    is packed.
+    """
+    given = [*(a_images or ()), *(y_images or ())]
+    na2, ny2 = given[0].na, given[0].ny
+    if a_images is None:  # a_i stays a_i
+        sub, kept, kept_at, room = slice(na, None), slice(0, na), 0, na2 - na
+    elif y_images is None:  # y_i stays y_i
+        sub, kept, kept_at, room = slice(0, na), slice(na, None), na2, ny2 - ny
+    else:
+        sub, kept, kept_at, room = slice(None), slice(0, 0), 0, 0
+    sizes = [len(block) - n for block, n in ((a_images, na), (y_images, ny)) if block is not None]
+    if room < 0 or any(sizes):
+        raise DomainError("compose image count does not match arity")
+    if any(im.na != na2 or im.ny != ny2 for im in given):
+        raise DomainError("compose images must share one arity")
+    top = max(1, *(max(map(sum, im.terms), default=0) for im in given))  # keys are packed too
+    if top > _EXP_MAX:
+        raise DomainError(f"degree over {_EXP_MAX} in a substitution")
+    from_bytes, pack_key = int.from_bytes, Struct(f"<{len(given)}H").pack
+    pack_kept = Struct(f"<{2 * kept_at}x{len(range(na + ny)[kept])}H").pack  # after kept_at zeros
+    packing = Struct(f"<{na2 + ny2}H")
+    packed = [{from_bytes(packing.pack(*e), "little"): c for e, c in im.terms.items()}
+              for im in given]
+    memo: dict[int, dict[int, Scalar]] = {0: {0: 1}}
+
+    def times(g: dict, h: dict) -> dict:
+        acc: dict[int, Scalar] = {}
+        acc_get = acc.get
+        for m, a in g.items():
+            for u, x in h.items():
+                acc[m + u] = acc_get(m + u, 0) + a * x
+        return {m: a for m, a in acc.items() if a}
+
+    def image_of(key: int) -> dict:
+        image, steps = memo.get(key), []
+        while image is None:  # lower the last variable until the memo knows the quotient
+            j = (key.bit_length() - 1) >> 4
+            steps.append((key, j))
+            key -= 1 << (j << 4)
+            image = memo.get(key)
+        for key, j in reversed(steps):
+            image = memo[key] = times(image, packed[j])
+        return image
+
+    def substitute(f: "BiPoly") -> "BiPoly":
+        if (f.na, f.ny) != (na, ny):
+            raise DomainError("compose image count does not match arity")
+        width = max(map(sum, map(itemgetter(sub), f.terms)), default=0) * top
+        if width + max(chain.from_iterable(map(itemgetter(kept), f.terms)), default=0) > _EXP_MAX:
+            raise DomainError(f"degree over {_EXP_MAX} in a substitution")
+        out: dict[int, Scalar] = {}
+        get = out.get
+        for e, c in f.terms.items():
+            image = image_of(from_bytes(pack_key(*e[sub]), "little"))
+            if any(e[kept]):
+                shift = from_bytes(pack_kept(*e[kept]), "little")
+                image = {m + shift: x for m, x in image.items()}
+            for m, x in image.items():
+                out[m] = get(m, 0) + c * x
+        return BiPoly._result(na2, ny2, {packing.unpack(m.to_bytes(packing.size, "little")): c
+                                         for m, c in out.items()})
+
+    return substitute
 
 
 class BiPoly:
@@ -361,41 +444,14 @@ class BiPoly:
 
         Omitted blocks keep their variables.  All images must share one arity,
         which becomes the arity of the result; with no image at all the
-        polynomial is returned unchanged.
+        polynomial is returned unchanged, but an empty block must stand for
+        an empty block of variables.  One run of ``_substitution``.
         """
-        given = [*(a_images or ()), *(y_images or ())]
-        if not given:
+        if not a_images and not y_images:
+            if (a_images is not None and self.na) or (y_images is not None and self.ny):
+                raise DomainError("compose image count does not match arity")
             return self
-        na2, ny2 = given[0].na, given[0].ny
-        if a_images is None:
-            a_images = [BiPoly.a_var(i, na2, ny2) for i in range(self.na)]
-        if y_images is None:
-            y_images = [BiPoly.y_var(i, na2, ny2) for i in range(self.ny)]
-        if len(a_images) != self.na or len(y_images) != self.ny:
-            raise DomainError("compose image count does not match arity")
-        images = list(a_images) + list(y_images)
-        for im in images:
-            if im.na != na2 or im.ny != ny2:
-                raise DomainError("compose images must share one arity")
-        pow_cache: dict[tuple[int, int], dict] = {}
-
-        def img_pow(i: int, k: int) -> dict:
-            got = pow_cache.get((i, k))
-            if got is None:
-                got = pow_cache[i, k] = (images[i] ** k).terms
-            return got
-
-        zero = (0,) * (na2 + ny2)
-        acc: dict[tuple, Scalar] = {}
-        for e, c in self.terms.items():
-            term = {zero: c}
-            factors = [img_pow(i, k) for i, k in enumerate(e) if k] or [{zero: 1}]
-            for f in factors[:-1]:
-                nxt: dict[tuple, Scalar] = {}
-                _mul_into(nxt, term, f)
-                term = nxt
-            _mul_into(acc, term, factors[-1])
-        return BiPoly._result(na2, ny2, acc)
+        return _substitution(self.na, self.ny, a_images, y_images)(self)
 
     # -- rendering ----------------------------------------------------------
 
@@ -588,11 +644,6 @@ class Mod2Poly:
 # -- module-level operation names matching the interface --------------------
 
 
-def eval_mu(f: BiPoly, mu: Sequence[Scalar]) -> BiPoly:
-    """Evaluate the weight-side variables at a rational weight vector."""
-    return f.eval_a(mu)
-
-
 def translate_delta(f: BiPoly) -> BiPoly:
     """The shift a_i := a_i + 1 for every weight-side variable."""
     return f.translate_a((1,) * f.na)
@@ -632,14 +683,6 @@ def exact_divide(f: BiPoly, g: BiPoly) -> BiPoly:
             else:
                 rem.pop(e, None)
     return BiPoly._result(f.na, f.ny, q)
-
-
-def substitute_linear(f: BiPoly, matrix: Sequence[Sequence[Scalar]]) -> BiPoly:
-    """Replace each a_i by the linear form sum_j matrix[i][j] * a_j."""
-    if len(matrix) != f.na or any(len(row) != f.na for row in matrix):
-        raise DomainError(f"substitution matrix must be {f.na}x{f.na}")
-    images = [BiPoly.a_linear(list(row), ny=f.ny) for row in matrix]
-    return f.compose(a_images=images)
 
 
 def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> dict[tuple, Scalar]:

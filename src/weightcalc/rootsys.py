@@ -104,7 +104,7 @@ def _simple_root_half_norms(kind: str, rank: int) -> Tuple[Fraction, ...]:
     return tuple(d)
 
 
-def _positive_roots(cartan: Matrix, d: Sequence[Fraction]):
+def _positive_roots(cartan: Matrix):
     """All positive roots as integer vectors over the simple roots.
 
     Standard root-string closure: beta + alpha_i is a root iff
@@ -267,7 +267,7 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     kind, rank = _parse_type(kind, rank)
     cartan = _cartan_matrix(kind, rank)
     d = _simple_root_half_norms(kind, rank)
-    coeffs = _positive_roots(cartan, d)
+    coeffs = _positive_roots(cartan)
     pos_roots = tuple(_root_weight_coords(k, cartan) for k in coeffs)
     pos_coroots = tuple(_coroot_coords(k, cartan, d) for k in coeffs)
     # Killing form from the root sum: K_ij = sum over all roots of a_i a_j

@@ -87,6 +87,31 @@ def gen_poly(n: int, terms: dict[tuple, object]) -> BiPoly:
     return BiPoly(n, 0, dict(terms))
 
 
+def naive_compose(f: BiPoly, a_images=None, y_images=None) -> BiPoly:
+    """Reference substitution: each term expanded as the product of its image powers.
+
+    Works through ``BiPoly.__mul__`` and ``**`` only; a block given as None
+    keeps its variables as identity images.
+    """
+    given = [*(a_images or ()), *(y_images or ())]
+    na, ny = given[0].na, given[0].ny
+    if a_images is None:
+        a_images = [BiPoly.a_var(i, na, ny) for i in range(f.na)]
+    if y_images is None:
+        y_images = [BiPoly.y_var(i, na, ny) for i in range(f.ny)]
+    images = [*a_images, *y_images]
+    powers: dict[tuple[int, int], BiPoly] = {}
+    total = BiPoly.zero(na, ny)
+    for e, c in f.terms.items():
+        term = BiPoly.constant(na, ny, c)
+        for i, k in enumerate(e):
+            if (i, k) not in powers:
+                powers[i, k] = images[i] ** k
+            term = term * powers[i, k]
+        total = total + term
+    return total
+
+
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
     """B_n with B_1 = -1/2, by the defining recurrence."""

@@ -120,6 +120,23 @@ def test_max_dim_guard(a2):
         weight_multiplicities(a2, (-1, 0))
 
 
+@pytest.mark.parametrize("bad", ["x", True, 3.5])
+def test_max_dim_must_be_an_int(a1, bad):
+    # True was taken as 1 and 3.5 as a bound; "x" raised TypeError
+    with pytest.raises(DomainError, match="max_dim"):
+        weight_multiplicities(a1, (2,), max_dim=bad)
+
+
+@pytest.mark.parametrize("bad", [((True,),), (("2",),)])
+def test_character_refuses_a_basis_entry_that_is_not_an_int(a1, bad):
+    # at signs (-1,) these returned 3 and -1 instead of refusing
+    wm = weight_multiplicities(a1, (2,))
+    with pytest.raises(DomainError, match="basis entries"):
+        character_at_order2(wm, (-1,), basis=bad)
+    assert character_at_order2(wm, (-1,), basis=((1,),)) == 3
+    assert character_at_order2(wm, (-1,), basis=((2,),)) == -1
+
+
 def _ball_sweep_multiplicities(rs, lam):
     """Reference: dominant multiplicities from a sweep of the norm ball.
 

@@ -8,17 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import naive_compose
 from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import (
     BiPoly,
     Mod2Poly,
-    eval_mu,
     exact_divide,
     expand_linear_power,
     invert,
     mod2_reduce,
     rref,
-    substitute_linear,
     translate_delta,
 )
 from weightcalc.charclass import builtin_lattice, builtin_lattice_names
@@ -137,7 +136,7 @@ def test_translate_matches_shifted_evaluation(f, pt, shift):
 def test_eval_a_consistent_with_full_evaluation(f, pt):
     mu, y = pt[:NA], pt[NA:]
     partial = f.eval_a(mu)
-    assert eval_mu(f, mu) == partial
+    assert partial == naive_compose(f, a_images=[BiPoly.constant(NA, NY, v) for v in mu])
     assert partial.a_degree() <= 0
     assert termwise(partial, (0,) * NA + y) == termwise(f, pt)
     assert canonical(partial)
@@ -160,11 +159,74 @@ def test_compose_and_embed_match_termwise_evaluation(f, pt):
 
 @given(bipolys)
 def test_substitute_linear_on_generators(f):
-    swap = [[0, 1], [1, 0]]
-    twice = substitute_linear(substitute_linear(f, swap), swap)
-    assert twice == f
-    ident = [[1, 0], [0, 1]]
-    assert substitute_linear(f, ident) == f
+    swap = [BiPoly.a_linear(row, ny=NY) for row in ([0, 1], [1, 0])]
+    assert f.compose(a_images=swap) == naive_compose(f, a_images=swap)
+    assert f.compose(a_images=swap).compose(a_images=swap) == f
+    ident = [BiPoly.a_var(i, NA, NY) for i in range(NA)]
+    assert f.compose(a_images=ident) == f
+
+
+def _image_polys(na, ny):
+    """Constant, affine and general images of arity (na, ny)."""
+    n = na + ny
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    affine = st.tuples(coeffs, st.tuples(*[coeffs] * n)).map(
+        lambda cs: BiPoly(na, ny, {(0,) * n: cs[0], **dict(zip(units, cs[1]))}))
+    general = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * n),
+                              coeffs, max_size=4).map(lambda t: BiPoly(na, ny, t))
+    return st.one_of(coeffs.map(lambda c: BiPoly.constant(na, ny, c)), affine, general)
+
+
+@st.composite
+def substitutions(draw):
+    """(a_images, y_images): both blocks, or one with the other kept, into arity (0..3, 0..3)."""
+    kept = draw(st.sampled_from([None, "a", "y"]))
+    na = draw(st.integers(min_value=NA if kept == "a" else 0, max_value=3))
+    ny = draw(st.integers(min_value=NY if kept == "y" else 0, max_value=3))
+    images = _image_polys(na, ny)
+    a_images = None if kept == "a" else draw(st.lists(images, min_size=NA, max_size=NA))
+    y_images = None if kept == "y" else draw(st.lists(images, min_size=NY, max_size=NY))
+    return a_images, y_images
+
+
+@given(bipolys, substitutions())
+def test_compose_matches_naive_substitution(f, images):
+    composed = f.compose(*images)
+    assert composed == naive_compose(f, *images)
+    assert canonical(composed)
+
+
+def test_compose_refuses_exponents_wider_than_the_packing():
+    a = BiPoly.a_var(0, 1, 1)
+    with pytest.raises(DomainError, match="degree over 65535"):  # 2^15 times a degree-2 image
+        BiPoly(1, 1, {(1 << 15, 0): 1}).compose(a_images=[a * a])
+    with pytest.raises(DomainError, match="degree over 65535"):  # a kept exponent of 2^16
+        BiPoly(1, 1, {(0, 1 << 16): 1}).compose(a_images=[BiPoly.constant(1, 1, 2)])
+    with pytest.raises(DomainError, match="degree over 65535"):  # a constant image of a^(2^16)
+        BiPoly(1, 1, {(1 << 16, 0): 1}).eval_a([2])
+    with pytest.raises(DomainError, match="degree over 65535"):  # an image of degree 2^16
+        BiPoly(1, 1, {(0, 1): 1}).compose(a_images=[a ** (1 << 16)])
+    widest = BiPoly(1, 1, {((1 << 16) - 1, 0): 3})
+    assert widest.compose(a_images=[a]) == widest
+    assert widest.compose(y_images=[BiPoly.constant(1, 1, 2)]) == widest
+    kept = BiPoly(1, 1, {(0, (1 << 16) - 1): 3})
+    assert kept.compose(a_images=[BiPoly.constant(1, 1, 2)]) == kept
+
+
+def test_compose_refuses_mismatched_images():
+    f = BiPoly(2, 1, {(1, 0, 1): 1})
+    with pytest.raises(DomainError, match="image count"):
+        f.compose(a_images=[BiPoly.a_var(0, 2, 1)])
+    with pytest.raises(DomainError, match="share one arity"):
+        f.compose(a_images=[BiPoly.a_var(0, 2, 1), BiPoly.a_var(0, 2, 2)])
+    with pytest.raises(DomainError, match="image count"):  # two kept a-variables, one a-slot
+        f.compose(y_images=[BiPoly.constant(1, 1, 1)])
+    with pytest.raises(DomainError, match="image count"):  # three images, but none for a
+        f.compose(a_images=[], y_images=[BiPoly.a_var(0, 2, 1)] * 3)
+    with pytest.raises(DomainError, match="image count"):  # no image for two a-variables
+        f.compose(a_images=[])
+    with pytest.raises(DomainError, match="image count"):  # no image for one y-variable
+        f.compose(y_images=[])
 
 
 def test_compose_shared_arity_and_embedding():

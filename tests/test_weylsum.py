@@ -12,7 +12,7 @@ import pytest
 from conftest import all_supported_types, get_rs
 from weightcalc import weylsum
 from weightcalc.errors import DomainError, InternalError
-from weightcalc.polyalg import BiPoly, _monomials, expand_linear_power, rref, substitute_linear
+from weightcalc.polyalg import BiPoly, _monomials, expand_linear_power, rref
 from weightcalc.weylsum import (
     FkTable,
     closed_form_FN,
@@ -33,6 +33,11 @@ from weightcalc.weylsum import (
 from test_rootsys import reflection_matrix
 
 SMALL = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
+
+
+def _a_forms(m, r):
+    """Images a_i := sum_j m[i][j] * a_j, the action of m on the weight slot."""
+    return [BiPoly.a_linear(list(row), ny=r) for row in m]
 
 
 @pytest.mark.parametrize("kind,rank", SMALL)
@@ -97,7 +102,7 @@ def test_anti_invariance_both_slots(kind, rank, k):
     for i in range(r):
         m = reflection_matrix(rs, i)
         # weight slot: a_i carry fundamental coordinates, action matrix M
-        assert substitute_linear(fk, m) == -fk
+        assert fk.compose(a_images=_a_forms(m, r)) == -fk
         # coweight slot: y_i carry coroot coordinates, action matrix M^T
         y_images = [
             BiPoly.y_linear([m[j][col] for j in range(r)], na=r) for col in range(r)
@@ -116,7 +121,7 @@ def test_simultaneous_weyl_invariance(kind, rank):
         y_images = [
             BiPoly.y_linear([m[j][col] for j in range(r)], na=r) for col in range(r)
         ]
-        both = substitute_linear(fk.compose(y_images=y_images), m)
+        both = fk.compose(y_images=y_images).compose(a_images=_a_forms(m, r))
         assert both == fk
 
 

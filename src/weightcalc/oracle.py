@@ -9,21 +9,30 @@ parity sums over integer lattice coordinates.  Nothing here touches
 alternating Weyl sums, polynomial division, or Newton's identities, so
 agreement with the main engine is genuine corroboration.
 
-Both run on dense degree blocks: the coefficients of all monomials of one
-degree, in the order of ``polyalg._monomials``.  The moments mu^e over the
-weights are built one monomial at a time, as the column of a monomial one
-degree lower times one coordinate column; P_k is one weighted sum of such
-a column per monomial, and each factor of the E_k product is one row of
-them.  Two blocks multiply through a table cached per rank and degree
-pair, which gathers the two factors of every pair of monomials and sums
-the products that land on the same output monomial.
+The multiplicity recursion sums along root strings mu + j alpha; the
+norm |nu + delta|^2 and the pairing <nu, alpha> step along a string by
+integer increments, so the full form is evaluated once per dominant weight.
 
-The sums and products fold each weight with its negative: a pair
-{mu, -mu} with multiplicities a and b contributes (a + (-1)^k b) <mu, y>^k
-to P_k and the factor (1 + <mu, y>)^a (1 - <mu, y>)^b to the product of
-the E_k.  The pairs are read off the multiset by looking up -mu in it, not
-off the Weyl group, so representations that are not self-dual fold only
-the pairs they have.
+Everything after the multiplicities reads one folded view of the multiset,
+built once and cached on it: each weight is folded with its negative, and a
+pair {mu, -mu} with multiplicities a and b contributes (a + (-1)^k b)
+<mu, y>^k to P_k, the factor (1 + <mu, y>)^a (1 - <mu, y>)^b to the product
+of the E_k, and a + b times one parity sign to a character at an order-2
+element (mu and -mu have the same lattice coordinates up to sign).  The
+pairs are read off the multiset by looking up -mu in it, not off the Weyl
+group, so representations that are not self-dual fold only the pairs they
+have.
+
+The view stores the pairs column-wise: one column per coordinate and the
+moments mu^e over the pairs, one column per monomial, grown on demand to
+the largest degree asked for.  A moment column is the column of a monomial
+one degree lower times one coordinate column.  P_k and the E_k run on dense
+degree blocks, the coefficients of all monomials of one degree in the order
+of ``polyalg._monomials``: P_k is one weighted sum of a moment column per
+monomial, and each factor of the E_k product is one row of them.  Two
+blocks multiply through a table cached per rank and degree pair, which
+gathers the two factors of every pair of monomials and sums the products
+that land on the same output monomial.
 """
 
 from __future__ import annotations
@@ -86,13 +95,15 @@ class WeightMultiset:
     """Weights of one irreducible representation, stored by dominant orbit.
 
     ``dominant`` maps each dominant weight to its multiplicity; the full
-    W-orbit expansion is materialized once on demand and cached.
+    W-orbit expansion and the folded view of it are materialized once on
+    demand and cached.
     """
 
     rs: RootSystem
     highest_weight: tuple[int, ...]
     dominant: dict
     _expanded: dict | None = field(default=None, repr=False, compare=False)
+    _folded: _FoldedView | None = field(default=None, repr=False, compare=False)
 
     def expanded(self) -> dict:
         """Every distinct weight with its multiplicity (cached)."""
@@ -111,6 +122,12 @@ class WeightMultiset:
                 )
             object.__setattr__(self, "_expanded", full)
         return self._expanded
+
+    def folded(self) -> _FoldedView:
+        """The weights folded into pairs {mu, -mu}, column-wise (cached)."""
+        if self._folded is None:
+            object.__setattr__(self, "_folded", _FoldedView(self.expanded(), self.rs.rank))
+        return self._folded
 
     @property
     def dimension(self) -> int:
@@ -152,6 +169,11 @@ def weight_multiplicities(
     bound = _form(gram, lam_d, lam_d)
     pos_roots = [tuple(a) for a in rs.positive_roots]
     steps = list(zip(pos_roots, map(sum, rs.root_coefficients)))
+    # per root: the column G alpha, |alpha|^2 and <delta, alpha>
+    strings = []
+    for alpha in pos_roots:
+        g_alpha = [sum(map(mul, row, alpha)) for row in gram]
+        strings.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha)), sum(g_alpha)))
 
     depth = {lam: 0}
     frontier = [lam]
@@ -171,23 +193,25 @@ def weight_multiplicities(
             mult[mu] = 1
             continue
         mu_d = tuple(mu[i] + 1 for i in range(r))
-        denom = bound - _form(gram, mu_d, mu_d)
-        if denom <= 0:
+        norm = _form(gram, mu_d, mu_d)
+        if norm >= bound:
             raise InternalError("norm denominator must be positive below the top")
         total = 0
-        for alpha in pos_roots:
-            j = 1
+        for alpha, g_alpha, step, shift in strings:
+            # nu = mu + j alpha; |nu + delta|^2 grows by 2 <nu + delta, alpha> - |alpha|^2
+            pair = sum(map(mul, mu, g_alpha))
+            nu_norm = norm
+            nu = mu
             while True:
-                nu = tuple(mu[i] + j * alpha[i] for i in range(r))
-                nu_d = tuple(nu[i] + 1 for i in range(r))
-                if _form(gram, nu_d, nu_d) > bound:
+                pair += step
+                nu_norm += 2 * (pair + shift) - step
+                if nu_norm > bound:
                     break
+                nu = tuple(map(add, nu, alpha))
                 m = mult.get(chamber_descent(cartan, nu), 0)
                 if m:
-                    total += m * _form(gram, nu, alpha)
-                j += 1
-        num = 2 * total
-        q, rem = divmod(num, denom)
+                    total += m * pair
+        q, rem = divmod(2 * total, bound - norm)
         if rem:
             raise InternalError("multiplicity recursion yielded a non-integer")
         if q <= 0:
@@ -199,21 +223,6 @@ def weight_multiplicities(
 
 
 # -- direct sums and products over the multiset -------------------------------
-
-
-def _folded(wm: WeightMultiset):
-    """Yield (mu, m(mu), m(-mu)) once for each pair {mu, -mu} of weights.
-
-    The lexicographically larger weight represents its pair; a weight whose
-    negative is missing, and the zero weight, come with m(-mu) = 0.
-    """
-    full = wm.expanded()
-    for mu, m in full.items():
-        neg = tuple(-c for c in mu)
-        if neg == mu or neg not in full:
-            yield mu, m, 0
-        elif mu > neg:
-            yield mu, m, full[neg]
 
 
 @lru_cache(maxsize=None)
@@ -237,14 +246,45 @@ def _multinomials(r: int, d: int) -> tuple[int, ...]:
     return tuple(factorial(d) // prod(map(factorial, e)) for e in _monomials(r, d))
 
 
-def _moment_columns(base: Sequence[int], coords: Sequence[Sequence[int]], kmax: int) -> list[list]:
-    """cols[d][n] lists base[i] * mu_i^e over the rows i, e the n-th monomial of degree d."""
-    r = len(coords)
-    cols = [[list(base)]]
-    for d in range(1, kmax + 1):
-        below = cols[-1]
-        cols.append([list(map(mul, below[n], coords[i])) for n, i in _moment_steps(r, d)])
-    return cols
+class _FoldedView:
+    """The weights of a multiset folded into pairs {mu, -mu}, stored column-wise.
+
+    The lexicographically larger weight represents its pair; a weight whose
+    negative is missing, and the zero weight, come with m(-mu) = 0.
+    ``coords[i]`` lists coordinate i of every representative, ``a`` and
+    ``b`` list m(mu) and m(-mu), ``plus`` and ``minus`` list a + b and
+    a - b, and ``moments[d][n]`` lists mu^e over the pairs, e the n-th
+    monomial of degree d.
+    """
+
+    __slots__ = ("coords", "a", "b", "plus", "minus", "moments")
+
+    def __init__(self, full: dict, r: int):
+        pairs = []
+        for mu, m in full.items():
+            neg = tuple(-c for c in mu)
+            if neg == mu or neg not in full:
+                pairs.append((mu, m, 0))
+            elif mu > neg:
+                pairs.append((mu, m, full[neg]))
+        mus = [mu for mu, _, _ in pairs]
+        self.coords = [[mu[i] for mu in mus] for i in range(r)]
+        self.a = [a for _, a, _ in pairs]
+        self.b = [b for _, _, b in pairs]
+        self.plus = list(map(add, self.a, self.b))
+        self.minus = [a - b for a, b in zip(self.a, self.b)]
+        self.moments = [[[1] * len(pairs)]]
+
+    def upto(self, kmax: int) -> list[list[list]]:
+        """The moment columns of degrees 0..kmax (and any higher ones grown earlier)."""
+        cols = self.moments
+        for d in range(len(cols), kmax + 1):
+            below = cols[-1]
+            cols.append([
+                list(map(mul, below[n], self.coords[i]))
+                for n, i in _moment_steps(len(self.coords), d)
+            ])
+        return cols
 
 
 def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
@@ -255,16 +295,12 @@ def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
     """
     check_degree(k, "k")
     r = wm.rs.rank
-    rows = [(mu, a - b if k % 2 else a + b) for mu, a, b in _folded(wm)]
-    rows = [(mu, w) for mu, w in rows if w]
-    if not rows:
-        return BiPoly.zero(r, r)
-    mus, ws = zip(*rows)
-    cols = _moment_columns(ws, list(zip(*mus)), k)[k]
+    view = wm.folded()
+    w = view.minus if k % 2 else view.plus
     prefix = (0,) * r
     return BiPoly(r, r, {
-        prefix + e: m * sum(col)
-        for e, m, col in zip(_monomials(r, k), _multinomials(r, k), cols)
+        prefix + e: m * sum(map(mul, w, col))
+        for e, m, col in zip(_monomials(r, k), _multinomials(r, k), view.upto(k)[k])
     })
 
 
@@ -345,13 +381,13 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     """
     check_degree(kmax, "kmax")
     r = wm.rs.rank
-    folded = list(_folded(wm))
-    factors = [[(1,)] + [None] * kmax for _ in range(max(1, len(folded)))]
-    if folded:
-        mus, a, b = zip(*folded)
-        cols = _moment_columns([1] * len(folded), list(zip(*mus)), kmax)
-        pair = {ab: _pair_coefficients(*ab, kmax) for ab in set(zip(a, b))}
-        coeffs = [pair[ab] for ab in zip(a, b)]
+    view = wm.folded()
+    factors = [[(1,)] + [None] * kmax for _ in range(max(1, len(view.a)))]
+    if view.a:
+        cols = view.upto(kmax)
+        pairs = list(zip(view.a, view.b))
+        pair = {ab: _pair_coefficients(*ab, kmax) for ab in set(pairs)}
+        coeffs = [pair[ab] for ab in pairs]
         for j in range(1, kmax + 1):
             cj = [c[j] for c in coeffs]
             if not any(cj):
@@ -391,9 +427,11 @@ def character_at_order2(
     ``basis`` rows are the lattice generators in fundamental-weight
     coordinates (identity = full weight lattice).  Each weight is solved for
     integer coordinates against the basis and contributes m(mu) times the
-    parity sign picked out by the -1 entries.  The rows of the inverse basis
-    that those entries need are scaled to integers once, so each coordinate
-    is one integer quotient whose remainder must vanish.
+    parity sign picked out by the -1 entries; a weight with a coordinate
+    off the lattice is refused whatever the signs.  mu and -mu have the same
+    parity, so each folded pair counts a + b once.  The inverse basis is
+    scaled to integers once, and each coordinate is taken column-wise over
+    the pairs as one integer quotient whose remainder must vanish.
     """
     r = wm.rs.rank
     if len(signs) != r:
@@ -410,21 +448,27 @@ def character_at_order2(
         binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
         if binv_t is None:
             raise DomainError("lattice basis must be a square matrix of full rank")
-    rows = [binv_t[i] for i, s in enumerate(signs) if s == -1]
-    scale = lcm(1, *(x.denominator for row in rows for x in row))
-    rows = [[int(x * scale) for x in row] for row in rows]
-    total = 0
-    for mu, m in wm.expanded().items():
-        parity = 0
-        for row in rows:
-            q, rem = divmod(sum(c * x for c, x in zip(row, mu)), scale)
-            if rem:
+    scale = lcm(*(x.denominator for row in binv_t for x in row))
+    view = wm.folded()
+    parity = [0] * len(view.plus)
+    for row, s in zip(binv_t, signs):
+        if scale == 1 and s == 1:
+            continue  # an integral row: the coordinate is an integer and adds no sign
+        coord = None
+        for c, col in zip(row, view.coords):
+            c = int(c * scale)
+            if c:
+                term = col if c == 1 else [c * x for x in col]
+                coord = term if coord is None else list(map(add, coord, term))
+        if scale > 1:
+            if any(x % scale for x in coord):
                 raise DomainError(
                     "weight does not lie in the span of the given lattice basis"
                 )
-            parity += q
-        total += m if parity % 2 == 0 else -m
-    return total
+            coord = [x // scale for x in coord]
+        if s == -1:
+            parity = list(map(add, parity, coord))
+    return sum(view.plus) - 2 * sum(w for w, q in zip(view.plus, parity) if q & 1)
 
 
 # -- complete symmetric functions at sign vectors ------------------------------

@@ -137,32 +137,19 @@ def test_character_refuses_a_basis_entry_that_is_not_an_int(a1, bad):
     assert character_at_order2(wm, (-1,), basis=((2,),)) == -1
 
 
-def _ball_sweep_multiplicities(rs, lam):
-    """Reference: dominant multiplicities from a sweep of the norm ball.
+def _per_step_fill(rs, lam, order):
+    """Reference: the multiplicity recursion over the dominant weights in ``order``, lam first.
 
-    Every lattice point reached from lam by simple-root steps inside
-    |mu + delta| <= |lam + delta| is visited; the dominant ones are filled in
-    by the same multiplicity recursion in (level, mu) order.
+    Both |nu + delta|^2 and <nu, alpha> are evaluated in full with ``_form``
+    at every root-string step nu = mu + j alpha.
     """
     r = rs.rank
     gram = _integer_form(rs)
     lam_d = tuple(c + 1 for c in lam)
     bound = _form(gram, lam_d, lam_d)
-    levels = {tuple(lam): 0}
-    frontier = [tuple(lam)]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for s in rs.cartan:
-                child = tuple(node[i] - s[i] for i in range(r))
-                shifted = tuple(c + 1 for c in child)
-                if child not in levels and _form(gram, shifted, shifted) <= bound:
-                    levels[child] = levels[node] + 1
-                    nxt.append(child)
-        frontier = nxt
     mult = {}
-    for lvl, mu in sorted((lvl, mu) for mu, lvl in levels.items() if min(mu) >= 0):
-        if lvl == 0:
+    for mu in order:
+        if mu == tuple(lam):
             mult[mu] = 1
             continue
         mu_d = tuple(c + 1 for c in mu)
@@ -182,6 +169,33 @@ def _ball_sweep_multiplicities(rs, lam):
     return mult
 
 
+def _ball_sweep_multiplicities(rs, lam):
+    """Reference: dominant multiplicities from a sweep of the norm ball.
+
+    Every lattice point reached from lam by simple-root steps inside
+    |mu + delta| <= |lam + delta| is visited; the dominant ones are filled in
+    by the per-step recursion in (level, mu) order.
+    """
+    r = rs.rank
+    gram = _integer_form(rs)
+    lam_d = tuple(c + 1 for c in lam)
+    bound = _form(gram, lam_d, lam_d)
+    levels = {tuple(lam): 0}
+    frontier = [tuple(lam)]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for s in rs.cartan:
+                child = tuple(node[i] - s[i] for i in range(r))
+                shifted = tuple(c + 1 for c in child)
+                if child not in levels and _form(gram, shifted, shifted) <= bound:
+                    levels[child] = levels[node] + 1
+                    nxt.append(child)
+        frontier = nxt
+    dominant = sorted((lvl, mu) for mu, lvl in levels.items() if min(mu) >= 0)
+    return _per_step_fill(rs, lam, [mu for _, mu in dominant])
+
+
 @pytest.mark.parametrize(
     "kind,rank,top", [(k, r, 3) for k, r in GRID_TYPES] + [(k, 4, 1) for k in "ABCD"]
 )
@@ -191,6 +205,43 @@ def test_dominant_walk_matches_ball_sweep(kind, rank, top):
     for lam in dominant_grid(rank, top):
         got = weight_multiplicities(rs, lam, max_dim=ORACLE_GUARD).dominant
         assert list(got.items()) == list(_ball_sweep_multiplicities(rs, lam).items()), lam
+
+
+def _per_step_multiplicities(rs, lam):
+    """Reference: the dominant walk and fill order of ``weight_multiplicities``, filled per step.
+
+    Only the root-string sums differ: |nu + delta|^2 and <nu, alpha> are
+    taken with ``_form`` at each point nu instead of by increments.
+    """
+    r = rs.rank
+    pos_roots = [tuple(a) for a in rs.positive_roots]
+    steps = list(zip(pos_roots, map(sum, rs.root_coefficients)))
+    depth = {lam: 0}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for alpha, height in steps:
+                nu = tuple(mu[i] - alpha[i] for i in range(r))
+                if nu not in depth and min(nu) >= 0:
+                    depth[nu] = depth[mu] + height
+                    nxt.append(nu)
+        frontier = nxt
+    return _per_step_fill(rs, lam, sorted(depth, key=lambda mu: (depth[mu], mu)))
+
+
+_STRING_CASES = (
+    [(k, r, (1,) + (0,) * (r - 1)) for k, r in all_supported_types()]
+    + [(k, r, (0,) * (r - 1) + (1,)) for k, r in all_supported_types()]
+    + [("B", 3, (3, 3, 3)), ("C", 3, (3, 3, 3)), ("D", 4, (0, 1, 0, 1))]
+)
+
+
+@pytest.mark.parametrize("kind,rank,lam", _STRING_CASES)
+def test_incremental_root_strings_match_per_step_forms(kind, rank, lam):
+    rs = get_rs(kind, rank)
+    got = weight_multiplicities(rs, lam, max_dim=ORACLE_GUARD).dominant
+    assert list(got.items()) == list(_per_step_multiplicities(rs, lam).items())
 
 
 # -- unfolded reference ------------------------------------------------------------
@@ -226,7 +277,8 @@ def _unfolded_elementary(wm, kmax):
                 _mul_into(out[da + db], f[da], g[db])
         return [{e: c for e, c in blk.items() if c} for blk in out]
 
-    factors = [leaf(mu, m) for mu, m in wm.expanded().items()]
+    # the empty multiset is one leaf of multiplicity 0: the empty product 1
+    factors = [leaf(mu, m) for mu, m in wm.expanded().items()] or [leaf((0,) * r, 0)]
     while len(factors) > 1:
         nxt = [mul(factors[i], factors[i + 1]) for i in range(0, len(factors) - 1, 2)]
         if len(factors) % 2:
@@ -236,7 +288,10 @@ def _unfolded_elementary(wm, kmax):
 
 
 def _fraction_character(wm, signs, basis=None):
-    """Reference: the order-2 character with one Fraction coordinate per weight."""
+    """Reference: the order-2 character with one Fraction coordinate per weight.
+
+    Every coordinate of every weight must be an integer, whatever the signs.
+    """
     r = wm.rs.rank
     if basis is None:
         binv_t = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
@@ -246,10 +301,10 @@ def _fraction_character(wm, signs, basis=None):
     for mu, m in wm.expanded().items():
         parity = 0
         for i, s in enumerate(signs):
+            ci = sum(binv_t[i][j] * mu[j] for j in range(r))
+            if ci.denominator != 1:
+                raise DomainError("weight does not lie in the span of the basis")
             if s == -1:
-                ci = sum(binv_t[i][j] * mu[j] for j in range(r))
-                if ci.denominator != 1:
-                    raise DomainError("weight does not lie in the span of the basis")
                 parity += int(ci)
         total += m if parity % 2 == 0 else -m
     return total
@@ -308,6 +363,62 @@ def test_folded_oracle_matches_unfolded_synthetic_multiset(a2):
     empty = WeightMultiset(rs=a2, highest_weight=(0, 0), dominant={}, _expanded={})
     assert oracle_elementary(empty, 7) == [BiPoly.constant(2, 2, 1)] + [BiPoly.zero(2, 2)] * 7
     assert all(oracle_power_sum(empty, k).is_zero() for k in range(8))
+
+
+def _fresh(wm):
+    """The same weights in a new multiset, with nothing folded or cached yet."""
+    return WeightMultiset(
+        rs=wm.rs, highest_weight=wm.highest_weight, dominant=wm.dominant,
+        _expanded=dict(wm.expanded()),
+    )
+
+
+def _nested_signs(r):
+    return [tuple(-1 if j < i else 1 for j in range(r)) for i in range(r + 1)]
+
+
+def _assert_cached_calls_match(wm):
+    """Calls in mixed order on one multiset equal a fresh multiset per call and the references."""
+    r = wm.rs.rank
+    got_e3 = oracle_elementary(wm, 3)
+    got_p7 = oracle_power_sum(wm, 7)
+    got_e7 = oracle_elementary(wm, 7)
+    got_p = {k: oracle_power_sum(wm, k) for k in range(7, -1, -1)}
+    got_chi = [character_at_order2(wm, s) for s in _nested_signs(r)]
+    ref_e7 = [f.terms for f in _unfolded_elementary(wm, 7)]
+    assert [f.terms for f in got_e3] == [f.terms for f in oracle_elementary(_fresh(wm), 3)]
+    assert [f.terms for f in got_e3] == ref_e7[:4]
+    assert [f.terms for f in got_e7] == [f.terms for f in oracle_elementary(_fresh(wm), 7)]
+    assert [f.terms for f in got_e7] == ref_e7
+    assert got_p7.terms == got_p[7].terms
+    for k, pk in got_p.items():
+        assert pk.terms == oracle_power_sum(_fresh(wm), k).terms, k
+        assert pk.terms == _unfolded_power_sum(wm, k).terms, k
+    for s, chi in zip(_nested_signs(r), got_chi):
+        assert chi == character_at_order2(_fresh(wm), s) == _fraction_character(wm, s), s
+
+
+@pytest.mark.parametrize(
+    "kind,rank,lam",
+    [(k, r, (1,) + (0,) * (r - 1)) for k, r in all_supported_types()] + [("A", 3, (2, 1, 0))],
+)
+def test_cached_view_matches_fresh_multisets(kind, rank, lam):
+    wm = weight_multiplicities(get_rs(kind, rank), lam)
+    _assert_cached_calls_match(wm)
+    assert wm.folded() is wm.folded()
+
+
+def test_cached_view_matches_fresh_synthetic_multisets(a2):
+    # m(mu) != m(-mu), unpaired weights and a zero weight; then no weights at all
+    full = {
+        (1, 0): 2, (-1, 0): 1,
+        (1, -1): 1, (-1, 1): 4,
+        (0, 1): 3, (2, -1): 1,
+        (0, 0): 2,
+    }
+    for weights in (full, {}):
+        wm = WeightMultiset(rs=a2, highest_weight=(1, 1), dominant={}, _expanded=weights)
+        _assert_cached_calls_match(wm)
 
 
 @pytest.mark.parametrize("kind,rank", all_supported_types())
@@ -482,6 +593,27 @@ def test_character_with_sublattice_basis():
         character_at_order2(wm, (-1, 1))
     with pytest.raises(DomainError):
         character_at_order2(wm, (2,))
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (1, -1), (-1, -1)])
+def test_character_refuses_an_off_lattice_weight_at_every_sign_pattern(a2, signs):
+    # the adjoint weight (1, 1) has second coordinate 1/2 in this basis; the
+    # patterns (1, 1) and (-1, 1) returned 8 and 0 instead of refusing
+    wm = weight_multiplicities(a2, (1, 1))
+    with pytest.raises(DomainError, match="lattice basis"):
+        character_at_order2(wm, signs, basis=((1, 0), (0, 2)))
+    with pytest.raises(DomainError):
+        _fraction_character(wm, signs, ((1, 0), (0, 2)))
+
+
+@pytest.mark.parametrize("signs", [(1,), (-1,)])
+def test_character_refuses_an_odd_a1_weight_in_the_even_lattice(a1, signs):
+    # (1,) returned 4 instead of refusing
+    wm = weight_multiplicities(a1, (3,))
+    with pytest.raises(DomainError, match="lattice basis"):
+        character_at_order2(wm, signs, basis=((2,),))
+    with pytest.raises(DomainError):
+        _fraction_character(wm, signs, ((2,),))
 
 
 @pytest.mark.parametrize("bad", [(True, -1), (1.0, -1), ("1", -1)])

@@ -24,7 +24,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -151,6 +150,8 @@ def _cache_load(path: str) -> Optional[dict]:
 
 def _cache_store(path: str, obj: dict) -> None:
     """Write obj to path atomically; a store that fails is skipped."""
+    import tempfile  # here, not at the top: only a cache miss pays for it
+
     directory = os.path.dirname(path) or "."
     tmp = None
     try:

@@ -25,14 +25,11 @@ have.
 
 The view stores the pairs column-wise: one column per coordinate and the
 moments mu^e over the pairs, one column per monomial, grown on demand to
-the largest degree asked for.  A moment column is the column of a monomial
-one degree lower times one coordinate column.  P_k and the E_k run on dense
-degree blocks, the coefficients of all monomials of one degree in the order
-of ``polyalg._monomials``: P_k is one weighted sum of a moment column per
-monomial, and each factor of the E_k product is one row of them.  Two
-blocks multiply through a table cached per rank and degree pair, which
-gathers the two factors of every pair of monomials and sums the products
-that land on the same output monomial.
+the largest degree asked for; a moment column is the column of a monomial
+one degree lower times one coordinate column.  P_k is one weighted sum of a
+moment column per monomial.  The E_k come from exact values of the product
+at the lattice points y = (x, 1) with |x| <= kmax, in integers only:
+forward differences and Stirling numbers read the coefficients off them.
 """
 
 from __future__ import annotations
@@ -40,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial, lcm, prod
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError, check_degree
@@ -304,6 +300,7 @@ def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
     })
 
 
+@lru_cache(maxsize=None)
 def _pair_coefficients(a: int, b: int, kmax: int) -> tuple[int, ...]:
     """c_0..c_kmax of (1 + t)^a (1 - t)^b."""
     return tuple(
@@ -313,105 +310,106 @@ def _pair_coefficients(a: int, b: int, kmax: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _block_product(r: int, da: int, db: int):
-    """Gathers and output spans that multiply a degree-da block by a degree-db block.
+def _lattice(m: int, kmax: int):
+    """The points x of N^m with |x| <= kmax by degree, the step to each, and the axis lines.
 
-    Every pair of monomials is listed once, sorted by the position of their
-    product in degree da + db; the two gathers pick the factors of each pair
-    and span n slices the products that add up to output entry n.  Both index
-    lists end in one extra 0, outside every span, so that an itemgetter
-    always returns a tuple.
+    Point n >= 1 is points[p] + u_i for (p, i) = steps[n - 1], the step of
+    the moment columns; each line lists the indices of x, x + u_i,
+    x + 2 u_i, ... from a point x with x_i = 0, all lines along axis 0 first.
     """
-    index = {e: n for n, e in enumerate(_monomials(r, da + db))}
-    pairs = sorted(
-        (index[tuple(map(add, e1, e2))], i, j)
-        for i, e1 in enumerate(_monomials(r, da))
-        for j, e2 in enumerate(_monomials(r, db))
-    )
-    counts = [0] * len(index)
-    for n, _, _ in pairs:
-        counts[n] += 1
-    spans = tuple(slice(end - c, end) for c, end in zip(counts, accumulate(counts)))
-    return (
-        itemgetter(*(i for _, i, _ in pairs), 0),
-        itemgetter(*(j for _, _, j in pairs), 0),
-        spans,
-    )
+    points = [x for d in range(kmax + 1) for x in _monomials(m, d)]
+    index = {x: n for n, x in enumerate(points)}
+    steps = [(index[_monomials(m, d - 1)[p]], i)
+             for d in range(1, kmax + 1) for p, i in _moment_steps(m, d)]
+    lines = [
+        [index[x[:i] + (j,) + x[i + 1:]] for j in range(kmax - sum(x) + 1)]
+        for i in range(m) for x in points if not x[i]
+    ]
+    return points, index, steps, lines
 
 
-def _add_block(out: list, d: int, blk) -> None:
-    out[d] = blk if out[d] is None else list(map(add, out[d], blk))
+@lru_cache(maxsize=None)
+def _stirling(kmax: int) -> tuple[tuple[int, ...], ...]:
+    """Row i lists s(i, i), ..., s(kmax, i), where x(x-1)...(x-j+1) = sum_i s(j, i) x^i."""
+    s = [[1]]
+    for j in range(kmax):
+        s.append([(s[j][i - 1] if i else 0) - (j * s[j][i] if i <= j else 0) for i in range(j + 2)])
+    return tuple(tuple(s[j][i] for j in range(i, kmax + 1)) for i in range(kmax + 1))
 
 
-def _block_times(r: int, f: list, g: list) -> list:
-    """Product of two factors truncated at their last block.
+def _series_at(pairing: Sequence[int], a: Sequence[int], b: Sequence[int], kmax: int) -> list[int]:
+    """E_0..E_kmax at one point: the product of (1 + c t)^a (1 - c t)^b mod t^(kmax + 1).
 
-    A factor is a list of degree blocks, None for a zero block; the block of
-    degree 0 is 1 in every factor, so f[d] and g[d] enter the product as
-    they are and only blocks of positive degree are multiplied.
+    c is the pairing of a pair with the point; pairs with the same |c|
+    share one factor, with a and b swapped when c < 0.
     """
-    kmax = len(f) - 1
-    out = list(f)
-    for d in range(1, kmax + 1):
-        if g[d] is not None:
-            _add_block(out, d, g[d])
-    for da in range(1, kmax):
-        if f[da] is None:
-            continue
-        for db in range(1, kmax + 1 - da):
-            if g[db] is None:
-                continue
-            rows, cols, spans = _block_product(r, da, db)
-            prods = list(map(mul, rows(f[da]), cols(g[db])))
-            _add_block(out, da + db, list(map(sum, map(prods.__getitem__, spans))))
-    return out
+    groups: dict[int, list[int]] = {}
+    for c, x, z in zip(pairing, a, b):
+        if c < 0:
+            c, x, z = -c, z, x
+        g = groups.get(c)
+        if g is None:
+            groups[c] = [x, z]
+        else:
+            g[0] += x
+            g[1] += z
+    # the series is kept reversed, so each coefficient of a product is one
+    # sum over a slice; a factor has degree x + z, so f may be shorter
+    rev = [0] * kmax + [1]
+    for c, (x, z) in groups.items():
+        f = [v * c ** j for j, v in enumerate(_pair_coefficients(x, z, min(x + z, kmax)))]
+        rev = [sum(map(mul, f, rev[n:])) for n in range(kmax + 1)]
+    return rev[::-1]
 
 
 def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
-    """E_0..E_kmax as the degree-truncated product of (1 + mu-hat)^m.
+    """E_0..E_kmax, the degree-truncated product of (1 + mu-hat)^m, from exact values.
 
-    Each pair {mu, -mu} contributes the factor (1 + l)^a (1 - l)^b with
-    l = <mu, y>.  A factor is a list of dense degree blocks, the coefficients
-    of all monomials of one degree in ``_monomials`` order, with None for a
-    zero block: block j of a pair's factor is c_j(a, b) * multinomial(j; e)
-    * mu^e over the monomials e, read off the moment columns of all pairs.
-    Factors are combined pairwise (a balanced product tree), each pair of
-    blocks through a table of index gathers cached per degree pair, so
-    most multiplications involve short polynomials.
+    E_k is homogeneous, so q_k(x) = E_k(x, 1) has degree <= k in r - 1
+    variables, and its coefficient of x^g is that of y^(g, k - |g|) in E_k.
+    The product is evaluated at every lattice point x with |x| <= kmax.
+    Forward differences along each axis give D^g q_k(0), which must vanish
+    for |g| > k; D^g q_k(0) / g! is the coefficient of the falling factorial
+    x^(g), and Stirling numbers of the first kind take it to monomials one
+    axis at a time.  E_kmax has no spare lattice point, so every E_k is also
+    checked at y = (2, 3, ..., r + 1).
     """
     check_degree(kmax, "kmax")
     r = wm.rs.rank
     view = wm.folded()
-    factors = [[(1,)] + [None] * kmax for _ in range(max(1, len(view.a)))]
-    if view.a:
-        cols = view.upto(kmax)
-        pairs = list(zip(view.a, view.b))
-        pair = {ab: _pair_coefficients(*ab, kmax) for ab in set(pairs)}
-        coeffs = [pair[ab] for ab in pairs]
-        for j in range(1, kmax + 1):
-            cj = [c[j] for c in coeffs]
-            if not any(cj):
-                continue
-            scaled = [
-                [m * v for v in map(mul, col, cj)]
-                for m, col in zip(_multinomials(r, j), cols[j])
-            ]
-            for factor, row in zip(factors, zip(*scaled)):
-                if any(row):
-                    factor[j] = row
-    while len(factors) > 1:
-        nxt = [
-            _block_times(r, factors[i], factors[i + 1])
-            for i in range(0, len(factors) - 1, 2)
-        ]
-        if len(factors) % 2:
-            nxt.append(factors[-1])
-        factors = nxt
+    points, index, steps, lines = _lattice(r - 1, kmax)
+    pairings = [view.coords[-1]]
+    for n, i in steps:
+        pairings.append(list(map(add, pairings[n], view.coords[i])))
+    vals = [_series_at(p, view.a, view.b, kmax) for p in pairings]
+    for line in lines:
+        for lo in range(1, len(line)):
+            for j in range(len(line) - 1, lo - 1, -1):
+                vals[line[j]] = [u - v for u, v in zip(vals[line[j]], vals[line[j - 1]])]
+    for x, v in zip(points, vals):
+        d, f = sum(x), prod(map(factorial, x))
+        if any(v[:d]):
+            raise InternalError("a forward difference above the degree of E_k does not vanish")
+        for k in range(d, kmax + 1):
+            v[k], rem = divmod(v[k], f)
+            if rem:
+                raise InternalError("a falling-factorial coefficient of E_k is not an integer")
+    s = _stirling(kmax)
+    for line in lines:
+        old = [vals[n] for n in line]
+        for i, n in enumerate(line):
+            vals[n] = [sum(map(mul, s[i], w)) for w in zip(*old[i:])]
     prefix = (0,) * r
-    return [
-        BiPoly(r, r, {prefix + e: c for e, c in zip(_monomials(r, d), blk)} if blk else None)
-        for d, blk in enumerate(factors[0])
+    out = [
+        BiPoly(r, r, {prefix + e: vals[index[e[:-1]]][k] for e in _monomials(r, k)})
+        for k in range(kmax + 1)
     ]
+    y = range(2, r + 2)
+    check = _series_at([sum(map(mul, mu, y)) for mu in zip(*view.coords)], view.a, view.b, kmax)
+    for k, (f, want) in enumerate(zip(out, check)):
+        if sum(c * prod(map(pow, y, e[r:])) for e, c in f.terms.items()) != want:
+            raise InternalError(f"E_{k} does not match the product at the check point")
+    return out
 
 
 # -- characters at order-2 torus elements -------------------------------------

@@ -24,8 +24,9 @@ Every product of two term dicts goes through one kernel, ``_mul_into``:
 ``BiPoly`` products and powers and ``fk_direct``.  The kernel leaves
 cancelled terms as zeros; each operation drops them once, when it builds its
 result.  ``exact_divide`` is the exception: it removes a cancelled term at
-once, because its leading-term scan must never see a zero.  The oracle's E_k
-product multiplies dense degree blocks instead (``oracle._block_times``).
+once, because its leading-term scan must never see a zero.  The oracle
+forms no symbolic product: it reads its E_k off exact values at lattice
+points (``oracle.oracle_elementary``).
 
 Every substitution goes through one kernel with its own loop on packed
 monomials, ``_substitution``: ``compose`` (and through it ``eval_a``,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -103,10 +104,18 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     if rs.rank >= 3:
         orbit = _signed_orbit(rs, shifted)
         return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, orbit, nu, kmax))
-    delta = (1,) * rs.rank
     f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
-    f_del = [fk_evaluated(rs, delta, n + j) for j in range(kmax + 1)]
-    return _triangular_solve(n, f_lam, f_del, exact_divide)
+    return _triangular_solve(n, f_lam, _fk_delta(rs, kmax), exact_divide)
+
+
+@lru_cache(maxsize=None)
+def _fk_delta(rs: RootSystem, kmax: int) -> tuple[BiPoly, ...]:
+    """F_N(delta, y)..F_{N+kmax}(delta, y), built once per root system and kmax.
+
+    Shared by every call: the tuple and the BiPolys in it are never mutated.
+    """
+    delta = (1,) * rs.rank
+    return tuple(fk_evaluated(rs, delta, rs.num_positive + j) for j in range(kmax + 1))
 
 
 def _power_sums_at(rs: RootSystem, orbit: tuple, nu: Sequence[int], kmax: int) -> list[int]:

@@ -31,7 +31,6 @@ divide it, and are kept as the reference that tests compare against.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -481,6 +480,8 @@ def _fit_points(rs: RootSystem):
     invariants of C4 are linearly dependent, so no number of its points can
     separate them.  The seed is fixed, so every run draws the same points.
     """
+    import random  # here, not at the top: only the sampled fits draw points
+
     q = 16
     rng = random.Random(rs.rank)
     two_rho_vee = [sum(av[j] for av in rs.positive_coroots) for j in range(rs.rank)]

@@ -424,3 +424,29 @@ def test_installed_entry_point(tmp_path):
     assert proc.stdout == "12*y1^2 - 12*y1*y2 + 12*y2^2\n"
     loaded_from = Path(proc.stderr.splitlines()[0]).resolve()
     assert loaded_from.is_relative_to(src.resolve())
+
+
+def test_cold_import_loads_every_layer_but_not_tempfile_or_random(tmp_path):
+    """A fresh `python -S` interpreter importing the CLI, as each shell command starts.
+
+    Every layer module is loaded; tempfile (only a cache store needs it) and
+    random (only the sampled fits draw points) are not.
+    """
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = "import sys, weightcalc.cli\nprint(weightcalc.cli.__file__)\nprint(*sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded_from, modules = proc.stdout.splitlines()
+    assert Path(loaded_from).resolve().is_relative_to(src.resolve())
+    modules = set(modules.split())
+    layers = {"rootsys", "weylsum", "polyalg", "powersum", "charclass", "oracle", "cli"}
+    assert {f"weightcalc.{m}" for m in layers} <= modules
+    assert not modules & {"tempfile", "random"}

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import ast
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_supported_types, dominant_grid, get_rs
 from test_acceptance import GRID_TYPES, ORACLE_GUARD
 from weightcalc.charclass import builtin_lattice, builtin_lattice_names
-from weightcalc.errors import DomainError
+from weightcalc import oracle
+from weightcalc.errors import DomainError, InternalError
 from weightcalc.oracle import (
     DEFAULT_MAX_DIM,
     WeightMultiset,
@@ -25,7 +29,7 @@ from weightcalc.oracle import (
     schur_at_signs,
     weight_multiplicities,
 )
-from weightcalc.polyalg import BiPoly, _mul_into, expand_linear_power, invert
+from weightcalc.polyalg import BiPoly, _monomials, _mul_into, expand_linear_power, invert
 from weightcalc.powersum import elementary_from_power, power_sums, weyl_dimension
 from weightcalc.rootsys import SUPPORTED_RANKS, act, chamber_descent
 
@@ -363,6 +367,96 @@ def test_folded_oracle_matches_unfolded_synthetic_multiset(a2):
     empty = WeightMultiset(rs=a2, highest_weight=(0, 0), dominant={}, _expanded={})
     assert oracle_elementary(empty, 7) == [BiPoly.constant(2, 2, 1)] + [BiPoly.zero(2, 2)] * 7
     assert all(oracle_power_sum(empty, k).is_zero() for k in range(8))
+
+
+@st.composite
+def _synthetic_multiset(draw):
+    """A rank, a kmax and any small multiset of weights: m(mu) need not equal m(-mu)."""
+    r = draw(st.integers(1, 4))
+    weights = draw(st.dictionaries(
+        st.tuples(*[st.integers(-2, 2)] * r), st.integers(1, 3), max_size=6))
+    return r, draw(st.integers(0, 7)), weights
+
+
+@given(_synthetic_multiset())
+@example((1, 7, {}))
+@example((2, 7, {(1, 0): 2, (-1, 0): 1, (0, 0): 2, (2, -1): 1}))
+@example((3, 6, {(1, -1, 0): 3, (0, 1, 0): 1, (0, 0, 0): 1}))
+@example((4, 7, {(1, 0, 0, 0): 1, (0, 0, 1, -1): 2, (0, 0, -1, 1): 1, (0, 0, 0, 0): 3}))
+def test_lattice_elementary_matches_unfolded_synthetic(case):
+    # the empty multiset, a zero weight, unpaired weights, m(mu) != m(-mu)
+    # and weights whose last coordinate is 0, at ranks 1-4
+    r, kmax, weights = case
+    wm = WeightMultiset(
+        rs=get_rs("A", r), highest_weight=(0,) * r, dominant={}, _expanded=weights)
+    got = oracle_elementary(wm, kmax)
+    assert [f.terms for f in got] == [f.terms for f in _unfolded_elementary(wm, kmax)]
+    for k, f in enumerate(got):  # terms in ``_monomials`` order
+        assert list(f.terms) == [(0,) * r + e for e in _monomials(r, k) if (0,) * r + e in f.terms]
+
+
+@pytest.mark.parametrize("k,scale,match", [
+    (3, factorial(6) ** 2, "forward difference above the degree"),
+    (6, factorial(6) ** 2, "at the check point"),
+    (6, 1, "falling-factorial coefficient"),
+])
+def test_lattice_elementary_catches_a_wrong_point_value(monkeypatch, b3, k, scale, match):
+    # scale (6!)^2 keeps every division by g! exact, so k < kmax is caught by
+    # the differences above degree k and k = kmax only by the check point
+    wm = weight_multiplicities(b3, (1, 0, 1))
+    series_at = oracle._series_at
+    calls = []
+
+    def perturbed(pairing, a, b, kmax):
+        out = series_at(pairing, a, b, kmax)
+        calls.append(pairing)
+        if len(calls) == 2:  # the lattice point x = (1, 0)
+            out[k] += scale
+        return out
+
+    monkeypatch.setattr(oracle, "_series_at", perturbed)
+    with pytest.raises(InternalError, match=match):
+        oracle_elementary(wm, 6)
+
+
+def _engine_names(source: str) -> list[str]:
+    """Imports and names in source that the oracle must not use."""
+    local = {"errors": None, "polyalg": None, "rootsys": None,
+             "powersum": {"validate_dominant", "weyl_dimension"}}
+    forbidden = {"exact_divide", "elementary_from_power", "_triangular_solve", "rref",
+                 "_signed_orbit"}
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            bad += [a.name for a in node.names
+                    if a.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                if node.module.split(".")[0] not in sys.stdlib_module_names:
+                    bad.append(node.module)
+            elif node.level != 1 or node.module not in local:
+                bad.append("." * node.level + (node.module or ""))
+            elif local[node.module] is not None:
+                bad += [a.name for a in node.names if a.name not in local[node.module]]
+        names = ([node.id] if isinstance(node, ast.Name) else
+                 [node.attr] if isinstance(node, ast.Attribute) else
+                 [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+        bad += [n for n in names if n in forbidden or n.startswith("fk_")]
+    return bad
+
+
+def test_oracle_imports_nothing_of_the_engine():
+    assert _engine_names(Path(oracle.__file__).read_text(encoding="utf-8")) == []
+    # the check itself finds each kind of violation
+    assert _engine_names(
+        "import numpy\n"
+        "from .weylsum import FkTable\n"
+        "from .powersum import power_sums, weyl_dimension\n"
+        "from ..x import y\n"
+        "from .polyalg import rref\n"
+        "q = polyalg.exact_divide(f, g)\n"
+        "p = fk_evaluated(rs, mu, k)\n"
+    ) == ["numpy", ".weylsum", "power_sums", "..x", "rref", "exact_divide", "fk_evaluated"]
 
 
 def _fresh(wm):

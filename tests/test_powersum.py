@@ -219,6 +219,24 @@ def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points)
         power_sums(d4, (1, 0, 0, 0), 4)
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+def test_delta_values_are_built_once_per_root_system(monkeypatch, kind, rank):
+    rs = get_rs(kind, rank)
+    lam, kmax = (1,) + (0,) * (rank - 1), 5
+    first = power_sums(rs, lam, kmax)
+    fresh = [fk_evaluated(rs, (1,) * rank, rs.num_positive + j) for j in range(kmax + 1)]
+    assert powersum._fk_delta(rs, kmax) == tuple(fresh)
+    calls = []
+
+    def counted(rs, mu, k):
+        calls.append(tuple(mu))
+        return fk_evaluated(rs, mu, k)
+
+    monkeypatch.setattr(powersum, "fk_evaluated", counted)
+    assert power_sums(rs, lam, kmax) == first
+    assert calls and set(calls) == {tuple(c + 1 for c in lam)}  # lam + delta only
+
+
 def test_symbolic_specializes_to_numeric(a2):
     kmax = 4
     symb = symbolic_power_sums(a2, kmax)

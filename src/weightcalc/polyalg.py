@@ -21,10 +21,12 @@ JSON schema: ``{"terms": [{"c": "-5/3", "m": {"a1": 2, "y2": 1}}, ...]}``
 with terms in canonical order and signed coefficient strings.
 
 Every product of two term dicts goes through one kernel, ``_mul_into``:
-``BiPoly`` products and powers and ``fk_direct``.  The kernel leaves
-cancelled terms as zeros; each operation drops them once, when it builds its
-result.  ``exact_divide`` is the exception: it removes a cancelled term at
-once, because its leading-term scan must never see a zero.  The oracle
+``BiPoly`` products and powers, ``fk_direct``, and the sums of products of
+Newton's identities and of the binomial convolution in ``powersum``, which
+accumulate each degree in one term dict.  The kernel leaves cancelled terms
+as zeros; each operation drops them once, when it builds its result.
+``exact_divide`` is the exception: it removes a cancelled term at once, and
+its heap of candidate leading terms skips the keys of removed ones.  The oracle
 forms no symbolic product: it reads its E_k off exact values at lattice
 points (``oracle.oracle_elementary``).
 
@@ -36,7 +38,8 @@ images) and the change to lattice generators of the Chern path
 
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
-elimination in ``rref``.
+elimination in ``rref``, which is fraction-free: it runs on integer rows and
+forms Fractions only for the final pivot rows.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb
+from math import comb, gcd, lcm
 from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterable, Mapping, Sequence
@@ -74,6 +77,12 @@ def _norm(c: Scalar) -> Scalar:
     if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
+
+
+def _ratio(num: int, den: int) -> Scalar:
+    """num / den for ints, den nonzero: an int where den divides num, else the Fraction."""
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
 
 
 def _exact(c) -> Scalar:
@@ -376,9 +385,14 @@ class BiPoly:
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "BiPoly":
+        """The polynomial times c; by c = 1/n an int coefficient is divided with ``divmod``."""
         c = _exact(c)
         out = BiPoly.zero(self.na, self.ny)
-        if c:
+        if type(c) is Fraction and c.numerator == 1:
+            n = c.denominator
+            out.terms = {e: _ratio(v, n) if type(v) is int else _norm(v * c)
+                         for e, v in self.terms.items()}
+        elif c:
             out.terms = {e: _norm(v * c) for e, v in self.terms.items()}
         return out
 
@@ -653,10 +667,15 @@ def translate_delta(f: BiPoly) -> BiPoly:
 def exact_divide(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact polynomial division f / g; InternalError if any remainder is left.
 
-    Leading-term elimination in the canonical graded-lex order.  Exactness is
-    a mathematical guarantee at every call site, so a nonzero remainder means
-    a bug upstream and carries the offending remainder in the message.
+    Leading-term elimination in the canonical graded-lex order.  The
+    candidate leading terms wait in a heap keyed by the negated
+    ``_order_key``; a key whose term has cancelled is dropped when it
+    surfaces.  Exactness is a mathematical guarantee at every call site, so a
+    nonzero remainder means a bug upstream and carries the offending
+    remainder in the message.
     """
+    from heapq import heapify, heappop, heappush  # here: CLI commands that never divide skip it
+
     f._check_compat(g)
     if g.is_zero():
         raise DomainError("division by the zero polynomial")
@@ -666,23 +685,30 @@ def exact_divide(f: BiPoly, g: BiPoly) -> BiPoly:
     ge, gc = g.leading()
     rem = dict(f.terms)
     q: dict[tuple, Scalar] = {}
+    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    heapify(heap)
     while rem:
-        fe = max(rem, key=_order_key)
-        fc = rem[fe]
+        fe = heappop(heap)[2]
+        fc = rem.get(fe)
+        if fc is None:
+            continue
         diff = tuple(fe[i] - ge[i] for i in range(n))
         if any(x < 0 for x in diff):
             leftover = BiPoly._result(f.na, f.ny, rem)
             raise InternalError(f"inexact polynomial division; remainder {leftover.render()}")
-        c = _norm(Fraction(fc, gc) if not isinstance(fc, Fraction) and not isinstance(gc, Fraction)
-                  else Fraction(fc) / Fraction(gc))
+        c = (_ratio(fc, gc) if type(fc) is int and type(gc) is int
+             else _norm(Fraction(fc) / Fraction(gc)))
         q[diff] = c
         for e2, c2 in g.terms.items():
             e = tuple(diff[i] + e2[i] for i in range(n))
-            s = rem.get(e, 0) - c * c2
+            old = rem.get(e)
+            s = (0 if old is None else old) - c * c2
             if s:
                 rem[e] = s
-            else:
-                rem.pop(e, None)
+                if old is None:
+                    heappush(heap, (-sum(e), tuple(-x for x in e), e))
+            elif old is not None:
+                del rem[e]
     return BiPoly._result(f.na, f.ny, q)
 
 
@@ -720,13 +746,29 @@ def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> dict[tuple, Scalar]
     return out
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over exact rationals.
+def _common_denominator(row: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """(d, d * row), d the lcm of the denominators of the int and Fraction entries."""
+    d = lcm(*(x.denominator for x in row if type(x) is not int))
+    if d == 1:
+        return 1, [x if type(x) is int else x.numerator for x in row]
+    return d, [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row]
 
-    Returns the nonzero reduced rows and their pivot columns, so the number
-    of pivots is the rank.  The form is unique, hence so is the output.
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over exact rationals, by fraction-free elimination.
+
+    Each row is scaled to integers once.  Gauss-Jordan then picks the first
+    row with a nonzero entry in the column as pivot and replaces every other
+    row with one there by pv * row - f * pivot_row (pv and f the two entries
+    in the column over their gcd), divided by the gcd of its entries, so each
+    row stays a nonzero multiple of the row the same elimination over Q
+    would hold.  Only the final pivot rows become
+    Fractions, divided by their pivots.  Returns the nonzero reduced rows and
+    their pivot columns, so the number of pivots is the rank.  The form is
+    unique, hence so is the output.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [_common_denominator([x if type(x) is int else Fraction(x) for x in row])[1]
+           for row in rows]
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
     for col in range(ncols):
@@ -735,16 +777,18 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
         if piv is None:
             continue
         mat[top], mat[piv] = mat[piv], mat[top]
-        pv = mat[top][col]
-        mat[top] = [x / pv for x in mat[top]]
+        prow = mat[top]
         for i, row in enumerate(mat):
             if i != top and row[col]:
-                f = row[col]
-                mat[i] = [a - f * b for a, b in zip(row, mat[top])]
+                g = gcd(prow[col], row[col])
+                pv, f = prow[col] // g, row[col] // g
+                new = [pv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*new)
+                mat[i] = [a // g for a in new] if g > 1 else new
         pivots.append(col)
         if len(pivots) == len(mat):
             break
-    return mat[: len(pivots)], pivots
+    return [[Fraction(x, row[col]) for x in row] for row, col in zip(mat, pivots)], pivots
 
 
 def invert(mat: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, ...], ...] | None:

@@ -35,7 +35,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, exact_divide, translate_delta
+from .polyalg import BiPoly, _mul_into, exact_divide, translate_delta
 from .rootsys import RootSystem
 from .weylsum import (FkTable, _fit_invariants, _fk_at_delta, _orbit_power_sums, _signed_orbit,
                       _vanishes, fk_evaluated)
@@ -161,7 +161,9 @@ def elementary_from_power(power: Sequence[BiPoly], kmax: int | None = None) -> l
     """E_0..E_kmax from P_1..P_kmax by Newton's identities.
 
     k * E_k = sum_{i=1..k} (-1)^(i-1) * E_{k-i} * P_i.  Works for concrete
-    (y-only) and symbolic (bivariate) inputs alike.
+    (y-only) and symbolic (bivariate) inputs alike.  The sum of each degree
+    accumulates in one term dict (``polyalg._mul_into``), with the signs
+    folded into the even P_i once.
     """
     if not power:
         raise DomainError("empty power-sum sequence")
@@ -171,14 +173,16 @@ def elementary_from_power(power: Sequence[BiPoly], kmax: int | None = None) -> l
     if kmax >= len(power):
         raise DomainError("need P_0..P_kmax to produce E_0..E_kmax")
     na, ny = power[0].na, power[0].ny
-    ones = BiPoly.constant(na, ny, 1)
-    elem: list[BiPoly] = [ones]
+    for p in power[1:kmax + 1]:
+        power[0]._check_compat(p)
+    signed = [None] + [p.terms if i % 2 else {e: -c for e, c in p.terms.items()}
+                       for i, p in enumerate(power[1:kmax + 1], 1)]
+    elem: list[BiPoly] = [BiPoly.constant(na, ny, 1)]
     for k in range(1, kmax + 1):
-        acc = BiPoly.zero(na, ny)
+        acc: dict = {}
         for i in range(1, k + 1):
-            term = elem[k - i] * power[i]
-            acc = acc + term if i % 2 == 1 else acc - term
-        elem.append(acc.scale(Fraction(1, k)))
+            _mul_into(acc, *sorted((elem[k - i].terms, signed[i]), key=len))
+        elem.append(BiPoly._result(na, ny, acc).scale(Fraction(1, k)))
     return elem
 
 
@@ -254,12 +258,18 @@ def _binomial_convolution(p: Sequence[BiPoly], q: Sequence[BiPoly], kmax: int) -
     """sum_i binom(k, i) * p_i * q_(k-i) for k = 0..kmax, on any shared support.
 
     The power sums of {mu + nu} when p and q are those of {mu} and {nu}: the
-    binomial theorem holds for linear forms in the same variables too.
+    binomial theorem holds for linear forms in the same variables too.  Each
+    degree accumulates in one term dict, the binomial folded into the
+    smaller factor.
     """
+    for f in (*p[1:kmax + 1], *q[:kmax + 1]):
+        p[0]._check_compat(f)
     out: list[BiPoly] = []
     for k in range(kmax + 1):
-        acc = BiPoly.zero(p[0].na, p[0].ny)
+        acc: dict = {}
         for i in range(k + 1):
-            acc = acc + (p[i] * q[k - i]).scale(comb(k, i))
-        out.append(acc)
+            f, g = sorted((p[i].terms, q[k - i].terms), key=len)
+            b = comb(k, i)
+            _mul_into(acc, {e: b * c for e, c in f.items()} if b > 1 else f, g)
+        out.append(BiPoly._result(p[0].na, p[0].ny, acc))
     return out

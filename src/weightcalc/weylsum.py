@@ -17,16 +17,20 @@ of bidegree (k, k).  Facts used as computational shortcuts and cross-checks:
   F_{N+2} = binom(N+2, 2)/dim(g) * q2 * q2-vee * F_N,
   with q2, q2-vee the Killing quadratics on the two sides;
 * at mu = delta the Weyl denominator formula gives every F_k(delta, nu)
-  from the positive roots alone, with no orbit (``_fk_at_delta``).
+  from the positive roots alone, with no orbit (``_fk_at_delta``, memoised
+  per root system, nu and degree bound, since the sampled fits of one rank
+  always ask at the same points).
 
 Each P_k of a weight multiset (``powersum``) and each F'_k is a W-invariant,
 and one exact fit, _fit_exact, rebuilds both from sample values: it solves
 for the coefficients in a basis of products of orbit power sums over W.w1
 (and, on D_r, the half-spin orbit W.w_r), for F'_k their transport-
 symmetrized products of degree k-N, and checks the fit at two points off
-the fitting set.  FkTable and fk_via_invariants take F'_k from that fit and
-never expand the big alternating sum; fk_direct and fk_reduced expand and
-divide it, and are kept as the reference that tests compare against.
+the fitting set; the checks and the assembly of each fitted P_k run on the
+coefficients times their common denominator, in integers.  FkTable and
+fk_via_invariants take F'_k from that fit and never expand the big
+alternating sum; fk_direct and fk_reduced expand and divide it, and are kept
+as the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -34,13 +38,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from math import comb, factorial, prod
 from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, _monomials, _mul_into, exact_divide, expand_linear_power, rref
+from .polyalg import (BiPoly, _common_denominator, _monomials, _mul_into, _ratio, exact_divide,
+                      expand_linear_power, rref)
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
@@ -208,7 +214,8 @@ def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
     return out
 
 
-def _fk_at_delta(rs: RootSystem, nu: Sequence[int], imax: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _fk_at_delta(rs: RootSystem, nu: tuple[int, ...], imax: int) -> tuple[int, ...]:
     """F_{N+i}(delta, nu) for i = 0..imax at an integral coweight nu, without an orbit.
 
     By the Weyl denominator formula, sum over w of sign(w) * e^(t<w delta, nu>)
@@ -217,7 +224,8 @@ def _fk_at_delta(rs: RootSystem, nu: Sequence[int], imax: int) -> list[int]:
     So F_{N+i}(delta, nu) = (N+i)! * d(nu) * [t^i] prod S(t<alpha, nu>), which
     is 0 for odd i.  Each S is scaled by M = 4^J (2J+1)!, J = imax // 2, to
     integer coefficients; the product of the N scaled series is M^N times the
-    true one, and that factor is divided out exactly at the end.
+    true one, and that factor is divided out exactly at the end.  Memoised:
+    the sampled fits ask at the same fit and check points of each rank.
     """
     n, jmax = rs.num_positive, imax // 2
     scale = 4 ** jmax * factorial(2 * jmax + 1)
@@ -238,7 +246,7 @@ def _fk_at_delta(rs: RootSystem, nu: Sequence[int], imax: int) -> list[int]:
         if rem:
             raise InternalError(f"{rs.kind}{rs.rank}: F_{n + i}(delta, {tuple(nu)}) is not an integer")
         out.append(q)
-    return out
+    return tuple(out)
 
 
 def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int) -> Scalar:
@@ -429,17 +437,26 @@ def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tup
 
 
 def _product_poly(r: int, gens: Sequence, idx: tuple, cache: dict) -> BiPoly:
-    """The product of the generators in idx as a y-polynomial; cache holds each p_d."""
-    out = BiPoly.constant(r, r, 1)
-    for j in idx:
-        if j not in cache:
-            d, orbit = gens[j]
-            acc: dict[tuple, Scalar] = {}
-            for v in orbit:
-                for e, c in expand_linear_power(v, d).items():
-                    acc[e] = acc.get(e, 0) + c
-            cache[j] = BiPoly(r, r, {(0,) * r + e: c for e, c in acc.items()})
-        out = out * cache[j]
+    """The product of the generators in idx as a y-polynomial.
+
+    cache holds each product built so far, keyed by its index tuple, so a
+    product is the cached product of idx without its last index times one
+    generator p_d.
+    """
+    if idx in cache:
+        return cache[idx]
+    if not idx:
+        out = BiPoly.constant(r, r, 1)
+    elif len(idx) == 1:
+        d, orbit = gens[idx[0]]
+        acc: dict[tuple, Scalar] = {}
+        for v in orbit:
+            for e, c in expand_linear_power(v, d).items():
+                acc[e] = acc.get(e, 0) + c
+        out = BiPoly(r, r, {(0,) * r + e: c for e, c in acc.items()})
+    else:
+        out = _product_poly(r, gens, idx[:-1], cache) * _product_poly(r, gens, idx[-1:], cache)
+    cache[idx] = out
     return out
 
 
@@ -517,7 +534,9 @@ def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
     point while it is singular, over at most max(sizes) + 8 ``points``.  Rows
     keep coming until the last system is solved, so each smaller one is
     overdetermined; every solution is checked against all the rows of its
-    system, then at ``checks``, points off the fitting set.  An inconsistent
+    system, then at ``checks``, points off the fitting set, with the
+    solution and each target value multiplied by the solution's common
+    denominator, so that they compare in integers.  An inconsistent
     system, one still singular at the bound, or a failed check raises
     InternalError.
     """
@@ -538,12 +557,14 @@ def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
         raise InternalError(
             f"{label}: invariant sample systems stayed singular after {count} points"
         )
-    for s, system in enumerate(rows):  # every row, also those drawn after the solve
-        if any(sum(map(mul, coeffs[s], row)) != row[-1] for row in system):
+    scaled = [_common_denominator(c) for c in coeffs]  # the checks run on d * coefficients
+    for s, ((d, c), system) in enumerate(zip(scaled, rows)):  # every row, also later ones
+        if any(sum(map(mul, c, row)) != d * row[-1] for row in system):
             raise InternalError(f"{label}: {names[s]} sample values fit no invariant")
     for point in checks:
         for s, (row, val) in enumerate(zip(*rows_at(point))):
-            if sum(map(mul, coeffs[s], row)) != val:
+            d, c = scaled[s]
+            if sum(map(mul, c, row)) != d * val:
                 raise InternalError(
                     f"{label}: the {names[s]} invariant fit fails the off-line check at {point}"
                 )
@@ -573,6 +594,8 @@ def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
     coweight nu.  ``_fit_exact`` solves each f_k in the basis of products of
     orbit power sums (``_invariant_products``) from the values at
     ``_fit_points`` and checks it at the coweights nu of ``_check_points``.
+    Each f_k is summed as D * c_i times pi_i in one integer term dict, D the
+    lcm of the denominators of its coefficients c_i, then divided by D.
     """
     gens = _invariant_generators(rs)
     products = [_invariant_products(rs, gens, k) for k in range(kmax + 1)]
@@ -584,8 +607,17 @@ def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
     )
     r = rs.rank
     cache: dict = {}
-    return [sum((_product_poly(r, gens, idx, cache).scale(x) for x, idx in zip(c, prods) if x),
-                BiPoly.zero(r, r)) for c, prods in zip(coeffs, products)]
+    out = []
+    for c, prods in zip(coeffs, products):
+        den, scaled = _common_denominator(c)
+        acc: dict[tuple, int] = {}
+        get = acc.get
+        for x, idx in zip(scaled, prods):
+            if x:
+                for e, v in _product_poly(r, gens, idx, cache).terms.items():
+                    acc[e] = get(e, 0) + x * v
+        out.append(BiPoly._result(r, r, {e: _ratio(v, den) for e, v in acc.items()}))
+    return out
 
 
 def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:

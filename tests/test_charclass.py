@@ -183,21 +183,22 @@ def test_integer_generator_change_matches_fraction_route(group):
     lat = builtin_lattice(group)
     n = lat.torus_rank
     d = charclass._generator_images(lat)[1]
-    seen = []
+    seen = []  # (y-side polynomial, its reference image), each reference computed once
     for weight in _two_lattice_weights(lat):
         elem = _fraction_route_elementary(lat, weight, 6)
-        assert [c.terms for c in chern_classes(lat, weight, 6).c] == \
-            [_fraction_to_generators(lat, e).terms for e in elem]
-        seen += elem
+        refs = [_fraction_to_generators(lat, e) for e in elem]
+        assert [c.terms for c in chern_classes(lat, weight, 6).c] == [ref.terms for ref in refs]
+        seen += zip(elem, refs)
     y1, yn = BiPoly.y_var(0, n, n), BiPoly.y_var(n - 1, n, n)
     others = [BiPoly.constant(n, n, Fraction(7, 4)), BiPoly.zero(n, n), (y1 ** 3).scale(4),
               (yn * yn).scale(Fraction(1, 3)) - (y1 * yn).scale(Fraction(5, 2))]
     if lat.family != "GL":
         others.append(q2_poly(lat.root_system()))  # the substitution c_2's closed form uses
-    for f in seen + others:  # homogeneous, so one power of D scales each
+    seen += [(f, _fraction_to_generators(lat, f)) for f in others]
+    for f, ref in seen:  # homogeneous, so one power of D scales each
         k = max(map(sum, f.terms), default=0)
         assert charclass._scaled_to_generators(lat, f).scale(Fraction(1, d ** k)).terms == \
-            _fraction_to_generators(lat, f).terms
+            ref.terms
 
 
 def test_generator_change_refuses_exponents_wider_than_the_packing():

@@ -453,3 +453,101 @@ def test_rref_is_exact_on_integer_input():
     inv = invert([[3, 1], [1, 3]])
     assert inv == ((Fraction(3, 8), Fraction(-1, 8)), (Fraction(-1, 8), Fraction(3, 8)))
     assert all(isinstance(x, Fraction) for row in inv for x in row)
+
+
+# -- fraction-free rref against Gauss-Jordan over Q ------------------------------
+
+
+def _fraction_rref(rows):
+    """Gauss-Jordan over Fraction, normalising each pivot row: the reference for ``rref``."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        pv = mat[top][col]
+        mat[top] = [x / pv for x in mat[top]]
+        for i, row in enumerate(mat):
+            if i != top and row[col]:
+                f = row[col]
+                mat[i] = [a - f * b for a, b in zip(row, mat[top])]
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    return mat[: len(pivots)], pivots
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Int and Fraction matrices, with rows that are combinations of others and zero rows."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    nrows = ncols if square else draw(st.integers(min_value=0, max_value=8))
+    rows = [draw(st.lists(coeffs, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:  # dependent on two earlier rows
+            a, b = draw(coeffs), draw(coeffs)
+            j = draw(st.integers(min_value=0, max_value=i - 1))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[i - 1])]
+        elif draw(st.integers(min_value=0, max_value=5)) == 0:
+            rows[i] = [0] * ncols
+    return rows
+
+
+def _same_rref(got, want) -> bool:
+    """Equal pivots, and rows equal entry by entry, every entry a Fraction."""
+    return got[1] == want[1] and got[0] == want[0] and all(
+        type(x) is Fraction for row in got[0] for x in row)
+
+
+@given(matrices())
+def test_fraction_free_rref_matches_gauss_jordan_over_q(rows):
+    assert _same_rref(rref(rows), _fraction_rref(rows))
+
+
+@given(matrices(), st.sampled_from([0.5, -1.25, "3/4", "-7"]), st.data())
+def test_rref_reads_a_non_int_entry_through_fraction(rows, entry, data):
+    if not rows:
+        rows = [[1, 2]]
+    i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    j = data.draw(st.integers(min_value=0, max_value=len(rows[0]) - 1))
+    rows[i][j] = entry
+    assert _same_rref(rref(rows), _fraction_rref(rows))
+
+
+@pytest.mark.parametrize("rows", [
+    [], [[0]], [[5]], [[0], [0]], [[3], [-6], [0]], [[0, 0, 0]],
+    [[2, 4], [1, 2], [3, 6]], [[1, 2], [3, 4], [5, 6], [7, 8]],
+    [[0, Fraction(2, 3)], [0, Fraction(-4, 9)]],
+])
+def test_rref_edge_shapes_match_gauss_jordan_over_q(rows):
+    assert _same_rref(rref(rows), _fraction_rref(rows))
+
+
+@given(matrices(square=True))
+def test_invert_matches_the_reference_inverse(mat):
+    n = len(mat)
+    red, pivots = _fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(mat)])
+    want = None if pivots != list(range(n)) else tuple(tuple(row[n:]) for row in red)
+    got = invert(mat)
+    assert got == want
+    if got is None:  # singular: some row is a combination of the others
+        assert len(_fraction_rref(mat)[1]) < n
+    else:
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
+@given(bipolys, st.integers(min_value=2, max_value=12))
+def test_scale_by_a_unit_fraction_divides_with_exact_types(f, n):
+    want = {}
+    for e, c in f.terms.items():
+        c = c * Fraction(1, n)
+        want[e] = int(c) if c.denominator == 1 else c
+    got = f.scale(Fraction(1, n)).terms
+    assert got == want and all(type(c) is type(want[e]) for e, c in got.items())
+    back = f.scale(n).scale(Fraction(1, n)).terms  # n divides every coefficient: ints stay ints
+    assert back == f.terms and all(type(c) is type(f.terms[e]) for e, c in back.items())

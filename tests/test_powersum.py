@@ -323,6 +323,54 @@ def test_product_power_sums_hand_example():
     assert prod[2] == direct
 
 
+def _newton_by_bipoly_sums(power, kmax):
+    """E_0..E_kmax by Newton's identities as a running sum of BiPoly products."""
+    na, ny = power[0].na, power[0].ny
+    elem = [BiPoly.constant(na, ny, 1)]
+    for k in range(1, kmax + 1):
+        acc = BiPoly.zero(na, ny)
+        for i in range(1, k + 1):
+            term = elem[k - i] * power[i]
+            acc = acc + term if i % 2 == 1 else acc - term
+        elem.append(BiPoly(na, ny, {e: c * Fraction(1, k) for e, c in acc.terms.items()}))
+    return elem
+
+
+def _convolution_by_bipoly_sums(p, q, kmax):
+    """sum_i binom(k, i) * p_i * q_(k-i) as a running sum of BiPoly products."""
+    out = []
+    for k in range(kmax + 1):
+        acc = BiPoly.zero(p[0].na, p[0].ny)
+        for i in range(k + 1):
+            acc = acc + p[i] * q[k - i] * BiPoly.constant(p[0].na, p[0].ny, comb(k, i))
+        out.append(acc)
+    return out
+
+
+def _identical(got, want) -> bool:
+    """Equal term dicts whose coefficients also agree in type (int or Fraction)."""
+    return len(got) == len(want) and all(
+        f.terms == g.terms and all(type(c) is type(g.terms[e]) for e, c in f.terms.items())
+        for f, g in zip(got, want))
+
+
+def test_one_dict_newton_sums_match_bipoly_sums(a2):
+    # symbolic P_k have rational coefficients in a; so do their multiples by 3/4
+    power = symbolic_power_sums(a2, 4)
+    assert any(isinstance(c, Fraction) for f in power for c in f.terms.values())
+    for p in (power, [f.scale(Fraction(3, 4)) for f in power]):
+        assert _identical(elementary_from_power(p, 4), _newton_by_bipoly_sums(p, 4))
+
+
+def test_one_dict_binomial_sums_match_bipoly_sums():
+    # a GL4 weight: the A3 power sums of its SL part times those of a rational central part
+    free = [f.embed(4, 4) for f in power_sums(get_rs("A", 3), (1, 0, 1), 6)]
+    central = [BiPoly.y_var(3, 4, 4).scale(Fraction(3, 4)) ** j for j in range(7)]
+    got = product_power_sums(free, central, 6)
+    assert _identical(got, _convolution_by_bipoly_sums(free, central, 6))
+    assert _identical(elementary_from_power(got, 6), _newton_by_bipoly_sums(got, 6))
+
+
 def test_product_power_sums_rejects_shared_support():
     a1 = get_rs("A", 1)
     p = power_sums(a1, (1,), 2)

@@ -274,7 +274,7 @@ def test_fk_at_delta_matches_the_orbit_sum(kind, rank):
     assert sum(map(mul, c0, singular)) == 0  # pairs to 0 with the first simple root
     for point, regular in ((nu, True), (tuple(-x for x in nu), True), (singular, False)):
         got = weylsum._fk_at_delta(rs, point, 8)
-        assert got == [fk_scalar(rs, (1,) * rank, point, n + i) for i in range(9)]
+        assert got == tuple(fk_scalar(rs, (1,) * rank, point, n + i) for i in range(9))
         assert all(got[i] == 0 for i in range(1, 9, 2))
         assert (got[0] != 0) == regular
 

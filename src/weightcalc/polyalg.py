@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import comb, gcd, lcm
 from operator import add, itemgetter
@@ -385,15 +386,13 @@ class BiPoly:
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "BiPoly":
-        """The polynomial times c; by c = 1/n an int coefficient is divided with ``divmod``."""
+        """The polynomial times c; an int coefficient is divided by c's denominator with ``divmod``."""
         c = _exact(c)
         out = BiPoly.zero(self.na, self.ny)
-        if type(c) is Fraction and c.numerator == 1:
-            n = c.denominator
-            out.terms = {e: _ratio(v, n) if type(v) is int else _norm(v * c)
+        if c:
+            num, den = c.numerator, c.denominator
+            out.terms = {e: _ratio(v * num, den) if type(v) is int else _norm(v * c)
                          for e, v in self.terms.items()}
-        elif c:
-            out.terms = {e: _norm(v * c) for e, v in self.terms.items()}
         return out
 
     def __pow__(self, k: int) -> "BiPoly":
@@ -674,8 +673,6 @@ def exact_divide(f: BiPoly, g: BiPoly) -> BiPoly:
     nonzero remainder means a bug upstream and carries the offending
     remainder in the message.
     """
-    from heapq import heapify, heappop, heappush  # here: CLI commands that never divide skip it
-
     f._check_compat(g)
     if g.is_zero():
         raise DomainError("division by the zero polynomial")

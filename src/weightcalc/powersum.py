@@ -118,7 +118,7 @@ def _fk_delta(rs: RootSystem, kmax: int) -> tuple[BiPoly, ...]:
     return tuple(fk_evaluated(rs, delta, rs.num_positive + j) for j in range(kmax + 1))
 
 
-def _power_sums_at(rs: RootSystem, orbit: tuple, nu: Sequence[int], kmax: int) -> list[int]:
+def _power_sums_at(rs: RootSystem, orbit: tuple, nu: tuple[int, ...], kmax: int) -> list[int]:
     """P_0(nu)..P_kmax(nu) from the signed orbit of lam + delta.
 
     F_m(lam + delta, nu) for m = N..N+kmax is one signed sum of powers of the

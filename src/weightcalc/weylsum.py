@@ -437,26 +437,17 @@ def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tup
 
 
 def _product_poly(r: int, gens: Sequence, idx: tuple, cache: dict) -> BiPoly:
-    """The product of the generators in idx as a y-polynomial.
-
-    cache holds each product built so far, keyed by its index tuple, so a
-    product is the cached product of idx without its last index times one
-    generator p_d.
-    """
-    if idx in cache:
-        return cache[idx]
-    if not idx:
-        out = BiPoly.constant(r, r, 1)
-    elif len(idx) == 1:
-        d, orbit = gens[idx[0]]
-        acc: dict[tuple, Scalar] = {}
-        for v in orbit:
-            for e, c in expand_linear_power(v, d).items():
-                acc[e] = acc.get(e, 0) + c
-        out = BiPoly(r, r, {(0,) * r + e: c for e, c in acc.items()})
-    else:
-        out = _product_poly(r, gens, idx[:-1], cache) * _product_poly(r, gens, idx[-1:], cache)
-    cache[idx] = out
+    """The product of the generators in idx as a y-polynomial; cache holds each p_d."""
+    out = BiPoly.constant(r, r, 1)
+    for j in idx:
+        if j not in cache:
+            d, orbit = gens[j]
+            acc: dict[tuple, Scalar] = {}
+            for v in orbit:
+                for e, c in expand_linear_power(v, d).items():
+                    acc[e] = acc.get(e, 0) + c
+            cache[j] = BiPoly(r, r, {(0,) * r + e: c for e, c in acc.items()})
+        out = out * cache[j]
     return out
 
 

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from operator import mul
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, Mod2Poly, Scalar, _substitution, invert, mod2_reduce
+from .polyalg import BiPoly, Mod2Poly, Scalar, _integer_rows, _substitution, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
     _binomial_convolution,
@@ -289,40 +288,6 @@ def _invert(mat: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _basis_inverse(lattice: CharacterLattice) -> tuple[tuple[Fraction, ...], ...]:
-    return _invert(lattice.basis)
-
-
-def _generator_coordinates(
-    lattice: CharacterLattice, mu: Sequence[int]
-) -> Optional[tuple[int, ...]]:
-    """Integer coordinates of a weight in the generator basis, or None.
-
-    Solves basis^T c = mu exactly; the weight lies in the lattice iff the
-    solution is integral.
-    """
-    binv = _basis_inverse(lattice)
-    r = lattice.torus_rank
-    out = []
-    for i in range(r):
-        # mu = basis^T c, so c = (basis^{-1})^T mu: read binv column-wise
-        ci = sum(binv[j][i] * mu[j] for j in range(r))
-        if ci.denominator != 1:
-            return None
-        out.append(int(ci))
-    return tuple(out)
-
-
-def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
-    """Whether a weight (fundamental-weight coordinates) lies in the lattice."""
-    if lattice.family == "GL":
-        return len(mu) == lattice.torus_rank and all(isinstance(c, int) for c in mu)
-    if len(mu) != lattice.rank:
-        return False
-    return _generator_coordinates(lattice, mu) is not None
-
-
-@lru_cache(maxsize=None)
 def _generator_images(lattice: CharacterLattice) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows A, the images of the weight-side variables, and their common denominator D.
 
@@ -339,9 +304,39 @@ def _generator_images(lattice: CharacterLattice) -> tuple[tuple[tuple[int, ...],
         rinv = _invert(_gl_transition(n))
         rows = [[rinv[m][j] for m in range(n)] for j in range(n)]
     else:
-        rows = _basis_inverse(lattice)
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(int(x * d) for x in row) for row in rows), d
+        rows = _invert(lattice.basis)
+    d, rows = _integer_rows(rows)
+    return rows, d
+
+
+def _generator_coordinates(
+    lattice: CharacterLattice, mu: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """Integer coordinates of a weight in the generator basis of a non-GL lattice, or None.
+
+    mu = basis^T c, so D c = A^T mu with the integer rows A and their
+    denominator D of ``_generator_images``; the weight lies in the lattice
+    iff D divides every entry of A^T mu.
+    """
+    rows, d = _generator_images(lattice)
+    c = [sum(map(mul, col, mu)) for col in zip(*rows)]
+    if d == 1:
+        return tuple(c)
+    if any(x % d for x in c):
+        return None
+    return tuple(x // d for x in c)
+
+
+def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
+    """Whether a weight lies in the lattice: int coordinates, bool excluded.
+
+    The coordinates are fundamental-weight ones, diagonal ones for GL.
+    """
+    if len(mu) != lattice.torus_rank or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in mu
+    ):
+        return False
+    return lattice.family == "GL" or _generator_coordinates(lattice, mu) is not None
 
 
 @lru_cache(maxsize=None)

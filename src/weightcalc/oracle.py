@@ -35,14 +35,13 @@ forward differences and Stirling numbers read the coefficients off them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import add, mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, _monomials, invert
+from .polyalg import BiPoly, _integer_rows, _monomials, invert
 from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
@@ -70,8 +69,7 @@ def _integer_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     the multiplicity recursion is a comparison of norms or a quotient of two
     form values, so the positive scale cancels.
     """
-    scale = lcm(*(x.denominator for row in rs.killing_dual for x in row))
-    return tuple(tuple(int(x * scale) for x in row) for row in rs.killing_dual)
+    return _integer_rows(rs.killing_dual)[1]
 
 
 def _is_int(c) -> bool:
@@ -437,7 +435,7 @@ def character_at_order2(
     if any(not _is_int(s) or s not in (1, -1) for s in signs):
         raise DomainError("entries of an order-2 element must be +1 or -1")
     if basis is None:
-        binv_t = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        binv_t = [[int(i == j) for j in range(r)] for i in range(r)]
     else:
         if len(basis) != r or any(len(row) != r for row in basis):
             raise DomainError("lattice basis must be a square matrix of full rank")
@@ -446,7 +444,7 @@ def character_at_order2(
         binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
         if binv_t is None:
             raise DomainError("lattice basis must be a square matrix of full rank")
-    scale = lcm(*(x.denominator for row in binv_t for x in row))
+    scale, binv_t = _integer_rows(binv_t)
     view = wm.folded()
     parity = [0] * len(view.plus)
     for row, s in zip(binv_t, signs):
@@ -454,7 +452,6 @@ def character_at_order2(
             continue  # an integral row: the coordinate is an integer and adds no sign
         coord = None
         for c, col in zip(row, view.coords):
-            c = int(c * scale)
             if c:
                 term = col if c == 1 else [c * x for x in col]
                 coord = term if coord is None else list(map(add, coord, term))

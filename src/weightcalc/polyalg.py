@@ -39,7 +39,8 @@ images) and the change to lattice generators of the Chern path
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
 elimination in ``rref``, which is fraction-free: it runs on integer rows and
-forms Fractions only for the final pivot rows.
+forms Fractions only for the final pivot rows.  Every rational matrix that
+a layer needs in integers is scaled by ``_integer_rows``.
 """
 
 from __future__ import annotations
@@ -749,6 +750,13 @@ def _common_denominator(row: Sequence[Scalar]) -> tuple[int, list[int]]:
     if d == 1:
         return 1, [x if type(x) is int else x.numerator for x in row]
     return d, [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in row]
+
+
+def _integer_rows(mat: Sequence[Sequence[Scalar]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, d * mat) as int rows, d the lcm of the denominators of every entry."""
+    d, flat = _common_denominator([x for row in mat for x in row])
+    n = len(mat[0]) if mat else 0
+    return d, tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n))
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -12,15 +12,18 @@ Coordinate conventions (fixed once, used everywhere):
   simple root ``alpha_i`` written in fundamental-weight coordinates.
 * Simple reflections act on weight coordinates by
   ``s_i(w_j) = w_j - delta_ij alpha_i``; ``dominant_orbit`` walks an orbit
-  with ``sign(w) = (-1)^l(w)``.  ``RootSystem.weyl``, the Weyl group as
-  matrices, is read off that walk for one packed regular weight, each point's
-  coordinates decoding to the rows of one matrix; only tests and
-  ``weylsum.fk_direct`` read it.
+  with ``sign(w) = (-1)^l(w)``.  Every orbit comes from that one walk: the
+  roots (the orbits of the simple roots), the signed orbits of the Weyl sums,
+  the oracle's weights, and ``RootSystem.weyl``, the Weyl group as matrices,
+  read off the orbit of one packed regular weight, each point's coordinates
+  decoding to the rows of one matrix; only tests and ``weylsum.fk_direct``
+  read it.
 
 The Killing form on the coweight side is computed from the root sum
 ``K(nu1, nu2) = sum over all roots alpha of <alpha, nu1><alpha, nu2>`` and is
 an integer matrix in simple-coroot coordinates; ``killing_dual`` is its exact
-rational inverse (the induced form on the weight side).
+rational inverse (the induced form on the weight side), and the coroots are
+read off it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DomainError, InternalError
-from .polyalg import invert
+from .polyalg import _integer_rows, invert
 
 __all__ = [
     "WeylElement",
@@ -92,81 +95,36 @@ def _cartan_matrix(kind: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in c)
 
 
-def _simple_root_half_norms(kind: str, rank: int) -> Tuple[Fraction, ...]:
-    """d_i = (alpha_i, alpha_i)/2 up to overall scale: (alpha_i, alpha_j) = d_j C_ij."""
-    d = [Fraction(1)] * rank
-    if kind == "B":
-        d[rank - 1] = Fraction(1, 2)
-    elif kind == "C":
-        d[rank - 1] = Fraction(2)
-    elif kind == "G2":
-        d[1] = Fraction(3)
-    return tuple(d)
+def _positive_roots(cartan: Matrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(coefficients over the simple roots, weight coordinates) of each positive root.
 
-
-def _positive_roots(cartan: Matrix):
-    """All positive roots as integer vectors over the simple roots.
-
-    Standard root-string closure: beta + alpha_i is a root iff
-    p - <beta, alpha_i-vee> > 0 where p is the depth of the alpha_i-string
-    below beta.  Returns the roots sorted by (height, coefficient tuple).
+    Every root is W-conjugate to a simple root, a Cartan row, so the orbits of
+    their dominant points hold every root.  A root's coefficients are beta
+    times the inverse Cartan matrix, in integers beta . (d C^-1) // d, and it
+    is positive when they are all >= 0.  Sorted by (height, coefficients).
     """
-    rank = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    found = set(simple)
-    by_height = {1: list(simple)}
-    h = 1
-    while by_height.get(h):
-        nxt = []
-        for beta in by_height[h]:
-            for i in range(rank):
-                # <beta, alpha_i-vee> = sum_j beta_j * C[j][i]
-                pairing = sum(beta[j] * cartan[j][i] for j in range(rank))
-                p = 0
-                lower = list(beta)
-                lower[i] -= 1
-                while tuple(lower) in found:
-                    p += 1
-                    lower[i] -= 1
-                if p - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    up_t = tuple(up)
-                    if up_t not in found:
-                        found.add(up_t)
-                        nxt.append(up_t)
-        h += 1
-        if nxt:
-            by_height[h] = nxt
-    return sorted(found, key=lambda k: (sum(k), k))
+    d, cinv = _integer_rows(invert(cartan))
+    cols = tuple(zip(*cinv))
+    roots = []
+    for top in {chamber_descent(cartan, row) for row in cartan}:
+        for beta in dominant_orbit(cartan, top):
+            k = tuple(sum(map(mul, beta, col)) // d for col in cols)
+            if min(k) >= 0:
+                roots.append((k, beta))
+    return sorted(roots, key=lambda kb: (sum(kb[0]), kb[0]))
 
 
-def _root_weight_coords(k: Sequence[int], cartan: Matrix) -> Tuple[int, ...]:
-    rank = len(cartan)
-    return tuple(sum(k[i] * cartan[i][j] for i in range(rank)) for j in range(rank))
-
-
-def _coroot_coords(k: Sequence[int], cartan: Matrix, d: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Coroot of beta = sum k_i alpha_i in simple-coroot coordinates.
-
-    beta-vee = sum_i k_i * (2 d_i / (beta, beta)) alpha_i-vee; the results are
-    integers for any root of a crystallographic system.
-    """
-    rank = len(cartan)
-    norm = Fraction(0)
-    for i in range(rank):
-        if not k[i]:
-            continue
-        for j in range(rank):
-            if k[j]:
-                norm += k[i] * k[j] * d[j] * cartan[i][j]
-    coords = []
-    for i in range(rank):
-        c = Fraction(2 * k[i]) * d[i] / norm
-        if c.denominator != 1:
-            raise InternalError(f"non-integral coroot coordinate {c} for root {k}")
-        coords.append(int(c))
-    return tuple(coords)
+def _coroot(gram: Matrix, beta: Sequence[int]) -> Tuple[int, ...]:
+    """beta-vee = 2 G beta / (beta . G beta) in simple-coroot coordinates, G the integer form."""
+    g = [sum(map(mul, row, beta)) for row in gram]
+    norm = sum(map(mul, beta, g))
+    out = []
+    for x in g:
+        c, rem = divmod(2 * x, norm)
+        if rem:
+            raise InternalError(f"non-integral coroot coordinate {2 * x}/{norm} for root {beta}")
+        out.append(c)
+    return tuple(out)
 
 
 def _enumerate_weyl(cartan: Matrix, coroots: Sequence[Sequence[int]]) -> Tuple[WeylElement, ...]:
@@ -266,10 +224,7 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     """
     kind, rank = _parse_type(kind, rank)
     cartan = _cartan_matrix(kind, rank)
-    d = _simple_root_half_norms(kind, rank)
-    coeffs = _positive_roots(cartan)
-    pos_roots = tuple(_root_weight_coords(k, cartan) for k in coeffs)
-    pos_coroots = tuple(_coroot_coords(k, cartan, d) for k in coeffs)
+    coeffs, pos_roots = zip(*_positive_roots(cartan))
     # Killing form from the root sum: K_ij = sum over all roots of a_i a_j
     killing = tuple(
         tuple(2 * sum(a[i] * a[j] for a in pos_roots) for j in range(rank))
@@ -278,13 +233,14 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     killing_dual = invert(killing)
     if killing_dual is None:
         raise InternalError("singular Killing matrix")
+    gram = _integer_rows(killing_dual)[1]
     rs = RootSystem(
         kind=kind,
         rank=rank,
         cartan=cartan,
         positive_roots=pos_roots,
-        positive_coroots=pos_coroots,
-        root_coefficients=tuple(coeffs),
+        positive_coroots=tuple(_coroot(gram, beta) for beta in pos_roots),
+        root_coefficients=coeffs,
         killing=killing,
         killing_dual=killing_dual,
         minus_one_in_weyl=_minus_one_in_weyl(cartan),

@@ -388,24 +388,19 @@ def _fundamental_degrees(rs: RootSystem) -> list[int]:
 def _invariant_generators(rs: RootSystem) -> list[tuple[int, list[tuple]]]:
     """(d, orbit) for each basic invariant p_d(y) = sum over v in the orbit of <v, y>^d.
 
-    The orbit W.w1 gives p_2..p_{r+1} on A_r, the even p_2..p_2r on B_r and
-    C_r, and p_2, p_6 on G2.  On D_r it gives the even p_2..p_{2r-2}, and the
+    The degrees d are the fundamental degrees, and the orbit W.w1 gives a
+    generator of each: p_2..p_{r+1} on A_r, the even p_2..p_2r on B_r and C_r,
+    and p_2, p_6 on G2.  On D_r it gives the even p_2..p_{2r-2}, and the
     half-spin orbit W.w_r supplies the degree-r generator, whose Pfaffian part
     no power sum over W.w1 has.
     """
     r = rs.rank
-    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    vector = dominant_orbit(rs.cartan, unit[0])
-    if rs.kind == "A":
-        degrees = range(2, r + 2)
-    elif rs.kind == "G2":
-        degrees = (2, 6)
-    else:
-        degrees = range(2, 2 * r + (-1 if rs.kind == "D" else 1), 2)
-    gens = [(d, vector) for d in degrees]
-    if rs.kind == "D":
-        gens.append((r, dominant_orbit(rs.cartan, unit[-1])))
-    return gens
+    degrees = _fundamental_degrees(rs)
+    vector = dominant_orbit(rs.cartan, (1,) + (0,) * (r - 1))
+    if rs.kind != "D":
+        return [(d, vector) for d in degrees]
+    degrees.remove(r)
+    return [(d, vector) for d in degrees] + [(r, dominant_orbit(rs.cartan, (0,) * (r - 1) + (1,)))]
 
 
 def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,41 @@ def test_lattice_membership():
     assert lattice_contains(spin5, (0, 1))
     sl2 = builtin_lattice("SL2")
     assert all(lattice_contains(sl2, (ell,)) for ell in range(5))
+
+
+@pytest.mark.parametrize("group", ["SL3", "SO5", "GL3"])
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", True, Fraction(2)], ids=repr)
+def test_lattice_membership_refuses_coordinates_that_are_not_ints(group, bad):
+    lat = builtin_lattice(group)
+    rest = (0,) * (lat.torus_rank - 1)
+    assert lattice_contains(lat, (2,) + rest)  # an int weight in every one of them
+    assert lattice_contains(lat, (bad,) + rest) is False
+    assert lattice_contains(lat, rest + (bad,)) is False
+
+
+def _fraction_coordinates(lat, mu):
+    """Reference: c = (basis^-1)^T mu in Fractions, None unless every entry is integral."""
+    binv = invert(lat.basis)
+    r = lat.torus_rank
+    c = [sum(binv[j][i] * mu[j] for j in range(r)) for i in range(r)]
+    return tuple(int(x) for x in c) if all(x.denominator == 1 for x in c) else None
+
+
+@pytest.mark.parametrize("group", [g for g in builtin_lattice_names()
+                                   if builtin_lattice(g).family != "GL"])
+def test_generator_coordinates_match_the_fraction_inverse(group):
+    lat = builtin_lattice(group)
+    r = lat.rank
+    span = range(-3, 4) if r <= 2 else range(-2, 3) if r <= 4 else range(-1, 2)
+    found = []
+    for mu in itertools.product(span, repeat=r):
+        got = charclass._generator_coordinates(lat, mu)
+        assert got == _fraction_coordinates(lat, mu), mu
+        assert got is None or all(type(x) is int for x in got)
+        found.append(got is not None)
+    assert any(found)
+    # exactly the lattices with a denominator have weights off the lattice
+    assert all(found) == (charclass._generator_images(lat)[1] == 1)
 
 
 # -- Chern classes ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import (
     BiPoly,
     Mod2Poly,
+    _integer_rows,
     exact_divide,
     expand_linear_power,
     invert,
@@ -426,6 +427,18 @@ def test_invert_builtin_lattice_bases():
         basis = builtin_lattice(name).basis
         inv = invert(basis)
         assert inv is not None and _is_left_inverse(inv, basis), name
+
+
+def test_integer_rows_scale_by_the_least_common_denominator():
+    d, rows = _integer_rows([[Fraction(1, 2), 1, 0], [Fraction(-2, 3), Fraction(4), 5]])
+    assert (d, rows) == (6, ((3, 6, 0), (-4, 24, 30)))
+    assert all(type(x) is int for row in rows for x in row)
+    assert _integer_rows([[1, 2], [Fraction(3), 4]]) == (1, ((1, 2), (3, 4)))
+    for name in builtin_lattice_names():  # d * inverse is integral, and d is the least such
+        inv = invert(builtin_lattice(name).basis)
+        d, rows = _integer_rows(inv)
+        assert [[Fraction(x, d) for x in row] for row in rows] == [list(row) for row in inv]
+        assert all(any(x % p for row in rows for x in row) for p in range(2, d + 1) if d % p == 0)
 
 
 def test_singular_input_gives_none_or_fewer_pivots():

@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_supported_types, get_rs, y_poly
-from weightcalc.errors import DomainError
-from weightcalc.polyalg import BiPoly
+from weightcalc import rootsys
+from weightcalc.errors import DomainError, InternalError
+from weightcalc.polyalg import BiPoly, invert
 from weightcalc.rootsys import (
     SUPPORTED_RANKS,
     act,
@@ -89,6 +90,90 @@ def test_unsupported_types_rejected():
             build_root_system(kind, rank)
     assert build_root_system("a", 2).kind == "A"
     assert SUPPORTED_RANKS["A"] == (1, 6)
+
+
+# -- golden root data ------------------------------------------------------------
+
+
+def _root_string_coefficients(cartan):
+    """Reference: the positive roots over the simple roots by root-string closure.
+
+    beta + alpha_i is a root iff p - <beta, alpha_i-vee> > 0, p the depth of
+    the alpha_i-string below beta.  Sorted by (height, coefficients).
+    """
+    rank = len(cartan)
+    found = {tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    layer = sorted(found)
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i in range(rank):
+                pairing = sum(beta[j] * cartan[j][i] for j in range(rank))
+                p, lower = 0, list(beta)
+                lower[i] -= 1
+                while tuple(lower) in found:
+                    p, lower[i] = p + 1, lower[i] - 1
+                up = tuple(b + (j == i) for j, b in enumerate(beta))
+                if p - pairing > 0 and up not in found:
+                    found.add(up)
+                    nxt.append(up)
+        layer = nxt
+    return sorted(found, key=lambda k: (sum(k), k))
+
+
+def _half_norm_coroot(k, cartan, kind):
+    """Reference: beta-vee = sum_i k_i (2 d_i / (beta, beta)) alpha_i-vee.
+
+    d_i = (alpha_i, alpha_i) / 2 up to one overall scale, from a table.
+    """
+    rank = len(cartan)
+    d = [Fraction(1)] * rank
+    if kind == "B":
+        d[-1] = Fraction(1, 2)
+    elif kind == "C":
+        d[-1] = Fraction(2)
+    elif kind == "G":
+        d[1] = Fraction(3)
+    norm = sum(k[i] * k[j] * d[j] * cartan[i][j] for i in range(rank) for j in range(rank))
+    coords = [Fraction(2 * k[i]) * d[i] / norm for i in range(rank)]
+    assert all(c.denominator == 1 for c in coords)
+    return tuple(int(c) for c in coords)
+
+
+def _typed(x):
+    """A value with the type of every entry, so that 1 and Fraction(1) differ."""
+    if isinstance(x, tuple):
+        return tuple(_typed(y) for y in x)
+    return type(x).__name__, x
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_root_data_match_the_root_string_and_half_norm_references(kind, rank):
+    # the roots come from orbit walks and the coroots from the Killing form;
+    # both must give the tuples of the closure and half-norm formulas, in
+    # value, order and type
+    rs = get_rs(kind, rank)
+    c = rs.cartan
+    coeffs = _root_string_coefficients(c)
+    roots = [tuple(sum(k[i] * c[i][j] for i in range(rank)) for j in range(rank)) for k in coeffs]
+    killing = tuple(tuple(2 * sum(a[i] * a[j] for a in roots) for j in range(rank))
+                    for i in range(rank))
+    expected = {
+        "root_coefficients": tuple(coeffs),
+        "positive_roots": tuple(roots),
+        "positive_coroots": tuple(_half_norm_coroot(k, c, kind) for k in coeffs),
+        "killing": killing,
+        "killing_dual": invert(killing),
+    }
+    for name, value in expected.items():
+        assert _typed(getattr(rs, name)) == _typed(value), name
+
+
+def test_non_integral_coroot_is_an_internal_error():
+    # 2 G beta / (beta . G beta) with G = diag(1, 3) and beta = (1, 1) is (1/2, 3/2)
+    assert rootsys._coroot(((1, 0), (0, 1)), (1, 1)) == (1, 1)
+    with pytest.raises(InternalError, match="non-integral coroot"):
+        rootsys._coroot(((1, 0), (0, 3)), (1, 1))
 
 
 # -- Weyl group ----------------------------------------------------------------

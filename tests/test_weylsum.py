@@ -13,6 +13,7 @@ from conftest import all_supported_types, get_rs
 from weightcalc import weylsum
 from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import BiPoly, _monomials, expand_linear_power, rref
+from weightcalc.rootsys import dominant_orbit
 from weightcalc.weylsum import (
     FkTable,
     closed_form_FN,
@@ -169,6 +170,25 @@ def _invariant_count(kind, rank, degree):
         for m in range(d, degree + 1):
             count[m] += count[m - d]
     return count[degree]
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_invariant_generators_follow_the_per_kind_degree_table(kind, rank):
+    # the degrees are read off the root heights; they must be the table's,
+    # in its order, with the half-spin generator of degree r last on D_r
+    rs = get_rs(kind, rank)
+    if kind == "A":
+        degrees = range(2, rank + 2)
+    elif kind == "G":
+        degrees = (2, 6)
+    else:
+        degrees = range(2, 2 * rank + (-1 if kind == "D" else 1), 2)
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    vector = dominant_orbit(rs.cartan, unit[0])
+    expected = [(d, vector) for d in degrees]
+    if kind == "D":
+        expected.append((rank, dominant_orbit(rs.cartan, unit[-1])))
+    assert weylsum._invariant_generators(rs) == expected
 
 
 def _reynolds_basis(rs, degree):

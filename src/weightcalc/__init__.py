@@ -30,16 +30,13 @@ from .weylsum import (
     fk_direct,
     fk_evaluated,
     fk_scalar,
-    fk_via_invariants,
     invariant_basis,
     q2_dual_poly,
     q2_poly,
     weyl_denominator,
 )
 from .powersum import (
-    PowerSumResult,
     elementary_from_power,
-    power_sum_result,
     power_sums,
     product_power_sums,
     symbolic_power_sums,
@@ -91,14 +88,11 @@ __all__ = [
     "fk_direct",
     "fk_evaluated",
     "fk_scalar",
-    "fk_via_invariants",
     "invariant_basis",
     "q2_poly",
     "q2_dual_poly",
     "weyl_denominator",
-    "PowerSumResult",
     "power_sums",
-    "power_sum_result",
     "symbolic_power_sums",
     "product_power_sums",
     "elementary_from_power",

@@ -59,7 +59,6 @@ from .errors import DomainError, InternalError
 __all__ = [
     "BiPoly",
     "Mod2Poly",
-    "translate_delta",
     "exact_divide",
     "mod2_reduce",
     "expand_linear_power",
@@ -657,11 +656,6 @@ class Mod2Poly:
 
 
 # -- module-level operation names matching the interface --------------------
-
-
-def translate_delta(f: BiPoly) -> BiPoly:
-    """The shift a_i := a_i + 1 for every weight-side variable."""
-    return f.translate_a((1,) * f.na)
 
 
 def exact_divide(f: BiPoly, g: BiPoly) -> BiPoly:

@@ -16,10 +16,15 @@ is triangular in m = N, N+1, ... because F_j(delta) vanishes below degree
 N, so each P_k is an exact polynomial quotient; Newton's identities then
 convert P to E.  At rank >= 3 the recursion runs on exact values at a few
 sample coweights, and each P_k, a W-invariant of degree k, is rebuilt from
-its values in a basis of products of orbit power sums.  Running the same
-recursion with the highest weight kept symbolic (shifted by delta via
-translation) yields bivariate versions whose a-degrees obey
-adeg P_k <= N + k and adeg E_k <= floor(k/2)*N + k.
+its values in a basis of products of orbit power sums.
+
+With the highest weight kept symbolic (a-variables), F_m = F'_m * d * d-vee
+lets d(y) and d-vee(a + delta) cancel from every term, and the identity
+becomes F'_m(a + delta) = sum_k binom(m, k) * R_k * F'_{m-k}(delta) for
+R_k = P_k / P_0, where P_0 = d-vee(a + delta)/d-vee(delta) is the dimension
+polynomial.  Its divisor F'_N = N!/d-vee(delta) is a number, so each step
+divides by a constant.  The bivariate P_k obey adeg P_k <= N + k, and
+adeg E_k <= floor(k/2)*N + k.
 
 Degree-0 terms: P_0 is the dimension of the representation and E_0 = 1.
 P_1 = 0 always (the weights of a semisimple representation sum to zero),
@@ -28,25 +33,23 @@ and every odd P_k vanishes when -1 lies in the Weyl group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, _mul_into, exact_divide, translate_delta
+from .polyalg import BiPoly, _common_denominator, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
-from .weylsum import (FkTable, _fit_invariants, _fk_at_delta, _orbit_power_sums, _signed_orbit,
-                      _vanishes, fk_evaluated)
+from .weylsum import (MAX_TERMS, _fit_invariants, _fit_reduced, _fk_at_delta, _orbit_power_sums,
+                      _signed_orbit, _vanishes, coweyl_denominator, coweyl_denominator_at_delta,
+                      fk_evaluated)
 
 __all__ = [
-    "PowerSumResult",
     "weyl_dimension",
     "validate_dominant",
     "power_sums",
     "elementary_from_power",
-    "power_sum_result",
     "symbolic_power_sums",
     "product_power_sums",
 ]
@@ -145,9 +148,10 @@ def _triangular_solve(n: int, f_lam: Sequence, f_del: Sequence, divide: Callable
     """P_0, P_1, ... from F_{N+i}(lam + delta) and F_{N+i}(delta), i = 0, 1, ...
 
     Solves F_{N+i}(lam + delta) = sum_k binom(N+i, k) * P_k * F_{N+i-k}(delta)
-    for P_i, lowest degree first.  The F are y-polynomials or their integer
-    values at one sample point; each step is the exact quotient ``divide``
-    by binom(N+i, i) * F_N(delta).
+    for P_i, lowest degree first.  The F are y-polynomials, their integer
+    values at one sample point, or the reduced sums F'_{N+i}, which give
+    R_i = P_i / P_0; each step is the exact quotient ``divide`` by
+    binom(N+i, i) * F_N(delta).
     """
     out: list = []
     for i, num in enumerate(f_lam):
@@ -186,51 +190,42 @@ def elementary_from_power(power: Sequence[BiPoly], kmax: int | None = None) -> l
     return elem
 
 
-@dataclass(frozen=True)
-class PowerSumResult:
-    """Power sums and elementary symmetric functions for one representation."""
-
-    kind: str
-    rank: int
-    highest_weight: tuple[int, ...]
-    kmax: int
-    dimension: int
-    power: tuple[BiPoly, ...]
-    elementary: tuple[BiPoly, ...]
-
-
-def power_sum_result(rs: RootSystem, lam: Sequence[int], kmax: int) -> PowerSumResult:
-    """Bundle P_k and E_k for k = 0..kmax with the dimension."""
-    p = power_sums(rs, lam, kmax)
-    e = elementary_from_power(p, kmax)
-    dim = p[0].constant_term()
-    if not isinstance(dim, int):
-        dim = int(dim)
-    return PowerSumResult(
-        kind=rs.kind,
-        rank=rs.rank,
-        highest_weight=validate_dominant(rs, lam),
-        kmax=kmax,
-        dimension=dim,
-        power=tuple(p),
-        elementary=tuple(e),
-    )
-
-
 def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
-    """P_0..P_kmax with the highest weight symbolic (a-variables).
+    """P_0..P_kmax with the highest weight symbolic (a-variables), as P_0 * R_k.
 
-    Same triangular recursion with lam + delta realized by translating
-    every a-variable by one.  P_0 is the dimension polynomial
-    d-vee(a + delta)/d-vee(delta).
+    R_k = P_k / P_0 comes from the triangular recursion on the reduced sums
+    F'_{N+i}(a + delta, y) and F'_{N+i}(delta, y), fitted by
+    ``weylsum._fit_reduced``; each step divides by the constant
+    binom(N+i, i) * F'_N.  P_0 is the dimension polynomial
+    d-vee(a + delta)/d-vee(delta); each product P_0 * R_k runs on integer
+    coefficients, R_k times the lcm D of its denominators, and is divided
+    once by D * d-vee(delta).  Before any fit the expanded output is
+    bounded by sum_k C(N+k+r, r) * C(k+r-1, r-1) terms, its a-degree <= N+k
+    and y-degree k; over MAX_TERMS it is refused with DomainError.
     """
     check_degree(kmax, "kmax")
-    n = rs.num_positive
-    table = FkTable.build(rs, n + kmax)
-    f_lam = [translate_delta(table.entries[n + i]) for i in range(kmax + 1)]
-    delta = (1,) * rs.rank
-    f_del = [table.entries[n + j].eval_a(delta) for j in range(kmax + 1)]
-    return _triangular_solve(n, f_lam, f_del, exact_divide)
+    n, r = rs.num_positive, rs.rank
+    size = sum(comb(n + k + r, r) * comb(k + r - 1, r - 1) for k in range(kmax + 1))
+    if size > MAX_TERMS:
+        raise DomainError(f"symbolic P_0..P_{kmax} of {rs.kind}{r} may have {size} terms, "
+                          f"over the budget of {MAX_TERMS}")
+    ms = range(n, n + kmax + 1)
+    fitted = _fit_reduced(rs, [m for m in ms if not _vanishes(rs, m)])
+    reduced = [fitted.get(m, BiPoly.zero(r, r)) for m in ms]
+    delta = (1,) * r
+    f_lam = [f.translate_a(delta) for f in reduced]
+    f_del = [f.eval_a(delta) for f in reduced]
+    f_del[0] = f_del[0].constant_term()  # F'_N = N!/d-vee(delta)
+    ratios = _triangular_solve(n, f_lam, f_del, lambda f, c: f.scale(Fraction(1, c)))
+    dvee = coweyl_denominator(rs).translate_a(delta).terms  # d-vee(a + delta), int coefficients
+    dvee_delta = coweyl_denominator_at_delta(rs)
+    out = []
+    for f in ratios:
+        den, num = _common_denominator(list(f.terms.values()))
+        acc: dict = {}
+        _mul_into(acc, dict(zip(f.terms, num)), dvee)
+        out.append(BiPoly._result(r, r, {e: _ratio(v, den * dvee_delta) for e, v in acc.items()}))
+    return out
 
 
 def product_power_sums(

@@ -27,8 +27,8 @@ for the coefficients in a basis of products of orbit power sums over W.w1
 (and, on D_r, the half-spin orbit W.w_r), for F'_k their transport-
 symmetrized products of degree k-N, and checks the fit at two points off
 the fitting set; the checks and the assembly of each fitted P_k run on the
-coefficients times their common denominator, in integers.  FkTable and
-fk_via_invariants take F'_k from that fit and never expand the big
+coefficients times their common denominator, in integers.  FkTable and the
+symbolic power sums take F'_k from that fit and never expand the big
 alternating sum; fk_direct and fk_reduced expand and divide it, and are kept
 as the reference that tests compare against.
 """
@@ -64,7 +64,6 @@ __all__ = [
     "closed_form_FN2",
     "sigma_involution",
     "invariant_basis",
-    "fk_via_invariants",
 ]
 
 #: Abort threshold for symbolic expansion.
@@ -361,7 +360,7 @@ class FkTable:
     reduced: dict = field(repr=False)
 
     @classmethod
-    def build(cls, rs: RootSystem, kmax: int = 10) -> "FkTable":
+    def build(cls, rs: RootSystem, kmax: int) -> "FkTable":
         """F'_k fitted from exact samples (``_fit_reduced``), F_k = F'_k * d * d-vee."""
         check_degree(kmax, "kmax")
         reduced = dict.fromkeys(range(kmax + 1), BiPoly.zero(rs.rank, rs.rank))
@@ -646,15 +645,3 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
                       for (i, j), x in zip(ps, c) if x), BiPoly.zero(r, r))
     return out
 
-
-def fk_via_invariants(rs: RootSystem, k: int) -> BiPoly:
-    """F_k as the fitted F'_k (``_fit_reduced``) times d * d-vee.
-
-    Never expands the alternating sum symbolically; must agree with
-    fk_direct exactly.
-    """
-    if k < 0:
-        raise DomainError("negative power in Weyl sum")
-    if _vanishes(rs, k):
-        return BiPoly.zero(rs.rank, rs.rank)
-    return _times_denominators(rs, _fit_reduced(rs, [k])[k])

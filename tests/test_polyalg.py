@@ -19,7 +19,6 @@ from weightcalc.polyalg import (
     invert,
     mod2_reduce,
     rref,
-    translate_delta,
 )
 from weightcalc.charclass import builtin_lattice, builtin_lattice_names
 from weightcalc.rootsys import SUPPORTED_RANKS, build_root_system
@@ -130,7 +129,6 @@ def test_translate_matches_shifted_evaluation(f, pt, shift):
     assert termwise(shifted, pt) == termwise(f, moved)
     assert shifted.evaluate(pt[:NA], pt[NA:]) == termwise(f, moved)
     assert canonical(shifted)
-    assert translate_delta(f) == f.translate_a((1,) * NA)
 
 
 @given(bipolys, points)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -14,7 +15,6 @@ from weightcalc.polyalg import BiPoly, exact_divide
 from weightcalc.powersum import (
     _triangular_solve,
     elementary_from_power,
-    power_sum_result,
     power_sums,
     product_power_sums,
     symbolic_power_sums,
@@ -25,6 +25,7 @@ from weightcalc.oracle import weight_multiplicities
 from weightcalc.rootsys import build_root_system, highest_root
 from weightcalc.weylsum import FkTable, fk_evaluated, invariant_basis, q2_poly
 from test_rootsys import reflection_matrix
+from test_weylsum import _corrupt_sample
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -248,6 +249,54 @@ def test_symbolic_specializes_to_numeric(a2):
         symbolic_power_sums(a2, -1)
 
 
+def _symbolic_by_division(rs, kmax):
+    """Reference: the triangular solve on the FkTable entries F_m(a + delta, y), F_m(delta, y).
+
+    Each step is a long division by the polynomial binom(N+i, i) * F_N(delta, y).
+    """
+    n, delta = rs.num_positive, (1,) * rs.rank
+    table = FkTable.build(rs, n + kmax)
+    f_lam = [table.entries[n + i].translate_a(delta) for i in range(kmax + 1)]
+    f_del = [table.entries[n + i].eval_a(delta) for i in range(kmax + 1)]
+    return _triangular_solve(n, f_lam, f_del, exact_divide)
+
+
+@pytest.mark.parametrize(
+    "kind,rank,kmax",
+    [("A", 1, 6), ("A", 2, 6), ("B", 2, 6), ("C", 2, 6), ("G", 2, 6), ("A", 3, 4), ("B", 3, 2),
+     ("C", 3, 2)],
+)
+def test_symbolic_reduced_route_matches_division(kind, rank, kmax):
+    # P_0 * R_k from the reduced sums: the same terms, each coefficient int or Fraction alike
+    rs = get_rs(kind, rank)
+    assert _identical(symbolic_power_sums(rs, kmax), _symbolic_by_division(rs, kmax))
+
+
+def test_symbolic_d4_specializes_to_numeric():
+    rs = get_rs("D", 4)
+    symb = symbolic_power_sums(rs, 2)
+    for lam in [(0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 0, 3)]:
+        assert [f.eval_a(lam) for f in symb] == power_sums(rs, lam, 2)
+
+
+def test_symbolic_corrupted_reduced_sample_is_caught(monkeypatch):
+    # on A2, k <= 4 fits F'_3, F'_5, F'_6, F'_7; F'_5 is one constant times p2(y) p2(K-vee a)
+    rs = get_rs("A", 2)
+    _corrupt_sample(monkeypatch, weylsum._check_points(rs)[0][1], 5)
+    with pytest.raises(InternalError, match="F'_5 invariant fit fails the off-line check"):
+        symbolic_power_sums(rs, 4)
+
+
+@pytest.mark.parametrize("kind,rank,size", [("B", 6, 190064602), ("A", 6, 12531870)])
+def test_symbolic_term_budget_refuses_up_front(kind, rank, size):
+    # sum_k C(N+k+r, r) * C(k+r-1, r-1) bounds the output; no fit runs before the refusal
+    rs = get_rs(kind, rank)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=f"may have {size} terms"):
+        symbolic_power_sums(rs, 2)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2)])
 def test_symbolic_degree_bounds(kind, rank):
     rs = get_rs(kind, rank)
@@ -378,17 +427,6 @@ def test_product_power_sums_rejects_shared_support():
         product_power_sums(p, p, 2)
     with pytest.raises(DomainError):
         product_power_sums(p, p, 5)
-
-
-def test_power_sum_result_bundle(b2):
-    res = power_sum_result(b2, (1, 0), 3)
-    assert res.kind == "B" and res.rank == 2
-    assert res.highest_weight == (1, 0)
-    assert res.dimension == 5
-    assert res.kmax == 3
-    assert len(res.power) == 4 and len(res.elementary) == 4
-    assert res.power[0] == BiPoly.constant(2, 2, 5)
-    assert res.elementary[0] == BiPoly.constant(2, 2, 1)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("B", 3)])

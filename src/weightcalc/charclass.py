@@ -698,33 +698,26 @@ def _character_values(
                 parity = sum(mu[j] for j in range(i)) % 2
                 total += mult if parity == 0 else -mult
             chi.append(total)
-        n = r
-        t = -weight[n - 1] if weight[n - 1] < 0 else 0
+        t = -weight[r - 1] if weight[r - 1] < 0 else 0
         part = [c + t for c in weight]
+        expected = [(-1) ** ((i * t) % 2) * schur_at_signs(part, i, r - i) for i in range(r + 1)]
+    else:
+        rs = lattice.root_system()
+        wm = weight_multiplicities(rs, weight, max_dim=max_dim)
         for i in range(r + 1):
-            expected = (-1) ** ((i * t) % 2) * schur_at_signs(part, i, n - i)
-            if expected != chi[i]:
-                raise InternalError(
-                    f"character value at sign pattern {i} disagrees with the "
-                    f"Schur evaluation: {chi[i]} versus {expected}"
-                )
-        return chi
-    rs = lattice.root_system()
-    wm = weight_multiplicities(rs, weight, max_dim=max_dim)
-    for i in range(r + 1):
-        signs = tuple(-1 if j < i else 1 for j in range(r))
-        chi.append(character_at_order2(wm, signs, basis=lattice.basis))
-    if lattice.family == "SL":
-        n = r + 1
+            signs = tuple(-1 if j < i else 1 for j in range(r))
+            chi.append(character_at_order2(wm, signs, basis=lattice.basis))
+        if lattice.family != "SL":
+            return chi
         part = _sl_partition(weight)
-        for i in range(r + 1):
-            minus = i + (i % 2)
-            expected = schur_at_signs(part, minus, n - minus)
-            if expected != chi[i]:
-                raise InternalError(
-                    f"character value at sign pattern {i} disagrees with the "
-                    f"Schur evaluation: {chi[i]} versus {expected}"
-                )
+        # SL(r+1): i rounded up to even eigenvalues -1, so the determinant stays one
+        expected = [schur_at_signs(part, i + i % 2, r + 1 - i - i % 2) for i in range(r + 1)]
+    for i, value in enumerate(expected):
+        if value != chi[i]:
+            raise InternalError(
+                f"character value at sign pattern {i} disagrees with the "
+                f"Schur evaluation: {chi[i]} versus {value}"
+            )
     return chi
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import DomainError, InternalError
-from .polyalg import BiPoly, Mod2Poly, mod2_reduce
+from .polyalg import BiPoly, _order_key, mod2_reduce
 from .rootsys import RootSystem, _expected_counts, build_root_system
 from .weylsum import FkTable
 from .powersum import elementary_from_power, power_sums
@@ -205,9 +205,10 @@ def _fk_table(args: argparse.Namespace, rs: RootSystem, kmax: int) -> FkTable:
 # -- rendering -------------------------------------------------------------------
 
 
-def _mod2_json(p: Mod2Poly, names: Sequence[str]) -> dict:
-    terms = sorted(p.terms, key=lambda t: (sum(t), t), reverse=True)
-    return {"terms": [{names[i]: k for i, k in enumerate(e) if k} for e in terms]}
+def _classes(sym: str, polys: Sequence, names: Sequence[str]) -> tuple[list[dict], list[str]]:
+    """The JSON list and the ``<sym>_k = ...`` lines of the classes c_k or w_k."""
+    return ([p.to_json_obj(names) for p in polys],
+            [f"{sym}_{k} = {p.render(names)}" for k, p in enumerate(polys)])
 
 
 def _emit(args: argparse.Namespace, input_obj: dict, result_obj: dict,
@@ -303,25 +304,17 @@ def _cmd_chern(args: argparse.Namespace) -> int:
     lat, weight = _need_group_weight(args)
     kmax = _kmax(args)
     res = chern_classes(lat, PiSpec(weight, args.s_wrap), kmax)
-    names = list(lat.gen_names)
-    result = {
-        "degree": res.degree,
-        "c": [ck.to_json_obj(a_names=names, y_names=[]) for ck in res.c],
-    }
-    lines = [f"degree {res.degree}"]
-    lines += [f"c_{k} = {ck.render(a_names=names, y_names=[])}"
-              for k, ck in enumerate(res.c)]
-    _emit(args, {**_group_input(args, lat, weight), "kmax": kmax}, result, lines)
+    c, lines = _classes("c", res.c, lat.gen_names)
+    _emit(args, {**_group_input(args, lat, weight), "kmax": kmax},
+          {"degree": res.degree, "c": c}, [f"degree {res.degree}", *lines])
     return 0
 
 
 def _cmd_chern2(args: argparse.Namespace) -> int:
     lat, weight = _need_group_weight(args)
     c2 = chern2_closed(lat, weight)
-    names = list(lat.gen_names)
-    result = {"c2": c2.to_json_obj(a_names=names, y_names=[])}
-    _emit(args, _group_input(args, lat, weight), result,
-          [f"c_2 = {c2.render(a_names=names, y_names=[])}"])
+    _emit(args, _group_input(args, lat, weight), {"c2": c2.to_json_obj(lat.gen_names)},
+          [f"c_2 = {c2.render(lat.gen_names)}"])
     return 0
 
 
@@ -329,10 +322,8 @@ def _cmd_swc(args: argparse.Namespace) -> int:
     lat, weight = _need_group_weight(args)
     kmax = _kmax(args)
     res = swc_restrict(lat, PiSpec(weight, args.s_wrap), kmax)
-    names = list(lat.v_names)
-    result = {"w": [_mod2_json(wk, names) for wk in res.w]}
-    lines = [f"w_{k} = {wk.render(names)}" for k, wk in enumerate(res.w)]
-    _emit(args, {**_group_input(args, lat, weight), "kmax": kmax}, result, lines)
+    w, lines = _classes("w", res.w, lat.v_names)
+    _emit(args, {**_group_input(args, lat, weight), "kmax": kmax}, {"w": w}, lines)
     return 0
 
 
@@ -341,15 +332,14 @@ def _cmd_swc_total(args: argparse.Namespace) -> int:
     kmax = _kmax(args)
     res = total_swc_factorization(lat, PiSpec(weight, args.s_wrap), kmax,
                                   max_dim=args.max_dim)
-    names = list(lat.v_names)
+    w, lines = _classes("w", res.w, lat.v_names)
     result = {
         "m": list(res.total_factorization),
-        "w": [_mod2_json(wk, names) for wk in res.w],
+        "w": w,
         "agrees_with_restriction": True,  # enforced inside, or it would have raised
     }
-    lines = ["m = " + ", ".join(
-        f"m_{k+1}={m}" for k, m in enumerate(res.total_factorization))]
-    lines += [f"w_{k} = {wk.render(names)}" for k, wk in enumerate(res.w)]
+    lines.insert(0, "m = " + ", ".join(
+        f"m_{k+1}={m}" for k, m in enumerate(res.total_factorization)))
     _emit(args, {**_group_input(args, lat, weight), "kmax": kmax}, result, lines)
     return 0
 
@@ -357,16 +347,15 @@ def _cmd_swc_total(args: argparse.Namespace) -> int:
 def _cmd_spinorial(args: argparse.Namespace) -> int:
     lat, weight = _need_group_weight(args)
     res = is_spinorial(lat, PiSpec(weight, args.s_wrap))
-    names = list(lat.gen_names)
     result = {
         "spinorial": res.spinorial,
-        "c2": res.c2.to_json_obj(a_names=names, y_names=[]),
+        "c2": res.c2.to_json_obj(lat.gen_names),
         "j": res.valuation,
         "secondary_integral": res.secondary_integral,
     }
     lines = [
         f"spinorial: {'yes' if res.spinorial else 'no'}",
-        f"c_2 = {res.c2.render(a_names=names, y_names=[])}",
+        f"c_2 = {res.c2.render(lat.gen_names)}",
     ]
     if res.valuation is not None:
         lines.append(f"j = {res.valuation}; 2^(-j) * Q2 integral: "
@@ -393,8 +382,7 @@ def _cmd_oracle_weights(args: argparse.Namespace) -> int:
     rs = _need_rs(args)
     lam = _need_weight(args)
     wm = weight_multiplicities(rs, lam, max_dim=args.max_dim)
-    items = sorted(wm.expanded().items(), key=lambda kv: (sum(kv[0]), kv[0]),
-                   reverse=True)
+    items = sorted(wm.expanded().items(), key=lambda kv: _order_key(kv[0]), reverse=True)
     result = {
         "lambda": list(lam),
         "weights": [{"mu": list(mu), "m": m} for mu, m in items],

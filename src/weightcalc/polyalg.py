@@ -10,15 +10,22 @@ are the degenerate cases with one block unused.
 Canonical term order everywhere (rendering, JSON, leading terms): graded
 lexicographic, descending, on the combined exponent tuple (a-block first),
 i.e. compare total degree first, then the exponent tuples themselves.
-
-Text grammar (bit-exact): ``term ( (+|-) term )*`` where each term is
-``coeff`` or ``coeff*var^exp*...`` with ``coeff`` rendered ``p`` or ``p/q``
-(magnitude only; signs live in the separators, a leading minus is attached),
-and ``^exp`` omitted when the exponent is 1.  The zero polynomial renders
-``0``.
+This module alone writes polynomials: callers pass variable names (a1..a_na
+and y1..y_ny by default, ``_names``; v1..v_nv for a ``Mod2Poly``) and never
+order or format terms themselves.
 
 JSON schema: ``{"terms": [{"c": "-5/3", "m": {"a1": 2, "y2": 1}}, ...]}``
-with terms in canonical order and signed coefficient strings.
+with terms in canonical order and signed coefficient strings.  A
+``Mod2Poly`` writes each term as its monomial alone, ``{"terms": [{"v1": 2},
+{}]}`` for v1^2 + 1, the constant term as ``{}`` and zero as
+``{"terms": []}``.
+
+Text grammar (bit-exact), written from the JSON terms: ``term ( (+|-) term
+)*`` where each term is ``coeff`` or ``coeff*var^exp*...`` with ``coeff``
+rendered ``p`` or ``p/q`` (magnitude only; signs live in the separators, a
+leading minus is attached), and ``^exp`` omitted when the exponent is 1
+(``_factors``).  A ``Mod2Poly`` term has no coefficient, and its constant
+term renders ``1``.  The zero polynomial renders ``0``.
 
 Every product of two term dicts goes through one kernel, ``_mul_into``:
 ``BiPoly`` products and powers, ``fk_direct``, and the sums of products of
@@ -121,6 +128,26 @@ def _parse_scalar(s: str) -> Scalar:
 
 def _order_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
+
+
+def _names(na: int, ny: int, a_names: Sequence[str] | None,
+           y_names: Sequence[str] | None) -> list[str]:
+    """The variable names of a ring of arity (na, ny): a1..a_na and y1..y_ny unless given."""
+    names = [*(a_names if a_names is not None else (f"a{i + 1}" for i in range(na))),
+             *(y_names if y_names is not None else (f"y{i + 1}" for i in range(ny)))]
+    if len(names) != na + ny:
+        raise DomainError(f"{len(names)} variable names for arity ({na},{ny})")
+    return names
+
+
+def _monomial(exps: tuple, names: Sequence[str]) -> dict[str, int]:
+    """The monomial with these exponents as {name: exponent}, over its variables only."""
+    return {v: k for v, k in zip(names, exps, strict=True) if k}
+
+
+def _factors(monomial: Mapping[str, int]) -> list[str]:
+    """The text factors of a ``_monomial``: ``var``, or ``var^k`` for k > 1."""
+    return [v if k == 1 else f"{v}^{k}" for v, k in monomial.items()]
 
 
 @lru_cache(maxsize=None)
@@ -245,12 +272,10 @@ class BiPoly:
         t: dict[tuple, Scalar] = {}
         if terms:
             for exps, c in terms.items():
+                if len(exps) != na + ny:
+                    raise DomainError(f"exponent tuple {exps} does not match arity ({na},{ny})")
                 c = _exact(c)
                 if c:
-                    if len(exps) != na + ny:
-                        raise DomainError(
-                            f"exponent tuple {exps} does not match arity ({na},{ny})"
-                        )
                     t[tuple(exps)] = c
         self.terms = t
 
@@ -469,54 +494,27 @@ class BiPoly:
 
     # -- rendering ----------------------------------------------------------
 
-    def default_names(self) -> tuple[list[str], list[str]]:
-        return (
-            [f"a{i+1}" for i in range(self.na)],
-            [f"y{i+1}" for i in range(self.ny)],
-        )
-
     def render(
         self,
         a_names: Sequence[str] | None = None,
         y_names: Sequence[str] | None = None,
     ) -> str:
-        if not self.terms:
-            return "0"
-        da, dy = self.default_names()
-        names = list(a_names if a_names is not None else da) + list(
-            y_names if y_names is not None else dy
-        )
-        pieces = []
-        for e, c in self.sorted_terms():
-            factors = [_scalar_str(abs(c))]
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(names[i])
-                elif k > 1:
-                    factors.append(f"{names[i]}^{k}")
-            pieces.append((c < 0, "*".join(factors)))
-        out = ("-" if pieces[0][0] else "") + pieces[0][1]
-        for neg, text in pieces[1:]:
-            out += (" - " if neg else " + ") + text
-        return out
+        """The text form, written from the terms of ``to_json_obj``."""
+        out = []
+        for t in self.to_json_obj(a_names, y_names)["terms"]:
+            c = t["c"]  # signed; the sign goes into the separator
+            out += [" - " if c[0] == "-" else " + ", "*".join([c.lstrip("-"), *_factors(t["m"])])]
+        out[:1] = ["-"] if out[:1] == [" - "] else []
+        return "".join(out) or "0"
 
     def to_json_obj(
         self,
         a_names: Sequence[str] | None = None,
         y_names: Sequence[str] | None = None,
     ) -> dict:
-        da, dy = self.default_names()
-        names = list(a_names if a_names is not None else da) + list(
-            y_names if y_names is not None else dy
-        )
-        terms = []
-        for e, c in self.sorted_terms():
-            m = {}
-            for i, k in enumerate(e):
-                if k:
-                    m[names[i]] = k
-            terms.append({"c": _scalar_str(c), "m": m})
-        return {"terms": terms}
+        names = _names(self.na, self.ny, a_names, y_names)
+        return {"terms": [{"c": _scalar_str(c), "m": _monomial(e, names)}
+                          for e, c in self.sorted_terms()]}
 
     @classmethod
     def from_json_obj(
@@ -527,12 +525,7 @@ class BiPoly:
         a_names: Sequence[str] | None = None,
         y_names: Sequence[str] | None = None,
     ) -> "BiPoly":
-        dummy = cls.zero(na, ny)
-        da, dy = dummy.default_names()
-        names = list(a_names if a_names is not None else da) + list(
-            y_names if y_names is not None else dy
-        )
-        index = {n: i for i, n in enumerate(names)}
+        index = {n: i for i, n in enumerate(_names(na, ny, a_names, y_names))}
         terms: dict[tuple, Scalar] = {}
         if not isinstance(obj, Mapping) or not isinstance(obj.get("terms", []), list):
             raise DomainError("polynomial JSON must be an object with a list of terms")
@@ -543,7 +536,7 @@ class BiPoly:
             for var, k in t.get("m", {}).items():
                 if var not in index:
                     raise DomainError(f"unknown variable {var!r} in polynomial JSON")
-                if not isinstance(k, int) or k < 0:
+                if type(k) is not int or k < 0:  # a JSON true is a bool, not an exponent
                     raise DomainError(f"bad exponent {k!r} in polynomial JSON")
                 e[index[var]] = k
             key = tuple(e)
@@ -633,23 +626,16 @@ class Mod2Poly:
     def degree_part(self, k: int) -> "Mod2Poly":
         return Mod2Poly(self.nv, (e for e in self.terms if sum(e) == k))
 
+    def to_json_obj(self, names: Sequence[str] | None = None) -> dict:
+        """``{"terms": [{"v1": 2}, ...]}``, terms in canonical order; names default to v1..v_nv."""
+        names = [f"v{i + 1}" for i in range(self.nv)] if names is None else names
+        return {"terms": [_monomial(e, names)
+                          for e in sorted(self.terms, key=_order_key, reverse=True)]}
+
     def render(self, names: Sequence[str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        names = list(names) if names is not None else [f"v{i+1}" for i in range(self.nv)]
-        pieces = []
-        for e in sorted(self.terms, key=_order_key, reverse=True):
-            if not any(e):
-                pieces.append("1")
-                continue
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(names[i])
-                elif k > 1:
-                    factors.append(f"{names[i]}^{k}")
-            pieces.append("*".join(factors))
-        return " + ".join(pieces)
+        """The text form, written from the terms of ``to_json_obj``."""
+        return " + ".join("*".join(_factors(m)) or "1"
+                          for m in self.to_json_obj(names)["terms"]) or "0"
 
     def __repr__(self) -> str:
         return f"Mod2Poly({self.render()})"

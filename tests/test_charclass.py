@@ -475,6 +475,14 @@ def test_factorization_matches_restriction():
         assert ref.total_factorization is None
 
 
+@pytest.mark.parametrize("group,weight", [("SL3", (1, 1)), ("GL3", (1, 0, -1))])
+def test_schur_cross_check_disagreement_is_an_internal_error(group, weight, monkeypatch):
+    schur = charclass.schur_at_signs
+    monkeypatch.setattr(charclass, "schur_at_signs", lambda *a: schur(*a) + 1)
+    with pytest.raises(InternalError, match="sign pattern 0 disagrees with the Schur evaluation"):
+        total_swc_factorization(builtin_lattice(group), weight)
+
+
 def test_factorization_family_guard():
     with pytest.raises(DomainError, match="SL, GL, Sp and SO families only"):
         total_swc_factorization(builtin_lattice("Spin5"), (0, 1))

@@ -222,13 +222,19 @@ def test_incomplete_cache_file_is_rebuilt(capsys, tmp_path):
     assert "3" in json.loads(path.read_text())["entries"]
 
 
-@pytest.mark.parametrize("entries", [{"0": [1, 2]}, {"0": {"terms": "zzz"}}])
+@pytest.mark.parametrize("entries", [{"0": [1, 2]}, {"0": {"terms": "zzz"}},
+                                     pytest.param(None, id="true-exponent")])
 def test_malformed_cache_entry_is_rebuilt(capsys, tmp_path, entries):
-    argv = ["fk", "--type", "A2", "--k", "3", "--cache-dir", str(tmp_path)]
+    """None stands for the stored entries with one exponent 1 of F_3 written as JSON true."""
+    argv = ["fk", "--type", "A2", "--k", "3", "--format", "json", "--cache-dir", str(tmp_path)]
     rc, clean, _ = _call(capsys, argv)
     path = tmp_path / "fk_A2.json"
     stored = json.loads(path.read_text())
     good = stored["entries"]
+    if entries is None:
+        entries = json.loads(path.read_text())["entries"]
+        m = next(t["m"] for t in entries["3"]["terms"] if 1 in t["m"].values())
+        m[next(v for v, k in m.items() if k == 1)] = True
     stored["entries"] = entries
     path.write_text(json.dumps(stored))
     rc, out, _ = _call(capsys, argv)

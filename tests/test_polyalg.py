@@ -375,8 +375,11 @@ def test_json_rejects_malformed_input():
         BiPoly.from_json_obj({"terms": [{"c": "1", "m": {"zz": 1}}]}, NA, NY)
     with pytest.raises(DomainError):
         BiPoly.from_json_obj({"terms": [{"c": "1", "m": {"a1": -2}}]}, NA, NY)
+    with pytest.raises(DomainError, match="2 variable names for arity"):
+        BiPoly.from_json_obj({"terms": [{"c": "1", "m": {"z": 1}}]}, 1, 0, ["x", "z"])
     for shape in ([1, 2], "zzz", {"terms": "zzz"}, {"terms": [1]},
-                  {"terms": [{"c": "1", "m": [1]}]}, {"terms": [{"c": 1, "m": {}}]}):
+                  {"terms": [{"c": "1", "m": [1]}]}, {"terms": [{"c": 1, "m": {}}]},
+                  {"terms": [{"c": "1", "m": {"a1": True}}]}):
         with pytest.raises(DomainError):
             BiPoly.from_json_obj(shape, NA, NY)
 
@@ -387,6 +390,21 @@ def test_render_canonical_examples():
     assert BiPoly.zero(1, 1).render() == "0"
     m = Mod2Poly(2, [(2, 0), (0, 2)])
     assert m.render(["v1", "v2"]) == "v1^2 + v2^2"
+
+
+def test_mod2_json_in_render_order():
+    m = Mod2Poly(2, [(0, 0), (1, 0), (0, 2), (2, 0), (1, 1)])
+    obj = m.to_json_obj(["u", "w"])
+    assert obj == {"terms": [{"u": 2}, {"u": 1, "w": 1}, {"w": 2}, {"u": 1}, {}]}
+    assert m.render(["u", "w"]) == "u^2 + u*w + w^2 + u + 1"
+    assert Mod2Poly.zero(2).to_json_obj(["u", "w"]) == {"terms": []}
+
+
+def test_arity_is_checked_before_zero_terms_are_dropped():
+    with pytest.raises(DomainError, match="does not match arity"):
+        BiPoly(1, 1, {(5,): 0})
+    with pytest.raises(DomainError, match="does not match arity"):
+        BiPoly(1, 1, {(5,): 1})
 
 
 def test_sorted_terms_graded_lex_stability():

@@ -37,8 +37,8 @@ from itertools import combinations
 from operator import mul
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .errors import DomainError, InternalError, check_degree
-from .polyalg import BiPoly, Mod2Poly, Scalar, _integer_rows, _substitution, invert, mod2_reduce
+from .errors import DomainError, InternalError, check_coordinates, check_degree, is_int
+from .polyalg import BiPoly, Mod2Poly, _integer_rows, _substitution, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
     _binomial_convolution,
@@ -243,19 +243,8 @@ def builtin_lattice(group_name: str) -> CharacterLattice:
     family, kind, r = _BUILTIN[display]
     if family == "PGL":
         return CharacterLattice(display, "PGL", "A", 1, 1, ((2,),), ("eb",), ("vb",))
-    if family == "GL":
-        gen = tuple(f"e{i+1}" for i in range(r + 1))
-        vn = tuple(f"v{i+1}" for i in range(r + 1))
-        return CharacterLattice(
-            display, "GL", "A", r, r + 1, _freeze(_identity_rows(r + 1)), gen, vn
-        )
-    if family in ("Spin", "G"):
-        gen = tuple(f"x{i+1}" for i in range(r))
-        vn = tuple(f"v{i+1}" for i in range(r))
-        return CharacterLattice(
-            display, family, kind, r, r, _freeze(_identity_rows(r)), gen, vn
-        )
-    rows = _chain_rows(r)
+    n = r + 1 if family == "GL" else r  # the GL torus has one more circle than the rank
+    rows = _identity_rows(n) if family in ("GL", "Spin", "G") else _chain_rows(r)
     if family == "SO" and kind == "B":
         # last generator is the last diagonal coordinate: 2w_r - w_(r-1)
         rows[r - 1] = [0] * r
@@ -272,19 +261,13 @@ def builtin_lattice(group_name: str) -> CharacterLattice:
         rows[r - 1] = [0] * r
         rows[r - 1][r - 2] = -1
         rows[r - 1][r - 1] = 1
-    gen = ("e",) if display == "SL2" else tuple(f"e{i+1}" for i in range(r))
-    vn = ("v",) if display == "SL2" else tuple(f"v{i+1}" for i in range(r))
-    return CharacterLattice(display, family, kind, r, r, _freeze(rows), gen, vn)
+    letter = "x" if family in ("Spin", "G") else "e"
+    gen = ("e",) if display == "SL2" else tuple(f"{letter}{i+1}" for i in range(n))
+    vn = ("v",) if display == "SL2" else tuple(f"v{i+1}" for i in range(n))
+    return CharacterLattice(display, family, kind, r, n, _freeze(rows), gen, vn)
 
 
 # -- exact linear algebra on lattice bases ------------------------------------
-
-
-def _invert(mat: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, ...], ...]:
-    inv = invert(mat)
-    if inv is None:
-        raise InternalError("lattice basis matrix is singular")
-    return inv
 
 
 @lru_cache(maxsize=None)
@@ -299,13 +282,11 @@ def _generator_images(lattice: CharacterLattice) -> tuple[tuple[tuple[int, ...],
     denominators of those rows, and row j of A is that row scaled by D, so
     every entry is an int.
     """
-    if lattice.family == "GL":
-        n = lattice.torus_rank
-        rinv = _invert(_gl_transition(n))
-        rows = [[rinv[m][j] for m in range(n)] for j in range(n)]
-    else:
-        rows = _invert(lattice.basis)
-    d, rows = _integer_rows(rows)
+    gl = lattice.family == "GL"
+    inv = invert(_gl_transition(lattice.torus_rank) if gl else lattice.basis)
+    if inv is None:
+        raise InternalError("lattice basis matrix is singular")
+    d, rows = _integer_rows(list(zip(*inv)) if gl else inv)
     return rows, d
 
 
@@ -332,9 +313,7 @@ def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
 
     The coordinates are fundamental-weight ones, diagonal ones for GL.
     """
-    if len(mu) != lattice.torus_rank or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in mu
-    ):
+    if len(mu) != lattice.torus_rank or not all(map(is_int, mu)):
         return False
     return lattice.family == "GL" or _generator_coordinates(lattice, mu) is not None
 
@@ -372,19 +351,12 @@ def _require_integer(f: BiPoly, what: str) -> BiPoly:
 
 
 def _validate_gl_weight(lattice: CharacterLattice, weight: Sequence[int]) -> tuple[int, ...]:
-    n = lattice.torus_rank
-    if len(weight) != n:
-        raise DomainError(
-            f"weight has {len(weight)} coordinates, expected {n} for {lattice.name}"
-        )
-    for c in weight:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise DomainError("weight coordinates must be integers")
-    if any(weight[i] < weight[i + 1] for i in range(n - 1)):
+    weight = check_coordinates(weight, lattice.torus_rank, where=f" for {lattice.name}")
+    if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
         raise DomainError(
             "a dominant weight for the GL family must have nonincreasing coordinates"
         )
-    return tuple(weight)
+    return weight
 
 
 @lru_cache(maxsize=None)
@@ -420,8 +392,7 @@ def _gl_weight_table(
     """Weight multiset in diagonal coordinates, as a dict with multiplicities."""
     n = lattice.torus_rank
     lbar, s = _gl_split(weight)
-    rsA = build_root_system("A", n - 1)
-    wm = weight_multiplicities(rsA, lbar, max_dim=max_dim)
+    wm = weight_multiplicities(lattice.root_system(), lbar, max_dim=max_dim)
     sl = builtin_lattice(f"SL{n}")
     out: Dict[tuple[int, ...], int] = {}
     for mu, mult in wm.expanded().items():
@@ -440,10 +411,13 @@ def _gl_weight_table(
 
 
 def _as_pi(lattice: CharacterLattice, spec) -> PiSpec:
+    """The representation as a checked PiSpec: a lattice weight, dominant, and a bool s_wrap."""
     if isinstance(spec, PiSpec):
         weight, s_wrap = tuple(spec.weight), spec.s_wrap
     else:
         weight, s_wrap = tuple(spec), False
+    if s_wrap is not True and s_wrap is not False:
+        raise DomainError(f"s_wrap must be True or False, got {s_wrap!r}")
     if lattice.family == "GL":
         weight = _validate_gl_weight(lattice, weight)
     else:
@@ -453,53 +427,39 @@ def _as_pi(lattice: CharacterLattice, spec) -> PiSpec:
     return PiSpec(weight, s_wrap)
 
 
-def _plain_chern(lattice: CharacterLattice, weight: Tuple[int, ...], kmax: int) -> tuple[list[BiPoly], int]:
-    """Chern classes of the plain irreducible, plus its degree.
-
-    Each weight-side P_k goes to the generators at the integer rows of
-    ``_generator_images``, which gives D^k * P_k.  Newton's identities are
-    homogeneous, so they then give D^k * E_k, and each E_k is divided by D^k
-    once.  E_k of a multiset of m weights is 0 for k > m, so nothing past
-    degree m is computed.  For GL every weight is a weight of the trace-free
-    part shifted by the central character s times the last row, one linear
-    form.
-    """
-    rows, d = _generator_images(lattice)
-    if lattice.family == "GL":
-        n = lattice.torus_rank
-        lbar, s = _gl_split(weight)
-        rsA = build_root_system("A", n - 1)
-        degree = weyl_dimension(rsA, lbar)
-        top = min(kmax, degree)
-        free = [_scaled_to_generators(lattice, f.embed(n, n)) for f in power_sums(rsA, lbar, top)]
-        central = BiPoly.a_linear([s * x for x in rows[-1]], ny=0)
-        power = _binomial_convolution(free, [central ** j for j in range(top + 1)], top)
-    else:
-        rs = lattice.root_system()
-        degree = weyl_dimension(rs, weight)
-        top = min(kmax, degree)
-        power = [_scaled_to_generators(lattice, f) for f in power_sums(rs, weight, top)]
-    elem = elementary_from_power(power, top)
-    cs = [
-        _require_integer(ek if d == 1 else ek.scale(Fraction(1, d ** k)), f"c_{k}")
-        for k, ek in enumerate(elem)
-    ]
-    cs += [BiPoly.zero(lattice.torus_rank, 0)] * (kmax - top)
-    return cs, degree
-
-
 def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernResult:
     """Chern classes c_0..c_kmax in lattice generators, exactly.
 
     The plain classes are the elementary symmetric functions of the weight
-    multiset re-expressed in the generator basis; for the doubled form the
-    classes of the representation and of its dual (all weights negated) are
-    convolved.  All coefficients are integers; anything else signals an
-    internal inconsistency.
+    multiset re-expressed in the generator basis.  Each weight-side P_k of
+    the root system goes to the generators at the integer rows of
+    ``_generator_images``, which gives D^k * P_k.  For GL every weight is a
+    weight of the trace-free part shifted by the central character s times
+    the last row, one linear form, and the binomial convolution with its
+    powers adds the shift.  Newton's identities are homogeneous, so they then
+    give D^k * E_k, and each E_k is divided by D^k once.  E_k of a multiset
+    of m weights is 0 for k > m, so nothing past degree m is computed.  For
+    the doubled form the classes of the representation and of its dual (all
+    weights negated) are convolved.  All coefficients are integers; anything
+    else signals an internal inconsistency.
     """
     check_degree(kmax, "kmax")
     pi = _as_pi(lattice, pi_spec)
-    cs, degree = _plain_chern(lattice, pi.weight, kmax)
+    weight, s = _gl_split(pi.weight) if lattice.family == "GL" else (pi.weight, 0)
+    rs = lattice.root_system()
+    n = lattice.torus_rank
+    rows, d = _generator_images(lattice)
+    degree = weyl_dimension(rs, weight)
+    top = min(kmax, degree)
+    power = [_scaled_to_generators(lattice, f.embed(n, n)) for f in power_sums(rs, weight, top)]
+    if s:
+        central = BiPoly.a_linear([s * x for x in rows[-1]], ny=0)
+        power = _binomial_convolution(power, [central ** j for j in range(top + 1)], top)
+    cs = [
+        _require_integer(ek if d == 1 else ek.scale(Fraction(1, d ** k)), f"c_{k}")
+        for k, ek in enumerate(elementary_from_power(power, top))
+    ]
+    cs += [BiPoly.zero(n, 0)] * (kmax - top)
     if pi.s_wrap:
         dual = [ck.scale((-1) ** k) for k, ck in enumerate(cs)]
         cs = [
@@ -539,14 +499,12 @@ def chern2_closed(lattice: CharacterLattice, lam: Sequence[int]) -> BiPoly:
     Valid for the simple families (everything except GL); agrees with
     ``chern_classes(...).c[2]`` exactly.
     """
-    if lattice.family == "GL":
-        raise DomainError("the closed form for c_2 requires a simple group type")
+    pi = _as_pi(lattice, lam)
+    if lattice.family == "GL" or pi.s_wrap:
+        raise DomainError("the closed form for c_2 requires a simple group type and a plain weight")
     rs = lattice.root_system()
-    lam = validate_dominant(rs, lam)
-    if _generator_coordinates(lattice, lam) is None:
-        raise DomainError("weight not in character lattice")
-    degree = weyl_dimension(rs, lam)
-    scalar = -Fraction(degree) * _dual_norm_shift(rs, lam) / (2 * rs.dim_g)
+    degree = weyl_dimension(rs, pi.weight)
+    scalar = -Fraction(degree) * _dual_norm_shift(rs, pi.weight) / (2 * rs.dim_g)
     return _require_integer(_q2_in_generators(lattice).scale(scalar), "closed-form c_2")
 
 
@@ -580,8 +538,7 @@ def lattice_orthogonality_type(lattice: CharacterLattice, weight: Sequence[int])
         n = lattice.torus_rank
         if any(weight[i] + weight[n - 1 - i] != 0 for i in range(n)):
             return "not-self-dual"
-        lbar, _ = _gl_split(weight)
-        return orthogonality_type(build_root_system("A", n - 1), lbar)
+        weight, _ = _gl_split(weight)
     return orthogonality_type(lattice.root_system(), weight)
 
 

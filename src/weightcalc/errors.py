@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and the input checks shared by all modules.
 
 DomainError covers bad user input (unsupported type, non-dominant weight,
 weight outside a character lattice, malformed flags).  InternalError covers
@@ -6,11 +6,21 @@ violated internal invariants (inexact division, singular sample systems,
 non-integral results where integrality is guaranteed); raising it signals a
 bug, never a usage problem.  The CLI maps DomainError to exit code 2 and
 InternalError to exit code 1.
+
+Every integer input is checked here alone: ``is_int`` is the one test for
+an int that is not a bool (``True == 1`` would pass as a rank or a
+coordinate), ``check_degree`` wants a nonnegative int, and
+``check_coordinates`` checks the length of a coordinate vector, then its
+entries.
 """
 
 from __future__ import annotations
 
-__all__ = ["WeightcalcError", "DomainError", "InternalError", "check_degree"]
+from fractions import Fraction
+from typing import Sequence
+
+__all__ = ["WeightcalcError", "DomainError", "InternalError", "check_degree", "is_int",
+           "check_coordinates"]
 
 
 class WeightcalcError(Exception):
@@ -25,9 +35,29 @@ class InternalError(WeightcalcError):
     """Broken internal invariant, i.e. a bug (CLI exit code 1)."""
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_degree(k, name: str) -> None:
     """Refuse a degree bound that is not a nonnegative int (bool included)."""
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not is_int(k):
         raise DomainError(f"{name} must be an integer, got {k!r}")
     if k < 0:
         raise DomainError(f"{name} must be nonnegative")
+
+
+def check_coordinates(coords: Sequence, n: int, what: str = "weight", where: str = "",
+                      exact: bool = False) -> tuple:
+    """The n coordinates as a tuple: ints, or with ``exact`` ints and Fractions (bool fails).
+
+    ``where`` names the space after the expected length, as in ``" for A2"``.
+    """
+    coords = tuple(coords)
+    if len(coords) != n:
+        raise DomainError(f"{what} has {len(coords)} coordinates, expected {n}{where}")
+    if not all(is_int(c) or exact and isinstance(c, Fraction) for c in coords):
+        raise DomainError(f"{what} coordinates must be "
+                          + (f"int or Fraction, got {coords!r}" if exact else "integers"))
+    return coords

@@ -40,7 +40,7 @@ from math import comb, factorial, prod
 from operator import add, mul
 from typing import Sequence
 
-from .errors import DomainError, InternalError, check_degree
+from .errors import DomainError, InternalError, check_coordinates, check_degree, is_int
 from .polyalg import BiPoly, _integer_rows, _monomials, invert
 from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
@@ -70,11 +70,6 @@ def _integer_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     form values, so the positive scale cancels.
     """
     return _integer_rows(rs.killing_dual)[1]
-
-
-def _is_int(c) -> bool:
-    """An int that is not a bool."""
-    return isinstance(c, int) and not isinstance(c, bool)
 
 
 def _form(gram, u: Sequence[int], v: Sequence[int]) -> int:
@@ -128,10 +123,7 @@ class WeightMultiset:
         return sum(self.expanded().values())
 
     def multiplicity(self, mu: Sequence[int]) -> int:
-        if len(mu) != self.rs.rank:
-            raise DomainError(f"weight has {len(mu)} coordinates, expected {self.rs.rank}")
-        if not all(map(_is_int, mu)):
-            raise DomainError("weight coordinates must be integers")
+        mu = check_coordinates(mu, self.rs.rank)
         return self.dominant.get(chamber_descent(self.rs.cartan, mu), 0)
 
 
@@ -432,14 +424,14 @@ def character_at_order2(
     r = wm.rs.rank
     if len(signs) != r:
         raise DomainError(f"sign vector has {len(signs)} entries, expected {r}")
-    if any(not _is_int(s) or s not in (1, -1) for s in signs):
+    if any(not is_int(s) or s not in (1, -1) for s in signs):
         raise DomainError("entries of an order-2 element must be +1 or -1")
     if basis is None:
         binv_t = [[int(i == j) for j in range(r)] for i in range(r)]
     else:
         if len(basis) != r or any(len(row) != r for row in basis):
             raise DomainError("lattice basis must be a square matrix of full rank")
-        if not all(_is_int(x) for row in basis for x in row):
+        if not all(is_int(x) for row in basis for x in row):
             raise DomainError("lattice basis entries must be integers")
         binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
         if binv_t is None:
@@ -494,7 +486,7 @@ def schur_at_signs(partition: Sequence[int], a_minus: int, b_plus: int) -> int:
     part = list(partition)
     check_degree(a_minus, "a_minus")
     check_degree(b_plus, "b_plus")
-    if any(not _is_int(p) or p < 0 for p in part):
+    if any(not is_int(p) or p < 0 for p in part):
         raise DomainError("partition parts must be nonnegative integers")
     if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
         raise DomainError("partition parts must be nonincreasing")

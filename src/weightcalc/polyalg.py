@@ -61,7 +61,7 @@ from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, is_int
 
 __all__ = [
     "BiPoly",
@@ -95,7 +95,7 @@ def _ratio(num: int, den: int) -> Scalar:
 
 def _exact(c) -> Scalar:
     """A coefficient checked to be exact: int or Fraction (not bool), integral ones as int."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+    if not (is_int(c) or isinstance(c, Fraction)):
         raise DomainError(f"coefficient {c!r} is not an exact rational (int or Fraction)")
     return _norm(c)
 
@@ -465,6 +465,8 @@ class BiPoly:
             raise DomainError("embed target too small")
         if a_offset < 0 or y_offset < 0:
             raise DomainError("embed offsets must be non-negative")
+        if (na, ny) == (self.na, self.ny):
+            return self  # the same ring, so both offsets are 0 and no exponent moves
         a_pad = (0,) * a_offset, (0,) * (na - self.na - a_offset)
         y_pad = (0,) * y_offset, (0,) * (ny - self.ny - y_offset)
         out = BiPoly.zero(na, ny)
@@ -536,7 +538,7 @@ class BiPoly:
             for var, k in t.get("m", {}).items():
                 if var not in index:
                     raise DomainError(f"unknown variable {var!r} in polynomial JSON")
-                if type(k) is not int or k < 0:  # a JSON true is a bool, not an exponent
+                if not is_int(k) or k < 0:  # a JSON true is a bool, not an exponent
                     raise DomainError(f"bad exponent {k!r} in polynomial JSON")
                 e[index[var]] = k
             key = tuple(e)
@@ -628,7 +630,8 @@ class Mod2Poly:
 
     def to_json_obj(self, names: Sequence[str] | None = None) -> dict:
         """``{"terms": [{"v1": 2}, ...]}``, terms in canonical order; names default to v1..v_nv."""
-        names = [f"v{i + 1}" for i in range(self.nv)] if names is None else names
+        names = _names(self.nv, 0, [f"v{i + 1}" for i in range(self.nv)] if names is None
+                       else names, ())
         return {"terms": [_monomial(e, names)
                           for e in sorted(self.terms, key=_order_key, reverse=True)]}
 

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
-from .errors import DomainError, InternalError, check_degree
+from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import BiPoly, _common_denominator, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
 from .weylsum import (MAX_TERMS, _fit_invariants, _fit_reduced, _fk_at_delta, _orbit_power_sums,
@@ -57,16 +57,10 @@ __all__ = [
 
 def validate_dominant(rs: RootSystem, lam: Sequence[int]) -> tuple[int, ...]:
     """Check that lam is a dominant integral weight; return it as a tuple."""
-    if len(lam) != rs.rank:
-        raise DomainError(
-            f"weight has {len(lam)} coordinates, expected {rs.rank} for {rs.kind}{rs.rank}"
-        )
-    for c in lam:
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise DomainError("weight coordinates must be integers")
-        if c < 0:
-            raise DomainError("weight must be dominant (nonnegative coordinates)")
-    return tuple(lam)
+    lam = check_coordinates(lam, rs.rank, where=f" for {rs.kind}{rs.rank}")
+    if any(c < 0 for c in lam):
+        raise DomainError("weight must be dominant (nonnegative coordinates)")
+    return lam
 
 
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:

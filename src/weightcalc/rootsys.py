@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import DomainError, InternalError
+from .errors import DomainError, InternalError, is_int
 from .polyalg import _integer_rows, invert
 
 __all__ = [
@@ -209,18 +209,20 @@ def _parse_type(kind: str, rank: int) -> tuple[str, int]:
             f"unsupported type kind {kind!r}; supported: A1-A6, B2-B6, C2-C6, D3-D6, G2"
         )
     lo, hi = SUPPORTED_RANKS[kind]
-    if not (isinstance(rank, int) and lo <= rank <= hi):
+    if not (is_int(rank) and lo <= rank <= hi):
         raise DomainError(
             f"rank {rank} out of range for kind {kind} (supported {lo}..{hi})"
         )
     return kind, rank
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(kind: str, rank: int) -> RootSystem:
     """Construct (and memoize) the full root system of the given type.
 
-    Raises DomainError for types outside the supported table.
+    Raises DomainError for types outside the supported table.  The memo is
+    typed, so a bool rank, which hashes and compares like its int, misses it
+    and is refused.
     """
     kind, rank = _parse_type(kind, rank)
     cartan = _cartan_matrix(kind, rank)

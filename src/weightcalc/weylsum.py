@@ -44,7 +44,7 @@ from math import comb, factorial, prod
 from operator import mul
 from typing import Sequence
 
-from .errors import DomainError, InternalError, check_degree
+from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import (BiPoly, _common_denominator, _monomials, _mul_into, _ratio, exact_divide,
                       expand_linear_power, rref)
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
@@ -122,18 +122,10 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
     return BiPoly(r, r, acc)
 
 
-def _check_exact(rs: RootSystem, coords: Sequence[Scalar], what: str) -> None:
-    """DomainError unless coords has rank many int or Fraction entries (bool and float fail)."""
-    if len(coords) != rs.rank:
-        raise DomainError(f"{what} has {len(coords)} coordinates, expected {rs.rank}")
-    if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in coords):
-        raise DomainError(f"{what} coordinates must be int or Fraction, got {tuple(coords)!r}")
-
-
 def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> None:
     if k < 0:
         raise DomainError("negative power in Weyl sum")
-    _check_exact(rs, mu, "weight")
+    check_coordinates(mu, rs.rank, exact=True)
 
 
 def _signed_orbit(
@@ -251,7 +243,7 @@ def _fk_at_delta(rs: RootSystem, nu: tuple[int, ...], imax: int) -> tuple[int, .
 def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int) -> Scalar:
     """F_k evaluated at a rational point pair; cheap even for big Weyl groups."""
     _check_power_and_weight(rs, mu, k)
-    _check_exact(rs, nu, "coweight")
+    check_coordinates(nu, rs.rank, "coweight", exact=True)
     if _vanishes(rs, k):
         return 0
     return _orbit_power_sums(_signed_orbit(rs, mu), nu, [k])[0]

@@ -135,6 +135,31 @@ def test_doubled_form_degree_and_chern():
     assert res.c[1].is_zero() and res.c[3].is_zero()
     assert res.c[2] == gen_poly(1, {(2,): -2})
     assert res.c[4] == gen_poly(1, {(4,): 1})
+    # the dual's weights are the negated ones, so the doubled multiset has the
+    # power sums P_k * (1 + (-1)^k); GL3 (1,0,0) has central character 1, GL4
+    # (1,0,0,-1) has 0
+    for group, weight in [("SL2", (1,)), ("SL3", (1, 0)), ("Sp4", (1, 0)), ("GL3", (1, 0, 0)),
+                          ("GL4", (1, 0, 0, -1))]:
+        lat = builtin_lattice(group)
+        res = chern_classes(lat, PiSpec(weight, s_wrap=True), 6)
+        assert res.degree == 2 * chern_classes(lat, weight, 0).degree, group
+        power = [_fraction_to_generators(lat, p).scale(1 + (-1) ** k)
+                 for k, p in enumerate(_fraction_route_power(lat, weight, 6))]
+        assert [c.terms for c in res.c] == [e.terms for e in elementary_from_power(power, 6)], \
+            group
+
+
+@pytest.mark.parametrize("call", [
+    lambda lat, pi: chern_classes(lat, pi, 2),
+    lambda lat, pi: swc_restrict(lat, pi, 2),
+    lambda lat, pi: is_spinorial(lat, pi),
+    lambda lat, pi: total_swc_factorization(lat, pi, 2),
+], ids=["chern_classes", "swc_restrict", "is_spinorial", "total_swc_factorization"])
+@pytest.mark.parametrize("s_wrap", ["no", 1, 0, None], ids=repr)
+def test_s_wrap_must_be_a_bool(call, s_wrap):
+    # unchecked, a truthy "no" would pick the doubled form and 1 would come back in the result
+    with pytest.raises(DomainError, match="s_wrap must be True or False"):
+        call(builtin_lattice("SL3"), PiSpec((1, 1), s_wrap))
 
 
 @pytest.mark.parametrize(
@@ -144,6 +169,8 @@ def test_doubled_form_degree_and_chern():
 def test_chern2_closed_form_matches(group, weight):
     lat = builtin_lattice(group)
     assert chern2_closed(lat, weight) == chern_classes(lat, weight, 2).c[2]
+    with pytest.raises(DomainError, match="plain weight"):  # not the doubled form's c_2
+        chern2_closed(lat, PiSpec(weight, True))
 
 
 @given(
@@ -200,15 +227,15 @@ def _two_lattice_weights(lat):
     return sorted(grid, key=lambda lam: (weyl_dimension(rs, lam), lam))[:2]
 
 
-def _fraction_route_elementary(lat, weight, kmax):
-    """E_0..E_kmax of the weight multiset as y-polynomials, before any change of variables."""
+def _fraction_route_power(lat, weight, kmax):
+    """P_0..P_kmax of the weight multiset as y-polynomials, before any change of variables."""
     if lat.family != "GL":
-        return elementary_from_power(power_sums(lat.root_system(), weight, kmax), kmax)
+        return power_sums(lat.root_system(), weight, kmax)
     n = lat.torus_rank
     lbar, s = charclass._gl_split(weight)
     free = [f.embed(n, n) for f in power_sums(get_rs("A", n - 1), lbar, kmax)]
     central = [BiPoly.y_var(n - 1, n, n).scale(s) ** j for j in range(kmax + 1)]
-    return elementary_from_power(product_power_sums(free, central, kmax), kmax)
+    return product_power_sums(free, central, kmax)
 
 
 @pytest.mark.parametrize("group", builtin_lattice_names())
@@ -221,7 +248,7 @@ def test_integer_generator_change_matches_fraction_route(group):
     d = charclass._generator_images(lat)[1]
     seen = []  # (y-side polynomial, its reference image), each reference computed once
     for weight in _two_lattice_weights(lat):
-        elem = _fraction_route_elementary(lat, weight, 6)
+        elem = elementary_from_power(_fraction_route_power(lat, weight, 6), 6)
         refs = [_fraction_to_generators(lat, e) for e in elem]
         assert [c.terms for c in chern_classes(lat, weight, 6).c] == [ref.terms for ref in refs]
         seen += zip(elem, refs)

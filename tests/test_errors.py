@@ -1,0 +1,58 @@
+"""The shared input checks of ``errors``, and that no other module writes its own."""
+
+from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from weightcalc import errors
+from weightcalc.errors import DomainError, check_coordinates, is_int
+
+
+def _bool_checks(source: str) -> list[int]:
+    """Lines that call ``isinstance`` with ``bool`` as the class or one of the classes."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                and len(node.args) == 2:
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(c, "id", None) == "bool" for c in classes):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_int_check_lives_in_errors_alone():
+    package = Path(errors.__file__).parent
+    found = {p.name: _bool_checks(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    assert found.pop("errors.py")  # the one check is there
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the check itself finds each way of writing one
+    assert _bool_checks(
+        "ok = isinstance(c, int)\n"
+        "bad = isinstance(c, bool)\n"
+        "worse = not isinstance(c, (int, bool))\n"
+        "fine = type(c) is int\n"
+    ) == [2, 3]
+
+
+def test_is_int_refuses_bools_and_other_numbers():
+    assert is_int(0) and is_int(-3) and is_int(1 << 70)
+    assert not any(map(is_int, [True, False, 1.0, Fraction(2), "1", None]))
+
+
+def test_check_coordinates_checks_the_length_then_the_entries():
+    assert check_coordinates([1, 0], 2) == (1, 0)
+    with pytest.raises(DomainError, match="weight has 3 coordinates, expected 2 for A2"):
+        check_coordinates([True, 0, 0], 2, where=" for A2")
+    with pytest.raises(DomainError, match="weight coordinates must be integers"):
+        check_coordinates([True, 0], 2)
+    with pytest.raises(DomainError, match="weight coordinates must be integers"):
+        check_coordinates([Fraction(1), 0], 2)
+    assert check_coordinates((Fraction(1, 2), 0), 2, exact=True) == (Fraction(1, 2), 0)
+    for bad in (True, 0.5):
+        with pytest.raises(DomainError, match="coweight coordinates must be int or Fraction"):
+            check_coordinates((bad, 0), 2, "coweight", exact=True)

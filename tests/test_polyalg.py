@@ -400,6 +400,14 @@ def test_mod2_json_in_render_order():
     assert Mod2Poly.zero(2).to_json_obj(["u", "w"]) == {"terms": []}
 
 
+@pytest.mark.parametrize("names", [["u"], ["u", "w", "z"]], ids=["too-few", "too-many"])
+def test_mod2_names_count_is_checked(names):
+    m = Mod2Poly(2, [(1, 0), (0, 0)])
+    for write in (m.render, m.to_json_obj):
+        with pytest.raises(DomainError, match=f"{len(names)} variable names for arity"):
+            write(names)
+
+
 def test_arity_is_checked_before_zero_terms_are_dropped():
     with pytest.raises(DomainError, match="does not match arity"):
         BiPoly(1, 1, {(5,): 0})

@@ -92,6 +92,15 @@ def test_unsupported_types_rejected():
     assert SUPPORTED_RANKS["A"] == (1, 6)
 
 
+@pytest.mark.parametrize("rank", [True, 1.0], ids=repr)
+def test_rank_that_only_equals_an_int_is_refused(rank):
+    # True and 1.0 compare and hash like 1: a memo that let them in would hand
+    # back A1 for them, or keep a system of rank True for every later A1
+    with pytest.raises(DomainError, match="out of range"):
+        build_root_system("A", rank)
+    assert type(build_root_system("A", 1).rank) is int
+
+
 # -- golden root data ------------------------------------------------------------
 
 

@@ -528,12 +528,16 @@ def orthogonality_type(rs: RootSystem, lam: Sequence[int]) -> str:
     return "orthogonal" if parity % 2 == 0 else "symplectic"
 
 
-def lattice_orthogonality_type(lattice: CharacterLattice, weight: Sequence[int]) -> str:
+def lattice_orthogonality_type(lattice: CharacterLattice, pi_spec) -> str:
     """Orthogonality typing in lattice terms (handles the GL family).
 
-    The weight must lie in the lattice, as for ``chern_classes``.
+    The weight must lie in the lattice, as for ``chern_classes``; the doubled
+    form of any weight, a ``PiSpec`` with ``s_wrap``, is orthogonal.
     """
-    weight = _as_pi(lattice, weight).weight
+    pi = _as_pi(lattice, pi_spec)
+    if pi.s_wrap:
+        return "orthogonal"
+    weight = pi.weight
     if lattice.family == "GL":
         n = lattice.torus_rank
         if any(weight[i] + weight[n - 1 - i] != 0 for i in range(n)):
@@ -543,9 +547,7 @@ def lattice_orthogonality_type(lattice: CharacterLattice, weight: Sequence[int])
 
 
 def _require_orthogonal(lattice: CharacterLattice, pi: PiSpec, task: str) -> None:
-    if pi.s_wrap:
-        return  # the doubled form is orthogonal by construction
-    kind = lattice_orthogonality_type(lattice, pi.weight)
+    kind = lattice_orthogonality_type(lattice, pi)
     if kind != "orthogonal":
         raise DomainError(
             f"{task} needs an orthogonal representation, but this one is "

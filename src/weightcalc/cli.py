@@ -166,40 +166,31 @@ def _cache_store(path: str, obj: dict) -> None:
                 os.remove(tmp)
 
 
-def _fk_table(args: argparse.Namespace, rs: RootSystem, kmax: int) -> FkTable:
+def _fk_pair(args: argparse.Namespace, rs: RootSystem, k: int) -> tuple[BiPoly, BiPoly]:
+    """F_k and F'_k; a warm cache hit parses these two entries and no others."""
     cache_dir = args.cache_dir or os.environ.get("WEIGHTCALC_CACHE")
-    if not cache_dir:
-        return FkTable.build(rs, kmax)
-    path = os.path.join(cache_dir, f"fk_{_system_name(rs.kind, rs.rank)}.json")
-    data = _cache_load(path)
+    path = cache_dir and os.path.join(cache_dir, f"fk_{_system_name(rs.kind, rs.rank)}.json")
+    data = _cache_load(path) if path else None
     if data is not None and data.get("kind") == rs.kind and data.get("rank") == rs.rank:
         try:
-            stored_kmax = int(data["kmax"])
-            if stored_kmax >= kmax:
+            if int(data["kmax"]) >= k:
                 # a missing entry raises KeyError: the file is corrupt
-                entries, reduced = (
-                    {k: BiPoly.from_json_obj(data[part][str(k)], rs.rank, rs.rank)
-                     for k in range(stored_kmax + 1)}
-                    for part in ("entries", "reduced")
-                )
-                return FkTable(
-                    kind=rs.kind, rank=rs.rank, kmax=stored_kmax,
-                    entries=entries, reduced=reduced,
-                )
-            kmax = max(kmax, stored_kmax)
+                return tuple(BiPoly.from_json_obj(data[part][str(k)], rs.rank, rs.rank)
+                             for part in ("entries", "reduced"))
         except (KeyError, TypeError, ValueError, DomainError):
             pass  # corrupt cache entry: fall through and recompute
-    table = FkTable.build(rs, kmax)
-    _cache_store(path, {
-        "schema": SCHEMA,
-        "fingerprint": FINGERPRINT,
-        "kind": rs.kind,
-        "rank": rs.rank,
-        "kmax": table.kmax,
-        "entries": {str(k): v.to_json_obj() for k, v in table.entries.items()},
-        "reduced": {str(k): v.to_json_obj() for k, v in table.reduced.items()},
-    })
-    return table
+    table = FkTable.build(rs, k)
+    if path:
+        _cache_store(path, {
+            "schema": SCHEMA,
+            "fingerprint": FINGERPRINT,
+            "kind": rs.kind,
+            "rank": rs.rank,
+            "kmax": table.kmax,
+            "entries": {str(j): v.to_json_obj() for j, v in table.entries.items()},
+            "reduced": {str(j): v.to_json_obj() for j, v in table.reduced.items()},
+        })
+    return table.entries[k], table.reduced[k]
 
 
 # -- rendering -------------------------------------------------------------------
@@ -278,8 +269,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_fk(args: argparse.Namespace) -> int:
     rs = _need_rs(args)
     k = _need_k(args)
-    table = _fk_table(args, rs, k)
-    fk, red = table.entries[k], table.reduced[k]
+    fk, red = _fk_pair(args, rs, k)
     result = {"k": k, "f": fk.to_json_obj(), "f_reduced": red.to_json_obj()}
     lines = [f"F_{k} = {fk.render()}", f"F_{k} / (d * d-dual) = {red.render()}"]
     _emit(args, {**_system_input(rs), "k": k}, result, lines)

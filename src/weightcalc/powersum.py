@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
@@ -69,12 +69,8 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     Product over positive coroots of <lam + delta, beta-vee> / <delta, beta-vee>.
     """
     lam = validate_dominant(rs, lam)
-    num = 1
-    den = 1
-    for av in rs.positive_coroots:
-        num *= sum((lam[i] + 1) * av[i] for i in range(rs.rank))
-        den *= sum(av)
-    q, rem = divmod(num, den)
+    num = prod(sum((c + 1) * x for c, x in zip(lam, av)) for av in rs.positive_coroots)
+    q, rem = divmod(num, coweyl_denominator_at_delta(rs))
     if rem:
         raise DomainError("dimension formula did not yield an integer")
     return q
@@ -191,11 +187,13 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     F'_{N+i}(a + delta, y) and F'_{N+i}(delta, y), fitted by
     ``weylsum._fit_reduced``; each step divides by the constant
     binom(N+i, i) * F'_N.  P_0 is the dimension polynomial
-    d-vee(a + delta)/d-vee(delta); each product P_0 * R_k runs on integer
-    coefficients, R_k times the lcm D of its denominators, and is divided
-    once by D * d-vee(delta).  Before any fit the expanded output is
-    bounded by sum_k C(N+k+r, r) * C(k+r-1, r-1) terms, its a-degree <= N+k
-    and y-degree k; over MAX_TERMS it is refused with DomainError.
+    d-vee(a + delta)/d-vee(delta), its numerator the product of the N
+    translated coroot factors (``coweyl_denominator``); each product
+    P_0 * R_k runs on integer coefficients, R_k times the lcm D of its
+    denominators, and is divided once by D * d-vee(delta).  Before any fit
+    the expanded output is bounded by sum_k C(N+k+r, r) * C(k+r-1, r-1)
+    terms, its a-degree <= N+k and y-degree k; over MAX_TERMS it is refused
+    with DomainError.
     """
     check_degree(kmax, "kmax")
     n, r = rs.num_positive, rs.rank
@@ -211,7 +209,7 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     f_del = [f.eval_a(delta) for f in reduced]
     f_del[0] = f_del[0].constant_term()  # F'_N = N!/d-vee(delta)
     ratios = _triangular_solve(n, f_lam, f_del, lambda f, c: f.scale(Fraction(1, c)))
-    dvee = coweyl_denominator(rs).translate_a(delta).terms  # d-vee(a + delta), int coefficients
+    dvee = coweyl_denominator(rs, delta).terms  # d-vee(a + delta), int coefficients
     dvee_delta = coweyl_denominator_at_delta(rs)
     out = []
     for f in ratios:

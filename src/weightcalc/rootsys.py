@@ -152,6 +152,7 @@ def _enumerate_weyl(cartan: Matrix, coroots: Sequence[Sequence[int]]) -> Tuple[W
 class RootSystem:
     """Immutable root-system data for one simple type.
 
+    Equality and hash read (kind, rank) alone, from which every other field derives.
     ``weyl`` reads W as matrices off one orbit walk on first access, for tests
     and the reference ``weylsum.fk_direct`` only; it is verified against the
     closed-form order and the reflection-descent prediction for ``-1 in W``.
@@ -159,13 +160,13 @@ class RootSystem:
 
     kind: str
     rank: int
-    cartan: Matrix
-    positive_roots: Tuple[Tuple[int, ...], ...]  # fundamental-weight coordinates
-    positive_coroots: Tuple[Tuple[int, ...], ...]  # simple-coroot coordinates
-    root_coefficients: Tuple[Tuple[int, ...], ...]  # over the simple roots
-    killing: Tuple[Tuple[int, ...], ...]
-    killing_dual: Tuple[Tuple[Fraction, ...], ...]
-    minus_one_in_weyl: bool
+    cartan: Matrix = field(compare=False)
+    positive_roots: Matrix = field(compare=False)  # fundamental-weight coordinates
+    positive_coroots: Matrix = field(compare=False)  # simple-coroot coordinates
+    root_coefficients: Matrix = field(compare=False)  # over the simple roots
+    killing: Matrix = field(compare=False)
+    killing_dual: Tuple[Tuple[Fraction, ...], ...] = field(compare=False)
+    minus_one_in_weyl: bool = field(compare=False)
     _weyl: Tuple[WeylElement, ...] | None = field(
         default=None, repr=False, compare=False
     )

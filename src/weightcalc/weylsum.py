@@ -255,20 +255,13 @@ def weyl_denominator(rs: RootSystem) -> BiPoly:
     return prod((BiPoly.y_linear(list(al), na=rs.rank) for al in rs.positive_roots), start=one)
 
 
-def coweyl_denominator(rs: RootSystem) -> BiPoly:
-    """d-vee = product of the positive coroots, as an a-polynomial."""
-    one = BiPoly.constant(rs.rank, rs.rank, 1)
-    return prod((BiPoly.a_linear(list(av), ny=rs.rank) for av in rs.positive_coroots), start=one)
-
-
-def _times_denominators(rs: RootSystem, f: BiPoly) -> BiPoly:
-    """f * d * d-vee, one root or coroot factor at a time, within MAX_TERMS terms."""
-    for factor in ([BiPoly.y_linear(list(al), na=rs.rank) for al in rs.positive_roots]
-                   + [BiPoly.a_linear(list(av), ny=rs.rank) for av in rs.positive_coroots]):
-        f = f * factor
-        if len(f.terms) > MAX_TERMS:
-            raise InternalError("Weyl sum exceeded the term budget")
-    return f
+def coweyl_denominator(rs: RootSystem, shift: Sequence[int] | None = None) -> BiPoly:
+    """d-vee(a + shift) = product of the coroot factors <beta-vee, a + shift>; default shift 0."""
+    r = rs.rank
+    shift = (0,) * r if shift is None else shift
+    one = BiPoly.constant(r, r, 1)
+    return prod((BiPoly.a_linear(list(av), ny=r) + BiPoly.constant(r, r, sum(map(mul, av, shift)))
+                 for av in rs.positive_coroots), start=one)
 
 
 def coweyl_denominator_at_delta(rs: RootSystem) -> int:
@@ -353,14 +346,28 @@ class FkTable:
 
     @classmethod
     def build(cls, rs: RootSystem, kmax: int) -> "FkTable":
-        """F'_k fitted from exact samples (``_fit_reduced``), F_k = F'_k * d * d-vee."""
+        """F'_k fitted from exact samples (``_fit_reduced``), F_k = (F'_k * d) * d-vee.
+
+        d and d-vee are built once, and only if some F_k does not vanish.  The
+        a side of F_k has at most min(C(k+r-1, r-1), |d-vee| * C(k-N+r-1, r-1))
+        monomials, the y side the same with |d|, and F'_k * d no more; over
+        MAX_TERMS at the largest k (exact at k = N), DomainError before the fit.
+        """
         check_degree(kmax, "kmax")
-        reduced = dict.fromkeys(range(kmax + 1), BiPoly.zero(rs.rank, rs.rank))
+        r = rs.rank
+        reduced = dict.fromkeys(range(kmax + 1), BiPoly.zero(r, r))
+        entries = dict(reduced)
         ks = [k for k in reduced if not _vanishes(rs, k)]
         if ks:
+            d, dvee = weyl_denominator(rs), coweyl_denominator(rs)
+            full, low = comb(ks[-1] + r - 1, r - 1), comb(ks[-1] - rs.num_positive + r - 1, r - 1)
+            size = min(full, len(dvee.terms) * low) * min(full, len(d.terms) * low)
+            if size > MAX_TERMS:
+                raise DomainError(f"F_{ks[-1]} of {rs.kind}{r} may have {size} terms, "
+                                  f"over the term budget of {MAX_TERMS}")
             reduced.update(_fit_reduced(rs, ks))
-        entries = {k: _times_denominators(rs, f) for k, f in reduced.items()}
-        return cls(kind=rs.kind, rank=rs.rank, kmax=kmax, entries=entries, reduced=reduced)
+            entries.update((k, reduced[k] * d * dvee) for k in ks)
+        return cls(kind=rs.kind, rank=r, kmax=kmax, entries=entries, reduced=reduced)
 
 
 # -- invariant-basis route ---------------------------------------------------

@@ -322,6 +322,14 @@ def test_gl_orthogonality_type():
     assert lattice_orthogonality_type(gl2, (1, 0)) == "not-self-dual"
 
 
+@pytest.mark.parametrize("group,weight", [("SL3", (1, 0)), ("GL3", (1, 0, 0))])
+def test_doubled_form_orthogonality_type(group, weight):
+    lat = builtin_lattice(group)
+    assert lattice_orthogonality_type(lat, weight) == "not-self-dual"
+    assert lattice_orthogonality_type(lat, PiSpec(weight, False)) == "not-self-dual"
+    assert lattice_orthogonality_type(lat, PiSpec(weight, True)) == "orthogonal"
+
+
 @pytest.mark.parametrize("group,weight", [("SO7", (0, 0, 1)), ("PGL2", (1,)), ("SO8", (0, 0, 0, 1))])
 def test_orthogonality_type_rejects_weights_outside_the_lattice(group, weight):
     with pytest.raises(DomainError, match="weight not in character lattice"):

@@ -201,6 +201,20 @@ def test_cache_is_observationally_invisible(capsys, tmp_path):
     assert cold == first == second
 
 
+def test_warm_cache_hit_parses_only_the_asked_entries(capsys, tmp_path, monkeypatch):
+    from weightcalc.polyalg import BiPoly
+
+    argv = ["fk", "--type", "B3", "--k", "2", "--format", "json"]
+    rc, plain, _ = _call(capsys, argv)
+    assert _call(capsys, ["fk", "--type", "B3", "--k", "12", "--cache-dir", str(tmp_path)])[0] == 0
+    parse, calls = BiPoly.from_json_obj, []
+    monkeypatch.setattr(BiPoly, "from_json_obj",
+                        staticmethod(lambda *a, **kw: calls.append(a) or parse(*a, **kw)))
+    rc, warm, _ = _call(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert rc == 0 and warm == plain
+    assert len(calls) == 2
+
+
 def test_unwritable_cache_dir_is_skipped(capsys, tmp_path):
     (tmp_path / "afile").write_text("")
     argv = ["fk", "--type", "A2", "--k", "3"]
@@ -274,6 +288,9 @@ def test_domain_errors_exit_2(capsys):
 
     rc, _, err = _call(capsys, ["oracle", "weights", "--type", "A2", "--weight", "3,3", "--max-dim", "10"])
     assert rc == 2 and "exceeds the guard" in err
+
+    rc, out, err = _call(capsys, ["fk", "--type", "D5", "--k", "20"])  # refused before the fit
+    assert (rc, out) == (2, "") and "F_20 of D5 may have 15775529 terms" in err
 
     rc, _, err = _call(capsys, ["powersum", "--type", "A2", "--weight", "1,x", "--k", "2"])
     assert rc == 2 and "comma-separated integers" in err

@@ -1,4 +1,7 @@
-"""The shared input checks of ``errors``, and that no other module writes its own."""
+"""The shared input checks of ``errors``, and that no other module writes its own.
+
+Also that the Weyl denominators d and d-vee are built by their two builders alone.
+"""
 
 from __future__ import annotations
 
@@ -37,6 +40,45 @@ def test_int_check_lives_in_errors_alone():
         "worse = not isinstance(c, (int, bool))\n"
         "fine = type(c) is int\n"
     ) == [2, 3]
+
+
+def _denominator_builders(source: str) -> list[str]:
+    """Functions that call ``a_linear`` or ``y_linear`` in a loop over the positive (co)roots."""
+    def attrs(tree):
+        return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            loops = getattr(node, "generators", [node] if isinstance(node, ast.For) else [])
+            if any(attrs(loop.iter) & {"positive_roots", "positive_coroots"} for loop in loops) \
+                    and attrs(node) & {"a_linear", "y_linear"}:
+                found.add(func.name)
+    return sorted(found)
+
+
+def test_weyl_denominators_are_built_in_one_place():
+    package = Path(errors.__file__).parent
+    found = {p.name: _denominator_builders(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {
+        "weylsum.py": ["coweyl_denominator", "weyl_denominator"]}
+    # the check itself finds each way of writing one
+    assert _denominator_builders(
+        "def weyl_denominator(rs):\n"
+        "    return prod(BiPoly.y_linear(al) for al in rs.positive_roots)\n"
+        "def listed(rs):\n"
+        "    return [BiPoly.a_linear(av, ny=2) for av in rs.positive_coroots]\n"
+        "def looped(rs, f):\n"
+        "    for al in rs.positive_roots:\n"
+        "        f = f * BiPoly.y_linear(al)\n"
+        "def values(rs, nu):\n"
+        "    return prod(sum(map(mul, al, nu)) for al in rs.positive_roots)\n"
+        "def killing_rows(rs):\n"
+        "    return [BiPoly.a_linear(row) for row in rs.killing_dual]\n"
+    ) == ["listed", "looped", "weyl_denominator"]
 
 
 def test_is_int_refuses_bools_and_other_numbers():

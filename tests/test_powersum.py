@@ -297,6 +297,34 @@ def test_symbolic_term_budget_refuses_up_front(kind, rank, size):
     assert time.perf_counter() - start < 1
 
 
+def test_symbolic_a6_finishes_in_2gb_of_address_space():
+    """The term bound admits A6 k <= 1; P_0 = d-vee(a + delta)/d-vee(delta) must fit in memory."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from weightcalc.powersum import symbolic_power_sums, weyl_dimension\n"
+        "from weightcalc.rootsys import build_root_system\n"
+        "rs = build_root_system('A', 6)\n"
+        "p0, p1 = symbolic_power_sums(rs, 1)\n"
+        "assert p1.is_zero()\n"
+        "for lam in [(0,) * 6, (1, 0, 0, 0, 0, 2), (0, 3, 1, 0, 1, 0)]:\n"
+        "    assert p0.evaluate(lam, (0,) * 6) == weyl_dimension(rs, lam)\n"
+        "print(len(p0.terms))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "142396\n"
+
+
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2)])
 def test_symbolic_degree_bounds(kind, rank):
     rs = get_rs(kind, rank)

@@ -101,6 +101,14 @@ def test_rank_that_only_equals_an_int_is_refused(rank):
     assert type(build_root_system("A", 1).rank) is int
 
 
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_root_system_compares_and_hashes_by_type(kind, rank):
+    # every other field derives from (kind, rank); a memo keyed by rs hashes two values
+    rs = build_root_system(kind, rank)
+    assert hash(rs) == hash((rs.kind, rs.rank))
+    assert rs == rootsys.RootSystem(rs.kind, rs.rank, *(None,) * 7)
+
+
 # -- golden root data ------------------------------------------------------------
 
 

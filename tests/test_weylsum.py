@@ -409,8 +409,13 @@ def test_fk_table_build_consistency(kind, rank, kmax):
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 6), ("B", 6)])
-def test_fk_table_below_n_is_zero_without_expanding_d(kind, rank):
+def test_fk_table_below_n_is_zero_without_expanding_d(kind, rank, monkeypatch):
     # d * d-vee alone would run to millions of terms here; every F_k, k <= 5, is zero
+    def unbuilt(*args):
+        raise AssertionError("a Weyl denominator was built")
+
+    monkeypatch.setattr(weylsum, "weyl_denominator", unbuilt)
+    monkeypatch.setattr(weylsum, "coweyl_denominator", unbuilt)
     rs = get_rs(kind, rank)
     table = FkTable.build(rs, kmax=5)
     assert all(table.entries[k].is_zero() and table.reduced[k].is_zero() for k in range(6))
@@ -419,8 +424,18 @@ def test_fk_table_below_n_is_zero_without_expanding_d(kind, rank):
 def test_fk_term_budget_is_enforced(monkeypatch):
     rs = get_rs("B", 3)
     monkeypatch.setattr(weylsum, "MAX_TERMS", 200)
-    with pytest.raises(InternalError, match="term budget"):
+    with pytest.raises(DomainError, match="term budget"):
         FkTable.build(rs, kmax=11)
+
+
+def test_fk_term_budget_refuses_before_the_fit(monkeypatch):
+    # at k = N the bound is |d| * |d-vee| = 5453 * 2893, the exact size of F_20 on D5
+    def no_fit(*args):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(weylsum, "_fit_reduced", no_fit)
+    with pytest.raises(DomainError, match="F_20 of D5 may have 15775529 terms"):
+        FkTable.build(get_rs("D", 5), 20)
 
 
 def _corrupt_sample(monkeypatch, nu_target, k):

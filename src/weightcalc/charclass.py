@@ -34,10 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from operator import mul, sub
+from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import DomainError, InternalError, check_coordinates, check_degree, is_int
+from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import BiPoly, Mod2Poly, _integer_rows, _substitution, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
@@ -87,7 +87,9 @@ class CharacterLattice:
     system (``torus_rank == rank``); for the GL family the torus has one more
     circle than the root-system rank and the generators are the diagonal
     coordinate characters themselves, so ``basis`` is the identity and
-    weights are given in diagonal coordinates.
+    weights are given in diagonal coordinates.  ``_root_coordinates`` reads
+    every weight the same way: fundamental-weight coordinates, then for GL
+    the central character.
 
     ``v_names`` label the generators of the dual of the 2-torsion subgroup
     of the torus, the variables of every mod-2 (Stiefel-Whitney) output.
@@ -172,24 +174,15 @@ class SpinorialResult:
 # -- built-in lattices --------------------------------------------------------
 
 
-def _chain_rows(r: int) -> list[list[int]]:
-    """Rows x_1 = w_1, x_j = w_j - w_(j-1): diagonal coordinate characters."""
-    rows = []
-    for j in range(r):
-        row = [0] * r
-        row[j] = 1
-        if j > 0:
-            row[j - 1] = -1
-        rows.append(row)
+def _vector_weights(kind: str, r: int) -> list[tuple[int, ...]]:
+    """e_1 = w_1, then e_(j+1) = e_j - alpha_j: the vector representation's weights in order.
+
+    Row j of the Cartan matrix is alpha_j in fundamental-weight coordinates.
+    """
+    rows = [(1,) + (0,) * (r - 1)]
+    for alpha in build_root_system(kind, r).cartan[:-1]:
+        rows.append(tuple(map(sub, rows[-1], alpha)))
     return rows
-
-
-def _identity_rows(r: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(r)] for i in range(r)]
-
-
-def _freeze(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(tuple(int(x) for x in row) for row in rows)
 
 
 _NAME_RE = re.compile(r"(?i)^(SL|PGL|GL|SP|SO|SPIN|G)[-_ ]?([0-9]+)$")
@@ -220,18 +213,19 @@ def builtin_lattice_names() -> list[str]:
     return list(_BUILTIN)
 
 
-@lru_cache(maxsize=None)
 def builtin_lattice(group_name: str) -> CharacterLattice:
     """Character lattice of a built-in group, by name (e.g. "SL3", "Spin7").
 
-    Naming of generators follows the classical diagonal conventions:
-    ``e`` / ``e1..`` for the determinant-one and classical matrix groups,
-    ``eb`` for the adjoint form PGL2 (pulling back to twice the generator
-    of SL2), ``x1..`` for the simply connected spin groups and G2, where
-    the lattice is the full weight lattice.  ``v`` names mirror them on the
-    2-torsion side.
+    The SL, Sp and SO generators are the weights e_1, e_2, ... of the vector
+    representation (``_vector_weights``); GL_n has the n diagonal coordinate
+    characters, and the simply connected spin groups and G2 the full weight
+    lattice.  Naming of generators follows the classical diagonal
+    conventions: ``e`` / ``e1..`` for the determinant-one and classical
+    matrix groups, ``eb`` for the adjoint form PGL2 (pulling back to twice
+    the generator of SL2), ``x1..`` for the spin groups and G2.  ``v`` names
+    mirror them on the 2-torsion side.
     """
-    m = _NAME_RE.match(group_name.strip())
+    m = _NAME_RE.match(group_name.strip()) if isinstance(group_name, str) else None
     display = None
     if m:
         fam = m.group(1).upper()
@@ -240,64 +234,67 @@ def builtin_lattice(group_name: str) -> CharacterLattice:
         raise DomainError(
             f"unknown group name {group_name!r}; supported: " + ", ".join(_BUILTIN)
         )
+    return _builtin(display)
+
+
+@lru_cache(maxsize=None)
+def _builtin(display: str) -> CharacterLattice:
     family, kind, r = _BUILTIN[display]
     if family == "PGL":
         return CharacterLattice(display, "PGL", "A", 1, 1, ((2,),), ("eb",), ("vb",))
     n = r + 1 if family == "GL" else r  # the GL torus has one more circle than the rank
-    rows = _identity_rows(n) if family in ("GL", "Spin", "G") else _chain_rows(r)
-    if family == "SO" and kind == "B":
-        # last generator is the last diagonal coordinate: 2w_r - w_(r-1)
-        rows[r - 1] = [0] * r
-        rows[r - 1][r - 1] = 2
-        if r >= 2:
-            rows[r - 1][r - 2] = -1
-    elif family == "SO":
-        # fork: e_(r-1) = w_(r-1) + w_r - w_(r-2), e_r = w_r - w_(r-1)
-        rows[r - 2] = [0] * r
-        rows[r - 2][r - 2] = 1
-        rows[r - 2][r - 1] = 1
-        if r >= 3:
-            rows[r - 2][r - 3] = -1
-        rows[r - 1] = [0] * r
-        rows[r - 1][r - 2] = -1
-        rows[r - 1][r - 1] = 1
+    if family in ("GL", "Spin", "G"):
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    else:
+        rows = _vector_weights(kind, r)
     letter = "x" if family in ("Spin", "G") else "e"
     gen = ("e",) if display == "SL2" else tuple(f"{letter}{i+1}" for i in range(n))
     vn = ("v",) if display == "SL2" else tuple(f"v{i+1}" for i in range(n))
-    return CharacterLattice(display, family, kind, r, n, _freeze(rows), gen, vn)
+    return CharacterLattice(display, family, kind, r, n, tuple(rows), gen, vn)
 
 
 # -- exact linear algebra on lattice bases ------------------------------------
+
+
+def _root_coordinates(lattice: CharacterLattice, w: Sequence[int]) -> tuple[int, ...]:
+    """A weight of the lattice in root coordinates: fundamental-weight ones, then central ones.
+
+    A GL_n weight, given in diagonal coordinates, has the trace-free part
+    with fundamental coordinates w_i - w_(i+1) and the central character
+    sum(w); every other lattice's weights are fundamental coordinates
+    already.  The y-variables of the weight side are these coordinates.
+    """
+    if lattice.family != "GL":
+        return tuple(w)
+    return tuple(map(sub, w, w[1:])) + (sum(w),)
 
 
 @lru_cache(maxsize=None)
 def _generator_images(lattice: CharacterLattice) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows A, the images of the weight-side variables, and their common denominator D.
 
-    The weight-side variable y_j stands for the j-th fundamental weight
-    (for GL: the j-th diagonal coordinate, with the extra last variable
-    standing for the average of all diagonal coordinates).  Its expression
-    in lattice generators is row j of the inverse basis matrix (for GL:
-    column j of the inverse transition matrix).  D is the lcm of the
-    denominators of those rows, and row j of A is that row scaled by D, so
-    every entry is an int.
+    The weight-side variable y_j stands for the j-th root coordinate
+    (``_root_coordinates``).  Its expression in lattice generators is row j
+    of the inverse of the generators written in root coordinates.  D is the
+    lcm of the denominators of those rows, and row j of A is that row scaled
+    by D, so every entry is an int.
     """
-    gl = lattice.family == "GL"
-    inv = invert(_gl_transition(lattice.torus_rank) if gl else lattice.basis)
+    inv = invert([_root_coordinates(lattice, row) for row in lattice.basis])
     if inv is None:
         raise InternalError("lattice basis matrix is singular")
-    d, rows = _integer_rows(list(zip(*inv)) if gl else inv)
+    d, rows = _integer_rows(inv)
     return rows, d
 
 
 def _generator_coordinates(
     lattice: CharacterLattice, mu: Sequence[int]
 ) -> Optional[tuple[int, ...]]:
-    """Integer coordinates of a weight in the generator basis of a non-GL lattice, or None.
+    """Integer coordinates in the generator basis of a weight in root coordinates, or None.
 
-    mu = basis^T c, so D c = A^T mu with the integer rows A and their
-    denominator D of ``_generator_images``; the weight lies in the lattice
-    iff D divides every entry of A^T mu.
+    mu = M^T c for the generators M in root coordinates, so D c = A^T mu
+    with the integer rows A and their denominator D of
+    ``_generator_images``; the weight lies in the lattice iff D divides
+    every entry of A^T mu.
     """
     rows, d = _generator_images(lattice)
     c = [sum(map(mul, col, mu)) for col in zip(*rows)]
@@ -313,9 +310,11 @@ def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
 
     The coordinates are fundamental-weight ones, diagonal ones for GL.
     """
-    if len(mu) != lattice.torus_rank or not all(map(is_int, mu)):
+    try:
+        mu = check_coordinates(mu, lattice.torus_rank)
+    except DomainError:
         return False
-    return lattice.family == "GL" or _generator_coordinates(lattice, mu) is not None
+    return _generator_coordinates(lattice, _root_coordinates(lattice, mu)) is not None
 
 
 @lru_cache(maxsize=None)
@@ -347,83 +346,23 @@ def _require_integer(f: BiPoly, what: str) -> BiPoly:
     return f
 
 
-# -- GL family: diagonal-coordinate plumbing ----------------------------------
-
-
-def _validate_gl_weight(lattice: CharacterLattice, weight: Sequence[int]) -> tuple[int, ...]:
-    weight = check_coordinates(weight, lattice.torus_rank, where=f" for {lattice.name}")
-    if any(weight[i] < weight[i + 1] for i in range(len(weight) - 1)):
-        raise DomainError(
-            "a dominant weight for the GL family must have nonincreasing coordinates"
-        )
-    return weight
-
-
-@lru_cache(maxsize=None)
-def _gl_transition(n: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix sending diagonal coordinates to (trace-free part, total sum).
-
-    Row j < n-1 gives the j-th fundamental-weight coordinate of the
-    trace-free part; the last row is the coordinate sum.  Its inverse
-    converts symmetric-function data of the trace-free and central parts
-    back to the diagonal coordinate generators.
-    """
-    sl = builtin_lattice(f"SL{n}")
-    b = sl.basis  # rows: diagonal coordinates of SL_n in fundamental weights
-    rows = []
-    for j in range(n - 1):
-        row = [b[i][j] for i in range(n - 1)]
-        row.append(-sum(row))
-        rows.append(row)
-    rows.append([1] * n)
-    return tuple(tuple(r) for r in rows)
-
-
-def _gl_split(weight: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Trace-free highest weight (fundamental coordinates) and coordinate sum."""
-    n = len(weight)
-    lbar = tuple(weight[i] - weight[i + 1] for i in range(n - 1))
-    return lbar, sum(weight)
-
-
-def _gl_weight_table(
-    lattice: CharacterLattice, weight: Tuple[int, ...], max_dim: int
-) -> Dict[tuple[int, ...], int]:
-    """Weight multiset in diagonal coordinates, as a dict with multiplicities."""
-    n = lattice.torus_rank
-    lbar, s = _gl_split(weight)
-    wm = weight_multiplicities(lattice.root_system(), lbar, max_dim=max_dim)
-    sl = builtin_lattice(f"SL{n}")
-    out: Dict[tuple[int, ...], int] = {}
-    for mu, mult in wm.expanded().items():
-        coords = _generator_coordinates(sl, mu)
-        if coords is None:
-            raise InternalError("trace-free weight escaped its own character lattice")
-        lift, rem = divmod(s - sum(coords), n)
-        if rem:
-            raise InternalError("central character does not lift integrally")
-        full = tuple(c + lift for c in coords) + (lift,)
-        out[full] = out.get(full, 0) + mult
-    return out
-
-
 # -- Chern classes ------------------------------------------------------------
 
 
 def _as_pi(lattice: CharacterLattice, spec) -> PiSpec:
     """The representation as a checked PiSpec: a lattice weight, dominant, and a bool s_wrap."""
-    if isinstance(spec, PiSpec):
-        weight, s_wrap = tuple(spec.weight), spec.s_wrap
-    else:
-        weight, s_wrap = tuple(spec), False
+    weight, s_wrap = (spec.weight, spec.s_wrap) if isinstance(spec, PiSpec) else (spec, False)
     if s_wrap is not True and s_wrap is not False:
         raise DomainError(f"s_wrap must be True or False, got {s_wrap!r}")
-    if lattice.family == "GL":
-        weight = _validate_gl_weight(lattice, weight)
-    else:
-        weight = validate_dominant(lattice.root_system(), weight)
-        if _generator_coordinates(lattice, weight) is None:
-            raise DomainError("weight not in character lattice")
+    weight = check_coordinates(weight, lattice.torus_rank, where=f" for {lattice.name}")
+    coords = _root_coordinates(lattice, weight)
+    if any(c < 0 for c in coords[: lattice.rank]):
+        raise DomainError(
+            "a dominant weight for the GL family must have nonincreasing coordinates"
+            if lattice.family == "GL" else "weight must be dominant (nonnegative coordinates)"
+        )
+    if _generator_coordinates(lattice, coords) is None:
+        raise DomainError("weight not in character lattice")
     return PiSpec(weight, s_wrap)
 
 
@@ -433,11 +372,11 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     The plain classes are the elementary symmetric functions of the weight
     multiset re-expressed in the generator basis.  Each weight-side P_k of
     the root system goes to the generators at the integer rows of
-    ``_generator_images``, which gives D^k * P_k.  For GL every weight is a
-    weight of the trace-free part shifted by the central character s times
-    the last row, one linear form, and the binomial convolution with its
-    powers adds the shift.  Newton's identities are homogeneous, so they then
-    give D^k * E_k, and each E_k is divided by D^k once.  E_k of a multiset
+    ``_generator_images``, which gives D^k * P_k.  The root coordinates past
+    the rank (GL's central character) are the same for every weight, so they
+    shift each weight by one linear form, and the binomial convolution with
+    its powers adds the shift.  Newton's identities are homogeneous, so they
+    then give D^k * E_k, and each E_k is divided by D^k once.  E_k of a multiset
     of m weights is 0 for k > m, so nothing past degree m is computed.  For
     the doubled form the classes of the representation and of its dual (all
     weights negated) are convolved.  All coefficients are integers; anything
@@ -445,15 +384,17 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     """
     check_degree(kmax, "kmax")
     pi = _as_pi(lattice, pi_spec)
-    weight, s = _gl_split(pi.weight) if lattice.family == "GL" else (pi.weight, 0)
     rs = lattice.root_system()
+    coords = _root_coordinates(lattice, pi.weight)
+    weight, shift = coords[: rs.rank], coords[rs.rank :]
     n = lattice.torus_rank
     rows, d = _generator_images(lattice)
     degree = weyl_dimension(rs, weight)
     top = min(kmax, degree)
     power = [_scaled_to_generators(lattice, f.embed(n, n)) for f in power_sums(rs, weight, top)]
-    if s:
-        central = BiPoly.a_linear([s * x for x in rows[-1]], ny=0)
+    if any(shift):
+        form = [sum(map(mul, shift, col)) for col in zip(*rows[rs.rank :])]
+        central = BiPoly.a_linear(form, ny=0)
         power = _binomial_convolution(power, [central ** j for j in range(top + 1)], top)
     cs = [
         _require_integer(ek if d == 1 else ek.scale(Fraction(1, d ** k)), f"c_{k}")
@@ -529,21 +470,20 @@ def orthogonality_type(rs: RootSystem, lam: Sequence[int]) -> str:
 
 
 def lattice_orthogonality_type(lattice: CharacterLattice, pi_spec) -> str:
-    """Orthogonality typing in lattice terms (handles the GL family).
+    """Orthogonality typing in lattice terms.
 
     The weight must lie in the lattice, as for ``chern_classes``; the doubled
-    form of any weight, a ``PiSpec`` with ``s_wrap``, is orthogonal.
+    form of any weight, a ``PiSpec`` with ``s_wrap``, is orthogonal.  A
+    self-dual weight has central character 0 (GL's root coordinate past the
+    rank) and a self-dual fundamental-weight part.
     """
     pi = _as_pi(lattice, pi_spec)
     if pi.s_wrap:
         return "orthogonal"
-    weight = pi.weight
-    if lattice.family == "GL":
-        n = lattice.torus_rank
-        if any(weight[i] + weight[n - 1 - i] != 0 for i in range(n)):
-            return "not-self-dual"
-        weight, _ = _gl_split(weight)
-    return orthogonality_type(lattice.root_system(), weight)
+    coords = _root_coordinates(lattice, pi.weight)
+    if any(coords[lattice.rank :]):
+        return "not-self-dual"
+    return orthogonality_type(lattice.root_system(), coords[: lattice.rank])
 
 
 def _require_orthogonal(lattice: CharacterLattice, pi: PiSpec, task: str) -> None:
@@ -648,21 +588,22 @@ def _character_values(
     Schur-polynomial evaluation at the matching +-1 eigenvalue multiset.
     """
     r = lattice.torus_rank
-    chi: list[int] = []
     if lattice.family == "GL":
-        table = _gl_weight_table(lattice, weight, max_dim)
-        for i in range(r + 1):
-            total = 0
-            for mu, mult in table.items():
-                parity = sum(mu[j] for j in range(i)) % 2
-                total += mult if parity == 0 else -mult
-            chi.append(total)
+        # the weights of the trace-free part, each with the central character appended
+        coords = _root_coordinates(lattice, weight)
+        wm = weight_multiplicities(lattice.root_system(), coords[:-1], max_dim=max_dim)
+        table = [(_generator_coordinates(lattice, mu + coords[-1:]), m)
+                 for mu, m in wm.expanded().items()]
+        if any(c is None for c, _ in table):
+            raise InternalError("a weight escaped its own character lattice")
+        chi = [sum(-m if sum(c[:i]) % 2 else m for c, m in table) for i in range(r + 1)]
         t = -weight[r - 1] if weight[r - 1] < 0 else 0
         part = [c + t for c in weight]
         expected = [(-1) ** ((i * t) % 2) * schur_at_signs(part, i, r - i) for i in range(r + 1)]
     else:
         rs = lattice.root_system()
         wm = weight_multiplicities(rs, weight, max_dim=max_dim)
+        chi = []
         for i in range(r + 1):
             signs = tuple(-1 if j < i else 1 for j in range(r))
             chi.append(character_at_order2(wm, signs, basis=lattice.basis))

@@ -10,8 +10,8 @@ InternalError to exit code 1.
 Every integer input is checked here alone: ``is_int`` is the one test for
 an int that is not a bool (``True == 1`` would pass as a rank or a
 coordinate), ``check_degree`` wants a nonnegative int, and
-``check_coordinates`` checks the length of a coordinate vector, then its
-entries.
+``check_coordinates`` checks that a coordinate vector is a sequence, then
+its length, then its entries.
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ def check_coordinates(coords: Sequence, n: int, what: str = "weight", where: str
 
     ``where`` names the space after the expected length, as in ``" for A2"``.
     """
-    coords = tuple(coords)
+    try:
+        coords = tuple(coords)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence of coordinates, got {coords!r}") from None
     if len(coords) != n:
         raise DomainError(f"{what} has {len(coords)} coordinates, expected {n}{where}")
     if not all(is_int(c) or exact and isinstance(c, Fraction) for c in coords):

@@ -361,17 +361,22 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     Forward differences along each axis give D^g q_k(0), which must vanish
     for |g| > k; D^g q_k(0) / g! is the coefficient of the falling factorial
     x^(g), and Stirling numbers of the first kind take it to monomials one
-    axis at a time.  E_kmax has no spare lattice point, so every E_k is also
-    checked at y = (2, 3, ..., r + 1).
+    axis at a time.  The product has degree m, the number of nonzero weights
+    counted with multiplicity, so the lattice stops at top = min(kmax, m)
+    and E_k = 0 above it.  E_top has no spare lattice point, so every E_k
+    up to E_(top + 1), if returned, is also checked at y = (2, 3, ..., r + 1);
+    E_(top + 1) = 0 there guards the count m, and above m both sides vanish.
     """
     check_degree(kmax, "kmax")
     r = wm.rs.rank
     view = wm.folded()
-    points, index, steps, lines = _lattice(r - 1, kmax)
+    nonzero = sum(a + b for a, b, *mu in zip(view.a, view.b, *view.coords) if any(mu))
+    top = min(kmax, nonzero)
+    points, index, steps, lines = _lattice(r - 1, top)
     pairings = [view.coords[-1]]
     for n, i in steps:
         pairings.append(list(map(add, pairings[n], view.coords[i])))
-    vals = [_series_at(p, view.a, view.b, kmax) for p in pairings]
+    vals = [_series_at(p, view.a, view.b, top) for p in pairings]
     for line in lines:
         for lo in range(1, len(line)):
             for j in range(len(line) - 1, lo - 1, -1):
@@ -380,11 +385,11 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
         d, f = sum(x), prod(map(factorial, x))
         if any(v[:d]):
             raise InternalError("a forward difference above the degree of E_k does not vanish")
-        for k in range(d, kmax + 1):
+        for k in range(d, top + 1):
             v[k], rem = divmod(v[k], f)
             if rem:
                 raise InternalError("a falling-factorial coefficient of E_k is not an integer")
-    s = _stirling(kmax)
+    s = _stirling(top)
     for line in lines:
         old = [vals[n] for n in line]
         for i, n in enumerate(line):
@@ -392,10 +397,11 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     prefix = (0,) * r
     out = [
         BiPoly(r, r, {prefix + e: vals[index[e[:-1]]][k] for e in _monomials(r, k)})
-        for k in range(kmax + 1)
-    ]
+        for k in range(top + 1)
+    ] + [BiPoly.zero(r, r)] * (kmax - top)
     y = range(2, r + 2)
-    check = _series_at([sum(map(mul, mu, y)) for mu in zip(*view.coords)], view.a, view.b, kmax)
+    pairing = [sum(map(mul, mu, y)) for mu in zip(*view.coords)]
+    check = _series_at(pairing, view.a, view.b, min(kmax, top + 1))
     for k, (f, want) in enumerate(zip(out, check)):
         if sum(c * prod(map(pow, y, e[r:])) for e, c in f.terms.items()) != want:
             raise InternalError(f"E_{k} does not match the product at the check point")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,8 +27,10 @@ from weightcalc.charclass import (
     total_swc_factorization,
 )
 from weightcalc.errors import DomainError, InternalError
+from weightcalc.oracle import weight_multiplicities
 from weightcalc.polyalg import BiPoly, Mod2Poly, invert
 from weightcalc.powersum import elementary_from_power, power_sums, product_power_sums, weyl_dimension
+from weightcalc.rootsys import dominant_representative
 from weightcalc.weylsum import q2_poly
 
 
@@ -45,9 +49,53 @@ def test_builtin_names_round_trip():
 
 
 def test_unknown_group_rejected():
-    for bad in ("SO4", "SL9", "E8", "PGL3", ""):
-        with pytest.raises(DomainError):
+    # names that are not a str among them, before the memo can hash them
+    for bad in ("SO4", "SL9", "E8", "PGL3", "", 3, None, b"SL3", ["SL3"]):
+        with pytest.raises(DomainError, match="unknown group name"):
             builtin_lattice(bad)
+
+
+def test_builtin_lattice_is_memoized_by_display_name():
+    assert builtin_lattice(" sl-3") is builtin_lattice("SL3")
+    assert builtin_lattice("spin_7") is builtin_lattice("Spin7")
+
+
+@pytest.mark.parametrize("group", [g for g in builtin_lattice_names()
+                                   if builtin_lattice(g).family in ("SL", "Sp", "SO")])
+def test_generators_are_weights_of_the_vector_representation(group):
+    # read off the oracle's multisets, independent of how the generators are built; the
+    # negatives are weights of the dual, the same representation except for SL
+    lat = builtin_lattice(group)
+    rs = lat.root_system()
+    omega1 = (1,) + (0,) * (lat.rank - 1)
+    dual = dominant_representative(rs, [-x for x in omega1])
+    assert (dual == omega1) == (lat.family != "SL" or lat.rank == 1)
+    weights = weight_multiplicities(rs, omega1).expanded()
+    dual_weights = weight_multiplicities(rs, dual).expanded()
+    for row in lat.basis:
+        assert row in weights and tuple(-x for x in row) in dual_weights, row
+
+
+def _builtin_lattice_callers(source: str) -> list[str]:
+    """Functions that call ``builtin_lattice``."""
+    return sorted({
+        func.name for func in ast.walk(ast.parse(source)) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "builtin_lattice"
+    })
+
+
+def test_no_charclass_function_calls_builtin_lattice():
+    # every lattice is read through its own data, not through another built-in one
+    source = Path(charclass.__file__).read_text(encoding="utf-8")
+    assert _builtin_lattice_callers(source) == []
+    # the check itself finds a call
+    assert _builtin_lattice_callers(
+        "def detour(n):\n"
+        "    return builtin_lattice(f'SL{n}').basis\n"
+        "def fine(lat):\n"
+        "    return lat.basis\n"
+    ) == ["detour"]
 
 
 def test_lattice_membership():
@@ -207,8 +255,10 @@ def test_chern_rejects_bad_weights():
 def _fraction_to_generators(lat, f):
     """Reference: substitute the rational rows of the inverse basis directly."""
     if lat.family == "GL":
+        # diagonal coordinates -> the differences w_j - w_(j+1), then the sum
         n = lat.torus_rank
-        rinv = invert(charclass._gl_transition(n))
+        diff_sum = [[int(i == j) - int(i == j + 1) for i in range(n)] for j in range(n - 1)]
+        rinv = invert(diff_sum + [[1] * n])
         rows = [[rinv[m][j] for m in range(n)] for j in range(n)]
     else:
         rows = invert(lat.basis)
@@ -232,7 +282,7 @@ def _fraction_route_power(lat, weight, kmax):
     if lat.family != "GL":
         return power_sums(lat.root_system(), weight, kmax)
     n = lat.torus_rank
-    lbar, s = charclass._gl_split(weight)
+    lbar, s = tuple(weight[i] - weight[i + 1] for i in range(n - 1)), sum(weight)
     free = [f.embed(n, n) for f in power_sums(get_rs("A", n - 1), lbar, kmax)]
     central = [BiPoly.y_var(n - 1, n, n).scale(s) ** j for j in range(kmax + 1)]
     return product_power_sums(free, central, kmax)

@@ -12,7 +12,11 @@ from pathlib import Path
 import pytest
 
 from weightcalc import errors
+from weightcalc.charclass import PiSpec, builtin_lattice, chern_classes, lattice_contains
 from weightcalc.errors import DomainError, check_coordinates, is_int
+from weightcalc.oracle import weight_multiplicities
+from weightcalc.powersum import power_sums
+from weightcalc.rootsys import build_root_system
 
 
 def _bool_checks(source: str) -> list[int]:
@@ -98,3 +102,15 @@ def test_check_coordinates_checks_the_length_then_the_entries():
     for bad in (True, 0.5):
         with pytest.raises(DomainError, match="coweight coordinates must be int or Fraction"):
             check_coordinates((bad, 0), 2, "coweight", exact=True)
+
+
+def test_weight_that_is_not_a_sequence_is_a_domain_error():
+    with pytest.raises(DomainError, match="weight must be a sequence of coordinates, got 5"):
+        check_coordinates(5, 2)
+    lat, rs = builtin_lattice("SL3"), build_root_system("A", 2)
+    for call in (lambda: chern_classes(lat, 5), lambda: chern_classes(lat, PiSpec(5)),
+                 lambda: power_sums(rs, 5, 2), lambda: weight_multiplicities(rs, 5)):
+        with pytest.raises(DomainError, match="must be a sequence of coordinates"):
+            call()
+    for group in ("SL3", "GL3", "PGL2"):
+        assert lattice_contains(builtin_lattice(group), 5) is False

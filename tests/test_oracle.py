@@ -419,6 +419,42 @@ def test_lattice_elementary_catches_a_wrong_point_value(monkeypatch, b3, k, scal
         oracle_elementary(wm, 6)
 
 
+def test_lattice_elementary_stops_at_the_degree_of_the_product(monkeypatch, a2):
+    # A2 omega_1 has 3 nonzero weights, so its product has degree 3 whatever kmax is;
+    # no series is asked past degree 4 (E_4 = 0 at the check point guards the count)
+    wm = weight_multiplicities(a2, (1, 0))
+    series_at = oracle._series_at
+    asked = []
+
+    def spy(pairing, a, b, kmax):
+        asked.append(kmax)
+        return series_at(pairing, a, b, kmax)
+
+    monkeypatch.setattr(oracle, "_series_at", spy)
+    got = oracle_elementary(wm, 3000)
+    assert len(got) == 3001 and max(asked) == 4 and len(asked) == comb(3 + 1, 1) + 1
+    assert [f.is_zero() for f in got[:4]] == [False, True, False, False]  # E_1 = 0 on A2
+    assert all(f.is_zero() for f in got[4:])
+
+
+@pytest.mark.parametrize("kind,rank,lam", [
+    ("A", 1, (2,)),  # the zero weight adds no degree
+    ("A", 2, (1, 0)),
+    ("B", 2, (1, 0)),
+    ("G", 2, (1, 0)),
+    ("A", 3, (0, 1, 0)),
+])
+def test_lattice_elementary_above_the_degree_matches_newton(kind, rank, lam):
+    rs = get_rs(kind, rank)
+    wm = weight_multiplicities(rs, lam)
+    degree = sum(m for mu, m in wm.expanded().items() if any(mu))
+    kmax = degree + 2
+    want = elementary_from_power(power_sums(rs, lam, kmax), kmax)
+    got = oracle_elementary(wm, kmax)
+    assert [f.terms for f in got] == [f.terms for f in want]
+    assert not got[degree].is_zero() and got[degree + 1].is_zero()
+
+
 def _engine_names(source: str) -> list[str]:
     """Imports and names in source that the oracle must not use."""
     local = {"errors": None, "polyalg": None, "rootsys": None,

@@ -38,10 +38,10 @@ forms no symbolic product: it reads its E_k off exact values at lattice
 points (``oracle.oracle_elementary``).
 
 Every substitution goes through one kernel with its own loop on packed
-monomials, ``_substitution``: ``compose`` (and through it ``eval_a``,
-``translate_a`` and ``evaluate``, which substitute constant or shifted
-images) and the change to lattice generators of the Chern path
-(``charclass._scaled_to_generators``).
+monomials, ``_substitution``: ``compose`` (and through it ``eval_a`` and
+``evaluate``, which substitute constant images), the expansion of the basic
+invariants (``weylsum._expand``) and the change to lattice generators of
+the Chern path (``charclass._scaled_to_generators``).
 
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
@@ -61,7 +61,7 @@ from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DomainError, InternalError, is_int
+from .errors import DomainError, InternalError, check_degree, is_int
 
 __all__ = [
     "BiPoly",
@@ -421,8 +421,7 @@ class BiPoly:
         return out
 
     def __pow__(self, k: int) -> "BiPoly":
-        if k < 0:
-            raise DomainError("negative polynomial power")
+        check_degree(k, "exponent")
         result = BiPoly.constant(self.na, self.ny, 1)
         base = self
         while k:
@@ -440,15 +439,6 @@ class BiPoly:
             raise DomainError(f"expected {self.na} values, got {len(values)}")
         return self.compose(a_images=[
             BiPoly.constant(self.na, self.ny, _to_fraction(v)) for v in values
-        ])
-
-    def translate_a(self, shifts: Sequence[Scalar]) -> "BiPoly":
-        """Substitute a_i := a_i + shifts[i]."""
-        if len(shifts) != self.na:
-            raise DomainError(f"expected {self.na} shifts, got {len(shifts)}")
-        return self.compose(a_images=[
-            BiPoly.a_var(i, self.na, self.ny) + BiPoly.constant(self.na, self.ny, sh)
-            for i, sh in enumerate(shifts)
         ])
 
     def evaluate(self, a_values: Sequence[Scalar], y_values: Sequence[Scalar]) -> Scalar:
@@ -611,8 +601,7 @@ class Mod2Poly:
         return Mod2Poly(self.nv, (tuple(2 * x for x in e) for e in self.terms))
 
     def __pow__(self, k: int) -> "Mod2Poly":
-        if k < 0:
-            raise DomainError("negative polynomial power")
+        check_degree(k, "exponent")
         result = Mod2Poly.one(self.nv)
         base = self
         while k:

@@ -41,9 +41,9 @@ from typing import Callable, Sequence
 from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import BiPoly, _common_denominator, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
-from .weylsum import (MAX_TERMS, _fit_invariants, _fit_reduced, _fk_at_delta, _orbit_power_sums,
-                      _signed_orbit, _vanishes, coweyl_denominator, coweyl_denominator_at_delta,
-                      fk_evaluated)
+from .weylsum import (MAX_TERMS, _expand, _fit_invariants, _fit_reduced, _fk_at_delta,
+                      _invariants_at, _orbit_power_sums, _signed_orbit, _vanishes,
+                      coweyl_denominator, coweyl_denominator_at_delta, fk_evaluated)
 
 __all__ = [
     "weyl_dimension",
@@ -184,9 +184,10 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     """P_0..P_kmax with the highest weight symbolic (a-variables), as P_0 * R_k.
 
     R_k = P_k / P_0 comes from the triangular recursion on the reduced sums
-    F'_{N+i}(a + delta, y) and F'_{N+i}(delta, y), fitted by
-    ``weylsum._fit_reduced``; each step divides by the constant
-    binom(N+i, i) * F'_N.  P_0 is the dimension polynomial
+    F'_{N+i} in generator coordinates (``weylsum._fit_reduced``), with s read
+    at a + delta, and F'_{N+i}(delta, y) from the numbers s_j(delta); each step
+    divides by the constant binom(N+i, i) * F'_N, and each R_k is written out
+    once (``weylsum._expand``).  P_0 is the dimension polynomial
     d-vee(a + delta)/d-vee(delta), its numerator the product of the N
     translated coroot factors (``coweyl_denominator``); each product
     P_0 * R_k runs on integer coefficients, R_k times the lcm D of its
@@ -205,14 +206,14 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     fitted = _fit_reduced(rs, [m for m in ms if not _vanishes(rs, m)])
     reduced = [fitted.get(m, BiPoly.zero(r, r)) for m in ms]
     delta = (1,) * r
-    f_lam = [f.translate_a(delta) for f in reduced]
-    f_del = [f.eval_a(delta) for f in reduced]
+    at_delta = _invariants_at(rs, delta)
+    f_del = [f.eval_a(at_delta) for f in reduced]
     f_del[0] = f_del[0].constant_term()  # F'_N = N!/d-vee(delta)
-    ratios = _triangular_solve(n, f_lam, f_del, lambda f, c: f.scale(Fraction(1, c)))
+    ratios = _triangular_solve(n, reduced, f_del, lambda f, c: f.scale(Fraction(1, c)))
     dvee = coweyl_denominator(rs, delta).terms  # d-vee(a + delta), int coefficients
     dvee_delta = coweyl_denominator_at_delta(rs)
     out = []
-    for f in ratios:
+    for f in _expand(rs, ratios, delta):
         den, num = _common_denominator(list(f.terms.values()))
         acc: dict = {}
         _mul_into(acc, dict(zip(f.terms, num)), dvee)

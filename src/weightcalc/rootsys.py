@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import DomainError, InternalError, is_int
+from .errors import DomainError, InternalError, check_coordinates, is_int
 from .polyalg import _integer_rows, invert
 
 __all__ = [
@@ -349,5 +349,5 @@ def dominant_orbit(cartan: Matrix, mu: Sequence[Coord]) -> dict[tuple, int]:
 
 
 def dominant_representative(rs: RootSystem, mu: Sequence[Coord]) -> tuple:
-    """Weyl-orbit representative in the closed dominant chamber."""
-    return chamber_descent(rs.cartan, mu)
+    """Weyl-orbit representative in the closed dominant chamber of an int or Fraction weight."""
+    return chamber_descent(rs.cartan, check_coordinates(mu, rs.rank, exact=True))

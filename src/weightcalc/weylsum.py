@@ -23,14 +23,16 @@ of bidegree (k, k).  Facts used as computational shortcuts and cross-checks:
 
 Each P_k of a weight multiset (``powersum``) and each F'_k is a W-invariant,
 and one exact fit, _fit_exact, rebuilds both from sample values: it solves
-for the coefficients in a basis of products of orbit power sums over W.w1
-(and, on D_r, the half-spin orbit W.w_r), for F'_k their transport-
-symmetrized products of degree k-N, and checks the fit at two points off
-the fitting set; the checks and the assembly of each fitted P_k run on the
-coefficients times their common denominator, in integers.  FkTable and the
-symbolic power sums take F'_k from that fit and never expand the big
-alternating sum; fk_direct and fk_reduced expand and divide it, and are kept
-as the reference that tests compare against.
+for the coefficients in a basis of products of the basic invariants p_j,
+orbit power sums over W.w1 (and, on D_r, the half-spin orbit W.w_r), for
+F'_k their transport-symmetrized products of degree k-N, and checks the fit
+at two points off the fitting set.  The fitted invariants stay in generator
+coordinates, BiPolys of arity (r, r) whose exponents count powers of
+s_j = p_j(M a) and t_j = p_j(y), M the inverse Killing form K-vee scaled to
+integer rows; ``_expand`` alone writes them out in monomials of (a, y).
+FkTable and the symbolic power sums never expand the big alternating sum;
+fk_direct and fk_reduced expand and divide it, and are kept as the
+reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
-from .polyalg import (BiPoly, _common_denominator, _monomials, _mul_into, _ratio, exact_divide,
-                      expand_linear_power, rref)
+from .polyalg import (BiPoly, _common_denominator, _integer_rows, _monomials, _mul_into,
+                      _substitution, exact_divide, expand_linear_power, rref)
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
@@ -86,8 +88,7 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
     l_i(a) shared along the recursion.  The test reference for the fitted
     F_k; intended for small rank, and the term count is guarded by MAX_TERMS.
     """
-    if k < 0:
-        raise DomainError("negative power in Weyl sum")
+    check_degree(k, "k")
     r = rs.rank
     zero = (0,) * r
     acc: dict[tuple, Scalar] = {}
@@ -123,8 +124,7 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
 
 
 def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> None:
-    if k < 0:
-        raise DomainError("negative power in Weyl sum")
+    check_degree(k, "k")
     check_coordinates(mu, rs.rank, exact=True)
 
 
@@ -365,7 +365,7 @@ class FkTable:
             if size > MAX_TERMS:
                 raise DomainError(f"F_{ks[-1]} of {rs.kind}{r} may have {size} terms, "
                                   f"over the term budget of {MAX_TERMS}")
-            reduced.update(_fit_reduced(rs, ks))
+            reduced.update(zip(ks, _expand(rs, list(_fit_reduced(rs, ks).values()))))
             entries.update((k, reduced[k] * d * dvee) for k in ks)
         return cls(kind=rs.kind, rank=r, kmax=kmax, entries=entries, reduced=reduced)
 
@@ -402,20 +402,20 @@ def _invariant_generators(rs: RootSystem) -> list[tuple[int, list[tuple]]]:
 
 
 def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tuple[int, ...]]:
-    """Generator index tuples, nondecreasing, of the products of total degree ``degree``.
+    """Exponent vectors e of the generator products p^e of total degree ``degree``.
 
     Their number must be the dimension of the degree-m invariants, the
     coefficient of t^m in the product of 1/(1 - t^d) over the fundamental
     degrees d (Chevalley); InternalError otherwise.
     """
     out = []
-    stack = [((), 0, degree)]
+    stack = [((0,) * len(gens), 0, degree)]
     while stack:
-        idx, start, left = stack.pop()
+        e, start, left = stack.pop()
         if not left:
-            out.append(idx)
+            out.append(e)
             continue
-        stack.extend((idx + (j,), j, left - gens[j][0])
+        stack.extend((e[:j] + (e[j] + 1,) + e[j + 1:], j, left - gens[j][0])
                      for j in range(start, len(gens)) if gens[j][0] <= left)
     count = [1] + [0] * degree
     for d in _fundamental_degrees(rs):
@@ -429,19 +429,42 @@ def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tup
     return out
 
 
-def _product_poly(r: int, gens: Sequence, idx: tuple, cache: dict) -> BiPoly:
-    """The product of the generators in idx as a y-polynomial; cache holds each p_d."""
-    out = BiPoly.constant(r, r, 1)
-    for j in idx:
-        if j not in cache:
-            d, orbit = gens[j]
-            acc: dict[tuple, Scalar] = {}
-            for v in orbit:
-                for e, c in expand_linear_power(v, d).items():
-                    acc[e] = acc.get(e, 0) + c
-            cache[j] = BiPoly(r, r, {(0,) * r + e: c for e, c in acc.items()})
-        out = out * cache[j]
-    return out
+@lru_cache(maxsize=None)
+def _expansion(rs: RootSystem, shift: tuple[int, ...], used: tuple[bool, ...]):
+    """The substitution s_j := p_j(M(a + shift)), t_j := p_j(y), cached per root system and key.
+
+    ``used`` flags the 2r variables that occur; the others get the zero
+    image, so no unused generator is expanded.  On the s side each
+    <v, M(a + shift)> is the linear form <M^T v, a> with the constant
+    <M^T v, shift> (0 for the empty shift) as one more slot.  The cache
+    keeps the memo of product images of ``polyalg._substitution``.
+    """
+    r, kd = rs.rank, _integer_rows(rs.killing_dual)[1]
+    gens, images = _invariant_generators(rs), []
+    for i, u in enumerate(used):
+        d, orbit = gens[i % r]
+        acc: dict[tuple, Scalar] = {}
+        for v in orbit if u else ():
+            form = [sum(map(mul, v, col)) for col in zip(*kd)] if i < r else v
+            const = sum(map(mul, form, shift)) if i < r else 0
+            for e, c in expand_linear_power([*form, const], d).items():
+                e = e[:r] + (0,) * r if i < r else (0,) * r + e[:r]
+                acc[e] = acc.get(e, 0) + c
+        images.append(BiPoly._result(r, r, acc))
+    return _substitution(r, r, images[:r], images[r:])
+
+
+def _invariants_at(rs: RootSystem, x: Sequence[int]) -> list[Scalar]:
+    """The values s_j(x) = p_j(M x) at a weight x."""
+    point = [sum(map(mul, row, x)) for row in _integer_rows(rs.killing_dual)[1]]
+    return [sum(sum(map(mul, v, point)) ** d for v in orbit)
+            for d, orbit in _invariant_generators(rs)]
+
+
+def _expand(rs: RootSystem, polys: Sequence[BiPoly], shift: tuple[int, ...] = ()) -> list:
+    """Polynomials in generator coordinates written out in (a, y), s at a + shift (empty: a)."""
+    used = tuple(any(e[i] for f in polys for e in f.terms) for i in range(2 * rs.rank))
+    return list(map(_expansion(rs, tuple(shift), used), polys))
 
 
 def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:
@@ -451,18 +474,12 @@ def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:
     the canonical monomial list; the reduced-echelon form depends only on
     the space they span, so the basis is deterministic.
     """
-    if degree < 0:
-        raise DomainError("invariant degree must be nonnegative")
+    check_degree(degree, "degree")
     r = rs.rank
-    gens = _invariant_generators(rs)
-    products = _invariant_products(rs, gens, degree)
+    products = _invariant_products(rs, _invariant_generators(rs), degree)
     monoms = [(0,) * r + m for m in _monomials(r, degree)]
-    cache: dict = {}
-    rows = []
-    for idx in products:
-        terms = _product_poly(r, gens, idx, cache).terms
-        rows.append([terms.get(m, 0) for m in monoms])
-    basis_rows, _ = rref(rows)
+    expanded = _expand(rs, [BiPoly(r, r, {(0,) * r + e: 1}) for e in products])
+    basis_rows, _ = rref([[f.terms.get(m, 0) for m in monoms] for f in expanded])
     if len(basis_rows) != len(products):
         raise InternalError(
             f"{rs.kind}{rs.rank}: the invariant products of degree {degree} are dependent"
@@ -498,12 +515,12 @@ def _denominators(rs: RootSystem, mu: Sequence[int], nu: Sequence[int]) -> tuple
 
 def _product_values(gens: Sequence, products: Sequence[list]):
     """The map point -> the value at point of each generator product, one list per system."""
-    used = {j for prods in products for idx in prods for j in idx}
+    used = {j for prods in products for e in prods for j, x in enumerate(e) if x}
 
     def values(point):
-        gval = {j: sum(sum(map(mul, v, point)) ** gens[j][0] for v in gens[j][1])
-                for j in used}
-        return [[prod(gval[j] for j in idx) for idx in prods] for prods in products]
+        gval = [sum(sum(map(mul, v, point)) ** d for v in orbit) if j in used else 0
+                for j, (d, orbit) in enumerate(gens)]
+        return [[prod(map(pow, gval, e)) for e in prods] for prods in products]
 
     return values
 
@@ -578,8 +595,8 @@ def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
     coweight nu.  ``_fit_exact`` solves each f_k in the basis of products of
     orbit power sums (``_invariant_products``) from the values at
     ``_fit_points`` and checks it at the coweights nu of ``_check_points``.
-    Each f_k is summed as D * c_i times pi_i in one integer term dict, D the
-    lcm of the denominators of its coefficients c_i, then divided by D.
+    Each f_k is expanded as D * c_i times t^(pi_i), in integers, D the lcm
+    of the denominators of its coefficients c_i, then divided by D.
     """
     gens = _invariant_generators(rs)
     products = [_invariant_products(rs, gens, k) for k in range(kmax + 1)]
@@ -590,36 +607,30 @@ def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
         [nu for _, nu in _check_points(rs)],
     )
     r = rs.rank
-    cache: dict = {}
-    out = []
-    for c, prods in zip(coeffs, products):
-        den, scaled = _common_denominator(c)
-        acc: dict[tuple, int] = {}
-        get = acc.get
-        for x, idx in zip(scaled, prods):
-            if x:
-                for e, v in _product_poly(r, gens, idx, cache).terms.items():
-                    acc[e] = get(e, 0) + x * v
-        out.append(BiPoly._result(r, r, {e: _ratio(v, den) for e, v in acc.items()}))
-    return out
+    scaled = [_common_denominator(c) for c in coeffs]
+    fitted = [BiPoly._result(r, r, {(0,) * r + e: x for e, x in zip(prods, num)})
+              for (_, num), prods in zip(scaled, products)]
+    return [f.scale(Fraction(1, den)) for (den, _), f in zip(scaled, _expand(rs, fitted))]
 
 
 def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
-    """F'_k for each k in ks, none of which vanishes, from exact samples of F_k.
+    """F'_k for each k in ks, none of which vanishes, in generator coordinates.
 
     F'_k is W x W-invariant of bidegree (m, m), m = k - N, and invariant under
     the Killing transport, so it is a combination of the
-    beta_ij(a, y) = pi_i(y) pi_j(K-vee a) + pi_j(y) pi_i(K-vee a), i <= j, over
-    the products pi_i of orbit power sums of degree m.  ``_fit_exact`` solves
-    for the coefficients from F_k(mu, nu) / (d(nu) d-vee(mu)) with mu, nu two
-    consecutive ``_fit_points``, and checks them at ``_check_points``.
+    beta_ij(a, y) = pi_i(y) pi_j(M a) + pi_j(y) pi_i(M a), i <= j, over
+    the products pi_i of orbit power sums of degree m, M a multiple of
+    K-vee.  ``_fit_exact`` solves for the coefficients from
+    F_k(mu, nu) / (d(nu) d-vee(mu)) with mu, nu two consecutive
+    ``_fit_points``, and checks them at ``_check_points``.  Each c_ij lands
+    on the monomials t^(pi_i) s^(pi_j) and t^(pi_j) s^(pi_i).
     """
     r, n = rs.rank, rs.num_positive
     gens = _invariant_generators(rs)
     products = [_invariant_products(rs, gens, k - n) for k in ks]
     pairs = [[(i, j) for i in range(len(p)) for j in range(i, len(p))] for p in products]
     basis_values = _product_values(gens, products)
-    kd = rs.killing_dual
+    kd = _integer_rows(rs.killing_dual)[1]
 
     def rows_at(point):
         mu, nu = point
@@ -634,13 +645,11 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
     fit = _fit_points(rs)
     coeffs = _fit_exact(rs, [f"F'_{k}" for k in ks], [len(p) for p in pairs], rows_at,
                         zip(fit, fit), _check_points(rs))
-    y_images = [BiPoly.a_linear(row, ny=r) for row in kd]  # pi(K-vee a) = pi(y := K-vee a)
-    cache: dict = {}
     out = {}
     for k, prods, ps, c in zip(ks, products, pairs, coeffs):
-        on_y = [_product_poly(r, gens, idx, cache) for idx in prods]
-        on_a = [f.compose(y_images=y_images) for f in on_y]
-        out[k] = sum(((on_y[i] * on_a[j] + on_y[j] * on_a[i]).scale(x)
-                      for (i, j), x in zip(ps, c) if x), BiPoly.zero(r, r))
+        terms: dict[tuple, Scalar] = {}
+        for (i, j), x in zip(ps, c):
+            for e in (prods[j] + prods[i], prods[i] + prods[j]):
+                terms[e] = terms.get(e, 0) + x
+        out[k] = BiPoly._result(r, r, terms)
     return out
-

@@ -11,7 +11,7 @@ import pytest
 from conftest import get_rs, y_poly
 from weightcalc import powersum, weylsum
 from weightcalc.errors import DomainError, InternalError
-from weightcalc.polyalg import BiPoly, exact_divide
+from weightcalc.polyalg import BiPoly, exact_divide, expand_linear_power
 from weightcalc.powersum import (
     _triangular_solve,
     elementary_from_power,
@@ -203,6 +203,21 @@ def test_missing_generator_fails_the_count_check(monkeypatch, b3):
         invariant_basis(b3, 6)
 
 
+def test_warm_sampled_route_expands_no_generator_again(monkeypatch, b3):
+    # the t-side expansion is cached per root system: a second call, at another weight,
+    # multiplies no generator out again
+    power_sums(b3, (1, 0, 0), 6)
+    calls = []
+
+    def counted(coeffs, k):
+        calls.append((tuple(coeffs), k))
+        return expand_linear_power(coeffs, k)
+
+    monkeypatch.setattr(weylsum, "expand_linear_power", counted)
+    assert power_sums(b3, (0, 1, 1), 6) == _symbolic_route(b3, (0, 1, 1), 6)
+    assert calls == []
+
+
 @pytest.mark.parametrize("corrupt_check_points", [True, False])
 def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points):
     line = {nu for _, nu in weylsum._check_points(d4)}
@@ -254,9 +269,11 @@ def _symbolic_by_division(rs, kmax):
 
     Each step is a long division by the polynomial binom(N+i, i) * F_N(delta, y).
     """
-    n, delta = rs.num_positive, (1,) * rs.rank
+    n, r = rs.num_positive, rs.rank
+    delta = (1,) * r
     table = FkTable.build(rs, n + kmax)
-    f_lam = [table.entries[n + i].translate_a(delta) for i in range(kmax + 1)]
+    shifted = [BiPoly.a_var(i, r, r) + BiPoly.constant(r, r, 1) for i in range(r)]
+    f_lam = [table.entries[n + i].compose(a_images=shifted) for i in range(kmax + 1)]
     f_del = [table.entries[n + i].eval_a(delta) for i in range(kmax + 1)]
     return _triangular_solve(n, f_lam, f_del, exact_divide)
 

@@ -355,6 +355,12 @@ def test_highest_root_values(kind, rank, expected):
 small_types = st.sampled_from([("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 3), ("G", 2)])
 
 
+@pytest.mark.parametrize("bad", [(1,), (1.5, -1), "ab"], ids=repr)
+def test_dominant_representative_checks_its_weight(bad):
+    with pytest.raises(DomainError):
+        dominant_representative(get_rs("A", 2), bad)
+
+
 @given(small_types, st.data())
 def test_dominant_representative_properties(type_pair, data):
     kind, rank = type_pair

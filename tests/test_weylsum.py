@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
+from pathlib import Path
 
 import pytest
 
 from conftest import all_supported_types, get_rs
-from weightcalc import weylsum
+from weightcalc import powersum, weylsum
 from weightcalc.errors import DomainError, InternalError
-from weightcalc.polyalg import BiPoly, _monomials, expand_linear_power, rref
+from weightcalc.polyalg import BiPoly, Mod2Poly, _monomials, expand_linear_power, rref
 from weightcalc.rootsys import dominant_orbit
 from weightcalc.weylsum import (
     FkTable,
@@ -478,12 +480,28 @@ def test_negative_k_rejected(a1, b2):
         fk_direct(a1, -1)
     with pytest.raises(DomainError):
         FkTable.build(a1, kmax=-2)
-    with pytest.raises(DomainError, match="negative power in Weyl sum"):
+    with pytest.raises(DomainError, match="k must be nonnegative"):
         fk_evaluated(a1, (2,), -1)
-    with pytest.raises(DomainError, match="negative power in Weyl sum"):
+    with pytest.raises(DomainError, match="k must be nonnegative"):
         fk_evaluated(b2, (1, 1), -2)
-    with pytest.raises(DomainError, match="negative power in Weyl sum"):
+    with pytest.raises(DomainError, match="k must be nonnegative"):
         fk_scalar(b2, (1, 1), (1, 2), -1)
+
+
+@pytest.mark.parametrize("bad", [3.5, Fraction(7, 2), True, -1], ids=repr)
+def test_degree_arguments_are_nonnegative_ints(a2, bad):
+    calls = [
+        lambda: fk_scalar(a2, (1, 1), (1, 2), bad),
+        lambda: fk_evaluated(a2, (1, 1), bad),
+        lambda: fk_direct(a2, bad),
+        lambda: fk_reduced(a2, bad),
+        lambda: invariant_basis(a2, bad),
+        lambda: BiPoly.a_var(0, 2, 2) ** bad,
+        lambda: Mod2Poly.one(2) ** bad,
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def _exactness_cases():
@@ -529,3 +547,47 @@ def test_kernels_leave_no_reference_cycles(b3):
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_fitted_reduced_sums_stay_in_generator_coordinates(d4):
+    # F'_k, m = k - N, has at most p_m (p_m + 1) coefficients over the p_m products of degree m
+    gens = weylsum._invariant_generators(d4)
+    n = d4.num_positive
+    fitted = weylsum._fit_reduced(d4, [14, 16, 18])
+    for k, f in fitted.items():
+        p_m = len(weylsum._invariant_products(d4, gens, k - n))
+        assert 0 < len(f.terms) <= p_m * (p_m + 1), k
+    assert [len(f.terms) for f in fitted.values()] == [1, 9, 14]
+    expanded = weylsum._expand(d4, list(fitted.values()))
+    assert [len(f.terms) for f in expanded] == [70, 875, 5292]
+
+
+_EXPANSION_NAMES = {"compose", "_substitution", "expand_linear_power"}
+
+
+def _calls(source: str, names) -> list[str]:
+    """The function of each call of a name in ``names``, bare or as a method, one entry per call."""
+    return sorted(
+        func.name for func in ast.walk(ast.parse(source)) if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    )
+
+
+def test_only_the_expansion_writes_out_generator_coordinates():
+    # weylsum: only the expansion helpers substitute or expand powers, besides the references
+    weylsum_source = Path(weylsum.__file__).read_text(encoding="utf-8")
+    assert set(_calls(weylsum_source, _EXPANSION_NAMES)) == {
+        "_expansion", "fk_direct", "sigma_involution"}
+    # powersum: no substitution on an expanded polynomial, one eval_a on generator form
+    powersum_source = Path(powersum.__file__).read_text(encoding="utf-8")
+    assert _calls(powersum_source, {"compose", "translate_a"}) == []
+    assert _calls(powersum_source, {"eval_a"}) == ["symbolic_power_sums"]
+    # the checks find a planted breach of either rule
+    planted = ("def fit(f, images):\n"
+               "    return f.compose(y_images=images)\n"
+               "def solve(fs, at):\n"
+               "    return [f.eval_a(at) for f in fs] + [fs[0].eval_a(at)]\n")
+    assert _calls(planted, _EXPANSION_NAMES) == ["fit"]
+    assert _calls(planted, {"eval_a"}) == ["solve", "solve"]

@@ -457,16 +457,13 @@ def orthogonality_type(rs: RootSystem, lam: Sequence[int]) -> str:
 
     Self-dual iff the dominant representative of the negated weight is the
     weight itself; self-dual representations are orthogonal exactly when the
-    sum of the pairings with all positive coroots is even.
+    sum of the pairings with all positive coroots, <lam, 2rho-vee>, is even.
     """
     lam = validate_dominant(rs, lam)
     negated = [-c for c in lam]
     if tuple(dominant_representative(rs, negated)) != lam:
         return "not-self-dual"
-    parity = 0
-    for av in rs.positive_coroots:
-        parity += sum(lam[i] * av[i] for i in range(rs.rank))
-    return "orthogonal" if parity % 2 == 0 else "symplectic"
+    return "orthogonal" if sum(map(mul, lam, rs.two_rho_vee)) % 2 == 0 else "symplectic"
 
 
 def lattice_orthogonality_type(lattice: CharacterLattice, pi_spec) -> str:

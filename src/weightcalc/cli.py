@@ -130,11 +130,6 @@ def _need_k(args: argparse.Namespace) -> int:
 # -- cache ----------------------------------------------------------------------
 
 
-def _system_name(kind: str, rank: int) -> str:
-    """Display name: the rank is appended unless the kind already carries it."""
-    return kind if kind[-1].isdigit() else f"{kind}{rank}"
-
-
 def _cache_load(path: str) -> Optional[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -169,7 +164,7 @@ def _cache_store(path: str, obj: dict) -> None:
 def _fk_pair(args: argparse.Namespace, rs: RootSystem, k: int) -> tuple[BiPoly, BiPoly]:
     """F_k and F'_k; a warm cache hit parses these two entries and no others."""
     cache_dir = args.cache_dir or os.environ.get("WEIGHTCALC_CACHE")
-    path = cache_dir and os.path.join(cache_dir, f"fk_{_system_name(rs.kind, rs.rank)}.json")
+    path = cache_dir and os.path.join(cache_dir, f"fk_{rs.name}.json")
     data = _cache_load(path) if path else None
     if data is not None and data.get("kind") == rs.kind and data.get("rank") == rs.rank:
         try:
@@ -258,7 +253,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "weyl_order": weyl_order,
         "minus_one_in_weyl": rs.minus_one_in_weyl,
     })
-    lines.append(f"root system {_system_name(rs.kind, rs.rank)}: dim g = {rs.dim_g}, "
+    lines.append(f"root system {rs.name}: dim g = {rs.dim_g}, "
                  f"{rs.num_positive} positive roots")
     lines.append(f"Weyl group order {weyl_order}; "
                  f"contains -1: {'yes' if rs.minus_one_in_weyl else 'no'}")

@@ -62,16 +62,6 @@ DEFAULT_MAX_DIM = 200000
 # -- integer quadratic form ---------------------------------------------------
 
 
-def _integer_form(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """The inverse Killing form on weight coordinates, scaled to integers.
-
-    killing_dual times the lcm of its denominators is integral; every use in
-    the multiplicity recursion is a comparison of norms or a quotient of two
-    form values, so the positive scale cancels.
-    """
-    return _integer_rows(rs.killing_dual)[1]
-
-
 def _form(gram, u: Sequence[int], v: Sequence[int]) -> int:
     return sum(u[i] * sum(gram[i][j] * v[j] for j in range(len(v))) for i in range(len(u)))
 
@@ -150,7 +140,9 @@ def weight_multiplicities(
         )
     r = rs.rank
     cartan = rs.cartan
-    gram = _integer_form(rs)
+    # the inverse Killing form in integer rows: every use below is a comparison
+    # of norms or a quotient of two form values, so its positive scale cancels
+    gram = rs.killing_dual_rows
     lam_d = tuple(lam[i] + 1 for i in range(r))
     bound = _form(gram, lam_d, lam_d)
     pos_roots = [tuple(a) for a in rs.positive_roots]

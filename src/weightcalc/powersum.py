@@ -35,15 +35,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
-from .polyalg import BiPoly, _common_denominator, _mul_into, _ratio, exact_divide
+from .polyalg import BiPoly, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
 from .weylsum import (MAX_TERMS, _expand, _fit_invariants, _fit_reduced, _fk_at_delta,
                       _invariants_at, _orbit_power_sums, _signed_orbit, _vanishes,
-                      coweyl_denominator, coweyl_denominator_at_delta, fk_evaluated)
+                      coweyl_denominator, coweyl_denominator_at, fk_evaluated)
 
 __all__ = [
     "weyl_dimension",
@@ -57,7 +57,7 @@ __all__ = [
 
 def validate_dominant(rs: RootSystem, lam: Sequence[int]) -> tuple[int, ...]:
     """Check that lam is a dominant integral weight; return it as a tuple."""
-    lam = check_coordinates(lam, rs.rank, where=f" for {rs.kind}{rs.rank}")
+    lam = check_coordinates(lam, rs.rank, where=f" for {rs.name}")
     if any(c < 0 for c in lam):
         raise DomainError("weight must be dominant (nonnegative coordinates)")
     return lam
@@ -66,11 +66,12 @@ def validate_dominant(rs: RootSystem, lam: Sequence[int]) -> tuple[int, ...]:
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     """Dimension of the irreducible representation with highest weight lam.
 
-    Product over positive coroots of <lam + delta, beta-vee> / <delta, beta-vee>.
+    d-vee(lam + delta) / d-vee(delta): the product over the positive coroots
+    of <lam + delta, beta-vee> / <delta, beta-vee>.
     """
     lam = validate_dominant(rs, lam)
-    num = prod(sum((c + 1) * x for c, x in zip(lam, av)) for av in rs.positive_coroots)
-    q, rem = divmod(num, coweyl_denominator_at_delta(rs))
+    num = coweyl_denominator_at(rs, [c + 1 for c in lam])
+    q, rem = divmod(num, coweyl_denominator_at(rs, (1,) * rs.rank))
     if rem:
         raise DomainError("dimension formula did not yield an integer")
     return q
@@ -187,11 +188,11 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     F'_{N+i} in generator coordinates (``weylsum._fit_reduced``), with s read
     at a + delta, and F'_{N+i}(delta, y) from the numbers s_j(delta); each step
     divides by the constant binom(N+i, i) * F'_N, and each R_k is written out
-    once (``weylsum._expand``).  P_0 is the dimension polynomial
-    d-vee(a + delta)/d-vee(delta), its numerator the product of the N
-    translated coroot factors (``coweyl_denominator``); each product
-    P_0 * R_k runs on integer coefficients, R_k times the lcm D of its
-    denominators, and is divided once by D * d-vee(delta).  Before any fit
+    once (``weylsum._expand``), as D * R_k in integers, D the lcm of its
+    denominators.  P_0 is the dimension polynomial d-vee(a + delta)/d-vee(delta),
+    its numerator the product of the N translated coroot factors
+    (``coweyl_denominator``); each product P_0 * D * R_k runs on integer
+    coefficients and is divided once by D * d-vee(delta).  Before any fit
     the expanded output is bounded by sum_k C(N+k+r, r) * C(k+r-1, r-1)
     terms, its a-degree <= N+k and y-degree k; over MAX_TERMS it is refused
     with DomainError.
@@ -200,23 +201,22 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
     n, r = rs.num_positive, rs.rank
     size = sum(comb(n + k + r, r) * comb(k + r - 1, r - 1) for k in range(kmax + 1))
     if size > MAX_TERMS:
-        raise DomainError(f"symbolic P_0..P_{kmax} of {rs.kind}{r} may have {size} terms, "
+        raise DomainError(f"symbolic P_0..P_{kmax} of {rs.name} may have {size} terms, "
                           f"over the budget of {MAX_TERMS}")
     ms = range(n, n + kmax + 1)
     fitted = _fit_reduced(rs, [m for m in ms if not _vanishes(rs, m)])
     reduced = [fitted.get(m, BiPoly.zero(r, r)) for m in ms]
     delta = (1,) * r
-    at_delta = _invariants_at(rs, delta)
+    at_delta = _invariants_at(rs, list(map(sum, rs.killing_dual_rows)), kmax)  # s_j(delta)
     f_del = [f.eval_a(at_delta) for f in reduced]
     f_del[0] = f_del[0].constant_term()  # F'_N = N!/d-vee(delta)
     ratios = _triangular_solve(n, reduced, f_del, lambda f, c: f.scale(Fraction(1, c)))
     dvee = coweyl_denominator(rs, delta).terms  # d-vee(a + delta), int coefficients
-    dvee_delta = coweyl_denominator_at_delta(rs)
+    dvee_delta = coweyl_denominator_at(rs, delta)
     out = []
-    for f in _expand(rs, ratios, delta):
-        den, num = _common_denominator(list(f.terms.values()))
+    for den, f in _expand(rs, ratios, delta):
         acc: dict = {}
-        _mul_into(acc, dict(zip(f.terms, num)), dvee)
+        _mul_into(acc, f.terms, dvee)
         out.append(BiPoly._result(r, r, {e: _ratio(v, den * dvee_delta) for e, v in acc.items()}))
     return out
 

@@ -22,15 +22,16 @@ Coordinate conventions (fixed once, used everywhere):
 The Killing form on the coweight side is computed from the root sum
 ``K(nu1, nu2) = sum over all roots alpha of <alpha, nu1><alpha, nu2>`` and is
 an integer matrix in simple-coroot coordinates; ``killing_dual`` is its exact
-rational inverse (the induced form on the weight side), and the coroots are
-read off it.
+rational inverse (the induced form on the weight side), and
+``killing_dual_rows`` that inverse scaled to integer rows, M, off which the
+coroots are read and which every other user of the form reads too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
@@ -167,6 +168,7 @@ class RootSystem:
     killing: Matrix = field(compare=False)
     killing_dual: Tuple[Tuple[Fraction, ...], ...] = field(compare=False)
     minus_one_in_weyl: bool = field(compare=False)
+    killing_dual_rows: Matrix | None = field(default=None, compare=False)  # M, integer rows
     _weyl: Tuple[WeylElement, ...] | None = field(
         default=None, repr=False, compare=False
     )
@@ -180,13 +182,23 @@ class RootSystem:
         return 2 * len(self.positive_roots) + self.rank
 
     @property
+    def name(self) -> str:
+        """Display name: "A3", "G2"; the rank is appended unless the kind carries it."""
+        return self.kind if self.kind[-1].isdigit() else f"{self.kind}{self.rank}"
+
+    @cached_property
+    def two_rho_vee(self) -> Tuple[int, ...]:
+        """2rho-vee, the sum of the positive coroots, in simple-coroot coordinates."""
+        return tuple(map(sum, zip(*self.positive_coroots)))
+
+    @property
     def weyl(self) -> Tuple[WeylElement, ...]:
         if self._weyl is None:
             elems = _enumerate_weyl(self.cartan, self.positive_coroots)
             _, w_exp = _expected_counts(self.kind, self.rank)
             if len(elems) != w_exp:
                 raise InternalError(
-                    f"{self.kind}{self.rank}: enumerated {len(elems)} Weyl elements,"
+                    f"{self.name}: enumerated {len(elems)} Weyl elements,"
                     f" expected {w_exp}"
                 )
             minus_one = tuple(
@@ -195,7 +207,7 @@ class RootSystem:
             )
             if self.minus_one_in_weyl != any(w.matrix == minus_one for w in elems):
                 raise InternalError(
-                    f"{self.kind}{self.rank}: -1-in-W prediction contradicts enumeration"
+                    f"{self.name}: -1-in-W prediction contradicts enumeration"
                 )
             object.__setattr__(self, "_weyl", elems)
         return self._weyl
@@ -236,17 +248,18 @@ def build_root_system(kind: str, rank: int) -> RootSystem:
     killing_dual = invert(killing)
     if killing_dual is None:
         raise InternalError("singular Killing matrix")
-    gram = _integer_rows(killing_dual)[1]
+    rows = _integer_rows(killing_dual)[1]
     rs = RootSystem(
         kind=kind,
         rank=rank,
         cartan=cartan,
         positive_roots=pos_roots,
-        positive_coroots=tuple(_coroot(gram, beta) for beta in pos_roots),
+        positive_coroots=tuple(_coroot(rows, beta) for beta in pos_roots),
         root_coefficients=coeffs,
         killing=killing,
         killing_dual=killing_dual,
         minus_one_in_weyl=_minus_one_in_weyl(cartan),
+        killing_dual_rows=rows,
     )
     _check_counts(rs)
     return rs
@@ -280,7 +293,7 @@ def _check_counts(rs: RootSystem) -> None:
     n_exp, _ = _expected_counts(rs.kind, rs.rank)
     if rs.num_positive != n_exp:
         raise InternalError(
-            f"{rs.kind}{rs.rank}: generated {rs.num_positive} positive roots, expected {n_exp}"
+            f"{rs.name}: generated {rs.num_positive} positive roots, expected {n_exp}"
         )
 
 

@@ -28,8 +28,9 @@ orbit power sums over W.w1 (and, on D_r, the half-spin orbit W.w_r), for
 F'_k their transport-symmetrized products of degree k-N, and checks the fit
 at two points off the fitting set.  The fitted invariants stay in generator
 coordinates, BiPolys of arity (r, r) whose exponents count powers of
-s_j = p_j(M a) and t_j = p_j(y), M the inverse Killing form K-vee scaled to
-integer rows; ``_expand`` alone writes them out in monomials of (a, y).
+s_j = p_j(M a) and t_j = p_j(y), M the inverse Killing form K-vee in integer
+rows (``RootSystem.killing_dual_rows``); ``_expand`` alone writes them out in
+monomials of (a, y), each scaled to integer coefficients first.
 FkTable and the symbolic power sums never expand the big alternating sum;
 fk_direct and fk_reduced expand and divide it, and are kept as the
 reference that tests compare against.
@@ -47,7 +48,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
-from .polyalg import (BiPoly, _common_denominator, _integer_rows, _monomials, _mul_into,
+from .polyalg import (BiPoly, _common_denominator, _monomials, _mul_into,
                       _substitution, exact_divide, expand_linear_power, rref)
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
@@ -59,7 +60,8 @@ __all__ = [
     "fk_reduced",
     "weyl_denominator",
     "coweyl_denominator",
-    "coweyl_denominator_at_delta",
+    "weyl_denominator_at",
+    "coweyl_denominator_at",
     "q2_poly",
     "q2_dual_poly",
     "closed_form_FN",
@@ -222,20 +224,18 @@ def _fk_at_delta(rs: RootSystem, nu: tuple[int, ...], imax: int) -> tuple[int, .
     scale = 4 ** jmax * factorial(2 * jmax + 1)
     weights = [scale // (4 ** j * factorial(2 * j + 1)) for j in range(jmax + 1)]
     series = [1] + [0] * jmax  # coefficients of t^0, t^2, ..., t^(2J)
-    d = 1
     for al in rs.positive_roots:
         x = sum(map(mul, al, nu))
-        d *= x
         factor = [w * x ** (2 * j) for j, w in enumerate(weights)]
         series = [sum(series[a] * factor[b - a] for a in range(b + 1)) for b in range(jmax + 1)]
-    out, den = [], scale ** n
+    out, d, den = [], weyl_denominator_at(rs, nu), scale ** n
     for i in range(imax + 1):
         if i % 2:
             out.append(0)
             continue
         q, rem = divmod(factorial(n + i) * d * series[i // 2], den)
         if rem:
-            raise InternalError(f"{rs.kind}{rs.rank}: F_{n + i}(delta, {tuple(nu)}) is not an integer")
+            raise InternalError(f"{rs.name}: F_{n + i}(delta, {tuple(nu)}) is not an integer")
         out.append(q)
     return tuple(out)
 
@@ -264,9 +264,14 @@ def coweyl_denominator(rs: RootSystem, shift: Sequence[int] | None = None) -> Bi
                  for av in rs.positive_coroots), start=one)
 
 
-def coweyl_denominator_at_delta(rs: RootSystem) -> int:
-    """d-vee(delta) = product over positive coroots of their coordinate sums."""
-    return prod(sum(av) for av in rs.positive_coroots)
+def weyl_denominator_at(rs: RootSystem, nu: Sequence[Scalar]) -> Scalar:
+    """d(nu) = the product of the pairings <alpha, nu> over the positive roots."""
+    return prod(sum(map(mul, al, nu)) for al in rs.positive_roots)
+
+
+def coweyl_denominator_at(rs: RootSystem, x: Sequence[Scalar]) -> Scalar:
+    """d-vee(x) = the product of the pairings <x, beta-vee> over the positive coroots."""
+    return prod(sum(map(mul, av, x)) for av in rs.positive_coroots)
 
 
 def _quadratic(m: Sequence[Sequence[Scalar]], offset: int) -> BiPoly:
@@ -298,7 +303,7 @@ def closed_form_FN(rs: RootSystem) -> BiPoly:
     """F_N = N! * d * d-vee / d-vee(delta)."""
     n = rs.num_positive
     return (weyl_denominator(rs) * coweyl_denominator(rs)).scale(
-        Fraction(factorial(n), coweyl_denominator_at_delta(rs))
+        Fraction(factorial(n), coweyl_denominator_at(rs, (1,) * rs.rank))
     )
 
 
@@ -363,9 +368,10 @@ class FkTable:
             full, low = comb(ks[-1] + r - 1, r - 1), comb(ks[-1] - rs.num_positive + r - 1, r - 1)
             size = min(full, len(dvee.terms) * low) * min(full, len(d.terms) * low)
             if size > MAX_TERMS:
-                raise DomainError(f"F_{ks[-1]} of {rs.kind}{r} may have {size} terms, "
+                raise DomainError(f"F_{ks[-1]} of {rs.name} may have {size} terms, "
                                   f"over the term budget of {MAX_TERMS}")
-            reduced.update(zip(ks, _expand(rs, list(_fit_reduced(rs, ks).values()))))
+            expanded = _expand(rs, list(_fit_reduced(rs, ks).values()))
+            reduced.update((k, f.scale(Fraction(1, den))) for k, (den, f) in zip(ks, expanded))
             entries.update((k, reduced[k] * d * dvee) for k in ks)
         return cls(kind=rs.kind, rank=r, kmax=kmax, entries=entries, reduced=reduced)
 
@@ -373,27 +379,29 @@ class FkTable:
 # -- invariant-basis route ---------------------------------------------------
 
 
-def _fundamental_degrees(rs: RootSystem) -> list[int]:
+@lru_cache(maxsize=None)
+def _fundamental_degrees(rs: RootSystem) -> tuple[int, ...]:
     """Degrees of the basic W-invariants, read off the heights of the positive roots.
 
     An exponent h occurs (number of roots of height h) - (number of height
     h + 1) times (Kostant), and each degree is an exponent plus one.
     """
     heights = Counter(sum(c) for c in rs.root_coefficients)
-    return sorted(h + 1 for h in heights for _ in range(heights[h] - heights[h + 1]))
+    return tuple(sorted(h + 1 for h in heights for _ in range(heights[h] - heights[h + 1])))
 
 
-def _invariant_generators(rs: RootSystem) -> list[tuple[int, list[tuple]]]:
+@lru_cache(maxsize=None)
+def _invariant_generators(rs: RootSystem) -> list[tuple[int, dict]]:
     """(d, orbit) for each basic invariant p_d(y) = sum over v in the orbit of <v, y>^d.
 
     The degrees d are the fundamental degrees, and the orbit W.w1 gives a
     generator of each: p_2..p_{r+1} on A_r, the even p_2..p_2r on B_r and C_r,
     and p_2, p_6 on G2.  On D_r it gives the even p_2..p_{2r-2}, and the
     half-spin orbit W.w_r supplies the degree-r generator, whose Pfaffian part
-    no power sum over W.w1 has.
+    no power sum over W.w1 has.  Memoised per root system; the list is shared, never mutated.
     """
     r = rs.rank
-    degrees = _fundamental_degrees(rs)
+    degrees = list(_fundamental_degrees(rs))
     vector = dominant_orbit(rs.cartan, (1,) + (0,) * (r - 1))
     if rs.kind != "D":
         return [(d, vector) for d in degrees]
@@ -423,7 +431,7 @@ def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tup
             count[m] += count[m - d]
     if len(out) != count[degree]:
         raise InternalError(
-            f"{rs.kind}{rs.rank}: {len(out)} invariant products of degree {degree},"
+            f"{rs.name}: {len(out)} invariant products of degree {degree},"
             f" the fundamental degrees give {count[degree]}"
         )
     return out
@@ -439,7 +447,7 @@ def _expansion(rs: RootSystem, shift: tuple[int, ...], used: tuple[bool, ...]):
     <M^T v, shift> (0 for the empty shift) as one more slot.  The cache
     keeps the memo of product images of ``polyalg._substitution``.
     """
-    r, kd = rs.rank, _integer_rows(rs.killing_dual)[1]
+    r, kd = rs.rank, rs.killing_dual_rows
     gens, images = _invariant_generators(rs), []
     for i, u in enumerate(used):
         d, orbit = gens[i % r]
@@ -454,17 +462,31 @@ def _expansion(rs: RootSystem, shift: tuple[int, ...], used: tuple[bool, ...]):
     return _substitution(r, r, images[:r], images[r:])
 
 
-def _invariants_at(rs: RootSystem, x: Sequence[int]) -> list[Scalar]:
-    """The values s_j(x) = p_j(M x) at a weight x."""
-    point = [sum(map(mul, row, x)) for row in _integer_rows(rs.killing_dual)[1]]
-    return [sum(sum(map(mul, v, point)) ** d for v in orbit)
-            for d, orbit in _invariant_generators(rs)]
+def _invariants_at(rs: RootSystem, y: Sequence[int], top: int, products=None) -> list:
+    """p_j(y) for each basic invariant of degree at most top, and 0 for the others.
+
+    The t_j(y) at a coweight y, and the s_j(x) at a weight x with y = M x.
+    Given ``products``, lists of exponent vectors e of degree at most top,
+    the values p(y)^e instead, one list per list.
+    """
+    g = [sum(sum(map(mul, v, y)) ** d for v in orbit) if d <= top else 0
+         for d, orbit in _invariant_generators(rs)]
+    return g if products is None else [[prod(map(pow, g, e)) for e in es] for es in products]
 
 
-def _expand(rs: RootSystem, polys: Sequence[BiPoly], shift: tuple[int, ...] = ()) -> list:
-    """Polynomials in generator coordinates written out in (a, y), s at a + shift (empty: a)."""
-    used = tuple(any(e[i] for f in polys for e in f.terms) for i in range(2 * rs.rank))
-    return list(map(_expansion(rs, tuple(shift), used), polys))
+def _expand(rs: RootSystem, polys: Sequence[BiPoly],
+            shift: tuple[int, ...] = ()) -> list[tuple[int, BiPoly]]:
+    """Polynomials in generator coordinates written out in (a, y), s at a + shift (empty: a).
+
+    Each f is scaled to integers before it is written out: the pair (D, D * f)
+    comes back, D the lcm of the denominators of f's coefficients.
+    """
+    r = rs.rank
+    used = tuple(any(e[i] for f in polys for e in f.terms) for i in range(2 * r))
+    expansion = _expansion(rs, tuple(shift), used)
+    scaled = [_common_denominator(list(f.terms.values())) for f in polys]
+    return [(den, expansion(BiPoly._result(r, r, dict(zip(f.terms, num)))))
+            for f, (den, num) in zip(polys, scaled)]
 
 
 def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:
@@ -479,10 +501,10 @@ def invariant_basis(rs: RootSystem, degree: int) -> list[BiPoly]:
     products = _invariant_products(rs, _invariant_generators(rs), degree)
     monoms = [(0,) * r + m for m in _monomials(r, degree)]
     expanded = _expand(rs, [BiPoly(r, r, {(0,) * r + e: 1}) for e in products])
-    basis_rows, _ = rref([[f.terms.get(m, 0) for m in monoms] for f in expanded])
+    basis_rows, _ = rref([[f.terms.get(m, 0) for m in monoms] for _, f in expanded])
     if len(basis_rows) != len(products):
         raise InternalError(
-            f"{rs.kind}{rs.rank}: the invariant products of degree {degree} are dependent"
+            f"{rs.name}: the invariant products of degree {degree} are dependent"
         )
     return [BiPoly(r, r, {m: c for m, c in zip(monoms, row) if c}) for row in basis_rows]
 
@@ -502,27 +524,8 @@ def _fit_points(rs: RootSystem):
 
     q = 16
     rng = random.Random(rs.rank)
-    two_rho_vee = [sum(av[j] for av in rs.positive_coroots) for j in range(rs.rank)]
     while True:
-        yield tuple(2 * q * x + rng.randint(1, q) for x in two_rho_vee)
-
-
-def _denominators(rs: RootSystem, mu: Sequence[int], nu: Sequence[int]) -> tuple[int, int]:
-    """d(nu) and d-vee(mu): the positive roots' product at nu, the coroots' at mu."""
-    return (prod(sum(map(mul, al, nu)) for al in rs.positive_roots),
-            prod(sum(map(mul, av, mu)) for av in rs.positive_coroots))
-
-
-def _product_values(gens: Sequence, products: Sequence[list]):
-    """The map point -> the value at point of each generator product, one list per system."""
-    used = {j for prods in products for e in prods for j, x in enumerate(e) if x}
-
-    def values(point):
-        gval = [sum(sum(map(mul, v, point)) ** d for v in orbit) if j in used else 0
-                for j, (d, orbit) in enumerate(gens)]
-        return [[prod(map(pow, gval, e)) for e in prods] for prods in products]
-
-    return values
+        yield tuple(2 * q * x + rng.randint(1, q) for x in rs.two_rho_vee)
 
 
 def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
@@ -541,7 +544,7 @@ def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
     system, one still singular at the bound, or a failed check raises
     InternalError.
     """
-    label = f"{rs.kind}{rs.rank}"
+    label = rs.name
     rows: list[list[list[Scalar]]] = [[] for _ in sizes]
     coeffs: list = [None] * len(sizes)
     for count, point in enumerate(islice(points, max(sizes) + 8), 1):
@@ -582,10 +585,9 @@ def _check_points(rs: RootSystem) -> list[tuple]:
     most, so the search ends.
     """
     r = rs.rank
-    two_rho_vee = [sum(av[j] for av in rs.positive_coroots) for j in range(r)]
     pairs = ((tuple(1 + c * (j + 1) for j in range(r)),
-              tuple(c * two_rho_vee[j] + j + 1 for j in range(r))) for c in count(1))
-    return list(islice(((mu, nu) for mu, nu in pairs if all(_denominators(rs, mu, nu))), 2))
+              tuple(c * x + j + 1 for j, x in enumerate(rs.two_rho_vee))) for c in count(1))
+    return list(islice(((mu, nu) for mu, nu in pairs if weyl_denominator_at(rs, nu)), 2))
 
 
 def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
@@ -595,22 +597,18 @@ def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
     coweight nu.  ``_fit_exact`` solves each f_k in the basis of products of
     orbit power sums (``_invariant_products``) from the values at
     ``_fit_points`` and checks it at the coweights nu of ``_check_points``.
-    Each f_k is expanded as D * c_i times t^(pi_i), in integers, D the lcm
-    of the denominators of its coefficients c_i, then divided by D.
+    Each f_k, the c_i on the monomials t^(pi_i), is written out by
+    ``_expand`` in integers and divided by its denominator.
     """
     gens = _invariant_generators(rs)
     products = [_invariant_products(rs, gens, k) for k in range(kmax + 1)]
-    basis_values = _product_values(gens, products)
-    coeffs = _fit_exact(
-        rs, [f"degree-{k}" for k in range(kmax + 1)], [len(p) for p in products],
-        lambda nu: (basis_values(nu), values(nu)), _fit_points(rs),
-        [nu for _, nu in _check_points(rs)],
-    )
+    coeffs = _fit_exact(rs, [f"degree-{k}" for k in range(kmax + 1)], [len(p) for p in products],
+                        lambda nu: (_invariants_at(rs, nu, kmax, products), values(nu)),
+                        _fit_points(rs), [nu for _, nu in _check_points(rs)])
     r = rs.rank
-    scaled = [_common_denominator(c) for c in coeffs]
-    fitted = [BiPoly._result(r, r, {(0,) * r + e: x for e, x in zip(prods, num)})
-              for (_, num), prods in zip(scaled, products)]
-    return [f.scale(Fraction(1, den)) for (den, _), f in zip(scaled, _expand(rs, fitted))]
+    fitted = [BiPoly._result(r, r, {(0,) * r + e: x for e, x in zip(prods, c)})
+              for prods, c in zip(products, coeffs)]
+    return [f.scale(Fraction(1, den)) for den, f in _expand(rs, fitted)]
 
 
 def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
@@ -629,18 +627,18 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
     gens = _invariant_generators(rs)
     products = [_invariant_products(rs, gens, k - n) for k in ks]
     pairs = [[(i, j) for i in range(len(p)) for j in range(i, len(p))] for p in products]
-    basis_values = _product_values(gens, products)
-    kd = _integer_rows(rs.killing_dual)[1]
+    top = max(ks) - n
 
     def rows_at(point):
         mu, nu = point
-        dval, dvee = _denominators(rs, mu, nu)
-        at_nu = basis_values(nu)
-        at_kmu = basis_values([sum(map(mul, row, mu)) for row in kd])
+        at_nu = _invariants_at(rs, nu, top, products)
+        at_kmu = _invariants_at(rs, [sum(map(mul, row, mu)) for row in rs.killing_dual_rows],
+                                top, products)
         rows = [[x[i] * z[j] + x[j] * z[i] for i, j in ps]
                 for x, z, ps in zip(at_nu, at_kmu, pairs)]
         values = _orbit_power_sums(_signed_orbit(rs, mu), nu, ks)
-        return rows, [Fraction(v, dval * dvee) for v in values]
+        den = weyl_denominator_at(rs, nu) * coweyl_denominator_at(rs, mu)
+        return rows, [Fraction(v, den) for v in values]
 
     fit = _fit_points(rs)
     coeffs = _fit_exact(rs, [f"F'_{k}" for k in ks], [len(p) for p in pairs], rows_at,

@@ -1,6 +1,8 @@
 """The shared input checks of ``errors``, and that no other module writes its own.
 
-Also that the Weyl denominators d and d-vee are built by their two builders alone.
+Also that the Weyl denominators d and d-vee are built by their two builders alone,
+evaluated at a point by their two evaluators alone, and that the inverse Killing
+form is scaled to integer rows in ``rootsys`` alone.
 """
 
 from __future__ import annotations
@@ -46,19 +48,20 @@ def test_int_check_lives_in_errors_alone():
     ) == [2, 3]
 
 
+def _attrs(tree) -> set[str]:
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def _denominator_builders(source: str) -> list[str]:
     """Functions that call ``a_linear`` or ``y_linear`` in a loop over the positive (co)roots."""
-    def attrs(tree):
-        return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-
     found = set()
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef):
             continue
         for node in ast.walk(func):
             loops = getattr(node, "generators", [node] if isinstance(node, ast.For) else [])
-            if any(attrs(loop.iter) & {"positive_roots", "positive_coroots"} for loop in loops) \
-                    and attrs(node) & {"a_linear", "y_linear"}:
+            if any(_attrs(loop.iter) & {"positive_roots", "positive_coroots"} for loop in loops) \
+                    and _attrs(node) & {"a_linear", "y_linear"}:
                 found.add(func.name)
     return sorted(found)
 
@@ -83,6 +86,99 @@ def test_weyl_denominators_are_built_in_one_place():
         "def killing_rows(rs):\n"
         "    return [BiPoly.a_linear(row) for row in rs.killing_dual]\n"
     ) == ["listed", "looped", "weyl_denominator"]
+
+
+def _pairing_products(source: str) -> list[str]:
+    """Functions that multiply values over the positive (co)roots, other than linear factors.
+
+    A product is a ``prod`` call over a comprehension, or a ``*=`` in a for loop,
+    that iterates over ``positive_roots`` or ``positive_coroots``; one that builds
+    ``a_linear`` or ``y_linear`` polynomials is a symbolic denominator, not a value.
+    """
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and "prod" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                loops = [g for arg in node.args for n in ast.walk(arg)
+                         for g in getattr(n, "generators", [])]
+            elif isinstance(node, ast.For) and any(
+                    isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Mult)
+                    for n in ast.walk(node)):
+                loops = [node]
+            else:
+                continue
+            if any(_attrs(loop.iter) & {"positive_roots", "positive_coroots"} for loop in loops) \
+                    and not _attrs(node) & {"a_linear", "y_linear"}:
+                found.add(func.name)
+    return sorted(found)
+
+
+def test_denominators_at_a_point_are_evaluated_in_one_place():
+    package = Path(errors.__file__).parent
+    found = {p.name: _pairing_products(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {
+        "weylsum.py": ["coweyl_denominator_at", "weyl_denominator_at"]}
+    # the check itself finds each way of writing one, and passes the symbolic builders
+    assert _pairing_products(
+        "def both(rs, mu, nu):\n"
+        "    return (prod(sum(map(mul, al, nu)) for al in rs.positive_roots),\n"
+        "            math.prod(sum(map(mul, av, mu)) for av in rs.positive_coroots))\n"
+        "def at_delta(rs):\n"
+        "    return prod(sum(av) for av in rs.positive_coroots)\n"
+        "def dimension(rs, lam):\n"
+        "    return prod(sum((c + 1) * x for c, x in zip(lam, av)) for av in rs.positive_coroots)\n"
+        "def looped(rs, nu):\n"
+        "    d = 1\n"
+        "    for al in rs.positive_roots:\n"
+        "        x = sum(map(mul, al, nu))\n"
+        "        d *= x\n"
+        "def weyl_denominator(rs):\n"
+        "    return prod((BiPoly.y_linear(al) for al in rs.positive_roots), start=one)\n"
+        "def parity(rs, lam):\n"
+        "    return sum(sum(map(mul, lam, av)) for av in rs.positive_coroots) % 2\n"
+        "def series(rs, s):\n"
+        "    for al in rs.positive_roots:\n"
+        "        s = [c * sum(al) for c in s]\n"
+    ) == ["at_delta", "both", "dimension", "looped"]
+
+
+def _integer_form_scalings(source: str) -> list[str]:
+    """Functions that pass ``killing_dual`` to ``_integer_rows`` or ``_common_denominator``."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and {getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)} \
+                    & {"_integer_rows", "_common_denominator"} \
+                    and any(getattr(n, "id", getattr(n, "attr", None)) == "killing_dual"
+                            for arg in node.args for n in ast.walk(arg)):
+                found.add(func.name)
+    return sorted(found)
+
+
+def test_inverse_killing_form_is_scaled_to_integers_in_one_place():
+    package = Path(errors.__file__).parent
+    found = {p.name: _integer_form_scalings(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {
+        "rootsys.py": ["build_root_system"]}
+    # the check itself finds each way of writing one, and passes the field's readers
+    assert _integer_form_scalings(
+        "def build(killing_dual):\n"
+        "    return _integer_rows(killing_dual)[1]\n"
+        "def form(rs):\n"
+        "    return polyalg._integer_rows(rs.killing_dual)[1]\n"
+        "def flat(rs):\n"
+        "    return _common_denominator([x for row in rs.killing_dual for x in row])\n"
+        "def reader(rs):\n"
+        "    return rs.killing_dual_rows, _integer_rows(inverse)\n"
+    ) == ["build", "flat", "form"]
 
 
 def test_is_int_refuses_bools_and_other_numbers():

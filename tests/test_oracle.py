@@ -22,7 +22,6 @@ from weightcalc.oracle import (
     DEFAULT_MAX_DIM,
     WeightMultiset,
     _form,
-    _integer_form,
     character_at_order2,
     oracle_elementary,
     oracle_power_sum,
@@ -148,7 +147,7 @@ def _per_step_fill(rs, lam, order):
     at every root-string step nu = mu + j alpha.
     """
     r = rs.rank
-    gram = _integer_form(rs)
+    gram = rs.killing_dual_rows
     lam_d = tuple(c + 1 for c in lam)
     bound = _form(gram, lam_d, lam_d)
     mult = {}
@@ -181,7 +180,7 @@ def _ball_sweep_multiplicities(rs, lam):
     by the per-step recursion in (level, mu) order.
     """
     r = rs.rank
-    gram = _integer_form(rs)
+    gram = rs.killing_dual_rows
     lam_d = tuple(c + 1 for c in lam)
     bound = _form(gram, lam_d, lam_d)
     levels = {tuple(lam): 0}

@@ -77,6 +77,14 @@ def test_validate_dominant_rejections(a2):
         power_sums(a2, (1, 1), -1)
 
 
+def test_wrong_length_weight_names_the_system():
+    # the label is RootSystem.name: "G2", never the kind and the rank run together
+    with pytest.raises(DomainError, match="expected 2 for G2$"):
+        power_sums(build_root_system("G", 2), (1, 0, 0), 2)
+    with pytest.raises(DomainError, match="expected 3 for B3$"):
+        power_sums(build_root_system("B", 3), (1, 0), 2)
+
+
 # -- structural identities -------------------------------------------------------
 
 

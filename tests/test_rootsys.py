@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given
@@ -317,6 +317,18 @@ def test_minus_one_in_weyl_table(kind, rank):
         "G": True,
     }[kind]
     assert rs.minus_one_in_weyl == expected
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_name_integer_dual_rows_and_two_rho_vee(kind, rank):
+    rs = get_rs(kind, rank)
+    assert rs.name == ("G2" if kind == "G" else f"{kind}{rank}")
+    # M = D * K-vee in int rows, D the lcm of the denominators of K-vee
+    d = lcm(*(Fraction(k).denominator for row in rs.killing_dual for k in row))
+    assert rs.killing_dual_rows == tuple(tuple(d * k for k in row) for row in rs.killing_dual)
+    assert {type(m) for row in rs.killing_dual_rows for m in row} == {int}
+    # 2rho-vee pairs to 2 with every simple root
+    assert [sum(a * x for a, x in zip(row, rs.two_rho_vee)) for row in rs.cartan] == [2] * rank
 
 
 def test_killing_dual_is_inverse_of_killing():

@@ -21,7 +21,7 @@ from weightcalc.weylsum import (
     closed_form_FN,
     closed_form_FN2,
     coweyl_denominator,
-    coweyl_denominator_at_delta,
+    coweyl_denominator_at,
     fk_direct,
     fk_evaluated,
     fk_reduced,
@@ -31,6 +31,7 @@ from weightcalc.weylsum import (
     q2_poly,
     sigma_involution,
     weyl_denominator,
+    weyl_denominator_at,
 )
 from test_rootsys import reflection_matrix
 
@@ -365,8 +366,8 @@ def test_fk_scalar_matches_closed_forms(kind, rank):
     rs = get_rs(kind, rank)
     n = rs.num_positive
     for mu, nu in weylsum._check_points(rs):
-        d, d_vee = weylsum._denominators(rs, mu, nu)
-        f_n = Fraction(factorial(n) * d * d_vee, coweyl_denominator_at_delta(rs))
+        d, d_vee = weyl_denominator_at(rs, nu), coweyl_denominator_at(rs, mu)
+        f_n = Fraction(factorial(n) * d * d_vee, coweyl_denominator_at(rs, (1,) * rank))
         q2 = sum(rs.killing[i][j] * nu[i] * nu[j] for i in range(rank) for j in range(rank))
         q2_vee = sum(rs.killing_dual[i][j] * mu[i] * mu[j] for i in range(rank) for j in range(rank))
         assert fk_scalar(rs, mu, nu, n) == f_n != 0
@@ -378,9 +379,9 @@ def test_weyl_denominator_structure(a2):
     dv = coweyl_denominator(a2)
     assert d.a_degree() == 0 and d.y_degree() == a2.num_positive
     assert dv.y_degree() == 0 and dv.a_degree() == a2.num_positive
-    assert coweyl_denominator_at_delta(a2) == dv.evaluate((1, 1), (0, 0))
+    assert coweyl_denominator_at(a2, (1, 1)) == dv.evaluate((1, 1), (0, 0))
     # delta evaluation of d-vee equals N! / leading coefficient of dim poly: 2 for A2
-    assert coweyl_denominator_at_delta(a2) == 2
+    assert coweyl_denominator_at(a2, (1, 1)) == 2
 
 
 def test_q2_pairing_normalization(a2):
@@ -559,7 +560,32 @@ def test_fitted_reduced_sums_stay_in_generator_coordinates(d4):
         assert 0 < len(f.terms) <= p_m * (p_m + 1), k
     assert [len(f.terms) for f in fitted.values()] == [1, 9, 14]
     expanded = weylsum._expand(d4, list(fitted.values()))
-    assert [len(f.terms) for f in expanded] == [70, 875, 5292]
+    assert [len(f.terms) for _, f in expanded] == [70, 875, 5292]
+
+
+def test_expansion_writes_out_integer_coefficients(monkeypatch):
+    # _expand scales each polynomial to integers before its substitution runs,
+    # so no write-out multiplies Fractions
+    seen = []
+    substitution = weylsum._substitution
+
+    def spied(*images):
+        substitute = substitution(*images)
+
+        def spy(f):
+            seen.append({type(c) for c in f.terms.values()})
+            return substitute(f)
+        return spy
+
+    weylsum._expansion.cache_clear()  # built again below, through the spy
+    monkeypatch.setattr(weylsum, "_substitution", spied)
+    try:
+        powersum.symbolic_power_sums(get_rs("A", 2), 4)
+        FkTable.build(get_rs("B", 3), 11)
+        powersum.power_sums(get_rs("B", 3), (1, 0, 0), 6)
+    finally:
+        weylsum._expansion.cache_clear()
+    assert len(seen) > 10 and set().union(*seen) == {int}
 
 
 _EXPANSION_NAMES = {"compose", "_substitution", "expand_linear_power"}

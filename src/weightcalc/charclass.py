@@ -38,7 +38,7 @@ from operator import mul, sub
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
-from .polyalg import BiPoly, Mod2Poly, _integer_rows, _substitution, invert, mod2_reduce
+from .polyalg import BiPoly, Mod2Poly, _integer_rows, _mul_into, _substitution, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
     _binomial_convolution,
@@ -321,7 +321,9 @@ def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
 def _generator_substitution(lattice: CharacterLattice) -> Callable[[BiPoly], BiPoly]:
     """The integer rows substituted for the y-variables; its memo of images lives per lattice."""
     rows, _ = _generator_images(lattice)
-    return _substitution(len(rows), len(rows), None, [BiPoly.a_linear(row, ny=0) for row in rows])
+    n = len(rows)
+    return _substitution(n, n, [BiPoly.a_var(i, n, 0) for i in range(n)],
+                         [BiPoly.a_linear(row, ny=0) for row in rows])
 
 
 def _scaled_to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
@@ -402,14 +404,15 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     ]
     cs += [BiPoly.zero(n, 0)] * (kmax - top)
     if pi.s_wrap:
-        dual = [ck.scale((-1) ** k) for k, ck in enumerate(cs)]
-        cs = [
-            sum(
-                (cs[i] * dual[k - i] for i in range(1, k + 1)),
-                start=cs[0] * dual[k],
-            )
-            for k in range(kmax + 1)
-        ]
+        # c(pi) c(pi*) with c_i(pi*) = (-1)^i c_i: the odd classes cancel, and in an
+        # even one each pair c_i c_(k-i), i < k/2, counts twice and c_(k/2)^2 once
+        doubled: list[dict] = [{} for _ in cs]
+        for k in range(0, kmax + 1, 2):
+            for i in range(k // 2 + 1):
+                sign = (-1) ** i * (2 if 2 * i < k else 1)
+                signed = {e: sign * c for e, c in cs[i].terms.items()}
+                _mul_into(doubled[k], signed, cs[k - i].terms)
+        cs = [BiPoly._result(n, 0, acc) for acc in doubled]
         degree *= 2
     return ChernResult(lattice, pi, kmax, degree, tuple(cs))
 
@@ -474,7 +477,11 @@ def lattice_orthogonality_type(lattice: CharacterLattice, pi_spec) -> str:
     self-dual weight has central character 0 (GL's root coordinate past the
     rank) and a self-dual fundamental-weight part.
     """
-    pi = _as_pi(lattice, pi_spec)
+    return _orthogonality(lattice, _as_pi(lattice, pi_spec))
+
+
+def _orthogonality(lattice: CharacterLattice, pi: PiSpec) -> str:
+    """The orthogonality type of a PiSpec that ``_as_pi`` has checked."""
     if pi.s_wrap:
         return "orthogonal"
     coords = _root_coordinates(lattice, pi.weight)
@@ -483,13 +490,16 @@ def lattice_orthogonality_type(lattice: CharacterLattice, pi_spec) -> str:
     return orthogonality_type(lattice.root_system(), coords[: lattice.rank])
 
 
-def _require_orthogonal(lattice: CharacterLattice, pi: PiSpec, task: str) -> None:
-    kind = lattice_orthogonality_type(lattice, pi)
+def _require_orthogonal(lattice: CharacterLattice, pi_spec, task: str) -> PiSpec:
+    """The checked PiSpec of an orthogonal representation; any other is refused."""
+    pi = _as_pi(lattice, pi_spec)
+    kind = _orthogonality(lattice, pi)
     if kind != "orthogonal":
         raise DomainError(
             f"{task} needs an orthogonal representation, but this one is "
             f"{kind}; wrap it in the doubled form (s_wrap) instead"
         )
+    return pi
 
 
 # -- Stiefel-Whitney classes ---------------------------------------------------
@@ -503,8 +513,7 @@ def swc_restrict(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> SWCResult
     the doubled form.
     """
     check_degree(kmax, "kmax")
-    pi = _as_pi(lattice, pi_spec)
-    _require_orthogonal(lattice, pi, "the Stiefel-Whitney restriction")
+    pi = _require_orthogonal(lattice, pi_spec, "the Stiefel-Whitney restriction")
     ch = chern_classes(lattice, pi, kmax)
     w = tuple(mod2_reduce(ck) for ck in ch.c)
     return SWCResult(lattice, pi, kmax, w)
@@ -539,8 +548,7 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     the invariant quadratic form is 2-integral in the generators -- and the
     two answers must agree.
     """
-    pi = _as_pi(lattice, pi_spec)
-    _require_orthogonal(lattice, pi, "the spinoriality test")
+    pi = _require_orthogonal(lattice, pi_spec, "the spinoriality test")
     ch = chern_classes(lattice, pi, kmax=2)
     c2 = ch.c[2]
     primary = all(int(c) % 2 == 0 for _, c in c2.terms.items())
@@ -649,8 +657,7 @@ def total_swc_factorization(
             "the total-class factorization is defined for the SL, GL, Sp and "
             f"SO families only, not {lattice.name}"
         )
-    pi = _as_pi(lattice, pi_spec)
-    _require_orthogonal(lattice, pi, "the total-class factorization")
+    pi = _require_orthogonal(lattice, pi_spec, "the total-class factorization")
     r = lattice.torus_rank
     chi = _character_values(lattice, pi.weight, max_dim)
     if pi.s_wrap:

@@ -284,9 +284,15 @@ def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _pair_coefficients(a: int, b: int, kmax: int) -> tuple[int, ...]:
-    """c_0..c_kmax of (1 + t)^a (1 - t)^b."""
+    """c_0..c_kmax of (1 + t)^a (1 - t)^b, for any integers a and b.
+
+    The coefficients of (1 + t)^n are the generalised binomials C(n, i),
+    (-1)^i C(i - n - 1, i) for n < 0; those of (1 - t)^n carry (-1)^i more.
+    """
+    plus, minus = ([comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
+                    for i in range(kmax + 1)] for n in (a, b))
     return tuple(
-        sum((-1) ** (j - i) * comb(a, i) * comb(b, j - i) for i in range(j + 1))
+        sum((-1) ** (j - i) * plus[i] * minus[j - i] for i in range(j + 1))
         for j in range(kmax + 1)
     )
 
@@ -459,27 +465,13 @@ def character_at_order2(
 # -- complete symmetric functions at sign vectors ------------------------------
 
 
-def _h_series(a_minus: int, b_plus: int, pmax: int) -> list[int]:
-    """Coefficients H_0..H_pmax of (1+t)^(-a) (1-t)^(-b)."""
-    neg = [
-        (-1) ** k * comb(a_minus + k - 1, k) if a_minus else (1 if k == 0 else 0)
-        for k in range(pmax + 1)
-    ]
-    pos = [
-        comb(b_plus + k - 1, k) if b_plus else (1 if k == 0 else 0)
-        for k in range(pmax + 1)
-    ]
-    return [
-        sum(neg[i] * pos[p - i] for i in range(p + 1)) for p in range(pmax + 1)
-    ]
-
-
 def schur_at_signs(partition: Sequence[int], a_minus: int, b_plus: int) -> int:
     """Schur polynomial of the partition at a_minus entries -1 and b_plus entries +1.
 
     Jacobi-Trudi: the determinant of the matrix with (i, j) entry
-    H_{partition_i - i + j}, using the series above for the complete
-    symmetric values.  Must agree with character_at_order2 on type A.
+    H_{partition_i - i + j}, the complete symmetric values read off
+    (1 + t)^(-a_minus) (1 - t)^(-b_plus).  Must agree with
+    character_at_order2 on type A.
     """
     part = list(partition)
     check_degree(a_minus, "a_minus")
@@ -494,7 +486,7 @@ def schur_at_signs(partition: Sequence[int], a_minus: int, b_plus: int) -> int:
     if n == 0:
         return 1
     pmax = part[0] + n
-    h = _h_series(a_minus, b_plus, pmax)
+    h = _pair_coefficients(-a_minus, -b_plus, pmax)
 
     def hval(p: int) -> int:
         if p < 0:

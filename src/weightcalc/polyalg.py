@@ -38,10 +38,10 @@ forms no symbolic product: it reads its E_k off exact values at lattice
 points (``oracle.oracle_elementary``).
 
 Every substitution goes through one kernel with its own loop on packed
-monomials, ``_substitution``: ``compose`` (and through it ``eval_a`` and
-``evaluate``, which substitute constant images), the expansion of the basic
-invariants (``weylsum._expand``) and the change to lattice generators of
-the Chern path (``charclass._scaled_to_generators``).
+monomials, ``_substitution``, given an image for every variable: ``compose``
+(identity images for an omitted block; through it ``eval_a`` and
+``evaluate``), the expansion of the basic invariants (``weylsum._expand``)
+and the change to lattice generators (``charclass._scaled_to_generators``).
 
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
@@ -52,14 +52,13 @@ a layer needs in integers is scaled by ``_integer_rows``.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain
 from math import comb, gcd, lcm
-from operator import add, itemgetter
+from operator import add
 from struct import Struct
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError, InternalError, check_degree, is_int
 
@@ -184,35 +183,25 @@ _EXP_MAX = (1 << 16) - 1  # the widest exponent of a packed monomial
 
 
 def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], "BiPoly"]:
-    """The one substitution kernel: images for the variables of polynomials of arity (na, ny).
+    """The one substitution kernel: an image for each variable of polynomials of arity (na, ny).
 
-    A block given as None keeps its variables.  Monomials are packed into
-    ints, 16 bits per exponent, so that they multiply by adding.  The image
-    of a monomial is that of the monomial with its last exponent lowered by
-    one, times one image, memoised for the life of the returned function.
-    Kept exponents are added as one packed shift.  An output
-    exponent is at most the substituted degree times the largest image
-    degree, plus the largest kept exponent; that is checked before anything
-    is packed.
+    Monomials are packed into ints, 16 bits per exponent, so that they
+    multiply by adding.  The image of a monomial is that of the monomial
+    with its last exponent lowered by one, times one image, memoised for the
+    life of the returned function.  An output exponent is at most the degree
+    of a term times the largest image degree; that is checked before
+    anything is packed.
     """
-    given = [*(a_images or ()), *(y_images or ())]
-    na2, ny2 = given[0].na, given[0].ny
-    if a_images is None:  # a_i stays a_i
-        sub, kept, kept_at, room = slice(na, None), slice(0, na), 0, na2 - na
-    elif y_images is None:  # y_i stays y_i
-        sub, kept, kept_at, room = slice(0, na), slice(na, None), na2, ny2 - ny
-    else:
-        sub, kept, kept_at, room = slice(None), slice(0, 0), 0, 0
-    sizes = [len(block) - n for block, n in ((a_images, na), (y_images, ny)) if block is not None]
-    if room < 0 or any(sizes):
+    given = [*a_images, *y_images]
+    if (len(a_images), len(y_images)) != (na, ny):
         raise DomainError("compose image count does not match arity")
+    na2, ny2 = given[0].na, given[0].ny
     if any(im.na != na2 or im.ny != ny2 for im in given):
         raise DomainError("compose images must share one arity")
     top = max(1, *(max(map(sum, im.terms), default=0) for im in given))  # keys are packed too
     if top > _EXP_MAX:
         raise DomainError(f"degree over {_EXP_MAX} in a substitution")
     from_bytes, pack_key = int.from_bytes, Struct(f"<{len(given)}H").pack
-    pack_kept = Struct(f"<{2 * kept_at}x{len(range(na + ny)[kept])}H").pack  # after kept_at zeros
     packing = Struct(f"<{na2 + ny2}H")
     packed = [{from_bytes(packing.pack(*e), "little"): c for e, c in im.terms.items()}
               for im in given]
@@ -240,17 +229,12 @@ def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], 
     def substitute(f: "BiPoly") -> "BiPoly":
         if (f.na, f.ny) != (na, ny):
             raise DomainError("compose image count does not match arity")
-        width = max(map(sum, map(itemgetter(sub), f.terms)), default=0) * top
-        if width + max(chain.from_iterable(map(itemgetter(kept), f.terms)), default=0) > _EXP_MAX:
+        if max(map(sum, f.terms), default=0) * top > _EXP_MAX:
             raise DomainError(f"degree over {_EXP_MAX} in a substitution")
         out: dict[int, Scalar] = {}
         get = out.get
         for e, c in f.terms.items():
-            image = image_of(from_bytes(pack_key(*e[sub]), "little"))
-            if any(e[kept]):
-                shift = from_bytes(pack_kept(*e[kept]), "little")
-                image = {m + shift: x for m, x in image.items()}
-            for m, x in image.items():
+            for m, x in image_of(from_bytes(pack_key(*e), "little")).items():
                 out[m] = get(m, 0) + c * x
         return BiPoly._result(na2, ny2, {packing.unpack(m.to_bytes(packing.size, "little")): c
                                          for m, c in out.items()})
@@ -473,15 +457,21 @@ class BiPoly:
     ) -> "BiPoly":
         """General substitution: variable i is replaced by its image polynomial.
 
-        Omitted blocks keep their variables.  All images must share one arity,
-        which becomes the arity of the result; with no image at all the
-        polynomial is returned unchanged, but an empty block must stand for
-        an empty block of variables.  One run of ``_substitution``.
+        All images must share one arity, which becomes the arity of the
+        result.  An omitted block keeps its variables: its images are the
+        identity in that arity, which must have room for them.  With no image
+        at all the polynomial is returned unchanged, but an empty block must
+        stand for an empty block of variables.  One run of ``_substitution``.
         """
         if not a_images and not y_images:
             if (a_images is not None and self.na) or (y_images is not None and self.ny):
                 raise DomainError("compose image count does not match arity")
             return self
+        first = (a_images or y_images)[0]
+        if a_images is None:  # too few where the images lack room, which the kernel refuses
+            a_images = [BiPoly.a_var(i, first.na, first.ny) for i in range(min(self.na, first.na))]
+        if y_images is None:
+            y_images = [BiPoly.y_var(i, first.na, first.ny) for i in range(min(self.ny, first.ny))]
         return _substitution(self.na, self.ny, a_images, y_images)(self)
 
     # -- rendering ----------------------------------------------------------

@@ -438,27 +438,34 @@ def _invariant_products(rs: RootSystem, gens: Sequence, degree: int) -> list[tup
 
 
 @lru_cache(maxsize=None)
+def _generator_image(rs: RootSystem, shift: tuple[int, ...], i: int) -> BiPoly:
+    """Generator i of the 2r written out: s_i = p_i(M(a + shift)), or t_(i-r) = p_(i-r)(y).
+
+    Each <v, M(a + shift)> is the linear form <M^T v, a> with the constant
+    <M^T v, shift> as one more slot; the t side is cached with the empty shift.
+    """
+    r, kd = rs.rank, rs.killing_dual_rows
+    d, orbit = _invariant_generators(rs)[i % r]
+    acc: dict[tuple, Scalar] = {}
+    for v in orbit:
+        form = [sum(map(mul, v, col)) for col in zip(*kd)] if i < r else v
+        for e, c in expand_linear_power([*form, sum(map(mul, form, shift))], d).items():
+            e = e[:r] + (0,) * r if i < r else (0,) * r + e[:r]
+            acc[e] = acc.get(e, 0) + c
+    return BiPoly._result(r, r, acc)
+
+
+@lru_cache(maxsize=None)
 def _expansion(rs: RootSystem, shift: tuple[int, ...], used: tuple[bool, ...]):
     """The substitution s_j := p_j(M(a + shift)), t_j := p_j(y), cached per root system and key.
 
     ``used`` flags the 2r variables that occur; the others get the zero
-    image, so no unused generator is expanded.  On the s side each
-    <v, M(a + shift)> is the linear form <M^T v, a> with the constant
-    <M^T v, shift> (0 for the empty shift) as one more slot.  The cache
-    keeps the memo of product images of ``polyalg._substitution``.
+    image.  The cache keeps the memo of product images of
+    ``polyalg._substitution``; the images themselves are shared by every key.
     """
-    r, kd = rs.rank, rs.killing_dual_rows
-    gens, images = _invariant_generators(rs), []
-    for i, u in enumerate(used):
-        d, orbit = gens[i % r]
-        acc: dict[tuple, Scalar] = {}
-        for v in orbit if u else ():
-            form = [sum(map(mul, v, col)) for col in zip(*kd)] if i < r else v
-            const = sum(map(mul, form, shift)) if i < r else 0
-            for e, c in expand_linear_power([*form, const], d).items():
-                e = e[:r] + (0,) * r if i < r else (0,) * r + e[:r]
-                acc[e] = acc.get(e, 0) + c
-        images.append(BiPoly._result(r, r, acc))
+    r = rs.rank
+    images = [_generator_image(rs, shift if i < r else (), i) if u else BiPoly.zero(r, r)
+              for i, u in enumerate(used)]
     return _substitution(r, r, images[:r], images[r:])
 
 

@@ -197,6 +197,25 @@ def test_doubled_form_degree_and_chern():
             group
 
 
+@pytest.mark.parametrize("group,top", [("SL3", 2), ("SL4", 1), ("GL3", 1), ("GL4", 1),
+                                       ("Sp4", 2), ("SO5", 2), ("SO6", 1)])
+def test_doubled_form_is_the_full_convolution(group, top):
+    # c(pi) c(pi*) with every product c_i(pi) c_(k-i)(pi*) formed, c_i(pi*) = (-1)^i c_i(pi)
+    lat = builtin_lattice(group)
+    n = lat.torus_rank
+    if lat.family == "GL":
+        grid = [sorted(w, reverse=True) for w in itertools.product(range(-top, top + 2), repeat=n)]
+    else:
+        grid = dominant_grid(n, top)
+    for weight in sorted({tuple(w) for w in grid if any(w) and lattice_contains(lat, w)}):
+        plain = chern_classes(lat, weight, 6).c
+        dual = [c.scale((-1) ** k) for k, c in enumerate(plain)]
+        full = [sum((plain[i] * dual[k - i] for i in range(1, k + 1)), start=plain[0] * dual[k])
+                for k in range(7)]
+        doubled = chern_classes(lat, PiSpec(weight, True), 6).c
+        assert [c.terms for c in doubled] == [c.terms for c in full], (group, weight)
+
+
 @pytest.mark.parametrize("call", [
     lambda lat, pi: chern_classes(lat, pi, 2),
     lambda lat, pi: swc_restrict(lat, pi, 2),
@@ -394,6 +413,25 @@ def test_swc_requires_orthogonal():
         swc_restrict(builtin_lattice("SL2"), (1,))
     with pytest.raises(DomainError, match="not-self-dual.*s_wrap"):
         swc_restrict(builtin_lattice("SL3"), (1, 0))
+
+
+@pytest.mark.parametrize("group,spec", [("SO5", (0, 2)), ("SL3", PiSpec((1, 0), True))])
+def test_orthogonal_entries_check_the_weight_once_each(group, spec, monkeypatch):
+    # the orthogonality check reads the PiSpec its caller checked: one _as_pi per
+    # public entry on the way, chern_classes included
+    calls = []
+    as_pi = charclass._as_pi
+
+    def spy(lattice, pi_spec):
+        calls.append(pi_spec)
+        return as_pi(lattice, pi_spec)
+
+    monkeypatch.setattr(charclass, "_as_pi", spy)
+    lat = builtin_lattice(group)
+    for call, expected in [(swc_restrict, 2), (is_spinorial, 2), (total_swc_factorization, 3)]:
+        calls.clear()
+        call(lat, spec)
+        assert len(calls) == expected, call.__name__
 
 
 def test_swc_negative_kmax_refused_before_the_work(monkeypatch):

@@ -1,8 +1,9 @@
 """The shared input checks of ``errors``, and that no other module writes its own.
 
 Also that the Weyl denominators d and d-vee are built by their two builders alone,
-evaluated at a point by their two evaluators alone, and that the inverse Killing
-form is scaled to integer rows in ``rootsys`` alone.
+evaluated at a point by their two evaluators alone, that the inverse Killing
+form is scaled to integer rows in ``rootsys`` alone, and that every substitution
+is given an image for each variable.
 """
 
 from __future__ import annotations
@@ -179,6 +180,33 @@ def test_inverse_killing_form_is_scaled_to_integers_in_one_place():
         "def reader(rs):\n"
         "    return rs.killing_dual_rows, _integer_rows(inverse)\n"
     ) == ["build", "flat", "form"]
+
+
+def _substitution_calls(source: str) -> list[tuple[int, bool]]:
+    """(line, whether it passes arity and both image blocks, none of them None) per call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and "_substitution" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            args = [*node.args, *(k.value for k in node.keywords)]
+            found.append((node.lineno, len(args) == 4 and not any(
+                isinstance(a, ast.Constant) and a.value is None for a in args)))
+    return found
+
+
+def test_every_substitution_gets_both_image_blocks():
+    package = Path(errors.__file__).parent
+    calls = {p.name: _substitution_calls(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    assert {name for name, found in calls.items() if found} == {
+        "charclass.py", "polyalg.py", "weylsum.py"}
+    assert all(ok for found in calls.values() for _, ok in found)
+    # the check itself finds a kept block and a missing one
+    assert _substitution_calls(
+        "whole = _substitution(n, n, a_images, y_images)\n"
+        "kept = polyalg._substitution(n, n, None, y_images)\n"
+        "short = _substitution(n, n, y_images=y_images)\n"
+    ) == [(1, True), (2, False), (3, False)]
 
 
 def test_is_int_refuses_bools_and_other_numbers():

@@ -804,3 +804,15 @@ def test_h_series_edge_cases():
     assert schur_at_signs((0,), 0, 1) == 1
     assert schur_at_signs((3,), 1, 0) == -1  # h_3 at the single value -1
     assert schur_at_signs((3,), 0, 1) == 1
+
+
+def test_pair_coefficients_at_negative_exponents():
+    # (1 + t)^(-a) (1 - t)^(-b), the series of the complete symmetric values at a
+    # entries -1 and b entries +1, from its two factors written out here
+    for a in range(7):
+        for b in range(7):
+            neg = [(-1) ** k * comb(a + k - 1, k) if a else int(k == 0) for k in range(11)]
+            pos = [comb(b + k - 1, k) if b else int(k == 0) for k in range(11)]
+            series = [sum(neg[i] * pos[p - i] for i in range(p + 1)) for p in range(11)]
+            for p in range(11):
+                assert oracle._pair_coefficients(-a, -b, p) == tuple(series[: p + 1])

@@ -588,6 +588,28 @@ def test_expansion_writes_out_integer_coefficients(monkeypatch):
     assert len(seen) > 10 and set().union(*seen) == {int}
 
 
+def test_expansions_share_each_generator_image(monkeypatch):
+    # each generator is expanded once per root system and shift, whatever set of
+    # generators a later call uses: B4 w1 at kmax 2, 4, 6 expands 8, 8 and 8 more
+    # orbit powers (48 in all when each set of generators expanded its own)
+    b4, calls = get_rs("B", 4), []
+
+    def counted(coeffs, k):
+        calls.append((tuple(coeffs), k))
+        return expand_linear_power(coeffs, k)
+
+    weylsum._expansion.cache_clear()
+    weylsum._generator_image.cache_clear()
+    monkeypatch.setattr(weylsum, "expand_linear_power", counted)
+    try:
+        for kmax in (2, 4, 6):
+            powersum.power_sums(b4, (1, 0, 0, 0), kmax)
+    finally:
+        weylsum._expansion.cache_clear()
+        weylsum._generator_image.cache_clear()
+    assert len(calls) == 24 and len(set(calls)) == 24
+
+
 _EXPANSION_NAMES = {"compose", "_substitution", "expand_linear_power"}
 
 
@@ -605,7 +627,7 @@ def test_only_the_expansion_writes_out_generator_coordinates():
     # weylsum: only the expansion helpers substitute or expand powers, besides the references
     weylsum_source = Path(weylsum.__file__).read_text(encoding="utf-8")
     assert set(_calls(weylsum_source, _EXPANSION_NAMES)) == {
-        "_expansion", "fk_direct", "sigma_involution"}
+        "_expansion", "_generator_image", "fk_direct", "sigma_involution"}
     # powersum: no substitution on an expanded polynomial, one eval_a on generator form
     powersum_source = Path(powersum.__file__).read_text(encoding="utf-8")
     assert _calls(powersum_source, {"compose", "translate_a"}) == []

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul, sub
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -51,7 +51,6 @@ from .weylsum import q2_poly
 from .oracle import (
     DEFAULT_MAX_DIM,
     _pair_coefficients,
-    character_at_order2,
     schur_at_signs,
     weight_multiplicities,
 )
@@ -417,17 +416,15 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     return ChernResult(lattice, pi, kmax, degree, tuple(cs))
 
 
-def _dual_norm_shift(rs: RootSystem, lam: Sequence[int]) -> Fraction:
-    """<lam + 2 delta, lam> under the inverse Killing form on weights."""
+def _casimir_ratio(rs: RootSystem, lam: Sequence[int], degree: int) -> Fraction:
+    """The Casimir ratio degree * <lam + 2 delta, lam> / dim g, <,> the inverse Killing form.
+
+    In fundamental-weight coordinates delta is (1, ..., 1), so lam + 2 delta
+    has coordinates lam_i + 2.
+    """
     kd = rs.killing_dual
-    r = rs.rank
-    shifted = [lam[i] + 1 for i in range(r)]
-    delta = [1] * r
-
-    def q(u):
-        return sum(kd[i][j] * u[i] * u[j] for i in range(r) for j in range(r))
-
-    return q(shifted) - q(delta)
+    pairing = sum(kd[i][j] * (lam[i] + 2) * lam[j] for i in range(rs.rank) for j in range(rs.rank))
+    return Fraction(degree * pairing, rs.dim_g)
 
 
 @lru_cache(maxsize=None)
@@ -438,7 +435,7 @@ def _q2_in_generators(lattice: CharacterLattice) -> BiPoly:
 
 
 def chern2_closed(lattice: CharacterLattice, lam: Sequence[int]) -> BiPoly:
-    """Closed form for c_2: -(degree * <lam+2delta, lam> / (2 dim g)) * Q2.
+    """Closed form for c_2: -x/2 * Q2, with x the Casimir ratio of ``_casimir_ratio``.
 
     Valid for the simple families (everything except GL); agrees with
     ``chern_classes(...).c[2]`` exactly.
@@ -447,8 +444,7 @@ def chern2_closed(lattice: CharacterLattice, lam: Sequence[int]) -> BiPoly:
     if lattice.family == "GL" or pi.s_wrap:
         raise DomainError("the closed form for c_2 requires a simple group type and a plain weight")
     rs = lattice.root_system()
-    degree = weyl_dimension(rs, pi.weight)
-    scalar = -Fraction(degree) * _dual_norm_shift(rs, pi.weight) / (2 * rs.dim_g)
+    scalar = -_casimir_ratio(rs, pi.weight, weyl_dimension(rs, pi.weight)) / 2
     return _require_integer(_q2_in_generators(lattice).scale(scalar), "closed-form c_2")
 
 
@@ -523,19 +519,11 @@ def swc_restrict(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> SWCResult
 
 
 def _ord2(x) -> int:
-    """2-adic valuation of a nonzero rational."""
-    num = x.numerator if isinstance(x, Fraction) else x
-    den = x.denominator if isinstance(x, Fraction) else 1
+    """2-adic valuation of a nonzero int or Fraction: n & -n is the lowest set bit of n."""
+    num, den = x.as_integer_ratio()
     if num == 0:
         raise InternalError("2-adic valuation of zero requested")
-    v = 0
-    while num % 2 == 0:
-        num //= 2
-        v += 1
-    while den % 2 == 0:
-        den //= 2
-        v -= 1
-    return v
+    return (num & -num).bit_length() - (den & -den).bit_length()
 
 
 def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
@@ -543,8 +531,8 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
 
     Primary criterion: every coefficient of c_2 is even.  For a plain
     representation of a simple type with nonzero weight the 2-adic secondary
-    criterion also runs -- with j the negated 2-adic valuation of
-    degree * <lam+2delta, lam> / (4 dim g), the lift exists iff 2^(-j) times
+    criterion also runs -- with j the negated 2-adic valuation of x/4, x the
+    Casimir ratio of ``_casimir_ratio``, the lift exists iff 2^(-j) times
     the invariant quadratic form is 2-integral in the generators -- and the
     two answers must agree.
     """
@@ -555,13 +543,7 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     valuation: Optional[int] = None
     secondary: Optional[bool] = None
     if not pi.s_wrap and lattice.family != "GL" and any(pi.weight):
-        rs = lattice.root_system()
-        ratio = (
-            Fraction(ch.degree)
-            * _dual_norm_shift(rs, pi.weight)
-            / (4 * rs.dim_g)
-        )
-        valuation = -_ord2(ratio)
+        valuation = -_ord2(_casimir_ratio(lattice.root_system(), pi.weight, ch.degree) / 4)
         q2g = _q2_in_generators(lattice)
         secondary = all(_ord2(c) >= valuation for c in q2g.terms.values())
         if secondary != primary:
@@ -578,45 +560,39 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
 _FACTORIZATION_FAMILIES = ("SL", "GL", "Sp", "SO")
 
 
-def _sl_partition(weight: Sequence[int]) -> list[int]:
-    """Partition whose Schur function is the character (last coordinate 0)."""
-    return [sum(weight[j:]) for j in range(len(weight))]
-
-
 def _character_values(
     lattice: CharacterLattice, weight: Tuple[int, ...], max_dim: int
 ) -> list[int]:
     """chi(b_0), ..., chi(b_r) at the nested diagonal sign patterns.
 
-    b_i inverts the first i lattice generators and fixes the rest.  For the
-    determinant-one family the values are cross-checked against an exact
-    Schur-polynomial evaluation at the matching +-1 eigenvalue multiset.
+    b_i inverts the first i lattice generators and fixes the rest, so
+    chi(b_i) sums the multiplicities of the weights signed by the parity of
+    their first i generator coordinates.  Every lattice builds one table:
+    the weights of the root-system part (``_root_coordinates`` up to the
+    rank), each with the central coordinates appended and read once in
+    generator coordinates.  For the SL and GL families the values are
+    cross-checked against an exact Schur-polynomial evaluation at the
+    matching +-1 eigenvalue multiset.
     """
-    r = lattice.torus_rank
+    r, rank = lattice.torus_rank, lattice.rank
+    coords = _root_coordinates(lattice, weight)
+    wm = weight_multiplicities(lattice.root_system(), coords[:rank], max_dim=max_dim)
+    table = [(_generator_coordinates(lattice, mu + coords[rank:]), m)
+             for mu, m in wm.expanded().items()]
+    if any(c is None for c, _ in table):
+        raise InternalError("a weight escaped its own character lattice")
+    chi = [sum(-m if sum(c[:i]) % 2 else m for c, m in table) for i in range(r + 1)]
     if lattice.family == "GL":
-        # the weights of the trace-free part, each with the central character appended
-        coords = _root_coordinates(lattice, weight)
-        wm = weight_multiplicities(lattice.root_system(), coords[:-1], max_dim=max_dim)
-        table = [(_generator_coordinates(lattice, mu + coords[-1:]), m)
-                 for mu, m in wm.expanded().items()]
-        if any(c is None for c, _ in table):
-            raise InternalError("a weight escaped its own character lattice")
-        chi = [sum(-m if sum(c[:i]) % 2 else m for c, m in table) for i in range(r + 1)]
         t = -weight[r - 1] if weight[r - 1] < 0 else 0
         part = [c + t for c in weight]
         expected = [(-1) ** ((i * t) % 2) * schur_at_signs(part, i, r - i) for i in range(r + 1)]
-    else:
-        rs = lattice.root_system()
-        wm = weight_multiplicities(rs, weight, max_dim=max_dim)
-        chi = []
-        for i in range(r + 1):
-            signs = tuple(-1 if j < i else 1 for j in range(r))
-            chi.append(character_at_order2(wm, signs, basis=lattice.basis))
-        if lattice.family != "SL":
-            return chi
-        part = _sl_partition(weight)
-        # SL(r+1): i rounded up to even eigenvalues -1, so the determinant stays one
+    elif lattice.family == "SL":
+        # the partition whose Schur function is the character; SL(r+1) takes i
+        # rounded up to even eigenvalues -1, so the determinant stays one
+        part = [sum(weight[j:]) for j in range(r)]
         expected = [schur_at_signs(part, i + i % 2, r + 1 - i - i % 2) for i in range(r + 1)]
+    else:
+        return chi
     for i, value in enumerate(expected):
         if value != chi[i]:
             raise InternalError(
@@ -624,17 +600,6 @@ def _character_values(
                 f"Schur evaluation: {chi[i]} versus {value}"
             )
     return chi
-
-
-def _pow_truncated(base: Mod2Poly, k: int, maxdeg: int) -> Mod2Poly:
-    result = Mod2Poly.one(base.nv)
-    b = base.truncate(maxdeg)
-    while k:
-        if k & 1:
-            result = (result * b).truncate(maxdeg)
-        b = b.square().truncate(maxdeg)
-        k >>= 1
-    return result
 
 
 def total_swc_factorization(
@@ -647,9 +612,12 @@ def total_swc_factorization(
 
     The exponents come from character values at the nested sign patterns:
     m_k = 2^(-r) * sum_i A_{i,k} chi(b_i) with A_{i,k} the coefficient of
-    x^i in (1-x)^k (1+x)^(r-k).  They must come out as nonnegative integers,
-    and the expanded product must reproduce the mod-2 Chern reduction degree
-    by degree; either failure signals a broken torus convention.
+    x^i in (1-x)^k (1+x)^(r-k).  They must come out as nonnegative integers.
+    Over GF(2) each power is written down directly: (1 + v_S)^m is the
+    product, over the bits 2^b of m with 2^b <= kmax, of the Frobenius
+    factors 1 + sum_(j in S) v_j^(2^b); the higher bits only add terms past
+    kmax.  The expanded product must reproduce the mod-2 Chern reduction
+    degree by degree; either failure signals a broken torus convention.
     """
     check_degree(kmax, "kmax")
     if lattice.family not in _FACTORIZATION_FAMILIES:
@@ -674,14 +642,10 @@ def total_swc_factorization(
         exponents.append(int(mk))
     w_total = Mod2Poly.one(r)
     for k in range(1, r + 1):
-        if exponents[k] == 0:
-            continue
-        for subset in combinations(range(r), k):
-            terms = [(0,) * r] + [
-                tuple(1 if t == j else 0 for t in range(r)) for j in subset
-            ]
-            base = Mod2Poly(r, terms)
-            w_total = (w_total * _pow_truncated(base, exponents[k], kmax)).truncate(kmax)
+        powers = [1 << b for b in range(kmax.bit_length()) if exponents[k] >> b & 1]
+        for subset, p in product(combinations(range(r), k), powers):
+            factor = [(0,) * r] + [tuple(p * (t == j) for t in range(r)) for j in subset]
+            w_total = (w_total * Mod2Poly(r, factor)).truncate(kmax)
     w = tuple(w_total.degree_part(k) for k in range(kmax + 1))
     reference = swc_restrict(lattice, pi, kmax)
     for k in range(kmax + 1):

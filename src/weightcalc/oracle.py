@@ -426,9 +426,8 @@ def character_at_order2(
     the pairs as one integer quotient whose remainder must vanish.
     """
     r = wm.rs.rank
-    if len(signs) != r:
-        raise DomainError(f"sign vector has {len(signs)} entries, expected {r}")
-    if any(not is_int(s) or s not in (1, -1) for s in signs):
+    signs = check_coordinates(signs, r, "sign vector")
+    if any(s not in (1, -1) for s in signs):
         raise DomainError("entries of an order-2 element must be +1 or -1")
     if basis is None:
         binv_t = [[int(i == j) for j in range(r)] for i in range(r)]
@@ -473,7 +472,10 @@ def schur_at_signs(partition: Sequence[int], a_minus: int, b_plus: int) -> int:
     (1 + t)^(-a_minus) (1 - t)^(-b_plus).  Must agree with
     character_at_order2 on type A.
     """
-    part = list(partition)
+    try:
+        part = list(partition)
+    except TypeError:
+        raise DomainError(f"partition must be a sequence of parts, got {partition!r}") from None
     check_degree(a_minus, "a_minus")
     check_degree(b_plus, "b_plus")
     if any(not is_int(p) or p < 0 for p in part):

@@ -467,6 +467,8 @@ class BiPoly:
             if (a_images is not None and self.na) or (y_images is not None and self.ny):
                 raise DomainError("compose image count does not match arity")
             return self
+        if not all(isinstance(im, BiPoly) for im in (*(a_images or ()), *(y_images or ()))):
+            raise DomainError("compose images must be BiPoly polynomials")
         first = (a_images or y_images)[0]
         if a_images is None:  # too few where the images lack room, which the kernel refuses
             a_images = [BiPoly.a_var(i, first.na, first.ny) for i in range(min(self.na, first.na))]

@@ -27,7 +27,8 @@ from weightcalc.charclass import (
     total_swc_factorization,
 )
 from weightcalc.errors import DomainError, InternalError
-from weightcalc.oracle import weight_multiplicities
+from weightcalc.oracle import (DEFAULT_MAX_DIM, character_at_order2,
+                              weight_multiplicities)
 from weightcalc.polyalg import BiPoly, Mod2Poly, invert
 from weightcalc.powersum import elementary_from_power, power_sums, product_power_sums, weyl_dimension
 from weightcalc.rootsys import dominant_representative
@@ -611,6 +612,71 @@ def test_factorization_family_guard():
         total_swc_factorization(builtin_lattice("Spin5"), (0, 1))
     with pytest.raises(DomainError, match="SL, GL, Sp and SO families only"):
         total_swc_factorization(builtin_lattice("G2"), (1, 0))
+
+
+def _nonincreasing(weight) -> bool:
+    return all(a >= b for a, b in zip(weight, weight[1:]))
+
+
+@pytest.mark.parametrize("group", [name for name in builtin_lattice_names()
+                                   if builtin_lattice(name).family in ("SL", "GL", "Sp", "SO")
+                                   and builtin_lattice(name).rank <= 3])
+def test_character_table_agrees_with_the_oracle(group):
+    # chi(b_i) from the one table against the oracle's own order-2 characters; GL's
+    # diagonal coordinates are solved here from the fundamental part and sum(w)
+    lat = builtin_lattice(group)
+    r, gl = lat.torus_rank, lat.family == "GL"
+    for weight in itertools.product(range(-1, 3) if gl else range(3), repeat=r):
+        if not lattice_contains(lat, weight) or gl and not _nonincreasing(weight):
+            continue
+        chi = charclass._character_values(lat, weight, DEFAULT_MAX_DIM)
+        if not gl:
+            wm = weight_multiplicities(lat.root_system(), weight)
+            assert chi == [character_at_order2(wm, (-1,) * i + (1,) * (r - i), basis=lat.basis)
+                           for i in range(r + 1)], weight
+            continue
+        fundamental = tuple(a - b for a, b in zip(weight, weight[1:]))
+        want = [0] * (r + 1)
+        for mu, m in weight_multiplicities(lat.root_system(), fundamental).expanded().items():
+            # d_j = d_n + sum_(i >= j) mu_i, and the d_j sum to sum(w)
+            last = Fraction(sum(weight) - sum((i + 1) * c for i, c in enumerate(mu)), r)
+            diagonal = [last + sum(mu[j:]) for j in range(r)]
+            assert all(d.denominator == 1 for d in diagonal)
+            for i in range(r + 1):
+                want[i] += m * (-1) ** int(sum(diagonal[:i]))
+        assert chi == want, weight
+
+
+@pytest.mark.parametrize("kmax", [8, 9])
+@pytest.mark.parametrize("group,spec,exponents", [
+    ("GL3", PiSpec((3, 1, 0), s_wrap=True), (0, 8, 0)),
+    ("SO7", (2, 0, 0), (2, 4, 0)),
+])
+def test_degree_8_frobenius_factor(group, spec, exponents, kmax):
+    # the bit 8 of an exponent gives the factors 1 + sum_(j in S) v_j^8
+    lat = builtin_lattice(group)
+    res = total_swc_factorization(lat, spec, kmax)
+    assert res.total_factorization == exponents
+    assert res.w == swc_restrict(lat, spec, kmax).w
+
+
+def test_ord2_matches_a_loop():
+    def loop(num: int, den: int) -> int:
+        v = 0
+        while num % 2 == 0:
+            num, v = num // 2, v + 1
+        while den % 2 == 0:
+            den, v = den // 2, v - 1
+        return v
+
+    for num in range(-64, 65):
+        if num:
+            assert charclass._ord2(num) == loop(num, 1)
+            for den in range(1, 65):
+                assert charclass._ord2(Fraction(num, den)) == loop(num, den), (num, den)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(InternalError, match="valuation of zero"):
+            charclass._ord2(zero)
 
 
 # -- mod-2 consistency triangle --------------------------------------------------------

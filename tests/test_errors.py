@@ -2,8 +2,9 @@
 
 Also that the Weyl denominators d and d-vee are built by their two builders alone,
 evaluated at a point by their two evaluators alone, that the inverse Killing
-form is scaled to integer rows in ``rootsys`` alone, and that every substitution
-is given an image for each variable.
+form is scaled to integer rows in ``rootsys`` alone, that every substitution
+is given an image for each variable, and that ``charclass`` reads its order-2
+characters from its own table and the inverse Killing form in one function.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from weightcalc import errors
+from weightcalc import charclass, errors
 from weightcalc.charclass import PiSpec, builtin_lattice, chern_classes, lattice_contains
 from weightcalc.errors import DomainError, check_coordinates, is_int
 from weightcalc.oracle import weight_multiplicities
@@ -207,6 +208,39 @@ def test_every_substitution_gets_both_image_blocks():
         "kept = polyalg._substitution(n, n, None, y_images)\n"
         "short = _substitution(n, n, y_images=y_images)\n"
     ) == [(1, True), (2, False), (3, False)]
+
+
+def _order2_and_form_readers(source: str) -> tuple[list[str], list[str]]:
+    """Functions that call ``character_at_order2``, and functions that read ``.killing_dual``."""
+    calls, reads = set(), set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and "character_at_order2" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.add(func.name)
+            if isinstance(node, ast.Attribute) and node.attr == "killing_dual":
+                reads.add(func.name)
+    return sorted(calls), sorted(reads)
+
+
+def test_charclass_has_one_character_table_and_one_casimir_ratio():
+    source = Path(charclass.__file__).read_text(encoding="utf-8")
+    assert _order2_and_form_readers(source) == ([], ["_casimir_ratio"])
+    # the check itself finds each way of writing one, and passes the integer rows
+    assert _order2_and_form_readers(
+        "def table(lat, wm, signs):\n"
+        "    return character_at_order2(wm, signs, basis=lat.basis)\n"
+        "def qualified(wm, signs):\n"
+        "    return [oracle.character_at_order2(wm, s) for s in signs]\n"
+        "def _casimir_ratio(rs, lam, degree):\n"
+        "    return rs.killing_dual\n"
+        "def shift(rs, lam):\n"
+        "    kd = rs.killing_dual\n"
+        "def rows(rs):\n"
+        "    return rs.killing_dual_rows\n"
+    ) == (["qualified", "table"], ["_casimir_ratio", "shift"])
 
 
 def test_is_int_refuses_bools_and_other_numbers():

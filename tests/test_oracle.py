@@ -752,6 +752,29 @@ def test_character_refuses_a_non_integer_sign(a2, bad):
         character_at_order2(weight_multiplicities(a2, (1, 1)), bad)
 
 
+@pytest.mark.parametrize("bad", [None, 5])
+def test_character_refuses_a_sign_vector_that_is_not_a_sequence(a2, bad):
+    # len(None) raised TypeError
+    with pytest.raises(DomainError, match="sign vector must be a sequence"):
+        character_at_order2(weight_multiplicities(a2, (1, 1)), bad)
+
+
+def test_character_reads_a_sign_vector_from_any_iterable(a2):
+    # len() of a generator raised TypeError
+    wm = weight_multiplicities(a2, (2, 0))
+    assert character_at_order2(wm, (s for s in (-1, 1))) == character_at_order2(wm, (-1, 1))
+    with pytest.raises(DomainError, match="sign vector has 3 coordinates, expected 2"):
+        character_at_order2(wm, (s for s in (-1, 1, 1)))
+
+
+def test_schur_refuses_a_partition_that_is_not_a_sequence():
+    # list(None) raised TypeError
+    with pytest.raises(DomainError, match="partition must be a sequence of parts, got None"):
+        schur_at_signs(None, 1, 1)
+    with pytest.raises(DomainError, match="partition parts must be nonnegative integers"):
+        schur_at_signs("21", 1, 2)
+
+
 def test_schur_small_values_and_errors():
     assert schur_at_signs((), 1, 2) == 1
     assert schur_at_signs((1,), 0, 3) == 3

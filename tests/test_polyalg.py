@@ -111,6 +111,14 @@ def test_exact_divide_remainder_raises():
         exact_divide(a0, BiPoly.zero(NA, NY))
 
 
+@pytest.mark.parametrize("images", [{"a_images": [1]}, {"y_images": [None]},
+                                    {"a_images": [BiPoly.a_var(0, 1, 1)], "y_images": ["y"]}])
+def test_compose_refuses_an_image_that_is_not_a_polynomial(images):
+    # an int image raised AttributeError
+    with pytest.raises(DomainError, match="compose images must be BiPoly polynomials"):
+        BiPoly(1, 1).compose(**images)
+
+
 # -- translation and evaluation ------------------------------------------------
 
 

@@ -30,12 +30,12 @@ orthogonal without changing its characteristic data in odd degrees.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul, sub
-from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import BiPoly, Mod2Poly, _integer_rows, _mul_into, _substitution, invert, mod2_reduce
@@ -99,9 +99,9 @@ class CharacterLattice:
     kind: str
     rank: int
     torus_rank: int
-    basis: Tuple[Tuple[int, ...], ...]
-    gen_names: Tuple[str, ...]
-    v_names: Tuple[str, ...]
+    basis: tuple[tuple[int, ...], ...]
+    gen_names: tuple[str, ...]
+    v_names: tuple[str, ...]
 
     def root_system(self) -> RootSystem:
         return build_root_system(self.kind, self.rank)
@@ -116,7 +116,7 @@ class PiSpec:
     of those of the two summands and its degree is doubled.
     """
 
-    weight: Tuple[int, ...]
+    weight: tuple[int, ...]
     s_wrap: bool = False
 
 
@@ -128,7 +128,7 @@ class ChernResult:
     pi: PiSpec
     kmax: int
     degree: int
-    c: Tuple[BiPoly, ...]
+    c: tuple[BiPoly, ...]
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,8 @@ class SWCResult:
     lattice: CharacterLattice
     pi: PiSpec
     kmax: int
-    w: Tuple[Mod2Poly, ...]
-    total_factorization: Optional[Tuple[int, ...]] = None
+    w: tuple[Mod2Poly, ...]
+    total_factorization: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -163,25 +163,14 @@ class SpinorialResult:
     pi: PiSpec
     spinorial: bool
     c2: BiPoly
-    valuation: Optional[int] = None
-    secondary_integral: Optional[bool] = None
+    valuation: int | None = None
+    secondary_integral: bool | None = None
 
     def __bool__(self) -> bool:
         return self.spinorial
 
 
 # -- built-in lattices --------------------------------------------------------
-
-
-def _vector_weights(kind: str, r: int) -> list[tuple[int, ...]]:
-    """e_1 = w_1, then e_(j+1) = e_j - alpha_j: the vector representation's weights in order.
-
-    Row j of the Cartan matrix is alpha_j in fundamental-weight coordinates.
-    """
-    rows = [(1,) + (0,) * (r - 1)]
-    for alpha in build_root_system(kind, r).cartan[:-1]:
-        rows.append(tuple(map(sub, rows[-1], alpha)))
-    return rows
 
 
 _NAME_RE = re.compile(r"(?i)^(SL|PGL|GL|SP|SO|SPIN|G)[-_ ]?([0-9]+)$")
@@ -216,7 +205,7 @@ def builtin_lattice(group_name: str) -> CharacterLattice:
     """Character lattice of a built-in group, by name (e.g. "SL3", "Spin7").
 
     The SL, Sp and SO generators are the weights e_1, e_2, ... of the vector
-    representation (``_vector_weights``); GL_n has the n diagonal coordinate
+    representation (``RootSystem.vector_weights``); GL_n has the n diagonal coordinate
     characters, and the simply connected spin groups and G2 the full weight
     lattice.  Naming of generators follows the classical diagonal
     conventions: ``e`` / ``e1..`` for the determinant-one and classical
@@ -245,7 +234,7 @@ def _builtin(display: str) -> CharacterLattice:
     if family in ("GL", "Spin", "G"):
         rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     else:
-        rows = _vector_weights(kind, r)
+        rows = build_root_system(kind, r).vector_weights[:r]
     letter = "x" if family in ("Spin", "G") else "e"
     gen = ("e",) if display == "SL2" else tuple(f"{letter}{i+1}" for i in range(n))
     vn = ("v",) if display == "SL2" else tuple(f"v{i+1}" for i in range(n))
@@ -287,7 +276,7 @@ def _generator_images(lattice: CharacterLattice) -> tuple[tuple[tuple[int, ...],
 
 def _generator_coordinates(
     lattice: CharacterLattice, mu: Sequence[int]
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """Integer coordinates in the generator basis of a weight in root coordinates, or None.
 
     mu = M^T c for the generators M in root coordinates, so D c = A^T mu
@@ -540,8 +529,8 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     ch = chern_classes(lattice, pi, kmax=2)
     c2 = ch.c[2]
     primary = all(int(c) % 2 == 0 for _, c in c2.terms.items())
-    valuation: Optional[int] = None
-    secondary: Optional[bool] = None
+    valuation: int | None = None
+    secondary: bool | None = None
     if not pi.s_wrap and lattice.family != "GL" and any(pi.weight):
         valuation = -_ord2(_casimir_ratio(lattice.root_system(), pi.weight, ch.degree) / 4)
         q2g = _q2_in_generators(lattice)
@@ -561,7 +550,7 @@ _FACTORIZATION_FAMILIES = ("SL", "GL", "Sp", "SO")
 
 
 def _character_values(
-    lattice: CharacterLattice, weight: Tuple[int, ...], max_dim: int
+    lattice: CharacterLattice, weight: tuple[int, ...], max_dim: int
 ) -> list[int]:
     """chi(b_0), ..., chi(b_r) at the nested diagonal sign patterns.
 

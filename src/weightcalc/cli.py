@@ -24,8 +24,8 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable, Sequence
 from functools import partial
-from typing import Callable, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import DomainError, InternalError
@@ -101,7 +101,7 @@ def _need_rs(args: argparse.Namespace) -> RootSystem:
     return build_root_system(args.type, args.rank)
 
 
-def _need_weight(args: argparse.Namespace) -> Tuple[int, ...]:
+def _need_weight(args: argparse.Namespace) -> tuple[int, ...]:
     if args.weight is None:
         raise DomainError("this command needs --weight c1,c2,...")
     return args.weight
@@ -130,7 +130,7 @@ def _need_k(args: argparse.Namespace) -> int:
 # -- cache ----------------------------------------------------------------------
 
 
-def _cache_load(path: str) -> Optional[dict]:
+def _cache_load(path: str) -> dict | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -210,7 +210,7 @@ def _system_input(rs: RootSystem) -> dict:
     return {"kind": rs.kind, "rank": rs.rank}
 
 
-def _group_input(args: argparse.Namespace, lat, weight: Tuple[int, ...]) -> dict:
+def _group_input(args: argparse.Namespace, lat, weight: tuple[int, ...]) -> dict:
     obj = {"group": lat.name, "weight": list(weight)}
     if args.s_wrap:
         obj["s_wrap"] = True
@@ -384,7 +384,7 @@ def _cmd_oracle_weights(args: argparse.Namespace) -> int:
 def _verify_checks(args: argparse.Namespace) -> list[tuple[str, Callable[[], None]]]:
     checks: list[tuple[str, Callable[[], None]]] = []
 
-    def oracle_case(kind: str, rank: int, lam: Tuple[int, ...], kmax: int):
+    def oracle_case(kind: str, rank: int, lam: tuple[int, ...], kmax: int):
         def run() -> None:
             rs = build_root_system(kind, rank)
             wm = weight_multiplicities(rs, lam, max_dim=args.max_dim)
@@ -405,7 +405,7 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, Callable[[], Non
                  oracle_case(kind, rank, lam, 4))
             )
 
-    def triangle_case(group: str, weight: Tuple[int, ...], s_wrap: bool):
+    def triangle_case(group: str, weight: tuple[int, ...], s_wrap: bool):
         def run() -> None:
             lat = builtin_lattice(group)
             pi = PiSpec(weight, s_wrap)
@@ -438,7 +438,7 @@ def _verify_checks(args: argparse.Namespace) -> list[tuple[str, Callable[[], Non
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Run every check; a failed one exits 1, a DomainError (bad input) exits 2."""
-    outcomes: list[tuple[str, Optional[str]]] = []
+    outcomes: list[tuple[str, str | None]] = []
     for name, fn in _verify_checks(args):
         err = None
         try:
@@ -528,14 +528,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, check the common flags, and return the handler's exit code."""
     args = _build_parser().parse_args(argv)
     _check_flags(args)
     return args.handler(args)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run(argv)
     except DomainError as exc:

@@ -16,8 +16,8 @@ its length, then its entries.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 __all__ = ["WeightcalcError", "DomainError", "InternalError", "check_degree", "is_int",
            "check_coordinates"]

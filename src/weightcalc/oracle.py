@@ -34,11 +34,11 @@ forward differences and Stirling numbers read the coefficients off them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add, mul
-from typing import Sequence
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, is_int
 from .polyalg import BiPoly, _integer_rows, _monomials, invert
@@ -432,10 +432,9 @@ def character_at_order2(
     if basis is None:
         binv_t = [[int(i == j) for j in range(r)] for i in range(r)]
     else:
-        if len(basis) != r or any(len(row) != r for row in basis):
+        basis = [check_coordinates(row, r, "lattice basis entries") for row in basis]
+        if len(basis) != r:
             raise DomainError("lattice basis must be a square matrix of full rank")
-        if not all(is_int(x) for row in basis for x in row):
-            raise DomainError("lattice basis entries must be integers")
         binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
         if binv_t is None:
             raise DomainError("lattice basis must be a square matrix of full rank")

@@ -47,7 +47,9 @@ The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
 elimination in ``rref``, which is fraction-free: it runs on integer rows and
 forms Fractions only for the final pivot rows.  Every rational matrix that
-a layer needs in integers is scaled by ``_integer_rows``.
+a layer needs in integers is scaled by ``_integer_rows``.  The one
+determinant, of the integer minors of the classical alternating sums
+(``weylsum._classical_sums``), is Bareiss' elimination in ``_det``.
 """
 
 from __future__ import annotations
@@ -768,6 +770,30 @@ def invert(mat: Sequence[Sequence[Scalar]]) -> tuple[tuple[Fraction, ...], ...] 
     if pivots != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in red)
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square int matrix, by Bareiss' fraction-free elimination.
+
+    Each step takes the first row with a nonzero entry in the leading column
+    as pivot p, and replaces each row below by (p * row - f * pivot row) // prev,
+    prev the previous pivot (1 at first), dropping the leading column; every
+    such quotient is exact.  Moving the pivot row up past i rows multiplies
+    the sign by (-1)^i; a column with no nonzero entry gives 0.  The rows are
+    not modified.
+    """
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return 0
+        if i:
+            rows = [rows[i], *rows[:i], *rows[i + 1:]]
+            sign = (-1) ** i * sign
+        (p, *top), rows = rows[0], rows[1:]
+        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top)] for row in rows]
+        prev = p
+    return sign * rows[0][0]
 
 
 def mod2_reduce(f: BiPoly) -> Mod2Poly:

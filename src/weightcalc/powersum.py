@@ -33,17 +33,17 @@ and every odd P_k vanishes when -1 lies in the Weyl group.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Sequence
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import BiPoly, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
-from .weylsum import (MAX_TERMS, _expand, _fit_invariants, _fit_reduced, _fk_at_delta,
-                      _invariants_at, _orbit_power_sums, _signed_orbit, _vanishes,
-                      coweyl_denominator, coweyl_denominator_at, fk_evaluated)
+from .weylsum import (MAX_TERMS, _alternating_sums, _expand, _fit_invariants, _fit_reduced,
+                      _fk_at_delta, _invariants_at, _vanishes, coweyl_denominator,
+                      coweyl_denominator_at, fk_evaluated)
 
 __all__ = [
     "weyl_dimension",
@@ -85,10 +85,15 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     by F_N(delta) = N! * d.  At rank >= 3 it runs on the values of F_m at a
     few exact sample points, and each P_k is rebuilt from its values in a
     basis of degree-k invariants (``weylsum._fit_invariants``); there the
-    symbolic F_m would cost about |W| * r * C(N+k+r-1, r-1) per call, where a
-    sample costs about |W| * (r + k) for the orbit of lam + delta and about
-    N * (k/2)^2 for F_m(delta, nu), which comes from the Weyl denominator
-    product (``weylsum._fk_at_delta``) without an orbit.  At rank <= 2 the
+    symbolic F_m would cost about |W| * r * C(N+k+r-1, r-1) per call.  A
+    sample of F_m(lam + delta, nu) (``weylsum._alternating_sums``) costs, on
+    A-D at rank >= 4, one dot product per m of the weight-side minors of
+    lam + delta, at most 30 r x r determinants for k <= 6 formed once per
+    call, with the coweight-side minors, memoised per fit point; at rank 3,
+    about |W| * (r + k) for the orbit of lam + delta.  F_m(delta, nu)
+    costs about N * (k/2)^2: it comes from the Weyl denominator product
+    (``weylsum._fk_at_delta``) without an orbit.  Warm P_0..P_6 at rank 6
+    take 2-9 ms, where the orbit took 0.07-0.66 s.  At rank <= 2 the
     symbolic route measured faster.
     """
     lam = validate_dominant(rs, lam)
@@ -96,8 +101,8 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     n = rs.num_positive
     shifted = tuple(c + 1 for c in lam)
     if rs.rank >= 3:
-        orbit = _signed_orbit(rs, shifted)
-        return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, orbit, nu, kmax))
+        sums = _alternating_sums(rs, shifted, range(n, n + kmax + 1))
+        return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, sums, nu, kmax))
     f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
     return _triangular_solve(n, f_lam, _fk_delta(rs, kmax), exact_divide)
 
@@ -112,20 +117,15 @@ def _fk_delta(rs: RootSystem, kmax: int) -> tuple[BiPoly, ...]:
     return tuple(fk_evaluated(rs, delta, rs.num_positive + j) for j in range(kmax + 1))
 
 
-def _power_sums_at(rs: RootSystem, orbit: tuple, nu: tuple[int, ...], kmax: int) -> list[int]:
-    """P_0(nu)..P_kmax(nu) from the signed orbit of lam + delta.
+def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list[int]:
+    """P_0(nu)..P_kmax(nu) from F_m(lam + delta, nu), m = N..N+kmax, given as ``sums(nu)``.
 
-    F_m(lam + delta, nu) for m = N..N+kmax is one signed sum of powers of the
-    pairings <w(lam + delta), nu>, formed once; F_m(delta, nu) comes from the
-    Weyl denominator product.  The triangular solve runs on these integers;
-    its divisor F_N(delta, nu) = N! * d(nu) is nonzero because nu is regular,
-    and each P_k(nu) is an integer because nu is integral.
+    ``sums`` comes from ``weylsum._alternating_sums``; F_m(delta, nu) comes
+    from the Weyl denominator product.  The triangular solve runs on these
+    integers; its divisor F_N(delta, nu) = N! * d(nu) is nonzero because nu is
+    regular, and each P_k(nu) is an integer because nu is integral.
     """
-    n = rs.num_positive
-    ms = [m for m in range(n, n + kmax + 1) if not _vanishes(rs, m)]
-    values = dict(zip(ms, _orbit_power_sums(orbit, nu, ms)))
-    f_lam = [values.get(m, 0) for m in range(n, n + kmax + 1)]
-    return _triangular_solve(n, f_lam, _fk_at_delta(rs, nu, kmax), _int_divide)
+    return _triangular_solve(rs.num_positive, sums(nu), _fk_at_delta(rs, nu, kmax), _int_divide)
 
 
 def _int_divide(num: int, den: int) -> int:

@@ -29,11 +29,12 @@ coroots are read and which every other user of the form reads too.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
-from typing import NamedTuple, Sequence, Tuple
+from operator import mul, sub
 
 from .errors import DomainError, InternalError, check_coordinates, is_int
 from .polyalg import _integer_rows, invert
@@ -52,17 +53,14 @@ __all__ = [
 ]
 
 Coord = Fraction | int
-Matrix = Tuple[Tuple[int, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 #: Supported rank range per type kind.
 SUPPORTED_RANKS = {"A": (1, 6), "B": (2, 6), "C": (2, 6), "D": (3, 6), "G2": (2, 2)}
 
 
-class WeylElement(NamedTuple):
-    """One Weyl group element: its matrix on weight coordinates and its sign."""
-
-    matrix: Matrix
-    sign: int
+WeylElement = namedtuple("WeylElement", ["matrix", "sign"])
+WeylElement.__doc__ = "One Weyl group element: its matrix on weight coordinates and its sign."
 
 
 def _cartan_matrix(kind: str, rank: int) -> Matrix:
@@ -115,7 +113,7 @@ def _positive_roots(cartan: Matrix) -> list[tuple[tuple[int, ...], tuple[int, ..
     return sorted(roots, key=lambda kb: (sum(kb[0]), kb[0]))
 
 
-def _coroot(gram: Matrix, beta: Sequence[int]) -> Tuple[int, ...]:
+def _coroot(gram: Matrix, beta: Sequence[int]) -> tuple[int, ...]:
     """beta-vee = 2 G beta / (beta . G beta) in simple-coroot coordinates, G the integer form."""
     g = [sum(map(mul, row, beta)) for row in gram]
     norm = sum(map(mul, beta, g))
@@ -128,7 +126,7 @@ def _coroot(gram: Matrix, beta: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _enumerate_weyl(cartan: Matrix, coroots: Sequence[Sequence[int]]) -> Tuple[WeylElement, ...]:
+def _enumerate_weyl(cartan: Matrix, coroots: Sequence[Sequence[int]]) -> tuple[WeylElement, ...]:
     """W read off the orbit of one packed regular weight, sorted by matrix.
 
     Entry M[i][j] = <w w_j, alpha_i-vee> = <w_j, w^-1 alpha_i-vee> is a coroot
@@ -166,10 +164,10 @@ class RootSystem:
     positive_coroots: Matrix = field(compare=False)  # simple-coroot coordinates
     root_coefficients: Matrix = field(compare=False)  # over the simple roots
     killing: Matrix = field(compare=False)
-    killing_dual: Tuple[Tuple[Fraction, ...], ...] = field(compare=False)
+    killing_dual: tuple[tuple[Fraction, ...], ...] = field(compare=False)
     minus_one_in_weyl: bool = field(compare=False)
     killing_dual_rows: Matrix | None = field(default=None, compare=False)  # M, integer rows
-    _weyl: Tuple[WeylElement, ...] | None = field(
+    _weyl: tuple[WeylElement, ...] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -187,12 +185,26 @@ class RootSystem:
         return self.kind if self.kind[-1].isdigit() else f"{self.kind}{self.rank}"
 
     @cached_property
-    def two_rho_vee(self) -> Tuple[int, ...]:
+    def two_rho_vee(self) -> tuple[int, ...]:
         """2rho-vee, the sum of the positive coroots, in simple-coroot coordinates."""
         return tuple(map(sum, zip(*self.positive_coroots)))
 
+    @cached_property
+    def vector_weights(self) -> Matrix:
+        """e_1 = w_1, then e_(j+1) = e_j - alpha_j: the vector representation's weights in order.
+
+        On the classical types these are the e_j of the diagonal torus: r of
+        them on B, C and D, and on A_r the r + 1 weights of SL(r+1), whose sum
+        is 0.  Row j of the Cartan matrix is alpha_j in fundamental-weight
+        coordinates.
+        """
+        rows = [(1,) + (0,) * (self.rank - 1)]
+        for alpha in self.cartan[:self.rank if self.kind == "A" else -1]:
+            rows.append(tuple(map(sub, rows[-1], alpha)))
+        return tuple(rows)
+
     @property
-    def weyl(self) -> Tuple[WeylElement, ...]:
+    def weyl(self) -> tuple[WeylElement, ...]:
         if self._weyl is None:
             elems = _enumerate_weyl(self.cartan, self.positive_coroots)
             _, w_exp = _expected_counts(self.kind, self.rank)
@@ -306,7 +318,7 @@ def act(w: WeylElement, mu: Sequence[Coord]) -> tuple:
     return tuple(sum(mat[i][j] * mu[j] for j in range(n)) for i in range(n))
 
 
-def highest_root(rs: RootSystem) -> Tuple[int, ...]:
+def highest_root(rs: RootSystem) -> tuple[int, ...]:
     """The unique maximal-height positive root, in weight coordinates."""
     best = max(range(rs.num_positive), key=lambda i: sum(rs.root_coefficients[i]))
     return rs.positive_roots[best]

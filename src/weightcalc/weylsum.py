@@ -19,7 +19,11 @@ of bidegree (k, k).  Facts used as computational shortcuts and cross-checks:
 * at mu = delta the Weyl denominator formula gives every F_k(delta, nu)
   from the positive roots alone, with no orbit (``_fk_at_delta``, memoised
   per root system, nu and degree bound, since the sampled fits of one rank
-  always ask at the same points).
+  always ask at the same points);
+* on the classical types Weyl's character formula writes the alternating
+  sum as one determinant, so F_k at a point is a short Cauchy-Binet sum of
+  products of r x r minors, one factor from each side (``_classical_sums``,
+  used on A-D at rank >= 4, where it is faster than the orbit).
 
 Each P_k of a weight multiset (``powersum``) and each F'_k is a W-invariant,
 and one exact fit, _fit_exact, rebuilds both from sample values: it solves
@@ -39,17 +43,17 @@ reference that tests compare against.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count, islice
+from functools import lru_cache, partial
+from itertools import accumulate, count, islice, repeat
 from math import comb, factorial, prod
 from operator import mul
-from typing import Sequence
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
-from .polyalg import (BiPoly, _common_denominator, _monomials, _mul_into,
-                      _substitution, exact_divide, expand_linear_power, rref)
+from .polyalg import (BiPoly, _common_denominator, _det, _integer_rows, _monomials, _mul_into,
+                      _ratio, _substitution, exact_divide, expand_linear_power, invert, rref)
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
@@ -125,9 +129,9 @@ def fk_direct(rs: RootSystem, k: int) -> BiPoly:
     return BiPoly(r, r, acc)
 
 
-def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> None:
+def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> tuple:
     check_degree(k, "k")
-    check_coordinates(mu, rs.rank, exact=True)
+    return check_coordinates(mu, rs.rank, exact=True)
 
 
 def _signed_orbit(
@@ -183,7 +187,7 @@ def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
     |W| * r * C(k+r-1, r-1) products in all.  Intended for small rank; the
     rank <= 2 route of ``powersum.power_sums`` calls it.
     """
-    _check_power_and_weight(rs, mu, k)
+    mu = _check_power_and_weight(rs, mu, k)
     r = rs.rank
     out = BiPoly.zero(r, r)
     if _vanishes(rs, k):
@@ -241,12 +245,148 @@ def _fk_at_delta(rs: RootSystem, nu: tuple[int, ...], imax: int) -> tuple[int, .
 
 
 def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int) -> Scalar:
-    """F_k evaluated at a rational point pair; cheap even for big Weyl groups."""
-    _check_power_and_weight(rs, mu, k)
-    check_coordinates(nu, rs.rank, "coweight", exact=True)
+    """F_k evaluated at a rational point pair; cheap even for big Weyl groups.
+
+    mu and nu are scaled to integers by their common denominators p and q, and
+    F_k(p mu, q nu) is divided by (p q)^k at the end.  On A-D at rank >= 4 it
+    costs a few r x r determinants (``_classical_sums``) and no orbit; G2 and
+    rank <= 3 walk the orbit, of at most 48 points.
+    """
+    mu = _check_power_and_weight(rs, mu, k)
+    nu = check_coordinates(nu, rs.rank, "coweight", exact=True)
     if _vanishes(rs, k):
         return 0
-    return _orbit_power_sums(_signed_orbit(rs, mu), nu, [k])[0]
+    (p, mu), (q, nu) = _common_denominator(mu), _common_denominator(nu)
+    return _ratio(_alternating_sums(rs, mu, [k])(nu)[0], (p * q) ** k)
+
+
+# -- alternating sums at a point ---------------------------------------------
+
+
+def _by_determinants(rs: RootSystem) -> bool:
+    """Whether F_m(mu, nu) at a point comes from ``_classical_sums``: A-D at rank >= 4.
+
+    G2 and rank <= 3 walk the orbit, of at most 48 points.  The crossover,
+    measured as the median of 12 alternating fresh processes, each building
+    the root system and then timing ``power_sums`` at three weights for each
+    of k = 2, 4, 6 (orbit against determinants): A3 6.3 against 8.5 ms, the
+    orbit faster in 11 of 12, since each new fit point pays for its
+    coweight-side minors; B3, C3 and D3 within 8% either way; A4 25.5
+    against 22.1 ms (11 of 12), and B4, C4, D4 37, 37, 25 against 14, 14,
+    15 ms (12 of 12).
+    """
+    return rs.kind != "G2" and rs.rank >= 4
+
+
+def _alternating_sums(rs: RootSystem, mu: Sequence[int], ms: Sequence[int]):
+    """The function nu -> [F_m(mu, nu) for m in ms] at an integral weight mu.
+
+    Each F_m that vanishes identically (``_vanishes``) reads 0.  What depends
+    on mu alone is formed once, here: the weight-side minors of
+    ``_classical_sums`` where ``_by_determinants`` holds, else the signed
+    orbit of mu.  nu is an integral coweight, as a tuple.
+    """
+    live = [m for m in ms if not _vanishes(rs, m)]
+    if _by_determinants(rs):
+        sums = partial(_classical_sums, rs, _weight_minors(rs, mu, live))
+    else:
+        sums = partial(_orbit_power_sums, _signed_orbit(rs, mu))
+
+    def at(nu):
+        values = dict(zip(live, sums(nu, live)))
+        return [values.get(m, 0) for m in ms]
+    return at
+
+
+@lru_cache(maxsize=None)
+def _vector_coordinates(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, T): D c = T mu gives the coordinates c of a weight mu in e_1..e_r.
+
+    The e_j are ``RootSystem.vector_weights``; on A_r, whose r + 1 of them sum
+    to 0, c_(r+1) = 0.  D is 1 on A and C, and 2 on B and D, where the spin
+    weights have half-integral c.
+    """
+    return _integer_rows(invert(list(zip(*rs.vector_weights[:rs.rank]))))
+
+
+@lru_cache(maxsize=None)
+def _cauchy_binet(rs: RootSystem, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(K, w * m!/prod k_j!) for each exponent tuple K = (k_1 < ... < k_r) of F_m, sum k = m.
+
+    K is all odd on B and C (w = 2^r), all even or all odd on D
+    (w = 2^(r-1)), and all >= 1 on A_r (w = (-1)^r), where the coweight side
+    puts k = 0 first.  The tuples are k_j = start + step * (j + x_j),
+    j = 0..r-1, over the weakly increasing x of r parts >= 0 summing to
+    (m - r * start)/step - r(r-1)/2: the partitions into at most r parts.
+    """
+    r = rs.rank
+    families, w = {"A": (((1, 1),), (-1) ** r),
+                   "D": (((0, 2), (1, 2)), 2 ** (r - 1))}.get(rs.kind, (((1, 2),), 2 ** r))
+    out = []
+    for start, step in families:
+        size, rem = divmod(m - r * start, step)
+        size -= r * (r - 1) // 2
+        if rem or size < 0:
+            continue
+        for parts in _monomials(r, size):
+            if all(a <= b for a, b in zip(parts, parts[1:])):
+                k = tuple(start + step * (j + x) for j, x in enumerate(parts))
+                out.append((k, w * factorial(m) // prod(map(factorial, k))))
+    return tuple(out)
+
+
+def _power_minors(x: Sequence[int], lead: tuple[int, ...], terms) -> list[int]:
+    """det(x_i^(k_j)) over the columns lead + K, for each K of the ``_cauchy_binet`` terms."""
+    top = max((k[-1] for k, _ in terms), default=0)
+    powers = [list(accumulate(repeat(v, top), mul, initial=1)) for v in x]
+    return [_det([[p[j] for j in lead + k] for p in powers]) for k, _ in terms]
+
+
+def _weight_minors(rs: RootSystem, mu: Sequence[int], ms: Sequence[int]) -> list[list[int]]:
+    """For each m in ms, det(c_i^(k_j)) over its ``_cauchy_binet`` tuples, c = D * (mu in the e_j)."""
+    rows = _vector_coordinates(rs)[1]
+    c = [sum(map(mul, row, mu)) for row in rows]
+    return [_power_minors(c, (), _cauchy_binet(rs, m)) for m in ms]
+
+
+@lru_cache(maxsize=4096)
+def _coweight_minors(rs: RootSystem, nu: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """w * m!/prod k_j! * det(v_i^(k_j)), v_j = <e_j, nu>, for each ``_cauchy_binet`` term of F_m.
+
+    On A_r the r + 1 values v_j take the columns 0, k_1, ..., k_r.  Memoised:
+    the sampled fits ask at the same fit and check points of each rank;
+    bounded, since ``fk_scalar`` may ask at any point.
+    """
+    terms = _cauchy_binet(rs, m)
+    v = [sum(map(mul, e, nu)) for e in rs.vector_weights]
+    minors = _power_minors(v, (0,) * (len(v) - rs.rank), terms)
+    return tuple(coeff * x for (_, coeff), x in zip(terms, minors))
+
+
+def _classical_sums(rs: RootSystem, minors: list[list[int]], nu: Sequence[int],
+                    ms: Sequence[int]) -> list[int]:
+    """F_m(mu, nu) for each m in ms on a classical type, from the ``_weight_minors`` of mu.
+
+    Weyl's character formula for the classical groups writes
+    sum over w of sign(w) e^<w mu, nu> as one determinant in c and v, c the
+    coordinates of mu and v_j = <e_j, nu> (Weyl, The Classical Groups;
+    Fulton-Harris, Representation Theory, 24.2): det(e^(c_i v_j)) on A,
+    det(e^(c_i v_j) - e^(-c_i v_j)) on B and C, and on D half the sum of
+    that and det(e^(c_i v_j) + e^(-c_i v_j)).  By Cauchy-Binet, F_m is
+    then sum over K of w * m!/prod k_j! * det(c_i^(k_j)) * det(v_i^(k_j))
+    (``_cauchy_binet``); on A, c_(r+1) = 0 leaves the tuples with k = 0
+    first, and the row of c_(r+1) the sign (-1)^r.  The minors of D c are
+    D^m times those of c, so each sum is divided by D^m exactly;
+    InternalError on a remainder.
+    """
+    den, nu = _vector_coordinates(rs)[0], tuple(nu)
+    out = []
+    for m, at_mu in zip(ms, minors):
+        q, rem = divmod(sum(map(mul, at_mu, _coweight_minors(rs, nu, m))), den ** m)
+        if rem:
+            raise InternalError(f"{rs.name}: F_{m} at {nu} is not an integer")
+        out.append(q)
+    return out
 
 
 def weyl_denominator(rs: RootSystem) -> BiPoly:
@@ -628,7 +768,10 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
     K-vee.  ``_fit_exact`` solves for the coefficients from
     F_k(mu, nu) / (d(nu) d-vee(mu)) with mu, nu two consecutive
     ``_fit_points``, and checks them at ``_check_points``.  Each c_ij lands
-    on the monomials t^(pi_i) s^(pi_j) and t^(pi_j) s^(pi_i).
+    on the monomials t^(pi_i) s^(pi_j) and t^(pi_j) s^(pi_i).  Every sample
+    takes ``_alternating_sums`` at a new mu, so its cost is the weight-side
+    minors on A-D at rank >= 4 and the orbit of mu elsewhere: at k <= N+6,
+    B6, C6 and D6 take 13-24 ms, where the orbit took 1.7-3.6 s.
     """
     r, n = rs.rank, rs.num_positive
     gens = _invariant_generators(rs)
@@ -643,7 +786,7 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
                                 top, products)
         rows = [[x[i] * z[j] + x[j] * z[i] for i, j in ps]
                 for x, z, ps in zip(at_nu, at_kmu, pairs)]
-        values = _orbit_power_sums(_signed_orbit(rs, mu), nu, ks)
+        values = _alternating_sums(rs, mu, ks)(nu)
         den = weyl_denominator_at(rs, nu) * coweyl_denominator_at(rs, mu)
         return rows, [Fraction(v, den) for v in values]
 

@@ -452,8 +452,9 @@ def test_installed_entry_point(tmp_path):
 def test_cold_import_loads_every_layer_but_not_tempfile_or_random(tmp_path):
     """A fresh `python -S` interpreter importing the CLI, as each shell command starts.
 
-    Every layer module is loaded; tempfile (only a cache store needs it) and
-    random (only the sampled fits draw points) are not.
+    Every layer module is loaded; tempfile (only a cache store needs it),
+    random (only the sampled fits draw points) and typing (annotations use
+    builtin and collections.abc names) are not.
     """
     import os
     import subprocess
@@ -472,4 +473,4 @@ def test_cold_import_loads_every_layer_but_not_tempfile_or_random(tmp_path):
     modules = set(modules.split())
     layers = {"rootsys", "weylsum", "polyalg", "powersum", "charclass", "oracle", "cli"}
     assert {f"weightcalc.{m}" for m in layers} <= modules
-    assert not modules & {"tempfile", "random"}
+    assert not modules & {"tempfile", "random", "typing"}

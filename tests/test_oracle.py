@@ -140,6 +140,18 @@ def test_character_refuses_a_basis_entry_that_is_not_an_int(a1, bad):
     assert character_at_order2(wm, (-1,), basis=((2,),)) == -1
 
 
+@pytest.mark.parametrize("bad", [(None, None), ((1, 0), None), ((1, 0), (0,)), ((1, 0), 5)])
+def test_character_reads_the_basis_row_by_row(a2, bad):
+    # a generator of rows and a None row raised TypeError from len(); the
+    # generator is read like a tuple, and a malformed row is refused
+    wm = weight_multiplicities(a2, (1, 1))
+    rows = ((1, 0), (-1, 1))
+    want = character_at_order2(wm, (-1, 1), basis=rows)
+    assert character_at_order2(wm, (-1, 1), basis=(row for row in rows)) == want
+    with pytest.raises(DomainError, match="lattice basis entries"):
+        character_at_order2(wm, (-1, 1), basis=bad)
+
+
 def _per_step_fill(rs, lam, order):
     """Reference: the multiplicity recursion over the dominant weights in ``order``, lam first.
 

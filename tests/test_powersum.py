@@ -491,3 +491,37 @@ def test_engine_never_enumerates_the_weyl_group(kind, rank):
     weylsum.fk_scalar(rs, (1,) * rank, (1,) * rank, rs.num_positive)
     weight_multiplicities(rs, lam).expanded()
     assert rs._weyl is None
+
+
+def test_rank_5_classical_types_walk_no_orbit(monkeypatch):
+    """A5, B5, C5 and D5 take their alternating sums from determinants, G2 and A3 from the orbit.
+
+    Each is first computed with the orbit forced, then with the orbit walk
+    refused: ``power_sums``, ``fk_scalar`` and the F'_k fit that
+    ``symbolic_power_sums`` and ``FkTable`` read (``_fit_reduced``), with
+    ``symbolic_power_sums`` itself on A5 (its expanded P_2 at rank 5 takes
+    2.5-35 s, so kmax is 1).
+    """
+    def values(rs):
+        n, r = rs.num_positive, rs.rank
+        ks = [k for k in range(n, n + 5) if not weylsum._vanishes(rs, k)]
+        mu, nu = tuple(range(1, r + 1)), tuple(range(r, 0, -1))
+        out = [power_sums(rs, lam, 4) for lam in [(1,) + (0,) * (r - 1), (0, 2) + (0,) * (r - 3) + (1,)]]
+        out += [weylsum.fk_scalar(rs, mu, nu, k) for k in ks] + [weylsum._fit_reduced(rs, ks)]
+        return out + (symbolic_power_sums(rs, 1) if rs.kind == "A" else [])
+
+    cases = [get_rs(kind, 5) for kind in "ABCD"]
+    monkeypatch.setattr(weylsum, "_by_determinants", lambda rs: False)
+    want = [values(rs) for rs in cases]
+    monkeypatch.undo()
+
+    def no_orbit(rs, mu):
+        raise AssertionError(f"{rs.name} walked the orbit")
+
+    monkeypatch.setattr(weylsum, "_signed_orbit", no_orbit)
+    assert [values(rs) for rs in cases] == want
+    for rs in (get_rs("G", 2), get_rs("A", 3)):
+        with pytest.raises(AssertionError, match="walked the orbit"):
+            power_sums(rs, (1,) + (0,) * (rs.rank - 1), 2)
+        with pytest.raises(AssertionError, match="walked the orbit"):
+            weylsum.fk_scalar(rs, (1,) * rs.rank, (2,) * rs.rank, rs.num_positive)

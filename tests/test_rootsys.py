@@ -331,6 +331,17 @@ def test_name_integer_dual_rows_and_two_rho_vee(kind, rank):
     assert [sum(a * x for a, x in zip(row, rs.two_rho_vee)) for row in rs.cartan] == [2] * rank
 
 
+@pytest.mark.parametrize("kind,rank", [t for t in all_supported_types() if t[0] != "G"])
+def test_vector_weights_are_the_orbit_of_w1(kind, rank):
+    # the r + 1 weights of SL(r+1) on A, and e_1..e_r with their negatives on B, C, D
+    rs = get_rs(kind, rank)
+    e = rs.vector_weights
+    assert e[0] == (1,) + (0,) * (rank - 1) and len(e) == rank + (kind == "A")
+    signed = set(e) if kind == "A" else set(e) | {tuple(-x for x in v) for v in e}
+    assert len(signed) == len(e) * (1 if kind == "A" else 2)
+    assert signed == set(rootsys.dominant_orbit(rs.cartan, e[0]))
+
+
 def test_killing_dual_is_inverse_of_killing():
     for kind, rank in [("A", 2), ("B", 3), ("C", 2), ("D", 4), ("G", 2)]:
         rs = get_rs(kind, rank)

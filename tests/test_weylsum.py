@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import re
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -308,6 +309,16 @@ def test_fk_scalar_rejects_coweight_of_wrong_length(a2):
         fk_scalar(a2, (1, 1), (1,), 3)
 
 
+@pytest.mark.parametrize("kind,rank", [("B", 2), ("D", 4)])
+def test_weight_given_as_an_iterator_is_read_once(kind, rank):
+    # the check consumed the iterator, and the orbit was then walked from an empty weight
+    rs = get_rs(kind, rank)
+    (mu, nu), k = weylsum._check_points(rs)[0], rs.num_positive + 2
+    assert fk_scalar(rs, iter(mu), iter(nu), k) == fk_scalar(rs, mu, nu, k) != 0
+    if rank == 2:
+        assert fk_evaluated(rs, iter(mu), k) == fk_evaluated(rs, mu, k)
+
+
 @pytest.mark.parametrize("bad", [(0.5, 1.0), (True, 1), (1, "2")])
 def test_inexact_coordinates_rejected(a2, bad):
     # float round-off would defeat the orbit walk's point dedupe
@@ -372,6 +383,36 @@ def test_fk_scalar_matches_closed_forms(kind, rank):
         q2_vee = sum(rs.killing_dual[i][j] * mu[i] * mu[j] for i in range(rank) for j in range(rank))
         assert fk_scalar(rs, mu, nu, n) == f_n != 0
         assert fk_scalar(rs, mu, nu, n + 2) == Fraction(comb(n + 2, 2), rs.dim_g) * q2 * q2_vee * f_n
+
+
+@pytest.mark.parametrize("kind,rank", [(kind, rank) for kind in "ABCD" for rank in range(3, 7)])
+def test_classical_determinants_equal_the_orbit_sums(monkeypatch, kind, rank):
+    """The Cauchy-Binet sums of ``_classical_sums`` equal the signed orbit sums, m = N..N+8.
+
+    Weights: regular, singular, and a spin weight whose coordinates in the
+    e_j are half-integers on B and D (D = 2 there), each also reflected at
+    every simple root in turn, which multiplies every F_m by (-1)^r.
+    Rational points go through ``fk_scalar``, on the determinants at every
+    rank.
+    """
+    rs = get_rs(kind, rank)
+    n = rs.num_positive
+    ms = [m for m in range(n, n + 9) if not weylsum._vanishes(rs, m)]
+    regular = tuple(range(1, rank + 1))
+    assert weylsum._vector_coordinates(rs)[0] == (2 if kind in "BD" else 1)
+    nus = [tuple(3 * j + 2 for j in range(rank)), tuple((-1) ** j * (j + 2) for j in range(rank))]
+    for mu in (regular, (0,) + regular[1:], (2,) * (rank - 1) + (1,)):
+        orbit = weylsum._signed_orbit(rs, mu)
+        for nu in nus:
+            want = weylsum._orbit_power_sums(orbit, nu, ms)
+            assert weylsum._classical_sums(rs, weylsum._weight_minors(rs, mu, ms), nu, ms) == want
+            reflected = weylsum._weight_minors(rs, _reflect_down(rs, mu), ms)
+            assert weylsum._classical_sums(rs, reflected, nu, ms) == [(-1) ** rank * v for v in want]
+    monkeypatch.setattr(weylsum, "_by_determinants", lambda rs: True)
+    mu, nu = tuple(Fraction(2 * j + 1, 3) for j in range(rank)), tuple(Fraction(j - 4, 2) for j in range(rank))
+    want = weylsum._orbit_power_sums(weylsum._signed_orbit(rs, mu), nu, ms)
+    assert [fk_scalar(rs, mu, nu, m) for m in ms] == want
+    assert any(type(v) is Fraction for v in want)
 
 
 def test_weyl_denominator_structure(a2):
@@ -639,3 +680,14 @@ def test_only_the_expansion_writes_out_generator_coordinates():
                "    return [f.eval_a(at) for f in fs] + [fs[0].eval_a(at)]\n")
     assert _calls(planted, _EXPANSION_NAMES) == ["fit"]
     assert _calls(planted, {"eval_a"}) == ["solve", "solve"]
+
+
+def test_classical_sums_refuse_an_inexact_quotient(monkeypatch):
+    # every sum of products of minors is D^m times an integer; a wrong D leaves a remainder
+    rs = get_rs("B", 4)
+    den, rows = weylsum._vector_coordinates(rs)
+    mu, nu = weylsum._check_points(rs)[0]
+    assert fk_scalar(rs, mu, nu, 16) != 0
+    monkeypatch.setattr(weylsum, "_vector_coordinates", lambda rs: (1009 * den, rows))
+    with pytest.raises(InternalError, match=re.escape(f"B4: F_16 at {nu} is not an integer")):
+        fk_scalar(rs, mu, nu, 16)

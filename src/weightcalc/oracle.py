@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, mul
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, is_int
@@ -96,9 +96,8 @@ class WeightMultiset:
             total = sum(full.values())
             dim = weyl_dimension(self.rs, self.highest_weight)
             if total != dim:
-                raise InternalError(
-                    f"weight multiset sums to {total}, dimension formula says {dim}"
-                )
+                raise InternalError(f"weight multiset sums to {total},"
+                                    f" dimension formula says {dim}")
             object.__setattr__(self, "_expanded", full)
         return self._expanded
 
@@ -165,7 +164,7 @@ def weight_multiplicities(
                     nxt.append(nu)
         frontier = nxt
 
-    mult: dict[tuple, int] = {}
+    mult, chamber = {}, {}  # chamber: the dominant weight of each root-string point
     for mu in sorted(depth, key=lambda mu: (depth[mu], mu)):
         if mu == lam:
             mult[mu] = 1
@@ -186,7 +185,9 @@ def weight_multiplicities(
                 if nu_norm > bound:
                     break
                 nu = tuple(map(add, nu, alpha))
-                m = mult.get(chamber_descent(cartan, nu), 0)
+                if (dom := chamber.get(nu)) is None:
+                    dom = chamber[nu] = chamber_descent(cartan, nu)
+                m = mult.get(dom, 0)
                 if m:
                     total += m * pair
         q, rem = divmod(2 * total, bound - norm)
@@ -284,17 +285,18 @@ def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _pair_coefficients(a: int, b: int, kmax: int) -> tuple[int, ...]:
-    """c_0..c_kmax of (1 + t)^a (1 - t)^b, for any integers a and b.
+    """c_0..c_kmax of F = (1 + t)^a (1 - t)^b, for any integers a and b.
 
-    The coefficients of (1 + t)^n are the generalised binomials C(n, i),
-    (-1)^i C(i - n - 1, i) for n < 0; those of (1 - t)^n carry (-1)^i more.
+    (1 - t^2) F' = (a - b - (a + b) t) F gives c_0 = 1, c_1 = a - b and
+    (j + 1) c_(j+1) = (a - b) c_j + (j - 1 - a - b) c_(j-1), an exact quotient.
     """
-    plus, minus = ([comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
-                    for i in range(kmax + 1)] for n in (a, b))
-    return tuple(
-        sum((-1) ** (j - i) * plus[i] * minus[j - i] for i in range(j + 1))
-        for j in range(kmax + 1)
-    )
+    c = [1, a - b]
+    for j in range(1, kmax):
+        q, rem = divmod((a - b) * c[j] + (j - 1 - a - b) * c[j - 1], j + 1)
+        if rem:
+            raise InternalError("a coefficient of (1 + t)^a (1 - t)^b is not an integer")
+        c.append(q)
+    return tuple(c[:kmax + 1])
 
 
 @lru_cache(maxsize=None)
@@ -329,12 +331,14 @@ def _series_at(pairing: Sequence[int], a: Sequence[int], b: Sequence[int], kmax:
     """E_0..E_kmax at one point: the product of (1 + c t)^a (1 - c t)^b mod t^(kmax + 1).
 
     c is the pairing of a pair with the point; pairs with the same |c|
-    share one factor, with a and b swapped when c < 0.
+    share one factor, with a and b swapped when c < 0, and c = 0 adds none.
     """
     groups: dict[int, list[int]] = {}
     for c, x, z in zip(pairing, a, b):
         if c < 0:
             c, x, z = -c, z, x
+        elif not c:
+            continue
         g = groups.get(c)
         if g is None:
             groups[c] = [x, z]
@@ -345,7 +349,10 @@ def _series_at(pairing: Sequence[int], a: Sequence[int], b: Sequence[int], kmax:
     # sum over a slice; a factor has degree x + z, so f may be shorter
     rev = [0] * kmax + [1]
     for c, (x, z) in groups.items():
-        f = [v * c ** j for j, v in enumerate(_pair_coefficients(x, z, min(x + z, kmax)))]
+        f, p = [], 1
+        for v in _pair_coefficients(x, z, min(x + z, kmax)):
+            f.append(v * p)
+            p *= c
         rev = [sum(map(mul, f, rev[n:])) for n in range(kmax + 1)]
     return rev[::-1]
 
@@ -432,10 +439,11 @@ def character_at_order2(
     if basis is None:
         binv_t = [[int(i == j) for j in range(r)] for i in range(r)]
     else:
-        basis = [check_coordinates(row, r, "lattice basis entries") for row in basis]
-        if len(basis) != r:
-            raise DomainError("lattice basis must be a square matrix of full rank")
-        binv_t = invert([[basis[j][i] for j in range(r)] for i in range(r)])
+        try:
+            basis = [check_coordinates(row, r, "lattice basis entries") for row in basis]
+        except TypeError:
+            raise DomainError(f"lattice basis must be a sequence of rows, got {basis!r}") from None
+        binv_t = invert([list(col) for col in zip(*basis)]) if len(basis) == r else None
         if binv_t is None:
             raise DomainError("lattice basis must be a square matrix of full rank")
     scale, binv_t = _integer_rows(binv_t)
@@ -486,15 +494,8 @@ def schur_at_signs(partition: Sequence[int], a_minus: int, b_plus: int) -> int:
         raise DomainError("partition has more parts than there are variables")
     if n == 0:
         return 1
-    pmax = part[0] + n
-    h = _pair_coefficients(-a_minus, -b_plus, pmax)
-
-    def hval(p: int) -> int:
-        if p < 0:
-            return 0
-        return h[p]
-
-    mat = [[hval(part[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
+    h = _pair_coefficients(-a_minus, -b_plus, part[0] + n)
+    mat = [[h[p] if p >= 0 else 0 for p in (part[i] - i + j for j in range(n))] for i in range(n)]
     return _int_det(mat)
 
 
@@ -502,8 +503,7 @@ def _int_det(mat: list[list[int]]) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
     n = len(mat)
     m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for col in range(n - 1):
         piv = next((k for k in range(col, n) if m[k][col] != 0), None)
         if piv is None:

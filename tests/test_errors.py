@@ -3,8 +3,9 @@
 Also that the Weyl denominators d and d-vee are built by their two builders alone,
 evaluated at a point by their two evaluators alone, that the inverse Killing
 form is scaled to integer rows in ``rootsys`` alone, that every substitution
-is given an image for each variable, and that ``charclass`` reads its order-2
-characters from its own table and the inverse Killing form in one function.
+is given an image for each variable, that ``charclass`` reads its order-2
+characters from its own table and the inverse Killing form in one function, and
+that the oracle builds its binomial-pair series in one function.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from weightcalc import charclass, errors
+from weightcalc import charclass, errors, oracle
 from weightcalc.charclass import PiSpec, builtin_lattice, chern_classes, lattice_contains
 from weightcalc.errors import DomainError, check_coordinates, is_int
 from weightcalc.oracle import weight_multiplicities
@@ -241,6 +242,65 @@ def test_charclass_has_one_character_table_and_one_casimir_ratio():
         "def rows(rs):\n"
         "    return rs.killing_dual_rows\n"
     ) == (["qualified", "table"], ["_casimir_ratio", "shift"])
+
+
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _series_builders_and_readers(source: str) -> tuple[list[str], list[str]]:
+    """Functions that build a binomial series, and functions that call ``_pair_coefficients``.
+
+    A builder calls ``comb``, or runs a coefficient recurrence: a loop that
+    appends to a list it also reads by index, and divides.
+    """
+    builds, reads = set(), set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if _calls(node, "comb"):
+                builds.add(func.name)
+            if _calls(node, "_pair_coefficients"):
+                reads.add(func.name)
+            if isinstance(node, (ast.For, ast.While)):
+                body = list(ast.walk(node))
+                grown = {n.func.value.id for n in body if _calls(n, "append")
+                         and isinstance(getattr(n.func, "value", None), ast.Name)}
+                indexed = {n.value.id for n in body
+                           if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)}
+                if grown & indexed and any(
+                        _calls(n, "divmod") or isinstance(n, ast.BinOp)
+                        and isinstance(n.op, (ast.FloorDiv, ast.Div)) for n in body):
+                    builds.add(func.name)
+    return sorted(builds), sorted(reads)
+
+
+def test_oracle_builds_the_binomial_pair_series_in_one_place():
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert _series_builders_and_readers(source) == (
+        ["_pair_coefficients"], ["_series_at", "schur_at_signs"])
+    # the check itself finds each way of writing one, and passes other recurrences
+    assert _series_builders_and_readers(
+        "def binomials(n, kmax):\n"
+        "    return [math.comb(n, i) for i in range(kmax + 1)]\n"
+        "def inline(a, b, kmax):\n"
+        "    c = [1, a - b]\n"
+        "    for j in range(1, kmax):\n"
+        "        q, rem = divmod((a - b) * c[j] + (j - 1 - a - b) * c[j - 1], j + 1)\n"
+        "        c.append(q)\n"
+        "def ratio(n, kmax):\n"
+        "    c = [1]\n"
+        "    for i in range(kmax):\n"
+        "        c.append(c[i] * (n - i) // (i + 1))\n"
+        "def _series_at(pairing, a, b, kmax):\n"
+        "    return [oracle._pair_coefficients(x, z, kmax) for x, z in zip(a, b)]\n"
+        "def stirling(kmax):\n"
+        "    s = [[1]]\n"
+        "    for j in range(kmax):\n"
+        "        s.append([s[j][i - 1] - j * s[j][i] for i in range(1, j + 1)])\n"
+    ) == (["binomials", "inline", "ratio"], ["_series_at"])
 
 
 def test_is_int_refuses_bools_and_other_numbers():

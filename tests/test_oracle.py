@@ -152,6 +152,14 @@ def test_character_reads_the_basis_row_by_row(a2, bad):
         character_at_order2(wm, (-1, 1), basis=bad)
 
 
+@pytest.mark.parametrize("bad", [5, 2.5])
+def test_character_refuses_a_basis_that_is_not_a_sequence(a2, bad):
+    # basis=5 raised TypeError from the row loop
+    wm = weight_multiplicities(a2, (1, 1))
+    with pytest.raises(DomainError, match=f"lattice basis must be a sequence of rows, got {bad}$"):
+        character_at_order2(wm, (1, -1), basis=bad)
+
+
 def _per_step_fill(rs, lam, order):
     """Reference: the multiplicity recursion over the dominant weights in ``order``, lam first.
 
@@ -851,3 +859,41 @@ def test_pair_coefficients_at_negative_exponents():
             series = [sum(neg[i] * pos[p - i] for i in range(p + 1)) for p in range(11)]
             for p in range(11):
                 assert oracle._pair_coefficients(-a, -b, p) == tuple(series[: p + 1])
+
+
+def _binomial_convolution(a, b, kmax):
+    """(1 + t)^a (1 - t)^b to t^kmax: two rows of generalised binomials, convolved.
+
+    The coefficients of (1 + t)^n are C(n, i), or (-1)^i C(i - n - 1, i) for
+    n < 0; those of (1 - t)^n carry (-1)^i more.
+    """
+    plus, minus = ([comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
+                    for i in range(kmax + 1)] for n in (a, b))
+    return tuple(sum((-1) ** (j - i) * plus[i] * minus[j - i] for i in range(j + 1))
+                 for j in range(kmax + 1))
+
+
+def test_pair_coefficients_match_the_binomial_convolution():
+    # nonnegative, negative and mixed exponents, kmax above a + b, and large ones
+    pairs = [(a, b) for a in range(-12, 40) for b in range(-12, 40)]
+    for a, b in pairs + [(500, 499), (5000, 7000), (-300, -41)]:
+        for kmax in range(13):
+            assert oracle._pair_coefficients(a, b, kmax) == _binomial_convolution(a, b, kmax)
+
+
+@pytest.mark.parametrize("pairing,a,b", [
+    ((0, 1, -1, 2, -3, 0), (2, 1, 3, 500, 1, 7), (0, 2, 1, 499, 0, 1)),
+    ((5, -5, 0, -11, -1), (600, 3, 2, 1, 0), (0, 2, 2, 0, 4)),
+    ((0, 0), (3, 4), (1, 0)),
+    ((), (), ()),
+])
+@pytest.mark.parametrize("kmax", [0, 1, 4, 9])
+def test_series_at_matches_a_direct_product(pairing, a, b, kmax):
+    # each factor (1 + c t)^x (1 - c t)^z written out and multiplied in, a zero
+    # pairing included; pairs sharing |c| are grouped by the kernel, not here
+    want = [1] + [0] * kmax
+    for c, x, z in zip(pairing, a, b):
+        for n, sign in ((x, 1), (z, -1)):
+            factor = [comb(n, i) * (sign * c) ** i for i in range(kmax + 1)]
+            want = [sum(want[i] * factor[j - i] for i in range(j + 1)) for j in range(kmax + 1)]
+    assert oracle._series_at(list(pairing), list(a), list(b), kmax) == want

@@ -30,6 +30,9 @@ one degree lower times one coordinate column.  P_k is one weighted sum of a
 moment column per monomial.  The E_k come from exact values of the product
 at the lattice points y = (x, 1) with |x| <= kmax, in integers only:
 forward differences and Stirling numbers read the coefficients off them.
+When m(-mu) = m(mu) on every nonzero weight (the view's ``selfdual``), the
+odd P_k vanish and each factor is (1 - <mu, y>^2)^a, so a point value is a
+product of series in t^2, half as long, with zeros at the odd degrees.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from math import factorial, prod
 from operator import add, mul
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, is_int
-from .polyalg import BiPoly, _integer_rows, _monomials, invert
+from .polyalg import BiPoly, _det, _integer_rows, _monomials, invert
 from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
@@ -233,19 +236,25 @@ class _FoldedView:
     ``coords[i]`` lists coordinate i of every representative, ``a`` and
     ``b`` list m(mu) and m(-mu), ``plus`` and ``minus`` list a + b and
     a - b, and ``moments[d][n]`` lists mu^e over the pairs, e the n-th
-    monomial of degree d.
+    monomial of degree d.  ``nonzero`` counts the nonzero weights with
+    multiplicity; ``selfdual`` says whether a = b on every pair of nonzero
+    weights, read off the weights, not the highest weight, whatever m(0) is.
     """
 
-    __slots__ = ("coords", "a", "b", "plus", "minus", "moments")
+    __slots__ = ("coords", "a", "b", "plus", "minus", "moments", "nonzero", "selfdual")
 
     def __init__(self, full: dict, r: int):
-        pairs = []
+        pairs, nonzero, selfdual = [], 0, True
         for mu, m in full.items():
             neg = tuple(-c for c in mu)
-            if neg == mu or neg not in full:
+            if neg == mu:
                 pairs.append((mu, m, 0))
-            elif mu > neg:
-                pairs.append((mu, m, full[neg]))
+            elif mu > neg or neg not in full:
+                b = full.get(neg, 0)
+                pairs.append((mu, m, b))
+                nonzero += m + b
+                selfdual = selfdual and m == b
+        self.nonzero, self.selfdual = nonzero, selfdual
         mus = [mu for mu, _, _ in pairs]
         self.coords = [[mu[i] for mu in mus] for i in range(r)]
         self.a = [a for _, a, _ in pairs]
@@ -270,14 +279,17 @@ def oracle_power_sum(wm: WeightMultiset, k: int) -> BiPoly:
     """Sum of m(mu) * <mu, .>^k over all weights, as a y-polynomial.
 
     The coefficient of y^e is multinomial(k; e) times the moment
-    sum over pairs of (a + (-1)^k b) * mu^e.
+    sum over pairs of (a + (-1)^k b) * mu^e.  On a self-dual multiset
+    a - b = 0 on every pair of nonzero weights, so P_k = 0 for odd k.
     """
     check_degree(k, "k")
     r = wm.rs.rank
     view = wm.folded()
+    if k % 2 and view.selfdual:
+        return BiPoly.zero(r, r)
     w = view.minus if k % 2 else view.plus
     prefix = (0,) * r
-    return BiPoly(r, r, {
+    return BiPoly._result(r, r, {
         prefix + e: m * sum(map(mul, w, col))
         for e, m, col in zip(_monomials(r, k), _multinomials(r, k), view.upto(k)[k])
     })
@@ -332,29 +344,43 @@ def _series_at(pairing: Sequence[int], a: Sequence[int], b: Sequence[int], kmax:
 
     c is the pairing of a pair with the point; pairs with the same |c|
     share one factor, with a and b swapped when c < 0, and c = 0 adds none.
+    When ``b is a`` (a self-dual multiset) each factor is (1 - c^2 t^2)^a:
+    the pairs are grouped by |c| alone, the factors are multiplied as
+    series in u = t^2 to degree kmax // 2, and the odd coefficients are 0.
     """
-    groups: dict[int, list[int]] = {}
-    for c, x, z in zip(pairing, a, b):
-        if c < 0:
-            c, x, z = -c, z, x
-        elif not c:
-            continue
-        g = groups.get(c)
-        if g is None:
-            groups[c] = [x, z]
-        else:
-            g[0] += x
-            g[1] += z
+    even = b is a
+    groups: dict = {}
+    if even:
+        for c, x in zip(map(abs, pairing), a):
+            groups[c] = groups.get(c, 0) + x
+        groups.pop(0, None)
+        factors = [(c * c, 0, x) for c, x in groups.items()]
+    else:
+        for c, x, z in zip(pairing, a, b):
+            if c < 0:
+                c, x, z = -c, z, x
+            elif not c:
+                continue
+            g = groups.get(c)
+            if g is None:
+                groups[c] = [x, z]
+            else:
+                g[0] += x
+                g[1] += z
+        factors = [(c, x, z) for c, (x, z) in groups.items()]
     # the series is kept reversed, so each coefficient of a product is one
     # sum over a slice; a factor has degree x + z, so f may be shorter
-    rev = [0] * kmax + [1]
-    for c, (x, z) in groups.items():
+    n = kmax // 2 if even else kmax
+    rev = [0] * n + [1]
+    for c, x, z in factors:
         f, p = [], 1
-        for v in _pair_coefficients(x, z, min(x + z, kmax)):
+        for v in _pair_coefficients(x, z, min(x + z, n)):
             f.append(v * p)
             p *= c
-        rev = [sum(map(mul, f, rev[n:])) for n in range(kmax + 1)]
-    return rev[::-1]
+        rev = [sum(map(mul, f, rev[i:])) for i in range(n + 1)]
+    out = [0] * (kmax + 1)
+    out[::2 if even else 1] = rev[::-1]
+    return out
 
 
 def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
@@ -375,13 +401,13 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
     check_degree(kmax, "kmax")
     r = wm.rs.rank
     view = wm.folded()
-    nonzero = sum(a + b for a, b, *mu in zip(view.a, view.b, *view.coords) if any(mu))
-    top = min(kmax, nonzero)
+    b = view.a if view.selfdual else view.b  # one list twice takes the even route
+    top = min(kmax, view.nonzero)
     points, index, steps, lines = _lattice(r - 1, top)
     pairings = [view.coords[-1]]
     for n, i in steps:
         pairings.append(list(map(add, pairings[n], view.coords[i])))
-    vals = [_series_at(p, view.a, view.b, top) for p in pairings]
+    vals = [_series_at(p, view.a, b, top) for p in pairings]
     for line in lines:
         for lo in range(1, len(line)):
             for j in range(len(line) - 1, lo - 1, -1):
@@ -401,12 +427,12 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
             vals[n] = [sum(map(mul, s[i], w)) for w in zip(*old[i:])]
     prefix = (0,) * r
     out = [
-        BiPoly(r, r, {prefix + e: vals[index[e[:-1]]][k] for e in _monomials(r, k)})
+        BiPoly._result(r, r, {prefix + e: vals[index[e[:-1]]][k] for e in _monomials(r, k)})
         for k in range(top + 1)
     ] + [BiPoly.zero(r, r)] * (kmax - top)
     y = range(2, r + 2)
     pairing = [sum(map(mul, mu, y)) for mu in zip(*view.coords)]
-    check = _series_at(pairing, view.a, view.b, min(kmax, top + 1))
+    check = _series_at(pairing, view.a, b, min(kmax, top + 1))
     for k, (f, want) in enumerate(zip(out, check)):
         if sum(c * prod(map(pow, y, e[r:])) for e, c in f.terms.items()) != want:
             raise InternalError(f"E_{k} does not match the product at the check point")
@@ -496,24 +522,4 @@ def schur_at_signs(partition: Sequence[int], a_minus: int, b_plus: int) -> int:
         return 1
     h = _pair_coefficients(-a_minus, -b_plus, part[0] + n)
     mat = [[h[p] if p >= 0 else 0 for p in (part[i] - i + j for j in range(n))] for i in range(n)]
-    return _int_det(mat)
-
-
-def _int_det(mat: list[list[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = prev = 1
-    for col in range(n - 1):
-        piv = next((k for k in range(col, n) if m[k][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for k in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[k][j] = (m[k][j] * m[col][col] - m[k][col] * m[col][j]) // prev
-            m[k][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+    return _det(mat)

@@ -722,19 +722,20 @@ def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
     return coeffs
 
 
-def _check_points(rs: RootSystem) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _check_points(rs: RootSystem) -> tuple[tuple, ...]:
     """The first two regular pairs (mu_c, nu_c), c = 1, 2, ..., off every fitting set.
 
     mu_c = delta + c*(1,2,...,r) is strictly dominant; nu_c = c*2rho-vee +
     (1,2,...,r), with 2rho-vee the sum of the positive coroots, pairs to
     2c*height(alpha) + <alpha, (1,...,r)> with each positive root alpha.  A
     pair where d(nu_c) vanishes is skipped; each root pairs to 0 at one c at
-    most, so the search ends.
+    most, so the search ends.  Memoised per root system.
     """
     r = rs.rank
     pairs = ((tuple(1 + c * (j + 1) for j in range(r)),
               tuple(c * x + j + 1 for j, x in enumerate(rs.two_rho_vee))) for c in count(1))
-    return list(islice(((mu, nu) for mu, nu in pairs if weyl_denominator_at(rs, nu)), 2))
+    return tuple(islice(((mu, nu) for mu, nu in pairs if weyl_denominator_at(rs, nu)), 2))
 
 
 def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:

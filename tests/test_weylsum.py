@@ -385,6 +385,17 @@ def test_fk_scalar_matches_closed_forms(kind, rank):
         assert fk_scalar(rs, mu, nu, n + 2) == Fraction(comb(n + 2, 2), rs.dim_g) * q2 * q2_vee * f_n
 
 
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_check_points_are_searched_once_per_root_system(monkeypatch, kind, rank):
+    rs = get_rs(kind, rank)
+    points = weylsum._check_points(rs)
+    assert type(points) is tuple and len(points) == 2
+    assert all(weyl_denominator_at(rs, nu) for _, nu in points)
+    calls = []
+    monkeypatch.setattr(weylsum, "weyl_denominator_at", lambda *args: calls.append(args))
+    assert weylsum._check_points(rs) is points and calls == []
+
+
 @pytest.mark.parametrize("kind,rank", [(kind, rank) for kind in "ABCD" for rank in range(3, 7)])
 def test_classical_determinants_equal_the_orbit_sums(monkeypatch, kind, rank):
     """The Cauchy-Binet sums of ``_classical_sums`` equal the signed orbit sums, m = N..N+8.

@@ -42,10 +42,11 @@ from .polyalg import BiPoly, Mod2Poly, _integer_rows, _mul_into, _substitution, 
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
     _binomial_convolution,
+    _casimir_ratio,
+    _dimension,
     elementary_from_power,
     power_sums,
     validate_dominant,
-    weyl_dimension,
 )
 from .weylsum import q2_poly
 from .oracle import (
@@ -379,7 +380,7 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     weight, shift = coords[: rs.rank], coords[rs.rank :]
     n = lattice.torus_rank
     rows, d = _generator_images(lattice)
-    degree = weyl_dimension(rs, weight)
+    degree = _dimension(rs, weight)
     top = min(kmax, degree)
     power = [_scaled_to_generators(lattice, f.embed(n, n)) for f in power_sums(rs, weight, top)]
     if any(shift):
@@ -405,17 +406,6 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     return ChernResult(lattice, pi, kmax, degree, tuple(cs))
 
 
-def _casimir_ratio(rs: RootSystem, lam: Sequence[int], degree: int) -> Fraction:
-    """The Casimir ratio degree * <lam + 2 delta, lam> / dim g, <,> the inverse Killing form.
-
-    In fundamental-weight coordinates delta is (1, ..., 1), so lam + 2 delta
-    has coordinates lam_i + 2.
-    """
-    kd = rs.killing_dual
-    pairing = sum(kd[i][j] * (lam[i] + 2) * lam[j] for i in range(rs.rank) for j in range(rs.rank))
-    return Fraction(degree * pairing, rs.dim_g)
-
-
 @lru_cache(maxsize=None)
 def _q2_in_generators(lattice: CharacterLattice) -> BiPoly:
     """The invariant quadratic form, expressed in lattice generators."""
@@ -424,7 +414,7 @@ def _q2_in_generators(lattice: CharacterLattice) -> BiPoly:
 
 
 def chern2_closed(lattice: CharacterLattice, lam: Sequence[int]) -> BiPoly:
-    """Closed form for c_2: -x/2 * Q2, with x the Casimir ratio of ``_casimir_ratio``.
+    """Closed form for c_2: -x/2 * Q2, with x the Casimir ratio of ``powersum._casimir_ratio``.
 
     Valid for the simple families (everything except GL); agrees with
     ``chern_classes(...).c[2]`` exactly.
@@ -433,7 +423,7 @@ def chern2_closed(lattice: CharacterLattice, lam: Sequence[int]) -> BiPoly:
     if lattice.family == "GL" or pi.s_wrap:
         raise DomainError("the closed form for c_2 requires a simple group type and a plain weight")
     rs = lattice.root_system()
-    scalar = -_casimir_ratio(rs, pi.weight, weyl_dimension(rs, pi.weight)) / 2
+    scalar = -_casimir_ratio(rs, pi.weight, _dimension(rs, pi.weight)) / 2
     return _require_integer(_q2_in_generators(lattice).scale(scalar), "closed-form c_2")
 
 
@@ -521,7 +511,7 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     Primary criterion: every coefficient of c_2 is even.  For a plain
     representation of a simple type with nonzero weight the 2-adic secondary
     criterion also runs -- with j the negated 2-adic valuation of x/4, x the
-    Casimir ratio of ``_casimir_ratio``, the lift exists iff 2^(-j) times
+    Casimir ratio of ``powersum._casimir_ratio``, the lift exists iff 2^(-j) times
     the invariant quadratic form is 2-integral in the generators -- and the
     two answers must agree.
     """

@@ -7,8 +7,12 @@ weight multiset {(mu, m(mu))} determines, for each k >= 0,
 
 a degree-k polynomial on the coweight side, and the elementary symmetric
 functions E_k of the same multiset of linear forms.  Both are computed
-exactly from alternating Weyl sums, never by enumerating weights: the
-convolution identity
+exactly, never by enumerating weights.  The three lowest power sums have
+closed forms on every type: P_0 = dim(lam), the Weyl dimension; P_1 = 0,
+because the weights of a semisimple representation sum to zero; and
+P_2 = x * Q_2(y), with Q_2 the Killing quadratic and x the Casimir ratio
+dim(lam) * <lam + 2 delta, lam> / dim g (Dynkin's index).  Higher P_k come
+from alternating Weyl sums: the convolution identity
 
     F_m(lam + delta) = sum_k binom(m, k) * P_k * F_{m-k}(delta)
 
@@ -26,9 +30,7 @@ polynomial.  Its divisor F'_N = N!/d-vee(delta) is a number, so each step
 divides by a constant.  The bivariate P_k obey adeg P_k <= N + k, and
 adeg E_k <= floor(k/2)*N + k.
 
-Degree-0 terms: P_0 is the dimension of the representation and E_0 = 1.
-P_1 = 0 always (the weights of a semisimple representation sum to zero),
-and every odd P_k vanishes when -1 lies in the Weyl group.
+E_0 = 1, and every odd P_k vanishes when -1 lies in the Weyl group.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import BiPoly, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
 from .weylsum import (MAX_TERMS, _alternating_sums, _expand, _fit_invariants, _fit_reduced,
                       _fk_at_delta, _invariants_at, _vanishes, coweyl_denominator,
-                      coweyl_denominator_at, fk_evaluated)
+                      coweyl_denominator_at, fk_evaluated, q2_poly)
 
 __all__ = [
     "weyl_dimension",
@@ -69,7 +72,11 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     d-vee(lam + delta) / d-vee(delta): the product over the positive coroots
     of <lam + delta, beta-vee> / <delta, beta-vee>.
     """
-    lam = validate_dominant(rs, lam)
+    return _dimension(rs, validate_dominant(rs, lam))
+
+
+def _dimension(rs: RootSystem, lam: Sequence[int]) -> int:
+    """``weyl_dimension`` of a weight its caller has already checked."""
     num = coweyl_denominator_at(rs, [c + 1 for c in lam])
     q, rem = divmod(num, coweyl_denominator_at(rs, (1,) * rs.rank))
     if rem:
@@ -77,12 +84,28 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     return q
 
 
+def _casimir_ratio(rs: RootSystem, lam: Sequence[int], degree: int) -> Fraction:
+    """The Casimir ratio degree * <lam + 2 delta, lam> / dim g, <,> the inverse Killing form.
+
+    In fundamental-weight coordinates delta is (1, ..., 1), so lam + 2 delta
+    has coordinates lam_i + 2.  The pairing runs in integers on the rows
+    M = D * K-dual (``killing_dual_rows``), and D = M_11 / K-dual_11.
+    """
+    rows, kd = rs.killing_dual_rows, Fraction(rs.killing_dual[0][0])
+    pairing = sum((c + 2) * sum(map(mul, row, lam)) for c, row in zip(lam, rows))
+    return Fraction(degree * pairing * kd.numerator, rs.dim_g * rows[0][0] * kd.denominator)
+
+
 def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     """P_0..P_kmax of the weight multiset, each a y-polynomial.
 
-    Triangular solve of the convolution identity.  At rank <= 2 it runs on
-    the y-polynomials F_m, and every division is an exact polynomial quotient
-    by F_N(delta) = N! * d.  At rank >= 3 it runs on the values of F_m at a
+    P_0 = dim(lam), P_1 = 0 and P_2 = x * Q_2 (``q2_poly``, x from
+    ``_casimir_ratio``) are closed forms, so at kmax <= 2 no Weyl sum runs.
+    At kmax >= 3 every P_k comes from a triangular solve of the convolution
+    identity, and the solve's own P_0..P_2 must equal the closed forms, else
+    InternalError.  At rank <= 2 the solve runs on the y-polynomials F_m,
+    and every division is an exact polynomial quotient by
+    F_N(delta) = N! * d.  At rank >= 3 it runs on the values of F_m at a
     few exact sample points, and each P_k is rebuilt from its values in a
     basis of degree-k invariants (``weylsum._fit_invariants``); there the
     symbolic F_m would cost about |W| * r * C(N+k+r-1, r-1) per call.  A
@@ -98,13 +121,22 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     """
     lam = validate_dominant(rs, lam)
     check_degree(kmax, "kmax")
-    n = rs.num_positive
+    r, n = rs.rank, rs.num_positive
+    degree = _dimension(rs, lam)
+    closed = [BiPoly.constant(r, r, degree), BiPoly.zero(r, r),
+              q2_poly(rs).scale(_casimir_ratio(rs, lam, degree))][:kmax + 1]
+    if kmax <= 2:
+        return closed
     shifted = tuple(c + 1 for c in lam)
-    if rs.rank >= 3:
+    if r >= 3:
         sums = _alternating_sums(rs, shifted, range(n, n + kmax + 1))
-        return _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, sums, nu, kmax))
-    f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
-    return _triangular_solve(n, f_lam, _fk_delta(rs, kmax), exact_divide)
+        out = _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, sums, nu, kmax))
+    else:
+        f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
+        out = _triangular_solve(n, f_lam, _fk_delta(rs, kmax), exact_divide)
+    if out[:3] != closed:
+        raise InternalError(f"{rs.name} {lam}: the Weyl sums' P_0..P_2 differ from the closed forms")
+    return out
 
 
 @lru_cache(maxsize=None)

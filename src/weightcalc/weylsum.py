@@ -429,8 +429,9 @@ def _quadratic(m: Sequence[Sequence[Scalar]], offset: int) -> BiPoly:
     return BiPoly(r, r, terms)
 
 
+@lru_cache(maxsize=None)
 def q2_poly(rs: RootSystem) -> BiPoly:
-    """Killing quadratic on the coweight side: sum K_ij y_i y_j."""
+    """Killing quadratic on the coweight side: sum K_ij y_i y_j, built once per root system."""
     return _quadratic(rs.killing, rs.rank)
 
 

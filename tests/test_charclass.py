@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dominant_grid, gen_poly, get_rs, naive_compose
-from weightcalc import charclass
+from weightcalc import charclass, powersum, weylsum
 from weightcalc.charclass import (
     PiSpec,
     builtin_lattice,
@@ -31,7 +31,7 @@ from weightcalc.oracle import (DEFAULT_MAX_DIM, character_at_order2,
                               weight_multiplicities)
 from weightcalc.polyalg import BiPoly, Mod2Poly, invert
 from weightcalc.powersum import elementary_from_power, power_sums, product_power_sums, weyl_dimension
-from weightcalc.rootsys import dominant_representative
+from weightcalc.rootsys import dominant_representative, highest_root
 from weightcalc.weylsum import q2_poly
 
 
@@ -239,6 +239,32 @@ def test_chern2_closed_form_matches(group, weight):
     assert chern2_closed(lat, weight) == chern_classes(lat, weight, 2).c[2]
     with pytest.raises(DomainError, match="plain weight"):  # not the doubled form's c_2
         chern2_closed(lat, PiSpec(weight, True))
+
+
+def test_degree_two_queries_run_no_weyl_sum(monkeypatch):
+    # P_0..P_2 are closed forms: at k <= 2 no alternating sum, F_k, fit or solve runs,
+    # on the adjoint weight of every lattice and on the vector weights of the bench tail
+    cases = [(lat, (1,) + (0,) * (lat.torus_rank - 2) + (-1,) if lat.family == "GL"
+              else highest_root(lat.root_system()))
+             for lat in map(builtin_lattice, builtin_lattice_names())]
+    cases += [(builtin_lattice(g), (1, 0, 0, 0, 0)) for g in ("SL6", "SO10", "Spin11")]
+    want = [chern_classes(lat, w, 3).c[:3] for lat, w in cases]
+    power = [power_sums(lat.root_system(), w, 3)[:3]
+             for lat, w in cases if lat.family != "GL"]
+
+    def refuse(*args):
+        raise AssertionError("a Weyl sum ran")
+
+    for module, name in [(weylsum, "_alternating_sums"), (weylsum, "_fit_invariants"),
+                         (powersum, "_alternating_sums"), (powersum, "_fit_invariants"),
+                         (powersum, "fk_evaluated"), (powersum, "_triangular_solve")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert [chern_classes(lat, w, 2).c for lat, w in cases] == want
+    assert [power_sums(lat.root_system(), w, 2)
+            for lat, w in cases if lat.family != "GL"] == power
+    for (lat, w), c in zip(cases, want):
+        if lattice_orthogonality_type(lat, w) == "orthogonal":
+            assert is_spinorial(lat, w).c2 == c[2], lat.name
 
 
 @given(

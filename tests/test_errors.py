@@ -4,8 +4,9 @@ Also that the Weyl denominators d and d-vee are built by their two builders alon
 evaluated at a point by their two evaluators alone, that the inverse Killing
 form is scaled to integer rows in ``rootsys`` alone, that every substitution
 is given an image for each variable, that ``charclass`` reads its order-2
-characters from its own table and the inverse Killing form in one function, and
-that the oracle builds its binomial-pair series in one function.
+characters from its own table, that the inverse Killing form is read in one
+function (``powersum._casimir_ratio``), and that the oracle builds its
+binomial-pair series in one function.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from weightcalc import charclass, errors, oracle
+from weightcalc import charclass, errors, oracle, powersum
 from weightcalc.charclass import PiSpec, builtin_lattice, chern_classes, lattice_contains
 from weightcalc.errors import DomainError, check_coordinates, is_int
 from weightcalc.oracle import weight_multiplicities
@@ -228,6 +229,9 @@ def _order2_and_form_readers(source: str) -> tuple[list[str], list[str]]:
 
 def test_charclass_has_one_character_table_and_one_casimir_ratio():
     source = Path(charclass.__file__).read_text(encoding="utf-8")
+    assert _order2_and_form_readers(source) == ([], [])
+    # the one Casimir ratio lives in powersum, beside the P_2 it scales
+    source = Path(powersum.__file__).read_text(encoding="utf-8")
     assert _order2_and_form_readers(source) == ([], ["_casimir_ratio"])
     # the check itself finds each way of writing one, and passes the integer rows
     assert _order2_and_form_readers(

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from conftest import get_rs, y_poly
+from conftest import all_supported_types, get_rs, y_poly
 from weightcalc import powersum, weylsum
 from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import BiPoly, exact_divide, expand_linear_power
@@ -21,7 +21,7 @@ from weightcalc.powersum import (
     validate_dominant,
     weyl_dimension,
 )
-from weightcalc.oracle import weight_multiplicities
+from weightcalc.oracle import oracle_power_sum, weight_multiplicities
 from weightcalc.rootsys import build_root_system, highest_root
 from weightcalc.weylsum import FkTable, fk_evaluated, invariant_basis, q2_poly
 from test_rootsys import reflection_matrix
@@ -101,6 +101,32 @@ def test_p0_is_dimension_and_p1_vanishes(kind, rank):
 def test_p2_of_adjoint_equals_q2(kind, rank):
     rs = get_rs(kind, rank)
     assert power_sums(rs, highest_root(rs), 2)[2] == q2_poly(rs)
+
+
+@pytest.mark.parametrize("kind,rank", all_supported_types())
+def test_low_degree_closed_forms_match_the_oracle(kind, rank):
+    # P_0 = dim, P_1 = 0 and P_2 = x * Q_2 against the enumerated weights, on every type
+    rs = get_rs(kind, rank)
+    fundamental = [tuple(int(i == j) for j in range(rank)) for i in (0, rank - 1)]
+    for lam in {(0,) * rank, *fundamental, highest_root(rs)}:
+        wm = weight_multiplicities(rs, lam, max_dim=500)
+        for k in range(3):
+            assert power_sums(rs, lam, k) == [oracle_power_sum(wm, j) for j in range(k + 1)]
+
+
+@pytest.mark.parametrize("kind,rank,lam", [
+    ("A", 2, (1, 1)), ("G", 2, (1, 0)), ("B", 3, (1, 0, 1)), ("D", 4, (0, 1, 0, 0)),
+    ("C", 5, (1, 0, 0, 0, 0)),
+])
+def test_wrong_casimir_ratio_fails_the_weyl_sum_check(monkeypatch, kind, rank, lam):
+    # at kmax >= 3 the Weyl sums' own P_0..P_2 are checked against the closed forms
+    rs = get_rs(kind, rank)
+    right = power_sums(rs, lam, 2)
+    ratio = powersum._casimir_ratio
+    monkeypatch.setattr(powersum, "_casimir_ratio", lambda rs, lam, degree: ratio(rs, lam, degree) + 1)
+    assert power_sums(rs, lam, 2) != right
+    with pytest.raises(InternalError, match="differ from the closed forms"):
+        power_sums(rs, lam, 4)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("B", 2), ("C", 3), ("G", 2)])
@@ -522,6 +548,6 @@ def test_rank_5_classical_types_walk_no_orbit(monkeypatch):
     assert [values(rs) for rs in cases] == want
     for rs in (get_rs("G", 2), get_rs("A", 3)):
         with pytest.raises(AssertionError, match="walked the orbit"):
-            power_sums(rs, (1,) + (0,) * (rs.rank - 1), 2)
+            power_sums(rs, (1,) + (0,) * (rs.rank - 1), 4)
         with pytest.raises(AssertionError, match="walked the orbit"):
             weylsum.fk_scalar(rs, (1,) * rs.rank, (2,) * rs.rank, rs.num_positive)

@@ -45,8 +45,8 @@ from .errors import DomainError, InternalError, check_coordinates, check_degree
 from .polyalg import BiPoly, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
 from .weylsum import (MAX_TERMS, _alternating_sums, _expand, _fit_invariants, _fit_reduced,
-                      _fk_at_delta, _invariants_at, _vanishes, coweyl_denominator,
-                      coweyl_denominator_at, fk_evaluated, q2_poly)
+                      _invariants_at, _vanishes, coweyl_denominator, coweyl_denominator_at,
+                      fk_evaluated, q2_poly)
 
 __all__ = [
     "weyl_dimension",
@@ -113,11 +113,12 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     A-D at rank >= 4, one dot product per m of the weight-side minors of
     lam + delta, at most 30 r x r determinants for k <= 6 formed once per
     call, with the coweight-side minors, memoised per fit point; at rank 3,
-    about |W| * (r + k) for the orbit of lam + delta.  F_m(delta, nu)
-    costs about N * (k/2)^2: it comes from the Weyl denominator product
-    (``weylsum._fk_at_delta``) without an orbit.  Warm P_0..P_6 at rank 6
-    take 2-9 ms, where the orbit took 0.07-0.66 s.  At rank <= 2 the
-    symbolic route measured faster.
+    about |W| * (r + k) for the orbit of lam + delta.  F_m(delta, nu) comes
+    from the same kernel, its weight side formed once per root system and
+    kmax and its values memoised per point (``_delta_sums``), so after the
+    first call it costs a lookup.  Warm P_0..P_6 at rank 6 take 2-9 ms,
+    where the orbit took 0.07-0.66 s.  At rank <= 2 the symbolic route
+    measured faster.
     """
     lam = validate_dominant(rs, lam)
     check_degree(kmax, "kmax")
@@ -152,12 +153,25 @@ def _fk_delta(rs: RootSystem, kmax: int) -> tuple[BiPoly, ...]:
 def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list[int]:
     """P_0(nu)..P_kmax(nu) from F_m(lam + delta, nu), m = N..N+kmax, given as ``sums(nu)``.
 
-    ``sums`` comes from ``weylsum._alternating_sums``; F_m(delta, nu) comes
-    from the Weyl denominator product.  The triangular solve runs on these
+    ``sums`` and F_m(delta, nu) (``_delta_sums``) both come from
+    ``weylsum._alternating_sums``.  The triangular solve runs on these
     integers; its divisor F_N(delta, nu) = N! * d(nu) is nonzero because nu is
     regular, and each P_k(nu) is an integer because nu is integral.
     """
-    return _triangular_solve(rs.num_positive, sums(nu), _fk_at_delta(rs, nu, kmax), _int_divide)
+    return _triangular_solve(rs.num_positive, sums(nu), _delta_sums(rs, kmax)(nu), _int_divide)
+
+
+@lru_cache(maxsize=None)
+def _delta_sums(rs: RootSystem, kmax: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The function nu -> (F_N(delta, nu), ..., F_{N+kmax}(delta, nu)), memoised per point.
+
+    The weight side of delta, its minors or its signed orbit, is formed once
+    per root system and kmax; the sampled fits of one rank always ask at the
+    same points.
+    """
+    n = rs.num_positive
+    sums = _alternating_sums(rs, (1,) * rs.rank, range(n, n + kmax + 1))
+    return lru_cache(maxsize=None)(lambda nu: tuple(sums(nu)))
 
 
 def _int_divide(num: int, den: int) -> int:

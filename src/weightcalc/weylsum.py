@@ -16,14 +16,14 @@ of bidegree (k, k).  Facts used as computational shortcuts and cross-checks:
 * F_N = N! * d * d-vee / d-vee(delta), and
   F_{N+2} = binom(N+2, 2)/dim(g) * q2 * q2-vee * F_N,
   with q2, q2-vee the Killing quadratics on the two sides;
-* at mu = delta the Weyl denominator formula gives every F_k(delta, nu)
-  from the positive roots alone, with no orbit (``_fk_at_delta``, memoised
-  per root system, nu and degree bound, since the sampled fits of one rank
-  always ask at the same points);
 * on the classical types Weyl's character formula writes the alternating
   sum as one determinant, so F_k at a point is a short Cauchy-Binet sum of
   products of r x r minors, one factor from each side (``_classical_sums``,
-  used on A-D at rank >= 4, where it is faster than the orbit).
+  used on A-D at rank >= 4, where it is faster than the orbit);
+* F_k(delta, nu), the divisor side of the triangular recursion, comes from
+  ``_alternating_sums`` like any other pair, memoised per point
+  (``powersum._delta_sums``), since the sampled fits of one rank always ask
+  at the same points.
 
 Each P_k of a weight multiset (``powersum``) and each F'_k is a W-invariant,
 and one exact fit, _fit_exact, rebuilds both from sample values: it solves
@@ -209,39 +209,6 @@ def fk_evaluated(rs: RootSystem, mu: Sequence[Scalar], k: int) -> BiPoly:
         if moment:
             out.terms[prefix + e] = fact[k] // prod(fact[t] for t in e) * moment
     return out
-
-
-@lru_cache(maxsize=None)
-def _fk_at_delta(rs: RootSystem, nu: tuple[int, ...], imax: int) -> tuple[int, ...]:
-    """F_{N+i}(delta, nu) for i = 0..imax at an integral coweight nu, without an orbit.
-
-    By the Weyl denominator formula, sum over w of sign(w) * e^(t<w delta, nu>)
-    is the product over the positive roots of 2 sinh(t<alpha, nu>/2), which is
-    t^N * d(nu) * prod S(t<alpha, nu>) with S(u) = sum_j u^(2j) / (4^j (2j+1)!).
-    So F_{N+i}(delta, nu) = (N+i)! * d(nu) * [t^i] prod S(t<alpha, nu>), which
-    is 0 for odd i.  Each S is scaled by M = 4^J (2J+1)!, J = imax // 2, to
-    integer coefficients; the product of the N scaled series is M^N times the
-    true one, and that factor is divided out exactly at the end.  Memoised:
-    the sampled fits ask at the same fit and check points of each rank.
-    """
-    n, jmax = rs.num_positive, imax // 2
-    scale = 4 ** jmax * factorial(2 * jmax + 1)
-    weights = [scale // (4 ** j * factorial(2 * j + 1)) for j in range(jmax + 1)]
-    series = [1] + [0] * jmax  # coefficients of t^0, t^2, ..., t^(2J)
-    for al in rs.positive_roots:
-        x = sum(map(mul, al, nu))
-        factor = [w * x ** (2 * j) for j, w in enumerate(weights)]
-        series = [sum(series[a] * factor[b - a] for a in range(b + 1)) for b in range(jmax + 1)]
-    out, d, den = [], weyl_denominator_at(rs, nu), scale ** n
-    for i in range(imax + 1):
-        if i % 2:
-            out.append(0)
-            continue
-        q, rem = divmod(factorial(n + i) * d * series[i // 2], den)
-        if rem:
-            raise InternalError(f"{rs.name}: F_{n + i}(delta, {tuple(nu)}) is not an integer")
-        out.append(q)
-    return tuple(out)
 
 
 def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int) -> Scalar:

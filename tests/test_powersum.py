@@ -23,7 +23,7 @@ from weightcalc.powersum import (
 )
 from weightcalc.oracle import oracle_power_sum, weight_multiplicities
 from weightcalc.rootsys import build_root_system, highest_root
-from weightcalc.weylsum import FkTable, fk_evaluated, invariant_basis, q2_poly
+from weightcalc.weylsum import FkTable, fk_evaluated, fk_scalar, invariant_basis, q2_poly
 from test_rootsys import reflection_matrix
 from test_weylsum import _corrupt_sample
 
@@ -269,22 +269,35 @@ def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points)
         power_sums(d4, (1, 0, 0, 0), 4)
 
 
-@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2),
+                                       ("A", 3), ("B", 3), ("D", 4), ("B", 6)])
 def test_delta_values_are_built_once_per_root_system(monkeypatch, kind, rank):
+    # after a first call on a root system and kmax, a call at another weight runs the
+    # Weyl sums at lam + delta only: F_m(delta) is built once, as y-polynomials at
+    # rank <= 2 and as values per fit point, from _alternating_sums, at rank >= 3
     rs = get_rs(kind, rank)
-    lam, kmax = (1,) + (0,) * (rank - 1), 5
-    first = power_sums(rs, lam, kmax)
-    fresh = [fk_evaluated(rs, (1,) * rank, rs.num_positive + j) for j in range(kmax + 1)]
-    assert powersum._fk_delta(rs, kmax) == tuple(fresh)
+    n, delta, kmax = rs.num_positive, (1,) * rank, 5
+    lam, other = (1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (2,)
+    power_sums(rs, lam, kmax)
+    if rank <= 2:
+        fresh = [fk_evaluated(rs, delta, n + j) for j in range(kmax + 1)]
+        assert powersum._fk_delta(rs, kmax) == tuple(fresh)
+        name, kernel = "fk_evaluated", fk_evaluated
+    else:
+        for _, nu in weylsum._check_points(rs):
+            fresh = [fk_scalar(rs, delta, nu, n + j) for j in range(kmax + 1)]
+            assert powersum._delta_sums(rs, kmax)(nu) == tuple(fresh)
+        name, kernel = "_alternating_sums", weylsum._alternating_sums
     calls = []
 
-    def counted(rs, mu, k):
+    def counted(rs, mu, *args):
         calls.append(tuple(mu))
-        return fk_evaluated(rs, mu, k)
+        return kernel(rs, mu, *args)
 
-    monkeypatch.setattr(powersum, "fk_evaluated", counted)
-    assert power_sums(rs, lam, kmax) == first
-    assert calls and set(calls) == {tuple(c + 1 for c in lam)}  # lam + delta only
+    monkeypatch.setattr(powersum, name, counted)
+    wm = weight_multiplicities(rs, other)
+    assert power_sums(rs, other, kmax) == [oracle_power_sum(wm, k) for k in range(kmax + 1)]
+    assert calls and set(calls) == {tuple(c + 1 for c in other)}  # other + delta only
 
 
 def test_symbolic_specializes_to_numeric(a2):

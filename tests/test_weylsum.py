@@ -289,19 +289,24 @@ def test_fk_evaluated_opposition_symmetry(kind, rank, extra):
 
 @pytest.mark.parametrize("kind,rank", all_supported_types())
 def test_fk_at_delta_matches_the_orbit_sum(kind, rank):
-    # the Weyl denominator product against the signed orbit sum of delta, at a
-    # regular dominant, a regular negative and a singular integral coweight
+    # powersum's memoised F_{N+i}(delta, nu), i = 0..8, against the Weyl denominator
+    # formula, at a regular dominant, a regular negative and a singular integral
+    # coweight: F_N = N! * d(nu), F_{N+2} = binom(N+2, 2)/dim g * q2(nu) * q2-vee(delta) * F_N
+    # and F_{N+i} = 0 for odd i
     rs = get_rs(kind, rank)
-    n = rs.num_positive
+    n, delta, zero = rs.num_positive, (1,) * rank, (0,) * rank
     nu = weylsum._check_points(rs)[0][1]
     c0 = rs.cartan[0]
     singular = (-sum(c0[j] * nu[j] for j in range(1, rank)),) + tuple(2 * x for x in nu[1:])
     assert sum(map(mul, c0, singular)) == 0  # pairs to 0 with the first simple root
+    ratio = Fraction(comb(n + 2, 2), rs.dim_g) * q2_dual_poly(rs).evaluate(delta, zero)
     for point, regular in ((nu, True), (tuple(-x for x in nu), True), (singular, False)):
-        got = weylsum._fk_at_delta(rs, point, 8)
-        assert got == tuple(fk_scalar(rs, (1,) * rank, point, n + i) for i in range(9))
+        got = powersum._delta_sums(rs, 8)(point)
+        assert powersum._delta_sums(rs, 8)(point) is got  # memoised per point
+        assert len(got) == 9 and got[0] == factorial(n) * weyl_denominator_at(rs, point)
+        assert got[2] == ratio * q2_poly(rs).evaluate(zero, point) * got[0]
         assert all(got[i] == 0 for i in range(1, 9, 2))
-        assert (got[0] != 0) == regular
+        assert (got[0] != 0) == regular and (regular or not any(got))
 
 
 def test_fk_scalar_rejects_coweight_of_wrong_length(a2):

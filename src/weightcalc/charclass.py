@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import mul, sub
 
-from .errors import DomainError, InternalError, check_coordinates, check_degree
+from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
 from .polyalg import BiPoly, Mod2Poly, _integer_rows, _mul_into, _substitution, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
@@ -513,7 +513,10 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     criterion also runs -- with j the negated 2-adic valuation of x/4, x the
     Casimir ratio of ``powersum._casimir_ratio``, the lift exists iff 2^(-j) times
     the invariant quadratic form is 2-integral in the generators -- and the
-    two answers must agree.
+    two answers must agree.  As c_2 = -P_2 / 2 and P_2 = x * Q_2 in closed
+    form, both read one x and one Q_2 and are the same inequality, so that
+    check is a certificate that cannot fail; the oracle route of
+    ``tests/test_oracle_route.py`` checks the answer independently.
     """
     pi = _require_orthogonal(lattice, pi_spec, "the spinoriality test")
     ch = chern_classes(lattice, pi, kmax=2)
@@ -610,15 +613,13 @@ def total_swc_factorization(
     if pi.s_wrap:
         chi = [2 * c for c in chi]
     exponents: list[int] = []
+    mismatch = "; the sign-pattern convention does not match the lattice"
     for k in range(r + 1):
-        total = sum(map(mul, _pair_coefficients(r - k, k, r), chi))
-        mk = Fraction(total, 2 ** r)
-        if mk.denominator != 1 or mk < 0:
-            raise InternalError(
-                f"factorization exponent m_{k} = {mk} is not a nonnegative "
-                "integer; the sign-pattern convention does not match the lattice"
-            )
-        exponents.append(int(mk))
+        mk = exact_quotient(sum(map(mul, _pair_coefficients(r - k, k, r), chi)), 2 ** r,
+                            "factorization exponent m_%d is not an integer%s", k, mismatch)
+        if mk < 0:
+            raise InternalError(f"factorization exponent m_{k} = {mk} is negative{mismatch}")
+        exponents.append(mk)
     w_total = Mod2Poly.one(r)
     for k in range(1, r + 1):
         powers = [1 << b for b in range(kmax.bit_length()) if exponents[k] >> b & 1]

@@ -1,4 +1,4 @@
-"""Exception hierarchy and the input checks shared by all modules.
+"""Exception hierarchy and the input and result checks shared by all modules.
 
 DomainError covers bad user input (unsupported type, non-dominant weight,
 weight outside a character lattice, malformed flags).  InternalError covers
@@ -7,11 +7,11 @@ non-integral results where integrality is guaranteed); raising it signals a
 bug, never a usage problem.  The CLI maps DomainError to exit code 2 and
 InternalError to exit code 1.
 
-Every integer input is checked here alone: ``is_int`` is the one test for
-an int that is not a bool (``True == 1`` would pass as a rank or a
-coordinate), ``check_degree`` wants a nonnegative int, and
-``check_coordinates`` checks that a coordinate vector is a sequence, then
-its length, then its entries.
+Every integer input and result is checked here alone: ``is_int`` is the one
+test for an int that is not a bool (``True == 1`` would pass as a rank or a
+coordinate), ``check_degree`` wants a nonnegative int, ``check_coordinates``
+checks that a coordinate vector is a sequence, then its length, then its
+entries, and ``exact_quotient`` is every division that must come out whole.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 __all__ = ["WeightcalcError", "DomainError", "InternalError", "check_degree", "is_int",
-           "check_coordinates"]
+           "check_coordinates", "exact_quotient"]
 
 
 class WeightcalcError(Exception):
@@ -64,3 +64,11 @@ def check_coordinates(coords: Sequence, n: int, what: str = "weight", where: str
         raise DomainError(f"{what} coordinates must be "
                           + (f"int or Fraction, got {coords!r}" if exact else "integers"))
     return coords
+
+
+def exact_quotient(num: int, den: int, message: str, *args) -> int:
+    """num // den, or InternalError(message % args), formatted only then, on a remainder."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise InternalError(message % args)
+    return q

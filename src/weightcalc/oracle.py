@@ -43,7 +43,8 @@ from functools import lru_cache
 from math import factorial, prod
 from operator import add, mul
 
-from .errors import DomainError, InternalError, check_coordinates, check_degree, is_int
+from .errors import (DomainError, InternalError, check_coordinates, check_degree, exact_quotient,
+                     is_int)
 from .polyalg import BiPoly, _det, _integer_rows, _monomials, invert
 from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
@@ -193,9 +194,7 @@ def weight_multiplicities(
                 m = mult.get(dom, 0)
                 if m:
                     total += m * pair
-        q, rem = divmod(2 * total, bound - norm)
-        if rem:
-            raise InternalError("multiplicity recursion yielded a non-integer")
+        q = exact_quotient(2 * total, bound - norm, "multiplicity recursion yielded a non-integer")
         if q <= 0:
             raise InternalError("dominant candidate received a non-positive multiplicity")
         mult[mu] = q
@@ -304,10 +303,8 @@ def _pair_coefficients(a: int, b: int, kmax: int) -> tuple[int, ...]:
     """
     c = [1, a - b]
     for j in range(1, kmax):
-        q, rem = divmod((a - b) * c[j] + (j - 1 - a - b) * c[j - 1], j + 1)
-        if rem:
-            raise InternalError("a coefficient of (1 + t)^a (1 - t)^b is not an integer")
-        c.append(q)
+        c.append(exact_quotient((a - b) * c[j] + (j - 1 - a - b) * c[j - 1], j + 1,
+                                "a coefficient of (1 + t)^a (1 - t)^b is not an integer"))
     return tuple(c[:kmax + 1])
 
 
@@ -417,9 +414,8 @@ def oracle_elementary(wm: WeightMultiset, kmax: int) -> list[BiPoly]:
         if any(v[:d]):
             raise InternalError("a forward difference above the degree of E_k does not vanish")
         for k in range(d, top + 1):
-            v[k], rem = divmod(v[k], f)
-            if rem:
-                raise InternalError("a falling-factorial coefficient of E_k is not an integer")
+            v[k] = exact_quotient(v[k], f,
+                                  "a falling-factorial coefficient of E_k is not an integer")
     s = _stirling(top)
     for line in lines:
         old = [vals[n] for n in line]

@@ -41,7 +41,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .errors import DomainError, InternalError, check_coordinates, check_degree
+from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
 from .polyalg import BiPoly, _mul_into, _ratio, exact_divide
 from .rootsys import RootSystem
 from .weylsum import (MAX_TERMS, _alternating_sums, _expand, _fit_invariants, _fit_reduced,
@@ -70,18 +70,16 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     """Dimension of the irreducible representation with highest weight lam.
 
     d-vee(lam + delta) / d-vee(delta): the product over the positive coroots
-    of <lam + delta, beta-vee> / <delta, beta-vee>.
+    of <lam + delta, beta-vee> / <delta, beta-vee>; InternalError on a remainder.
     """
     return _dimension(rs, validate_dominant(rs, lam))
 
 
 def _dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     """``weyl_dimension`` of a weight its caller has already checked."""
-    num = coweyl_denominator_at(rs, [c + 1 for c in lam])
-    q, rem = divmod(num, coweyl_denominator_at(rs, (1,) * rs.rank))
-    if rem:
-        raise DomainError("dimension formula did not yield an integer")
-    return q
+    return exact_quotient(coweyl_denominator_at(rs, [c + 1 for c in lam]),
+                          coweyl_denominator_at(rs, (1,) * rs.rank),
+                          "dimension formula did not yield an integer")
 
 
 def _casimir_ratio(rs: RootSystem, lam: Sequence[int], degree: int) -> Fraction:
@@ -158,7 +156,9 @@ def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list
     integers; its divisor F_N(delta, nu) = N! * d(nu) is nonzero because nu is
     regular, and each P_k(nu) is an integer because nu is integral.
     """
-    return _triangular_solve(rs.num_positive, sums(nu), _delta_sums(rs, kmax)(nu), _int_divide)
+    return _triangular_solve(
+        rs.num_positive, sums(nu), _delta_sums(rs, kmax)(nu),
+        lambda a, b: exact_quotient(a, b, "sampled power sum %d/%d is not an integer", a, b))
 
 
 @lru_cache(maxsize=None)
@@ -172,13 +172,6 @@ def _delta_sums(rs: RootSystem, kmax: int) -> Callable[[tuple[int, ...]], tuple[
     n = rs.num_positive
     sums = _alternating_sums(rs, (1,) * rs.rank, range(n, n + kmax + 1))
     return lru_cache(maxsize=None)(lambda nu: tuple(sums(nu)))
-
-
-def _int_divide(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise InternalError(f"sampled power sum {num}/{den} is not an integer")
-    return q
 
 
 def _triangular_solve(n: int, f_lam: Sequence, f_del: Sequence, divide: Callable) -> list:

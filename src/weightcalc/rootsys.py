@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul, sub
 
-from .errors import DomainError, InternalError, check_coordinates, is_int
+from .errors import DomainError, InternalError, check_coordinates, exact_quotient, is_int
 from .polyalg import _integer_rows, invert
 
 __all__ = [
@@ -99,15 +99,16 @@ def _positive_roots(cartan: Matrix) -> list[tuple[tuple[int, ...], tuple[int, ..
 
     Every root is W-conjugate to a simple root, a Cartan row, so the orbits of
     their dominant points hold every root.  A root's coefficients are beta
-    times the inverse Cartan matrix, in integers beta . (d C^-1) // d, and it
-    is positive when they are all >= 0.  Sorted by (height, coefficients).
+    times the inverse Cartan matrix, the exact quotients beta . (d C^-1) / d,
+    and it is positive when they are all >= 0.  Sorted by (height, coefficients).
     """
     d, cinv = _integer_rows(invert(cartan))
     cols = tuple(zip(*cinv))
     roots = []
     for top in {chamber_descent(cartan, row) for row in cartan}:
         for beta in dominant_orbit(cartan, top):
-            k = tuple(sum(map(mul, beta, col)) // d for col in cols)
+            k = tuple(exact_quotient(sum(map(mul, beta, col)), d, "non-integral root %s", beta)
+                      for col in cols)
             if min(k) >= 0:
                 roots.append((k, beta))
     return sorted(roots, key=lambda kb: (sum(kb[0]), kb[0]))
@@ -117,13 +118,8 @@ def _coroot(gram: Matrix, beta: Sequence[int]) -> tuple[int, ...]:
     """beta-vee = 2 G beta / (beta . G beta) in simple-coroot coordinates, G the integer form."""
     g = [sum(map(mul, row, beta)) for row in gram]
     norm = sum(map(mul, beta, g))
-    out = []
-    for x in g:
-        c, rem = divmod(2 * x, norm)
-        if rem:
-            raise InternalError(f"non-integral coroot coordinate {2 * x}/{norm} for root {beta}")
-        out.append(c)
-    return tuple(out)
+    return tuple(exact_quotient(2 * x, norm, "non-integral coroot coordinate %d/%d for root %s",
+                                2 * x, norm, beta) for x in g)
 
 
 def _enumerate_weyl(cartan: Matrix, coroots: Sequence[Sequence[int]]) -> tuple[WeylElement, ...]:
@@ -179,7 +175,7 @@ class RootSystem:
     def dim_g(self) -> int:
         return 2 * len(self.positive_roots) + self.rank
 
-    @property
+    @cached_property
     def name(self) -> str:
         """Display name: "A3", "G2"; the rank is appended unless the kind carries it."""
         return self.kind if self.kind[-1].isdigit() else f"{self.kind}{self.rank}"

@@ -51,7 +51,7 @@ from itertools import accumulate, count, islice, repeat
 from math import comb, factorial, prod
 from operator import mul
 
-from .errors import DomainError, InternalError, check_coordinates, check_degree
+from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
 from .polyalg import (BiPoly, _common_denominator, _det, _integer_rows, _monomials, _mul_into,
                       _ratio, _substitution, exact_divide, expand_linear_power, invert, rref)
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
@@ -233,7 +233,7 @@ def fk_scalar(rs: RootSystem, mu: Sequence[Scalar], nu: Sequence[Scalar], k: int
 def _by_determinants(rs: RootSystem) -> bool:
     """Whether F_m(mu, nu) at a point comes from ``_classical_sums``: A-D at rank >= 4.
 
-    G2 and rank <= 3 walk the orbit, of at most 48 points.  The crossover,
+    Any other kind (G2, or a new one) and rank <= 3 walk the orbit.  The crossover,
     measured as the median of 12 alternating fresh processes, each building
     the root system and then timing ``power_sums`` at three weights for each
     of k = 2, 4, 6 (orbit against determinants): A3 6.3 against 8.5 ms, the
@@ -242,7 +242,7 @@ def _by_determinants(rs: RootSystem) -> bool:
     against 22.1 ms (11 of 12), and B4, C4, D4 37, 37, 25 against 14, 14,
     15 ms (12 of 12).
     """
-    return rs.kind != "G2" and rs.rank >= 4
+    return rs.kind in ("A", "B", "C", "D") and rs.rank >= 4
 
 
 def _alternating_sums(rs: RootSystem, mu: Sequence[int], ms: Sequence[int]):
@@ -347,13 +347,9 @@ def _classical_sums(rs: RootSystem, minors: list[list[int]], nu: Sequence[int],
     InternalError on a remainder.
     """
     den, nu = _vector_coordinates(rs)[0], tuple(nu)
-    out = []
-    for m, at_mu in zip(ms, minors):
-        q, rem = divmod(sum(map(mul, at_mu, _coweight_minors(rs, nu, m))), den ** m)
-        if rem:
-            raise InternalError(f"{rs.name}: F_{m} at {nu} is not an integer")
-        out.append(q)
-    return out
+    return [exact_quotient(sum(map(mul, at_mu, _coweight_minors(rs, nu, m))), den ** m,
+                           "%s: F_%d at %s is not an integer", rs.name, m, nu)
+            for m, at_mu in zip(ms, minors)]
 
 
 def weyl_denominator(rs: RootSystem) -> BiPoly:

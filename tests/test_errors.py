@@ -6,7 +6,8 @@ form is scaled to integer rows in ``rootsys`` alone, that every substitution
 is given an image for each variable, that ``charclass`` reads its order-2
 characters from its own table, that the inverse Killing form is read in one
 function (``powersum._casimir_ratio``), and that the oracle builds its
-binomial-pair series in one function.
+binomial-pair series in one function.  Also that every division that must come
+out whole goes through ``errors.exact_quotient``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,53 @@ def test_int_check_lives_in_errors_alone():
         "worse = not isinstance(c, (int, bool))\n"
         "fine = type(c) is int\n"
     ) == [2, 3]
+
+
+def _remainder_raises(source: str) -> list[int]:
+    """Lines of each ``if`` that tests a ``divmod`` remainder of its function and raises."""
+    lines = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        rems = {node.targets[0].elts[1].id for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and _calls(node.value, "divmod")
+                and isinstance(node.targets[0], ast.Tuple)
+                and isinstance(node.targets[0].elts[1], ast.Name)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.If) and any(
+                    isinstance(n, ast.Name) and n.id in rems for n in ast.walk(node.test)) \
+                    and any(isinstance(n, ast.Raise) for s in node.body for n in ast.walk(s)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_exact_quotients_live_in_errors_alone():
+    package = Path(errors.__file__).parent
+    found = {p.name: _remainder_raises(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    assert found.pop("errors.py")  # the one check is there
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the check itself finds an inline check, and passes a rational result and a filter
+    assert _remainder_raises(
+        "def inline(a, b):\n"
+        "    q, rem = divmod(a, b)\n"
+        "    if rem:\n"
+        "        raise InternalError('not whole')\n"
+        "    return q\n"
+        "def in_place(v, f):\n"
+        "    for k in range(len(v)):\n"
+        "        v[k], r = divmod(v[k], f)\n"
+        "        if r or v[k] < 0:\n"
+        "            raise InternalError('not whole')\n"
+        "def _ratio(num, den):\n"
+        "    q, rem = divmod(num, den)\n"
+        "    return Fraction(num, den) if rem else q\n"
+        "def _cauchy_binet(m, start, step):\n"
+        "    for s in start:\n"
+        "        size, rem = divmod(m - s, step)\n"
+        "        if rem or size < 0:\n"
+        "            continue\n"
+    ) == [3, 9]
 
 
 def _attrs(tree) -> set[str]:
@@ -257,7 +305,8 @@ def _series_builders_and_readers(source: str) -> tuple[list[str], list[str]]:
     """Functions that build a binomial series, and functions that call ``_pair_coefficients``.
 
     A builder calls ``comb``, or runs a coefficient recurrence: a loop that
-    appends to a list it also reads by index, and divides.
+    appends to a list it also reads by index, and divides (``exact_quotient``
+    counts as a division).
     """
     builds, reads = set(), set()
     for func in ast.walk(ast.parse(source)):
@@ -275,8 +324,9 @@ def _series_builders_and_readers(source: str) -> tuple[list[str], list[str]]:
                 indexed = {n.value.id for n in body
                            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)}
                 if grown & indexed and any(
-                        _calls(n, "divmod") or isinstance(n, ast.BinOp)
-                        and isinstance(n.op, (ast.FloorDiv, ast.Div)) for n in body):
+                        _calls(n, "divmod") or _calls(n, "exact_quotient")
+                        or isinstance(n, ast.BinOp) and isinstance(n.op, (ast.FloorDiv, ast.Div))
+                        for n in body):
                     builds.add(func.name)
     return sorted(builds), sorted(reads)
 
@@ -298,13 +348,17 @@ def test_oracle_builds_the_binomial_pair_series_in_one_place():
         "    c = [1]\n"
         "    for i in range(kmax):\n"
         "        c.append(c[i] * (n - i) // (i + 1))\n"
+        "def checked(a, b, kmax):\n"
+        "    c = [1, a - b]\n"
+        "    for j in range(1, kmax):\n"
+        "        c.append(exact_quotient((a - b) * c[j] - a * c[j - 1], j + 1, 'not whole'))\n"
         "def _series_at(pairing, a, b, kmax):\n"
         "    return [oracle._pair_coefficients(x, z, kmax) for x, z in zip(a, b)]\n"
         "def stirling(kmax):\n"
         "    s = [[1]]\n"
         "    for j in range(kmax):\n"
         "        s.append([s[j][i - 1] - j * s[j][i] for i in range(1, j + 1)])\n"
-    ) == (["binomials", "inline", "ratio"], ["_series_at"])
+    ) == (["binomials", "checked", "inline", "ratio"], ["_series_at"])
 
 
 def test_is_int_refuses_bools_and_other_numbers():

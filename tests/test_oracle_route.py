@@ -24,6 +24,10 @@ QUERIES = [
     {"op": "chern", "group": "Sp4", "weight": [1, 1], "wrap": False, "k": 6},
     {"op": "swc", "group": "SO8", "weight": [0, 1, 0, 0], "wrap": False, "k": 2},
     {"op": "spinorial", "group": "Spin8", "weight": [1, 0, 0, 0], "wrap": False},
+    {"op": "spinorial", "group": "SO7", "weight": [1, 0, 0], "wrap": False},
+    {"op": "spinorial", "group": "Spin7", "weight": [0, 0, 1], "wrap": False},
+    {"op": "spinorial", "group": "SO10", "weight": [0, 1, 0, 0, 0], "wrap": False},
+    {"op": "spinorial", "group": "G2", "weight": [1, 0], "wrap": False},
     {"op": "swc_total", "group": "GL3", "weight": [1, 0, -1], "wrap": False, "k": 6},
     {"op": "swc_total", "group": "SO5", "weight": [0, 2], "wrap": True, "k": 6},
 ]

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from conftest import all_supported_types, get_rs, y_poly
-from weightcalc import powersum, weylsum
+from weightcalc import cli, powersum, weylsum
 from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import BiPoly, exact_divide, expand_linear_power
 from weightcalc.powersum import (
@@ -75,6 +75,17 @@ def test_validate_dominant_rejections(a2):
         validate_dominant(a2, (Fraction(1, 2), 0))
     with pytest.raises(DomainError):
         power_sums(a2, (1, 1), -1)
+
+
+def test_non_integral_dimension_is_an_internal_error(monkeypatch, capsys):
+    # d-vee(lam + delta) is always a multiple of d-vee(delta); a remainder is a bug (exit 1)
+    at = powersum.coweyl_denominator_at
+    monkeypatch.setattr(powersum, "coweyl_denominator_at",
+                        lambda rs, x: at(rs, x) + any(c != 1 for c in x))
+    with pytest.raises(InternalError, match="dimension formula did not yield an integer"):
+        weyl_dimension(build_root_system("A", 2), (1, 1))
+    assert cli.main(["powersum", "--type", "A2", "--weight", "1,1", "--k", "2"]) == 1
+    assert capsys.readouterr().err.startswith("internal error:")
 
 
 def test_wrong_length_weight_names_the_system():

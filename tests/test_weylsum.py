@@ -16,7 +16,7 @@ from conftest import all_supported_types, get_rs
 from weightcalc import powersum, weylsum
 from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import BiPoly, Mod2Poly, _monomials, expand_linear_power, rref
-from weightcalc.rootsys import dominant_orbit
+from weightcalc.rootsys import RootSystem, dominant_orbit
 from weightcalc.weylsum import (
     FkTable,
     closed_form_FN,
@@ -399,6 +399,14 @@ def test_check_points_are_searched_once_per_root_system(monkeypatch, kind, rank)
     calls = []
     monkeypatch.setattr(weylsum, "weyl_denominator_at", lambda *args: calls.append(args))
     assert weylsum._check_points(rs) is points and calls == []
+
+
+def test_determinants_serve_the_classical_types_they_name():
+    # A-D at rank >= 4 and nothing else; a kind the kernel does not name walks the orbit
+    routed = {(kind, rank) for kind, rank in all_supported_types()
+              if weylsum._by_determinants(get_rs(kind, rank))}
+    assert routed == {(kind, rank) for kind in "ABCD" for rank in (4, 5, 6)}
+    assert not weylsum._by_determinants(RootSystem("F", 4, *[None] * 7))
 
 
 @pytest.mark.parametrize("kind,rank", [(kind, rank) for kind in "ABCD" for rank in range(3, 7)])

@@ -9,12 +9,12 @@ module computes, always in exact arithmetic:
 * Chern classes ``c_k`` of an irreducible representation, as integer
   polynomials in the lattice generators (the elementary symmetric functions
   of the weight multiset, re-expressed in the generator basis);
-* a closed form for ``c_2`` from the quadratic Casimir data;
+* the closed form of ``c_2``, -x/2 * Q_2, which is the Chern classes' own c_2;
 * Stiefel-Whitney classes of orthogonal representations, obtained from the
   Chern classes by reduction mod 2;
 * spinoriality (does the representation lift to the spin group of its
   orthogonal form?), decided by evenness of ``c_2`` and cross-checked by a
-  2-adic divisibility test on the invariant quadratic form;
+  2-adic divisibility test on the quadratic form Q_2 read back from ``c_2``;
 * orthogonal / symplectic / non-self-dual typing of a highest weight;
 * the factorization of the total Stiefel-Whitney class into factors
   ``(1 + v_S)^{m_k}`` indexed by subsets ``S`` of the order-2 subgroup
@@ -48,7 +48,6 @@ from .powersum import (
     power_sums,
     validate_dominant,
 )
-from .weylsum import q2_poly
 from .oracle import (
     DEFAULT_MAX_DIM,
     _pair_coefficients,
@@ -156,8 +155,8 @@ class SpinorialResult:
     ``spinorial`` is the primary test: every coefficient of c_2 is even.
     When the secondary 2-adic test applies (plain representation of a simple
     type, nonzero weight), ``valuation`` holds the threshold j and
-    ``secondary_integral`` whether 2^(-j) times the invariant quadratic form
-    is 2-integral in the generators; the two tests are required to agree.
+    ``secondary_integral`` whether 2^(-j) times Q_2 = -2/x * c_2 (the invariant
+    quadratic form) is 2-integral in the generators; the tests must agree.
     """
 
     lattice: CharacterLattice
@@ -406,25 +405,17 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     return ChernResult(lattice, pi, kmax, degree, tuple(cs))
 
 
-@lru_cache(maxsize=None)
-def _q2_in_generators(lattice: CharacterLattice) -> BiPoly:
-    """The invariant quadratic form, expressed in lattice generators."""
-    d = _generator_images(lattice)[1]
-    return _scaled_to_generators(lattice, q2_poly(lattice.root_system())).scale(Fraction(1, d * d))
-
-
 def chern2_closed(lattice: CharacterLattice, lam: Sequence[int]) -> BiPoly:
     """Closed form for c_2: -x/2 * Q2, with x the Casimir ratio of ``powersum._casimir_ratio``.
 
-    Valid for the simple families (everything except GL); agrees with
-    ``chern_classes(...).c[2]`` exactly.
+    Valid for the simple families (everything except GL), on a plain weight.
+    It is ``chern_classes(...).c[2]`` at kmax 2, where the P_2 that Newton's
+    identities read is the closed form x * Q_2 and no Weyl sum runs.
     """
     pi = _as_pi(lattice, lam)
     if lattice.family == "GL" or pi.s_wrap:
         raise DomainError("the closed form for c_2 requires a simple group type and a plain weight")
-    rs = lattice.root_system()
-    scalar = -_casimir_ratio(rs, pi.weight, _dimension(rs, pi.weight)) / 2
-    return _require_integer(_q2_in_generators(lattice).scale(scalar), "closed-form c_2")
+    return chern_classes(lattice, pi, 2).c[2]
 
 
 # -- orthogonality typing ------------------------------------------------------
@@ -513,10 +504,10 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     criterion also runs -- with j the negated 2-adic valuation of x/4, x the
     Casimir ratio of ``powersum._casimir_ratio``, the lift exists iff 2^(-j) times
     the invariant quadratic form is 2-integral in the generators -- and the
-    two answers must agree.  As c_2 = -P_2 / 2 and P_2 = x * Q_2 in closed
-    form, both read one x and one Q_2 and are the same inequality, so that
-    check is a certificate that cannot fail; the oracle route of
-    ``tests/test_oracle_route.py`` checks the answer independently.
+    two answers must agree.  At kmax 2, c_2 = -P_2 / 2 with P_2 = x * Q_2 in
+    closed form, so Q_2 is read back from c_2 as -2/x * c_2: both tests read
+    one c_2 and are one inequality, a certificate that cannot fail.  The
+    oracle route of ``tests/test_oracle_route.py`` checks the answer apart.
     """
     pi = _require_orthogonal(lattice, pi_spec, "the spinoriality test")
     ch = chern_classes(lattice, pi, kmax=2)
@@ -525,9 +516,9 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     valuation: int | None = None
     secondary: bool | None = None
     if not pi.s_wrap and lattice.family != "GL" and any(pi.weight):
-        valuation = -_ord2(_casimir_ratio(lattice.root_system(), pi.weight, ch.degree) / 4)
-        q2g = _q2_in_generators(lattice)
-        secondary = all(_ord2(c) >= valuation for c in q2g.terms.values())
+        x = _casimir_ratio(lattice.root_system(), pi.weight, ch.degree)
+        valuation = -_ord2(x / 4)
+        secondary = all(_ord2(c) >= valuation for c in c2.scale(-2 / x).terms.values())
         if secondary != primary:
             raise InternalError(
                 "spinoriality criteria disagree: c_2 parity says "

@@ -244,7 +244,7 @@ def test_criterion_07_chern_golden_values():
     for key, group in SIMPLY_CONNECTED.items():
         lat = builtin_lattice(group)
         for lam in dominant_grid(key[1], 3):
-            assert chern2_closed(lat, lam) == chern_classes(lat, lam, 2).c[2], (group, lam)
+            assert chern2_closed(lat, lam) == chern_classes(lat, lam, 3).c[2], (group, lam)
 
 
 # -- 8: Stiefel-Whitney golden values -----------------------------------------------------

@@ -7,7 +7,9 @@ is given an image for each variable, that ``charclass`` reads its order-2
 characters from its own table, that the inverse Killing form is read in one
 function (``powersum._casimir_ratio``), and that the oracle builds its
 binomial-pair series in one function.  Also that every division that must come
-out whole goes through ``errors.exact_quotient``.
+out whole goes through ``errors.exact_quotient``, and that ``charclass`` reads
+the engine through ``powersum`` alone and changes to lattice generators in
+``chern_classes`` alone.
 """
 
 from __future__ import annotations
@@ -294,6 +296,40 @@ def test_charclass_has_one_character_table_and_one_casimir_ratio():
         "def rows(rs):\n"
         "    return rs.killing_dual_rows\n"
     ) == (["qualified", "table"], ["_casimir_ratio", "shift"])
+
+
+def _weylsum_imports_and_generator_changes(source: str) -> tuple[list[int], list[str]]:
+    """Lines that import ``weylsum`` or from it; functions that call ``_scaled_to_generators``."""
+    tree = ast.parse(source)
+    imports = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and "weylsum" in [*(getattr(node, "module", None) or "").split("."),
+                                 *(part for a in node.names for part in a.name.split("."))]]
+    changes = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               and any(_calls(n, "_scaled_to_generators") for n in ast.walk(func))}
+    return sorted(imports), sorted(changes)
+
+
+def test_charclass_reads_c2_from_the_chern_path_alone():
+    source = Path(charclass.__file__).read_text(encoding="utf-8")
+    assert _weylsum_imports_and_generator_changes(source) == ([], ["chern_classes"])
+    # the check itself finds each way of importing the engine, and each caller
+    assert _weylsum_imports_and_generator_changes(
+        "from .weylsum import q2_poly\n"
+        "from . import oracle, weylsum\n"
+        "import weightcalc.weylsum as ws\n"
+        "from weightcalc.weylsum import fk_scalar\n"
+        "from .powersum import power_sums\n"
+        "from .oracle import weight_multiplicities\n"
+        "def chern_classes(lat, power):\n"
+        "    return [_scaled_to_generators(lat, f) for f in power]\n"
+        "def _q2_in_generators(lat):\n"
+        "    return _scaled_to_generators(lat, q2_poly(lat.root_system()))\n"
+        "def qualified(lat, f):\n"
+        "    return charclass._scaled_to_generators(lat, f)\n"
+        "def chern2_closed(lat, lam):\n"
+        "    return chern_classes(lat, lam, 2).c[2]\n"
+    ) == ([1, 2, 3, 4], ["_q2_in_generators", "chern_classes", "qualified"])
 
 
 def _calls(node, name: str) -> bool:

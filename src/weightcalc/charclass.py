@@ -326,16 +326,6 @@ def _scaled_to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
     return _generator_substitution(lattice)(f)
 
 
-def _require_integer(f: BiPoly, what: str) -> BiPoly:
-    for e, c in f.terms.items():
-        if isinstance(c, Fraction) and c.denominator != 1:
-            raise InternalError(
-                f"non-integer coefficient {c} in {what}; "
-                "the weight data is inconsistent with the lattice"
-            )
-    return f
-
-
 # -- Chern classes ------------------------------------------------------------
 
 
@@ -356,6 +346,11 @@ def _as_pi(lattice: CharacterLattice, spec) -> PiSpec:
     return PiSpec(weight, s_wrap)
 
 
+def _non_integer(c, dk: int, k: int) -> str:
+    return (f"non-integer coefficient {Fraction(c, dk)} in c_{k}; "
+            "the weight data is inconsistent with the lattice")
+
+
 def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernResult:
     """Chern classes c_0..c_kmax in lattice generators, exactly.
 
@@ -366,11 +361,12 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     the rank (GL's central character) are the same for every weight, so they
     shift each weight by one linear form, and the binomial convolution with
     its powers adds the shift.  Newton's identities are homogeneous, so they
-    then give D^k * E_k, and each E_k is divided by D^k once.  E_k of a multiset
-    of m weights is 0 for k > m, so nothing past degree m is computed.  For
-    the doubled form the classes of the representation and of its dual (all
-    weights negated) are convolved.  All coefficients are integers; anything
-    else signals an internal inconsistency.
+    then give D^k * E_k, and each coefficient of E_k is divided by D^k once,
+    by ``exact_quotient``: the quotients are integers, and a remainder (or a
+    Fraction left by Newton's identities) signals an internal inconsistency.
+    E_k of a multiset of m weights is 0 for k > m, so nothing past degree m
+    is computed.  For the doubled form the classes of the representation and
+    of its dual (all weights negated) are convolved.
     """
     check_degree(kmax, "kmax")
     pi = _as_pi(lattice, pi_spec)
@@ -386,10 +382,11 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
         form = [sum(map(mul, shift, col)) for col in zip(*rows[rs.rank :])]
         central = BiPoly.a_linear(form, ny=0)
         power = _binomial_convolution(power, [central ** j for j in range(top + 1)], top)
-    cs = [
-        _require_integer(ek if d == 1 else ek.scale(Fraction(1, d ** k)), f"c_{k}")
-        for k, ek in enumerate(elementary_from_power(power, top))
-    ]
+    cs = []
+    for k, ek in enumerate(elementary_from_power(power, top)):
+        dk = d ** k
+        cs.append(BiPoly._result(n, 0, {e: exact_quotient(c, dk, _non_integer, c, dk, k)
+                                        for e, c in ek.terms.items()}))
     cs += [BiPoly.zero(n, 0)] * (kmax - top)
     if pi.s_wrap:
         # c(pi) c(pi*) with c_i(pi*) = (-1)^i c_i: the odd classes cancel, and in an
@@ -476,12 +473,19 @@ def swc_restrict(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> SWCResult
 
     Each w_k is the mod-2 reduction of c_k, read in the 2-torsion generator
     variables.  The input must be orthogonal, either as a plain weight or as
-    the doubled form.
+    the doubled form.  Mod 2 the doubled form's c(pi) c(pi*) is c(pi)^2:
+    c_i(pi*) = (-1)^i c_i(pi), and each cross term c_i c_(k-i), i < k/2,
+    comes twice.  So its w_k is the Frobenius square of c_(k/2)(pi) mod 2 for
+    even k and 0 for odd k, and c(pi) is needed only to degree kmax // 2.
     """
     check_degree(kmax, "kmax")
     pi = _require_orthogonal(lattice, pi_spec, "the Stiefel-Whitney restriction")
-    ch = chern_classes(lattice, pi, kmax)
-    w = tuple(mod2_reduce(ck) for ck in ch.c)
+    if pi.s_wrap:
+        half = [mod2_reduce(cj) for cj in chern_classes(lattice, PiSpec(pi.weight), kmax // 2).c]
+        zero = Mod2Poly.zero(lattice.torus_rank)
+        w = tuple(zero if k % 2 else half[k // 2].square() for k in range(kmax + 1))
+    else:
+        w = tuple(mod2_reduce(ck) for ck in chern_classes(lattice, pi, kmax).c)
     return SWCResult(lattice, pi, kmax, w)
 
 

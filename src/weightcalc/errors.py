@@ -66,9 +66,12 @@ def check_coordinates(coords: Sequence, n: int, what: str = "weight", where: str
     return coords
 
 
-def exact_quotient(num: int, den: int, message: str, *args) -> int:
-    """num // den, or InternalError(message % args), formatted only then, on a remainder."""
+def exact_quotient(num: int, den: int, message, *args) -> int:
+    """num // den, or on a remainder InternalError(message % args), formatted only then.
+
+    ``message`` may also be a function, called as ``message(*args)`` only then.
+    """
     q, rem = divmod(num, den)
     if rem:
-        raise InternalError(message % args)
+        raise InternalError(message(*args) if callable(message) else message % args)
     return q

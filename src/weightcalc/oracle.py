@@ -46,7 +46,7 @@ from operator import add, mul
 from .errors import (DomainError, InternalError, check_coordinates, check_degree, exact_quotient,
                      is_int)
 from .polyalg import BiPoly, _det, _integer_rows, _monomials, invert
-from .powersum import validate_dominant, weyl_dimension
+from .powersum import weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
@@ -91,18 +91,8 @@ class WeightMultiset:
     def expanded(self) -> dict:
         """Every distinct weight with its multiplicity (cached)."""
         if self._expanded is None:
-            full: dict[tuple, int] = {}
-            for mu, m in self.dominant.items():
-                for nu in dominant_orbit(self.rs.cartan, mu):
-                    if nu in full:
-                        raise InternalError("weight orbits are not disjoint")
-                    full[nu] = m
-            total = sum(full.values())
-            dim = weyl_dimension(self.rs, self.highest_weight)
-            if total != dim:
-                raise InternalError(f"weight multiset sums to {total},"
-                                    f" dimension formula says {dim}")
-            object.__setattr__(self, "_expanded", full)
+            object.__setattr__(self, "_expanded", _orbit_expansion(
+                self.rs, self.dominant, weyl_dimension(self.rs, self.highest_weight)))
         return self._expanded
 
     def folded(self) -> _FoldedView:
@@ -120,6 +110,24 @@ class WeightMultiset:
         return self.dominant.get(chamber_descent(self.rs.cartan, mu), 0)
 
 
+def _orbit_expansion(rs: RootSystem, dominant: dict, dim: int) -> dict:
+    """The W-orbits of the dominant weights, each weight with its multiplicity.
+
+    The orbits must be disjoint and the multiplicities must sum to ``dim``,
+    the Weyl dimension.
+    """
+    full: dict[tuple, int] = {}
+    for mu, m in dominant.items():
+        for nu in dominant_orbit(rs.cartan, mu):
+            if nu in full:
+                raise InternalError("weight orbits are not disjoint")
+            full[nu] = m
+    total = sum(full.values())
+    if total != dim:
+        raise InternalError(f"weight multiset sums to {total}, dimension formula says {dim}")
+    return full
+
+
 def weight_multiplicities(
     rs: RootSystem, lam: Sequence[int], max_dim: int = DEFAULT_MAX_DIM
 ) -> WeightMultiset:
@@ -130,12 +138,13 @@ def weight_multiplicities(
     set, and each one is reached from lam through dominant weights
     (Stembridge, "The partial order of dominant weights", 1998).  Each
     weight's depth is the height of lam - mu.  Multiplicities fill in by
-    increasing depth; each one is an exact integer quotient, and the total
-    is checked against the dimension formula on first expansion.
+    increasing depth; each one is an exact integer quotient, and the orbits
+    are expanded at once, their total checked against the dimension formula.
+    ``weyl_dimension`` is the one check of the weight and the one dimension.
     """
-    lam = validate_dominant(rs, lam)
-    check_degree(max_dim, "max_dim")
     dim = weyl_dimension(rs, lam)
+    lam = tuple(lam)
+    check_degree(max_dim, "max_dim")
     if dim > max_dim:
         raise DomainError(
             f"representation dimension {dim} exceeds the guard {max_dim};"
@@ -198,9 +207,7 @@ def weight_multiplicities(
         if q <= 0:
             raise InternalError("dominant candidate received a non-positive multiplicity")
         mult[mu] = q
-    wm = WeightMultiset(rs=rs, highest_weight=lam, dominant=mult)
-    wm.expanded()  # eager dimension check
-    return wm
+    return WeightMultiset(rs, lam, mult, _orbit_expansion(rs, mult, dim))
 
 
 # -- direct sums and products over the multiset -------------------------------

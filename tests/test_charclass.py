@@ -516,6 +516,42 @@ def test_so6_vector_swc():
     assert res.w[2] == Mod2Poly(3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])
 
 
+@pytest.mark.parametrize("group", builtin_lattice_names())
+def test_wrapped_swc_is_the_doubled_chern_classes_mod_2(group):
+    # the Frobenius route against the integer product c(pi) c(pi*) it replaces,
+    # odd kmax included; GL's first weight has central character 1
+    from weightcalc.polyalg import mod2_reduce
+
+    lat = builtin_lattice(group)
+    weights = _two_lattice_weights(lat)
+    if lat.family == "GL":
+        weights.append((2,) + (0,) * (lat.torus_rank - 2) + (-1,))
+    for weight in weights:
+        spec = PiSpec(weight, s_wrap=True)
+        doubled = [mod2_reduce(c) for c in chern_classes(lat, spec, 8).c]
+        for kmax in range(9):
+            res = swc_restrict(lat, spec, kmax)
+            assert res.w == tuple(doubled[: kmax + 1]), (weight, kmax)
+            assert res.pi == spec and res.kmax == kmax and res.total_factorization is None
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 5, 6])
+def test_wrapped_swc_reads_the_plain_classes_once_at_half_the_degree(kmax, monkeypatch):
+    calls = []
+    chern = charclass.chern_classes
+
+    def spy(lattice, pi_spec, kmax=6):
+        calls.append((pi_spec, kmax))
+        return chern(lattice, pi_spec, kmax)
+
+    monkeypatch.setattr(charclass, "chern_classes", spy)
+    swc_restrict(builtin_lattice("GL4"), PiSpec((2, 0, 0, 0), True), kmax)
+    assert calls == [(PiSpec((2, 0, 0, 0), False), kmax // 2)]
+    calls.clear()
+    swc_restrict(builtin_lattice("SO7"), (1, 0, 0), kmax)  # the plain route keeps kmax
+    assert calls == [(PiSpec((1, 0, 0), False), kmax)]
+
+
 # -- spinoriality --------------------------------------------------------------------
 
 

@@ -7,7 +7,8 @@ is given an image for each variable, that ``charclass`` reads its order-2
 characters from its own table, that the inverse Killing form is read in one
 function (``powersum._casimir_ratio``), and that the oracle builds its
 binomial-pair series in one function.  Also that every division that must come
-out whole goes through ``errors.exact_quotient``, and that ``charclass`` reads
+out whole goes through ``errors.exact_quotient``, with no remainder test or
+integrality scan of its own elsewhere, and that ``charclass`` reads
 the engine through ``powersum`` alone and changes to lattice generators in
 ``chern_classes`` alone.
 """
@@ -22,7 +23,7 @@ import pytest
 
 from weightcalc import charclass, errors, oracle, powersum
 from weightcalc.charclass import PiSpec, builtin_lattice, chern_classes, lattice_contains
-from weightcalc.errors import DomainError, check_coordinates, is_int
+from weightcalc.errors import DomainError, InternalError, check_coordinates, exact_quotient, is_int
 from weightcalc.oracle import weight_multiplicities
 from weightcalc.powersum import power_sums
 from weightcalc.rootsys import build_root_system
@@ -56,7 +57,11 @@ def test_int_check_lives_in_errors_alone():
 
 
 def _remainder_raises(source: str) -> list[int]:
-    """Lines of each ``if`` that tests a ``divmod`` remainder of its function and raises."""
+    """Lines of each ``if`` that tests a ``divmod`` remainder of its function and raises.
+
+    Also each ``if`` that reads a ``.denominator`` and raises ``InternalError``:
+    an integrality scan is the same check written after the division.
+    """
     lines = set()
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef):
@@ -66,9 +71,15 @@ def _remainder_raises(source: str) -> list[int]:
                 and isinstance(node.targets[0], ast.Tuple)
                 and isinstance(node.targets[0].elts[1], ast.Name)}
         for node in ast.walk(func):
-            if isinstance(node, ast.If) and any(
-                    isinstance(n, ast.Name) and n.id in rems for n in ast.walk(node.test)) \
-                    and any(isinstance(n, ast.Raise) for s in node.body for n in ast.walk(s)):
+            if not isinstance(node, ast.If):
+                continue
+            raises = [n for s in node.body for n in ast.walk(s) if isinstance(n, ast.Raise)]
+            tested = list(ast.walk(node.test))
+            if raises and any(isinstance(n, ast.Name) and n.id in rems for n in tested) \
+                    or any(isinstance(n, ast.Attribute) and n.attr == "denominator"
+                           for n in tested) \
+                    and any(getattr(n, "id", getattr(n, "attr", None)) == "InternalError"
+                            for r in raises for n in ast.walk(r)):
                 lines.add(node.lineno)
     return sorted(lines)
 
@@ -100,6 +111,24 @@ def test_exact_quotients_live_in_errors_alone():
         "        if rem or size < 0:\n"
         "            continue\n"
     ) == [3, 9]
+    # and an integrality scan after a division, but not a Fraction collapsed or refused as input
+    assert _remainder_raises(
+        "def _require_integer(f, what):\n"
+        "    for e, c in f.terms.items():\n"
+        "        if isinstance(c, Fraction) and c.denominator != 1:\n"
+        "            raise InternalError(f'non-integer coefficient {c} in {what}')\n"
+        "    return f\n"
+        "def scan(values):\n"
+        "    if any(Fraction(v).denominator > 1 for v in values):\n"
+        "        raise errors.InternalError('not whole')\n"
+        "def _norm(c):\n"
+        "    if type(c) is Fraction and c.denominator == 1:\n"
+        "        return c.numerator\n"
+        "    return c\n"
+        "def reduce(c):\n"
+        "    if c.denominator != 1:\n"
+        "        raise DomainError('non-integer coefficient under mod-2 reduction')\n"
+    ) == [3, 7]
 
 
 def _attrs(tree) -> set[str]:
@@ -395,6 +424,19 @@ def test_oracle_builds_the_binomial_pair_series_in_one_place():
         "    for j in range(kmax):\n"
         "        s.append([s[j][i - 1] - j * s[j][i] for i in range(1, j + 1)])\n"
     ) == (["binomials", "checked", "inline", "ratio"], ["_series_at"])
+
+
+def test_exact_quotient_formats_its_message_only_on_a_remainder():
+    def message(num, den):
+        calls.append((num, den))
+        return f"{Fraction(num, den)} is not whole"
+
+    calls = []
+    assert exact_quotient(12, 4, message, 12, 4) == 3 and calls == []
+    with pytest.raises(InternalError, match="^7/2 is not whole$"):
+        exact_quotient(7, 2, message, 7, 2)
+    with pytest.raises(InternalError, match="^c_3 / 2$"):
+        exact_quotient(Fraction(1, 2), 1, "c_%d / %d", 3, 2)  # a Fraction leaves a remainder
 
 
 def test_is_int_refuses_bools_and_other_numbers():

@@ -30,6 +30,11 @@ QUERIES = [
     {"op": "spinorial", "group": "G2", "weight": [1, 0], "wrap": False},
     {"op": "swc_total", "group": "GL3", "weight": [1, 0, -1], "wrap": False, "k": 6},
     {"op": "swc_total", "group": "SO5", "weight": [0, 2], "wrap": True, "k": 6},
+    # the doubled form's Stiefel-Whitney classes square the plain c_(k/2) mod 2
+    {"op": "swc", "group": "GL4", "weight": [2, 0, 0, 0], "wrap": True, "k": 6},
+    {"op": "swc", "group": "Sp6", "weight": [1, 0, 0], "wrap": True, "k": 7},
+    {"op": "swc_total", "group": "GL3", "weight": [1, 0, 0], "wrap": True, "k": 7},
+    {"op": "swc_total", "group": "SL4", "weight": [1, 0, 0], "wrap": True, "k": 6},
 ]
 
 

@@ -46,7 +46,7 @@ from operator import add, mul
 from .errors import (DomainError, InternalError, check_coordinates, check_degree, exact_quotient,
                      is_int)
 from .polyalg import BiPoly, _det, _integer_rows, _monomials, invert
-from .powersum import weyl_dimension
+from .powersum import validate_dominant, weyl_dimension
 from .rootsys import RootSystem, chamber_descent, dominant_orbit
 
 __all__ = [
@@ -77,22 +77,19 @@ def _form(gram, u: Sequence[int], v: Sequence[int]) -> int:
 class WeightMultiset:
     """Weights of one irreducible representation, stored by dominant orbit.
 
-    ``dominant`` maps each dominant weight to its multiplicity; the full
-    W-orbit expansion and the folded view of it are materialized once on
-    demand and cached.
+    ``dominant`` maps each dominant weight to its multiplicity and
+    ``_expanded`` holds the full W-orbit expansion; the folded view of it is
+    materialized once on demand and cached.
     """
 
     rs: RootSystem
     highest_weight: tuple[int, ...]
     dominant: dict
-    _expanded: dict | None = field(default=None, repr=False, compare=False)
+    _expanded: dict = field(repr=False, compare=False)
     _folded: _FoldedView | None = field(default=None, repr=False, compare=False)
 
     def expanded(self) -> dict:
-        """Every distinct weight with its multiplicity (cached)."""
-        if self._expanded is None:
-            object.__setattr__(self, "_expanded", _orbit_expansion(
-                self.rs, self.dominant, weyl_dimension(self.rs, self.highest_weight)))
+        """Every distinct weight with its multiplicity."""
         return self._expanded
 
     def folded(self) -> _FoldedView:
@@ -140,11 +137,10 @@ def weight_multiplicities(
     weight's depth is the height of lam - mu.  Multiplicities fill in by
     increasing depth; each one is an exact integer quotient, and the orbits
     are expanded at once, their total checked against the dimension formula.
-    ``weyl_dimension`` is the one check of the weight and the one dimension.
     """
-    dim = weyl_dimension(rs, lam)
-    lam = tuple(lam)
+    lam = validate_dominant(rs, lam)
     check_degree(max_dim, "max_dim")
+    dim = weyl_dimension(rs, lam)
     if dim > max_dim:
         raise DomainError(
             f"representation dimension {dim} exceeds the guard {max_dim};"

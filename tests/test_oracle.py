@@ -60,6 +60,18 @@ def test_a1_string_multiplicities(ell):
     assert wm.expanded() == {(ell - 2 * j,): 1 for j in range(ell + 1)}
 
 
+def test_weight_may_be_any_iterable(a2):
+    wm = weight_multiplicities(a2, iter((1, 1)))
+    assert wm.highest_weight == (1, 1)
+    assert wm.dominant == {(1, 1): 1, (0, 0): 2} and wm.dimension == 8
+
+
+def test_multiset_total_is_checked_against_the_dimension(monkeypatch, a2):
+    monkeypatch.setattr(oracle, "weyl_dimension", lambda rs, lam: 9)
+    with pytest.raises(InternalError, match="sums to 8, dimension formula says 9"):
+        weight_multiplicities(a2, (1, 1))
+
+
 def test_multiplicity_refuses_a_weight_of_the_wrong_length(a2):
     wm = weight_multiplicities(a2, (1, 1))
     with pytest.raises(DomainError):

@@ -14,7 +14,7 @@ module computes, always in exact arithmetic:
   Chern classes by reduction mod 2;
 * spinoriality (does the representation lift to the spin group of its
   orthogonal form?), decided by evenness of ``c_2`` and cross-checked by a
-  2-adic divisibility test on the quadratic form Q_2 read back from ``c_2``;
+  2-adic divisibility test on the quadratic form Q_2, built from the roots;
 * orthogonal / symplectic / non-self-dual typing of a highest weight;
 * the factorization of the total Stiefel-Whitney class into factors
   ``(1 + v_S)^{m_k}`` indexed by subsets ``S`` of the order-2 subgroup
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
 from .polyalg import BiPoly, Mod2Poly, _integer_rows, _mul_into, _substitution, invert, mod2_reduce
@@ -155,8 +155,9 @@ class SpinorialResult:
     ``spinorial`` is the primary test: every coefficient of c_2 is even.
     When the secondary 2-adic test applies (plain representation of a simple
     type, nonzero weight), ``valuation`` holds the threshold j and
-    ``secondary_integral`` whether 2^(-j) times Q_2 = -2/x * c_2 (the invariant
-    quadratic form) is 2-integral in the generators; the tests must agree.
+    ``secondary_integral`` whether 2^(-j) times Q_2 (the invariant quadratic
+    form, built from the roots) is 2-integral in the generators; the tests
+    must agree.
     """
 
     lattice: CharacterLattice
@@ -500,6 +501,28 @@ def _ord2(x) -> int:
     return (num & -num).bit_length() - (den & -den).bit_length()
 
 
+@lru_cache(maxsize=None)
+def _q2_from_roots(lattice: CharacterLattice) -> BiPoly:
+    """Q_2 in the lattice generators from the roots: the sum over alpha in Phi of (g(alpha).x)^2.
+
+    g(alpha) are the generator coordinates of the root (every root lies in
+    every built-in lattice), and alpha and -alpha give the same square.  g is
+    linear, so those of the simple roots (``_generator_coordinates`` of the
+    Cartan rows) give every g(alpha) through its simple-root coefficients.
+    It reads neither the Chern path's change to lattice generators nor
+    Newton's identities nor its exact quotient.  Memoised per lattice.
+    """
+    n, rs = lattice.torus_rank, lattice.root_system()
+    simple = [_generator_coordinates(lattice, row + (0,) * (n - lattice.rank)) for row in rs.cartan]
+    if None in simple:
+        raise InternalError(f"a root of {lattice.name} escaped its character lattice")
+    cols = [[sum(map(mul, c, col)) for c in rs.root_coefficients] for col in zip(*simple)]
+    unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    return BiPoly(n, 0, {tuple(map(add, unit[i], unit[j])):
+                         (2 if i == j else 4) * sum(map(mul, cols[i], cols[j]))
+                         for i in range(n) for j in range(i, n)})
+
+
 def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     """Whether the orthogonal representation lifts to the spin group.
 
@@ -507,11 +530,11 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     representation of a simple type with nonzero weight the 2-adic secondary
     criterion also runs -- with j the negated 2-adic valuation of x/4, x the
     Casimir ratio of ``powersum._casimir_ratio``, the lift exists iff 2^(-j) times
-    the invariant quadratic form is 2-integral in the generators -- and the
-    two answers must agree.  At kmax 2, c_2 = -P_2 / 2 with P_2 = x * Q_2 in
-    closed form, so Q_2 is read back from c_2 as -2/x * c_2: both tests read
-    one c_2 and are one inequality, a certificate that cannot fail.  The
-    oracle route of ``tests/test_oracle_route.py`` checks the answer apart.
+    the invariant quadratic form Q_2 is 2-integral in the generators -- and the
+    two answers must agree.  c_2 comes from the Chern path; Q_2 is built
+    from the roots (``_q2_from_roots``), so a fault in the change to lattice
+    generators, in Newton's identities or in the exact quotient shows as a
+    disagreement, an InternalError.
     """
     pi = _require_orthogonal(lattice, pi_spec, "the spinoriality test")
     ch = chern_classes(lattice, pi, kmax=2)
@@ -522,7 +545,7 @@ def is_spinorial(lattice: CharacterLattice, pi_spec) -> SpinorialResult:
     if not pi.s_wrap and lattice.family != "GL" and any(pi.weight):
         x = _casimir_ratio(lattice.root_system(), pi.weight, ch.degree)
         valuation = -_ord2(x / 4)
-        secondary = all(_ord2(c) >= valuation for c in c2.scale(-2 / x).terms.values())
+        secondary = all(_ord2(c) >= valuation for c in _q2_from_roots(lattice).terms.values())
         if secondary != primary:
             raise InternalError(
                 "spinoriality criteria disagree: c_2 parity says "

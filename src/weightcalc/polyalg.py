@@ -27,21 +27,26 @@ leading minus is attached), and ``^exp`` omitted when the exponent is 1
 (``_factors``).  A ``Mod2Poly`` term has no coefficient, and its constant
 term renders ``1``.  The zero polynomial renders ``0``.
 
-Every product of two term dicts goes through one kernel, ``_mul_into``:
-``BiPoly`` products and powers, ``fk_direct``, and the sums of products of
-Newton's identities and of the binomial convolution in ``powersum``, which
-accumulate each degree in one term dict.  The kernel leaves cancelled terms
-as zeros; each operation drops them once, when it builds its result.
-``exact_divide`` is the exception: it removes a cancelled term at once, and
-its heap of candidate leading terms skips the keys of removed ones.  The oracle
-forms no symbolic product: it reads its E_k off exact values at lattice
-points (``oracle.oracle_elementary``).
+Every product of two term dicts on exponent tuples goes through one
+kernel, ``_mul_into``: ``BiPoly`` products and powers, ``fk_direct``, and
+the sums of products of the binomial convolution in ``powersum``, which
+accumulate each degree in one term dict.  Every product on packed
+monomials (``_packed``: one 16-bit field per exponent, so that monomials
+multiply by adding) goes through ``_packed_mul_into``: the substitution
+kernel, Newton's identities (``powersum.elementary_from_power``) and the
+rank <= 2 forms of the power-sum solve (``_Packed``, divided by
+``_packed_quotient``).  Both kernels leave cancelled terms as zeros; each
+operation drops them once, when it builds its result.  ``exact_divide``
+removes a cancelled term at once, and its heap of candidate leading terms
+skips the keys of removed ones.  The oracle forms no symbolic product: it
+reads its E_k off exact values at lattice points
+(``oracle.oracle_elementary``).
 
-Every substitution goes through one kernel with its own loop on packed
-monomials, ``_substitution``, given an image for every variable: ``compose``
-(identity images for an omitted block; through it ``eval_a`` and
-``evaluate``), the expansion of the basic invariants (``weylsum._expand``)
-and the change to lattice generators (``charclass._scaled_to_generators``).
+Every substitution goes through one kernel, ``_substitution``, given an
+image for every variable: ``compose`` (identity images for an omitted
+block; through it ``eval_a`` and ``evaluate``), the expansion of the basic
+invariants (``weylsum._expand``) and the change to lattice generators
+(``charclass._scaled_to_generators``).
 
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
@@ -62,7 +67,7 @@ from math import comb, gcd, lcm
 from operator import add
 from struct import Struct
 
-from .errors import DomainError, InternalError, check_degree, is_int
+from .errors import DomainError, InternalError, check_degree, exact_quotient, is_int
 
 __all__ = [
     "BiPoly",
@@ -182,17 +187,102 @@ def _mul_into(acc: dict, f: Mapping[tuple, Scalar], g: Mapping[tuple, Scalar]) -
 
 
 _EXP_MAX = (1 << 16) - 1  # the widest exponent of a packed monomial
+_BORROWS = sum(1 << (16 * j) for j in range(1, 64))  # the lowest bit of every field but the first
+
+
+@lru_cache(maxsize=None)
+def _fields(n: int) -> Struct:
+    """n 16-bit fields, the first lowest: the layout of a packed monomial in n variables."""
+    return Struct(f"<{n}H")
+
+
+def _packed(terms: Mapping[tuple, Scalar], n: int) -> dict[int, Scalar]:
+    """A term dict on packed monomials, one field (``_fields``) per exponent.
+
+    Packed monomials multiply by adding.  The callers check that no exponent,
+    also of a product they form, exceeds ``_EXP_MAX``.
+    """
+    pack, from_bytes = _fields(n).pack, int.from_bytes
+    return {from_bytes(pack(*e), "little"): c for e, c in terms.items()}
+
+
+def _unpacked(na: int, ny: int, packed: Mapping[int, Scalar]) -> "BiPoly":
+    """The polynomial of arity (na, ny) of a packed term dict, zeros dropped."""
+    fields = _fields(na + ny)
+    unpack, size = fields.unpack, fields.size
+    return BiPoly._result(na, ny, {unpack(m.to_bytes(size, "little")): c
+                                   for m, c in packed.items()})
+
+
+def _packed_mul_into(acc: dict, f: Mapping[int, Scalar], g: Mapping[int, Scalar]) -> None:
+    """Add the product of the packed term dicts f and g into acc; zeros stay there."""
+    get = acc.get
+    for m, a in f.items():
+        for u, x in g.items():
+            acc[m + u] = get(m + u, 0) + a * x
+
+
+class _Packed(dict):
+    """A packed term dict (``_packed``) with the ring operations of ``powersum._triangular_solve``.
+
+    ``f * g`` is the packed product, ``f * c`` scales by a number and
+    ``f - g`` subtracts.  Cancelled terms stay as zeros; ``_packed_quotient``
+    and ``_unpacked`` skip them.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, dict):
+            acc = _Packed()
+            _packed_mul_into(acc, self, other)
+            return acc
+        return _Packed({m: c * other for m, c in self.items()})
+
+    def __sub__(self, other: Mapping[int, Scalar]) -> "_Packed":
+        out = _Packed(self)
+        get = out.get
+        for m, c in other.items():
+            out[m] = get(m, 0) - c
+        return out
+
+
+def _packed_quotient(f: Mapping[int, Scalar], g: Mapping[int, Scalar]) -> _Packed:
+    """f / g for packed forms whose quotient has int coefficients; InternalError on a remainder.
+
+    Long division in the order of the packed ints, lexicographic with the
+    last variable first: the leading term of what is left is divided by that
+    of g, each coefficient through ``exact_quotient``.  A leading term that
+    the leading term of g does not divide (a field of the difference
+    borrows) is a remainder.  On forms homogeneous in at most two variables,
+    as at rank <= 2, this is synthetic division along the last variable.
+    """
+    lead = max(g)
+    lc, rest = g[lead], [(u, x) for u, x in g.items() if u != lead]
+    rem, q = dict(f), _Packed()
+    get = rem.get
+    while rem:
+        m = max(rem)
+        c = rem.pop(m)
+        if not c:
+            continue
+        d = m - lead
+        if d < 0 or (m ^ lead ^ d) & _BORROWS:
+            raise InternalError(f"inexact division of packed forms: {len(rem) + 1} terms left")
+        q[d] = x = exact_quotient(c, lc, "inexact division of packed forms: %s / %s", c, lc)
+        for u, y in rest:
+            rem[d + u] = get(d + u, 0) - x * y
+    return q
 
 
 def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], "BiPoly"]:
     """The one substitution kernel: an image for each variable of polynomials of arity (na, ny).
 
-    Monomials are packed into ints, 16 bits per exponent, so that they
-    multiply by adding.  The image of a monomial is that of the monomial
-    with its last exponent lowered by one, times one image, memoised for the
-    life of the returned function.  An output exponent is at most the degree
-    of a term times the largest image degree; that is checked before
-    anything is packed.
+    Monomials are packed (``_packed``), so that they multiply by adding.  The
+    image of a monomial is that of the monomial with its last exponent
+    lowered by one, times one image, memoised for the life of the returned
+    function.  An output exponent is at most the degree of a term times the
+    largest image degree; that is checked before anything is packed.
     """
     given = [*a_images, *y_images]
     if (len(a_images), len(y_images)) != (na, ny):
@@ -203,19 +293,8 @@ def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], 
     top = max(1, *(max(map(sum, im.terms), default=0) for im in given))  # keys are packed too
     if top > _EXP_MAX:
         raise DomainError(f"degree over {_EXP_MAX} in a substitution")
-    from_bytes, pack_key = int.from_bytes, Struct(f"<{len(given)}H").pack
-    packing = Struct(f"<{na2 + ny2}H")
-    packed = [{from_bytes(packing.pack(*e), "little"): c for e, c in im.terms.items()}
-              for im in given]
+    packed = [_packed(im.terms, na2 + ny2) for im in given]
     memo: dict[int, dict[int, Scalar]] = {0: {0: 1}}
-
-    def times(g: dict, h: dict) -> dict:
-        acc: dict[int, Scalar] = {}
-        acc_get = acc.get
-        for m, a in g.items():
-            for u, x in h.items():
-                acc[m + u] = acc_get(m + u, 0) + a * x
-        return {m: a for m, a in acc.items() if a}
 
     def image_of(key: int) -> dict:
         image, steps = memo.get(key), []
@@ -225,7 +304,9 @@ def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], 
             key -= 1 << (j << 4)
             image = memo.get(key)
         for key, j in reversed(steps):
-            image = memo[key] = times(image, packed[j])
+            acc: dict[int, Scalar] = {}
+            _packed_mul_into(acc, image, packed[j])
+            image = memo[key] = {m: a for m, a in acc.items() if a}
         return image
 
     def substitute(f: "BiPoly") -> "BiPoly":
@@ -235,11 +316,10 @@ def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], 
             raise DomainError(f"degree over {_EXP_MAX} in a substitution")
         out: dict[int, Scalar] = {}
         get = out.get
-        for e, c in f.terms.items():
-            for m, x in image_of(from_bytes(pack_key(*e), "little")).items():
+        for key, c in _packed(f.terms, na + ny).items():
+            for m, x in image_of(key).items():
                 out[m] = get(m, 0) + c * x
-        return BiPoly._result(na2, ny2, {packing.unpack(m.to_bytes(packing.size, "little")): c
-                                         for m, c in out.items()})
+        return _unpacked(na2, ny2, out)
 
     return substitute
 

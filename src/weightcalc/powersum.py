@@ -18,9 +18,13 @@ from alternating Weyl sums: the convolution identity
 
 is triangular in m = N, N+1, ... because F_j(delta) vanishes below degree
 N, so each P_k is an exact polynomial quotient; Newton's identities then
-convert P to E.  At rank >= 3 the recursion runs on exact values at a few
-sample coweights, and each P_k, a W-invariant of degree k, is rebuilt from
-its values in a basis of products of orbit power sums.
+convert P to E.  At rank <= 2 the recursion runs on the y-polynomials F_m
+on packed monomials (``polyalg._packed``), and so do Newton's identities on
+every input.  At rank >= 3 it runs on exact values at a few sample
+coweights, and each P_k, a W-invariant of degree k, is rebuilt from its
+values in a basis of products of orbit power sums.  The F_m(delta) side of
+either is one table per root system, built at the largest kmax asked so
+far (``_largest_so_far``).
 
 With the highest weight kept symbolic (a-variables), F_m = F'_m * d * d-vee
 lets d(y) and d-vee(a + delta) cancel from every term, and the identity
@@ -42,7 +46,8 @@ from math import comb
 from operator import mul
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
-from .polyalg import BiPoly, _mul_into, _ratio, exact_divide
+from .polyalg import (_EXP_MAX, BiPoly, _mul_into, _norm, _Packed, _packed, _packed_mul_into,
+                      _packed_quotient, _ratio, _unpacked)
 from .rootsys import RootSystem
 from .weylsum import (MAX_TERMS, _alternating_sums, _expand, _fit_invariants, _fit_reduced,
                       _invariants_at, _vanishes, coweyl_denominator, coweyl_denominator_at,
@@ -101,10 +106,12 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     ``_casimir_ratio``) are closed forms, so at kmax <= 2 no Weyl sum runs.
     At kmax >= 3 every P_k comes from a triangular solve of the convolution
     identity, and the solve's own P_0..P_2 must equal the closed forms, else
-    InternalError.  At rank <= 2 the solve runs on the y-polynomials F_m,
-    and every division is an exact polynomial quotient by
-    F_N(delta) = N! * d.  At rank >= 3 it runs on the values of F_m at a
-    few exact sample points, and each P_k is rebuilt from its values in a
+    InternalError.  At rank <= 2 the solve runs on the y-polynomials F_m as
+    packed forms (``polyalg._packed``), homogeneous in at most two
+    variables, and divides by binom(N+i, i) * F_N(delta) = binom(N+i, i) *
+    N! * d by synthetic division along the last variable
+    (``polyalg._packed_quotient``).  At rank >= 3 it runs on the values of
+    F_m at a few exact sample points, and each P_k is rebuilt from its values in a
     basis of degree-k invariants (``weylsum._fit_invariants``); there the
     symbolic F_m would cost about |W| * r * C(N+k+r-1, r-1) per call.  A
     sample of F_m(lam + delta, nu) (``weylsum._alternating_sums``) costs, on
@@ -112,9 +119,9 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     lam + delta, at most 30 r x r determinants for k <= 6 formed once per
     call, with the coweight-side minors, memoised per fit point; at rank 3,
     about |W| * (r + k) for the orbit of lam + delta.  F_m(delta, nu) comes
-    from the same kernel, its weight side formed once per root system and
-    kmax and its values memoised per point (``_delta_sums``), so after the
-    first call it costs a lookup.  Warm P_0..P_6 at rank 6 take 2-9 ms,
+    from the same kernel, its weight side formed once per table and its
+    values memoised per point (``_delta_sums``), so after the first call it
+    costs a lookup.  Warm P_0..P_6 at rank 6 take 2-9 ms,
     where the orbit took 0.07-0.66 s.  At rank <= 2 the symbolic route
     measured faster.
     """
@@ -130,22 +137,45 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     if r >= 3:
         sums = _alternating_sums(rs, shifted, range(n, n + kmax + 1))
         out = _fit_invariants(rs, kmax, lambda nu: _power_sums_at(rs, sums, nu, kmax))
+    elif n + kmax > _EXP_MAX:
+        raise DomainError(f"degree over {_EXP_MAX} in the rank <= 2 power-sum solve")
     else:
-        f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
-        out = _triangular_solve(n, f_lam, _fk_delta(rs, kmax), exact_divide)
+        f_lam = [_Packed(_packed(fk_evaluated(rs, shifted, n + i).terms, 2 * r))
+                 for i in range(kmax + 1)]
+        solved = _triangular_solve(n, f_lam, _fk_delta(rs, kmax), _packed_quotient)
+        out = [_unpacked(r, r, p) for p in solved]
     if out[:3] != closed:
         raise InternalError(f"{rs.name} {lam}: the Weyl sums' P_0..P_2 differ from the closed forms")
     return out
 
 
-@lru_cache(maxsize=None)
-def _fk_delta(rs: RootSystem, kmax: int) -> tuple[BiPoly, ...]:
-    """F_N(delta, y)..F_{N+kmax}(delta, y), built once per root system and kmax.
+def _largest_so_far(build: Callable) -> Callable:
+    """``build(rs, kmax)``, the table of F_N(delta)..F_{N+kmax}(delta), held once per root system.
 
-    Shared by every call: the tuple and the BiPolys in it are never mutated.
+    A table at a larger kmax holds every smaller one as its prefix, so a call
+    at a kmax no larger than the held one reads it, and a larger kmax builds
+    it again in its place, at that kmax.  The first build is at kmax >= 6,
+    the README's largest degree, so that a doubled-form query (kmax k // 2)
+    and a plain one on the same root system build one table.  The tables are
+    shared by every call and never mutated.
     """
+    tables: dict = {}
+
+    def table(rs: RootSystem, kmax: int):
+        held = tables.get(rs)
+        if held is None or held[0] < kmax:
+            held = tables[rs] = (max(kmax, 6), build(rs, max(kmax, 6)))
+        return held[1]
+    table.cache_clear = tables.clear
+    return table
+
+
+@_largest_so_far
+def _fk_delta(rs: RootSystem, kmax: int) -> tuple[dict, ...]:
+    """F_N(delta, y)..F_{N+kmax}(delta, y) on packed monomials (``polyalg._packed``)."""
     delta = (1,) * rs.rank
-    return tuple(fk_evaluated(rs, delta, rs.num_positive + j) for j in range(kmax + 1))
+    return tuple(_Packed(_packed(fk_evaluated(rs, delta, rs.num_positive + j).terms, 2 * rs.rank))
+                 for j in range(kmax + 1))
 
 
 def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list[int]:
@@ -161,13 +191,12 @@ def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list
         lambda a, b: exact_quotient(a, b, "sampled power sum %d/%d is not an integer", a, b))
 
 
-@lru_cache(maxsize=None)
+@_largest_so_far
 def _delta_sums(rs: RootSystem, kmax: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The function nu -> (F_N(delta, nu), ..., F_{N+kmax}(delta, nu)), memoised per point.
 
     The weight side of delta, its minors or its signed orbit, is formed once
-    per root system and kmax; the sampled fits of one rank always ask at the
-    same points.
+    per table; the sampled fits of one rank always ask at the same points.
     """
     n = rs.num_positive
     sums = _alternating_sums(rs, (1,) * rs.rank, range(n, n + kmax + 1))
@@ -195,9 +224,12 @@ def elementary_from_power(power: Sequence[BiPoly], kmax: int | None = None) -> l
     """E_0..E_kmax from P_1..P_kmax by Newton's identities.
 
     k * E_k = sum_{i=1..k} (-1)^(i-1) * E_{k-i} * P_i.  Works for concrete
-    (y-only) and symbolic (bivariate) inputs alike.  The sum of each degree
-    accumulates in one term dict (``polyalg._mul_into``), with the signs
-    folded into the even P_i once.
+    (y-only), lattice (a-only) and symbolic (bivariate) inputs alike.  The
+    recurrence runs on packed monomials (``polyalg._packed``): the P_i are
+    packed once, with the signs folded into the even ones, the sum of each
+    degree accumulates in one term dict (``polyalg._packed_mul_into``), and
+    each E_k is unpacked once.  A term of E_k has degree at most
+    k * max(deg P_i / i); where that may exceed a field, DomainError.
     """
     if not power:
         raise DomainError("empty power-sum sequence")
@@ -207,17 +239,23 @@ def elementary_from_power(power: Sequence[BiPoly], kmax: int | None = None) -> l
     if kmax >= len(power):
         raise DomainError("need P_0..P_kmax to produce E_0..E_kmax")
     na, ny = power[0].na, power[0].ny
-    for p in power[1:kmax + 1]:
+    signed: list = [None]
+    for i, p in enumerate(power[1:kmax + 1], 1):
         power[0]._check_compat(p)
-    signed = [None] + [p.terms if i % 2 else {e: -c for e, c in p.terms.items()}
-                       for i, p in enumerate(power[1:kmax + 1], 1)]
-    elem: list[BiPoly] = [BiPoly.constant(na, ny, 1)]
+        if max(map(sum, p.terms), default=0) * kmax > _EXP_MAX * i:
+            raise DomainError(f"degree over {_EXP_MAX} in Newton's identities")
+        packed = _packed(p.terms, na + ny)
+        signed.append(packed if i % 2 else {m: -c for m, c in packed.items()})
+    elem: list[dict] = [{0: 1}]
+    out = [BiPoly.constant(na, ny, 1)]
     for k in range(1, kmax + 1):
         acc: dict = {}
         for i in range(1, k + 1):
-            _mul_into(acc, *sorted((elem[k - i].terms, signed[i]), key=len))
-        elem.append(BiPoly._result(na, ny, acc).scale(Fraction(1, k)))
-    return elem
+            _packed_mul_into(acc, *sorted((elem[k - i], signed[i]), key=len))
+        elem.append({m: _ratio(c, k) if type(c) is int else _norm(c / k)
+                     for m, c in acc.items() if c})
+        out.append(_unpacked(na, ny, elem[k]))
+    return out
 
 
 def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:

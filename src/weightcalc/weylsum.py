@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, count, islice, repeat
 from math import comb, factorial, prod
-from operator import mul
+from operator import mul, or_
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
 from .polyalg import (BiPoly, _common_denominator, _det, _integer_rows, _monomials, _mul_into,
@@ -134,8 +134,9 @@ def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> tup
     return check_coordinates(mu, rs.rank, exact=True)
 
 
+@lru_cache(maxsize=64)
 def _signed_orbit(
-    rs: RootSystem, mu: Sequence[Scalar]
+    rs: RootSystem, mu: tuple[Scalar, ...]
 ) -> tuple[list[int], list[list[Scalar]]]:
     """Signs and orbit points w mu over W, the points as r coordinate columns.
 
@@ -148,7 +149,10 @@ def _signed_orbit(
     pair w, -w gives the points p, -p with signs that differ by (-1)^N, so
     their degree-k terms agree for N + k even, which every non-vanishing k
     is: only the points above 0 in lexicographic order are kept, each with
-    its sign doubled.  That halves every pass over the orbit.
+    its sign doubled.  That halves every pass over the orbit.  Memoised for
+    the last 64 weights, since the rank <= 2 route of ``powersum.power_sums``
+    asks ``fk_evaluated`` for one weight at every m; the lists are shared,
+    never mutated.
     """
     r = rs.rank
     top = chamber_descent(rs.cartan, mu)
@@ -257,7 +261,7 @@ def _alternating_sums(rs: RootSystem, mu: Sequence[int], ms: Sequence[int]):
     if _by_determinants(rs):
         sums = partial(_classical_sums, rs, _weight_minors(rs, mu, live))
     else:
-        sums = partial(_orbit_power_sums, _signed_orbit(rs, mu))
+        sums = partial(_orbit_power_sums, _signed_orbit(rs, tuple(mu)))
 
     def at(nu):
         values = dict(zip(live, sums(nu, live)))
@@ -559,18 +563,29 @@ def _generator_image(rs: RootSystem, shift: tuple[int, ...], i: int) -> BiPoly:
     return BiPoly._result(r, r, acc)
 
 
-@lru_cache(maxsize=None)
+_EXPANSIONS: dict = {}
+
+
 def _expansion(rs: RootSystem, shift: tuple[int, ...], used: tuple[bool, ...]):
-    """The substitution s_j := p_j(M(a + shift)), t_j := p_j(y), cached per root system and key.
+    """The substitution s_j := p_j(M(a + shift)), t_j := p_j(y), one per root system and shift.
 
     ``used`` flags the 2r variables that occur; the others get the zero
-    image.  The cache keeps the memo of product images of
-    ``polyalg._substitution``; the images themselves are shared by every key.
+    image.  A polynomial in the flagged variables comes out the same
+    whatever the other images are, so the held substitution serves every
+    call whose flags it covers, and a call that uses one more variable
+    builds it again, for the union of the flags so far.  It keeps the memo
+    of product images of ``polyalg._substitution``; the images themselves
+    are built once each (``_generator_image``).
     """
-    r = rs.rank
-    images = [_generator_image(rs, shift if i < r else (), i) if u else BiPoly.zero(r, r)
-              for i, u in enumerate(used)]
-    return _substitution(r, r, images[:r], images[r:])
+    held = _EXPANSIONS.get((rs, shift))
+    if held is None or any(u and not h for u, h in zip(used, held[0])):
+        if held is not None:
+            used = tuple(map(or_, used, held[0]))
+        r = rs.rank
+        images = [_generator_image(rs, shift if i < r else (), i) if u else BiPoly.zero(r, r)
+                  for i, u in enumerate(used)]
+        held = _EXPANSIONS[rs, shift] = (used, _substitution(r, r, images[:r], images[r:]))
+    return held[1]
 
 
 def _invariants_at(rs: RootSystem, y: Sequence[int], top: int, products=None) -> list:

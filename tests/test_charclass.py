@@ -589,6 +589,37 @@ def test_spinorial_secondary_test_scope():
     assert res.spinorial and res.valuation is None
 
 
+def test_q2_from_the_roots_is_the_quadratic_read_back_from_c2():
+    # on every lattice of a simple type, sum over Phi of (g(alpha).x)^2 is -2/x * c_2
+    for lat in map(builtin_lattice, builtin_lattice_names()):
+        if lat.family == "GL":
+            continue
+        weight = next(w for w in itertools.product(range(3), repeat=lat.rank)
+                      if any(w) and lattice_contains(lat, w))
+        ch = chern_classes(lat, weight, 2)
+        x = powersum._casimir_ratio(lat.root_system(), weight, ch.degree)
+        assert charclass._q2_from_roots(lat) == ch.c[2].scale(-2 / x), lat.name
+
+
+@pytest.mark.parametrize("group,weight", [("Spin7", (0, 0, 1)), ("G2", (1, 0))])
+def test_spinoriality_criteria_are_independent(monkeypatch, group, weight):
+    # a fault in the change to lattice generators, 2 x_1^2 added to the image of P_2,
+    # makes c_2 odd; Q_2 comes from the roots, so the two criteria disagree
+    lattice = builtin_lattice(group)
+    assert is_spinorial(lattice, weight).spinorial
+    scaled, n = charclass._scaled_to_generators, lattice.torus_rank
+
+    def faulty(lat, f):
+        image = scaled(lat, f)
+        if f.y_degree() == 2:
+            image = image + BiPoly(n, 0, {(2,) + (0,) * (n - 1): 2})
+        return image
+
+    monkeypatch.setattr(charclass, "_scaled_to_generators", faulty)
+    with pytest.raises(InternalError, match="criteria disagree"):
+        is_spinorial(lattice, weight)
+
+
 def test_spinorial_requires_orthogonal():
     with pytest.raises(DomainError):
         is_spinorial(builtin_lattice("SL2"), (1,))

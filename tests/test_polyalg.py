@@ -14,6 +14,10 @@ from weightcalc.polyalg import (
     BiPoly,
     Mod2Poly,
     _integer_rows,
+    _Packed,
+    _packed,
+    _packed_quotient,
+    _unpacked,
     exact_divide,
     expand_linear_power,
     invert,
@@ -100,6 +104,28 @@ def test_pow_matches_repeated_product(f, k):
 @given(bipolys, nonzero_bipolys)
 def test_exact_divide_round_trip(f, g):
     assert exact_divide(f * g, g) == f
+
+
+int_bipolys = st.dictionaries(exponents, st.integers(min_value=-9, max_value=9), max_size=6).map(
+    lambda t: BiPoly(NA, NY, t))
+
+
+@given(int_bipolys, nonzero_bipolys)
+def test_packed_quotient_round_trip(f, g):
+    # the packed long division gives back an int-coefficient factor, whatever g's coefficients
+    n = NA + NY
+    q = _packed_quotient(_Packed(_packed((f * g).terms, n)), _packed(g.terms, n))
+    assert _unpacked(NA, NY, q) == f
+
+
+def test_packed_quotient_remainder_raises():
+    # a leading term that g's does not divide (a field borrows), and a non-integer quotient
+    a0, a1 = BiPoly.a_var(0, NA, NY), BiPoly.a_var(1, NA, NY)
+    n = NA + NY
+    with pytest.raises(InternalError, match="terms left"):
+        _packed_quotient(_packed((a0 * a0 + a1).terms, n), _packed(a0.terms, n))
+    with pytest.raises(InternalError, match="3 / 2"):
+        _packed_quotient(_packed((a0 * 3).terms, n), _packed((a0 * 2).terms, n))
 
 
 def test_exact_divide_remainder_raises():

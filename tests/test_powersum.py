@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 from math import comb
@@ -9,9 +10,11 @@ from math import comb
 import pytest
 
 from conftest import all_supported_types, get_rs, y_poly
-from weightcalc import cli, powersum, weylsum
+from weightcalc import charclass, cli, powersum, weylsum
+from weightcalc.charclass import PiSpec, builtin_lattice, chern_classes, swc_restrict
 from weightcalc.errors import DomainError, InternalError
-from weightcalc.polyalg import BiPoly, exact_divide, expand_linear_power
+from weightcalc.polyalg import (BiPoly, _mul_into, _packed, exact_divide, expand_linear_power,
+                                mod2_reduce)
 from weightcalc.powersum import (
     _triangular_solve,
     elementary_from_power,
@@ -284,20 +287,21 @@ def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points)
                                        ("A", 3), ("B", 3), ("D", 4), ("B", 6)])
 def test_delta_values_are_built_once_per_root_system(monkeypatch, kind, rank):
     # after a first call on a root system and kmax, a call at another weight runs the
-    # Weyl sums at lam + delta only: F_m(delta) is built once, as y-polynomials at
-    # rank <= 2 and as values per fit point, from _alternating_sums, at rank >= 3
+    # Weyl sums at lam + delta only: F_m(delta) is built once, as packed y-polynomials at
+    # rank <= 2 and as values per fit point, from _alternating_sums, at rank >= 3; a
+    # table built at a larger kmax holds the one asked for as its prefix
     rs = get_rs(kind, rank)
     n, delta, kmax = rs.num_positive, (1,) * rank, 5
     lam, other = (1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (2,)
     power_sums(rs, lam, kmax)
     if rank <= 2:
-        fresh = [fk_evaluated(rs, delta, n + j) for j in range(kmax + 1)]
-        assert powersum._fk_delta(rs, kmax) == tuple(fresh)
+        fresh = [_packed(fk_evaluated(rs, delta, n + j).terms, 2 * rank) for j in range(kmax + 1)]
+        assert powersum._fk_delta(rs, kmax)[:kmax + 1] == tuple(fresh)
         name, kernel = "fk_evaluated", fk_evaluated
     else:
         for _, nu in weylsum._check_points(rs):
             fresh = [fk_scalar(rs, delta, nu, n + j) for j in range(kmax + 1)]
-            assert powersum._delta_sums(rs, kmax)(nu) == tuple(fresh)
+            assert powersum._delta_sums(rs, kmax)(nu)[:kmax + 1] == tuple(fresh)
         name, kernel = "_alternating_sums", weylsum._alternating_sums
     calls = []
 
@@ -309,6 +313,179 @@ def test_delta_values_are_built_once_per_root_system(monkeypatch, kind, rank):
     wm = weight_multiplicities(rs, other)
     assert power_sums(rs, other, kmax) == [oracle_power_sum(wm, k) for k in range(kmax + 1)]
     assert calls and set(calls) == {tuple(c + 1 for c in other)}  # other + delta only
+
+
+def _delta_builds(monkeypatch, rs):
+    """The m of each F_m(delta) that ``power_sums`` builds from here on, one list per build.
+
+    The held tables of rs are dropped first: F_m(delta, y) by ``fk_evaluated`` at
+    rank <= 2, one call per m; F_m(delta, nu) by one ``_alternating_sums`` call at
+    rank >= 3.
+    """
+    powersum._fk_delta.cache_clear()
+    powersum._delta_sums.cache_clear()
+    delta, builds = (1,) * rs.rank, []
+    name = "fk_evaluated" if rs.rank <= 2 else "_alternating_sums"
+    kernel = getattr(powersum, name)
+
+    def counted(rs, mu, ms, *args):
+        if tuple(mu) == delta:
+            if name == "_alternating_sums":
+                builds.append(list(ms))
+            elif ms == rs.num_positive:
+                builds.append([ms])
+            else:
+                builds[-1].append(ms)
+        return kernel(rs, mu, ms, *args)
+
+    monkeypatch.setattr(powersum, name, counted)
+    return builds
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("G", 2), ("A", 3), ("B", 4)])
+def test_fit_tables_are_built_once_per_root_system(monkeypatch, kind, rank):
+    # kmax 6, then 3, then 6: one table of F_m(delta) and one expansion, built at
+    # kmax 6, and the kmax-3 call reads their prefix
+    rs = get_rs(kind, rank)
+    n, builds = rs.num_positive, _delta_builds(monkeypatch, rs)
+    substitutions = []
+    substitution = weylsum._substitution
+
+    def counted(*images):
+        substitutions.append(len(images[2]) + len(images[3]))
+        return substitution(*images)
+
+    monkeypatch.setattr(weylsum, "_EXPANSIONS", {})
+    monkeypatch.setattr(weylsum, "_substitution", counted)
+    weights = [(1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (1,), (2,) + (0,) * (rank - 1)]
+    for lam, kmax in zip(weights, (6, 3, 6)):
+        wm = weight_multiplicities(rs, lam)
+        assert power_sums(rs, lam, kmax) == [oracle_power_sum(wm, k) for k in range(kmax + 1)]
+    assert builds == [list(range(n, n + 7))]
+    assert substitutions == ([] if rank <= 2 else [2 * rank])
+    # a first call at kmax 3 builds the table at kmax 6 as well, and kmax 8 grows it
+    builds = _delta_builds(monkeypatch, rs)
+    for lam, kmax in zip(weights, (3, 6, 8)):
+        power_sums(rs, lam, kmax)
+    assert builds == [list(range(n, n + 7)), list(range(n, n + 9))]
+
+
+def test_doubled_and_plain_queries_share_the_fit_tables(monkeypatch):
+    # a doubled swc at k = 6 fits at kmax 3, a plain Chern class at k = 6 at kmax 6:
+    # the second reads the first one's table of F_m(delta), and no generator image
+    # is expanded twice
+    gl4, lam = builtin_lattice("GL4"), (2, 0, 0, 0)
+    rs = gl4.root_system()
+    n, builds = rs.num_positive, _delta_builds(monkeypatch, rs)
+    images = []
+
+    def counted(coeffs, k):
+        images.append((tuple(coeffs), k))
+        return expand_linear_power(coeffs, k)
+
+    monkeypatch.setattr(weylsum, "_EXPANSIONS", {})
+    weylsum._generator_image.cache_clear()
+    monkeypatch.setattr(weylsum, "expand_linear_power", counted)
+    try:
+        swc = swc_restrict(gl4, PiSpec(lam, True), 6)
+        chern = chern_classes(gl4, lam, 6)
+    finally:
+        weylsum._generator_image.cache_clear()
+    assert builds == [list(range(n, n + 7))]
+    assert images and len(images) == len(set(images))
+    assert swc.w[6] == mod2_reduce(chern_classes(gl4, PiSpec(lam, True), 6).c[6])
+    assert chern.c[3] != BiPoly.zero(4, 0)
+
+
+def _solve_by_bipoly_division(rs, lam, kmax):
+    """Reference: the triangular solve on BiPoly F_m, each step an ``exact_divide``."""
+    n = rs.num_positive
+    shifted = tuple(c + 1 for c in lam)
+    delta = (1,) * rs.rank
+    f_lam = [fk_evaluated(rs, shifted, n + i) for i in range(kmax + 1)]
+    f_del = [fk_evaluated(rs, delta, n + i) for i in range(kmax + 1)]
+    return _triangular_solve(n, f_lam, f_del, exact_divide)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "B2", "C2", "G2"])
+def test_rank_le_2_packed_solve_matches_bipoly_division(kind):
+    # the packed forms and their division along the last variable give the same P_k,
+    # term for term and int for int, as BiPoly products and exact_divide
+    rs = build_root_system(kind[0], int(kind[1]))
+    for lam in itertools.product(range(3), repeat=rs.rank):
+        want = _solve_by_bipoly_division(rs, lam, 8)
+        for kmax in range(9):
+            assert _identical(power_sums(rs, lam, kmax), want[:kmax + 1]), (lam, kmax)
+
+
+@pytest.mark.parametrize("kind", ["A1", "A2", "B2", "C2", "G2"])
+def test_rank_le_2_pivot_off_by_one_is_an_internal_error(monkeypatch, kind):
+    # the pivot binom(N+i, i) * F_N(delta) with binom(N+i, i) + 1 for i >= 1
+    rs = build_root_system(kind[0], int(kind[1]))
+    n = rs.num_positive
+    monkeypatch.setattr(powersum, "comb", lambda a, b: comb(a, b) + (b > 0 and a - b == n))
+    with pytest.raises(InternalError):
+        power_sums(rs, (1,) * rs.rank, 6)
+
+
+def _newton_on_tuple_keys(power, kmax):
+    """Reference: Newton's identities on tuple-keyed term dicts, one ``_mul_into`` sum per degree."""
+    na, ny = power[0].na, power[0].ny
+    signed = [None] + [p.terms if i % 2 else {e: -c for e, c in p.terms.items()}
+                       for i, p in enumerate(power[1:kmax + 1], 1)]
+    elem = [BiPoly.constant(na, ny, 1)]
+    for k in range(1, kmax + 1):
+        acc = {}
+        for i in range(1, k + 1):
+            _mul_into(acc, elem[k - i].terms, signed[i])
+        elem.append(BiPoly._result(na, ny, acc).scale(Fraction(1, k)))
+    return elem
+
+
+def test_packed_newton_matches_tuple_keys_on_numeric_power_sums():
+    for kind, rank, lam in [("A", 2, (2, 1)), ("B", 2, (0, 3)), ("G", 2, (1, 1)),
+                            ("A", 3, (1, 0, 2)), ("C", 3, (0, 1, 1)), ("D", 4, (1, 0, 0, 1))]:
+        p = power_sums(get_rs(kind, rank), lam, 6)
+        for kmax in range(7):
+            assert _identical(elementary_from_power(p, kmax), _newton_on_tuple_keys(p, kmax))
+
+
+def test_packed_newton_matches_tuple_keys_on_lattice_power_sums(monkeypatch):
+    # the lattice polynomials (ny = 0) that chern_classes hands to Newton's identities
+    seen = []
+    newton = charclass.elementary_from_power
+
+    def captured(power, kmax):
+        seen.append((power, kmax))
+        return newton(power, kmax)
+
+    monkeypatch.setattr(charclass, "elementary_from_power", captured)
+    for group, lam in [("SL3", (1, 1)), ("Sp4", (1, 1)), ("G2", (1, 0)), ("GL3", (2, 1, -1)),
+                       ("SO7", (1, 1, 0)), ("PGL2", (2,))]:
+        chern_classes(builtin_lattice(group), lam, 6)
+    assert len(seen) == 6
+    for power, kmax in seen:
+        assert power[0].ny == 0
+        assert _identical(elementary_from_power(power, kmax), _newton_on_tuple_keys(power, kmax))
+
+
+@pytest.mark.parametrize("kind,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_packed_newton_matches_tuple_keys_on_symbolic_power_sums(kind, rank):
+    p = symbolic_power_sums(get_rs(kind, rank), 4)
+    assert any(type(c) is Fraction for f in p for c in f.terms.values())
+    for kmax in range(5):
+        assert _identical(elementary_from_power(p, kmax), _newton_on_tuple_keys(p, kmax))
+
+
+def test_packed_newton_refuses_an_exponent_past_a_field():
+    # E_2 = (P_1^2 - P_2)/2 would hold y^80000, past the 16-bit field of a packed monomial
+    p = [BiPoly.constant(0, 1, 2), BiPoly(0, 1, {(40000,): 1}), BiPoly(0, 1, {(2,): 1})]
+    assert elementary_from_power(p, 1)[1] == p[1]
+    with pytest.raises(DomainError, match="degree over 65535"):
+        elementary_from_power(p, 2)
+    # so would F_m(lam + delta) of degree N + kmax in the rank <= 2 solve
+    with pytest.raises(DomainError, match="degree over 65535"):
+        power_sums(get_rs("A", 1), (1,), 65535)
 
 
 def test_symbolic_specializes_to_numeric(a2):

@@ -301,9 +301,9 @@ def test_fk_at_delta_matches_the_orbit_sum(kind, rank):
     assert sum(map(mul, c0, singular)) == 0  # pairs to 0 with the first simple root
     ratio = Fraction(comb(n + 2, 2), rs.dim_g) * q2_dual_poly(rs).evaluate(delta, zero)
     for point, regular in ((nu, True), (tuple(-x for x in nu), True), (singular, False)):
-        got = powersum._delta_sums(rs, 8)(point)
+        got = powersum._delta_sums(rs, 8)(point)  # a larger kmax's table holds it as a prefix
         assert powersum._delta_sums(rs, 8)(point) is got  # memoised per point
-        assert len(got) == 9 and got[0] == factorial(n) * weyl_denominator_at(rs, point)
+        assert len(got) >= 9 and got[0] == factorial(n) * weyl_denominator_at(rs, point)
         assert got[2] == ratio * q2_poly(rs).evaluate(zero, point) * got[0]
         assert all(got[i] == 0 for i in range(1, 9, 2))
         assert (got[0] != 0) == regular and (regular or not any(got))
@@ -642,14 +642,14 @@ def test_expansion_writes_out_integer_coefficients(monkeypatch):
             return substitute(f)
         return spy
 
-    weylsum._expansion.cache_clear()  # built again below, through the spy
+    weylsum._EXPANSIONS.clear()  # built again below, through the spy
     monkeypatch.setattr(weylsum, "_substitution", spied)
     try:
         powersum.symbolic_power_sums(get_rs("A", 2), 4)
         FkTable.build(get_rs("B", 3), 11)
         powersum.power_sums(get_rs("B", 3), (1, 0, 0), 6)
     finally:
-        weylsum._expansion.cache_clear()
+        weylsum._EXPANSIONS.clear()
     assert len(seen) > 10 and set().union(*seen) == {int}
 
 
@@ -663,14 +663,14 @@ def test_expansions_share_each_generator_image(monkeypatch):
         calls.append((tuple(coeffs), k))
         return expand_linear_power(coeffs, k)
 
-    weylsum._expansion.cache_clear()
+    weylsum._EXPANSIONS.clear()
     weylsum._generator_image.cache_clear()
     monkeypatch.setattr(weylsum, "expand_linear_power", counted)
     try:
         for kmax in (2, 4, 6):
             powersum.power_sums(b4, (1, 0, 0, 0), kmax)
     finally:
-        weylsum._expansion.cache_clear()
+        weylsum._EXPANSIONS.clear()
         weylsum._generator_image.cache_clear()
     assert len(calls) == 24 and len(set(calls)) == 24
 

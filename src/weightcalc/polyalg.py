@@ -38,9 +38,15 @@ rank <= 2 forms of the power-sum solve (``_Packed``, divided by
 ``_packed_quotient``).  Both kernels leave cancelled terms as zeros; each
 operation drops them once, when it builds its result.  ``exact_divide``
 removes a cancelled term at once, and its heap of candidate leading terms
-skips the keys of removed ones.  The oracle forms no symbolic product: it
-reads its E_k off exact values at lattice points
-(``oracle.oracle_elementary``).
+skips the keys of removed ones.  The two exact divisions differ in what
+they accept: ``exact_divide`` takes any ``BiPoly`` and gives rational
+quotients, as ``weylsum.fk_reduced`` needs (F'_N = N!/d-vee(delta)), and
+its heap finds each leading term in log time on forms of thousands of
+terms; ``_packed_quotient`` checks that every quotient is an int
+(``errors.exact_quotient``) and scans for the leading term at each step,
+which suits the rank <= 2 forms of at most a few dozen terms.  The oracle
+forms no symbolic product: it reads its E_k off exact values at lattice
+points (``oracle.oracle_elementary``).
 
 Every substitution goes through one kernel, ``_substitution``, given an
 image for every variable: ``compose`` (identity images for an omitted

@@ -23,8 +23,8 @@ on packed monomials (``polyalg._packed``), and so do Newton's identities on
 every input.  At rank >= 3 it runs on exact values at a few sample
 coweights, and each P_k, a W-invariant of degree k, is rebuilt from its
 values in a basis of products of orbit power sums.  The F_m(delta) side of
-either is one table per root system, built at the largest kmax asked so
-far (``_largest_so_far``).
+either is one table per root system, grown by the missing m when a larger
+kmax is asked (``_grown``), so each F_m(delta) is built once.
 
 With the highest weight kept symbolic (a-variables), F_m = F'_m * d * d-vee
 lets d(y) and d-vee(a + delta) cancel from every term, and the identity
@@ -43,7 +43,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import add, mul
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
 from .polyalg import (_EXP_MAX, BiPoly, _mul_into, _norm, _Packed, _packed, _packed_mul_into,
@@ -119,9 +119,9 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     lam + delta, at most 30 r x r determinants for k <= 6 formed once per
     call, with the coweight-side minors, memoised per fit point; at rank 3,
     about |W| * (r + k) for the orbit of lam + delta.  F_m(delta, nu) comes
-    from the same kernel, its weight side formed once per table and its
-    values memoised per point (``_delta_sums``), so after the first call it
-    costs a lookup.  Warm P_0..P_6 at rank 6 take 2-9 ms,
+    from the same kernel, its weight side formed once per build of the
+    table and its values memoised per point (``_delta_sums``), so after the
+    first call it costs a lookup.  Warm P_0..P_6 at rank 6 take 2-9 ms,
     where the orbit took 0.07-0.66 s.  At rank <= 2 the symbolic route
     measured faster.
     """
@@ -149,33 +149,37 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     return out
 
 
-def _largest_so_far(build: Callable) -> Callable:
-    """``build(rs, kmax)``, the table of F_N(delta)..F_{N+kmax}(delta), held once per root system.
+def _grown(join: Callable) -> Callable:
+    """Hold the tables ``build(rs, lo, hi)`` of F_{N+lo}..F_{N+hi}(delta), one per root system.
 
-    A table at a larger kmax holds every smaller one as its prefix, so a call
-    at a kmax no larger than the held one reads it, and a larger kmax builds
-    it again in its place, at that kmax.  The first build is at kmax >= 6,
-    the README's largest degree, so that a doubled-form query (kmax k // 2)
-    and a plain one on the same root system build one table.  The tables are
-    shared by every call and never mutated.
+    The first call on a root system builds the table at its kmax.  A call at
+    a larger kmax builds only the m that are missing and appends them,
+    ``join(held, new)``; a smaller kmax reads the held table, whose prefix
+    it is.  So each F_m(delta) is built once per root system, whatever the
+    order of the kmax asked.  The tables are shared by every call and never
+    mutated.
     """
-    tables: dict = {}
+    def decorate(build: Callable) -> Callable:
+        tables: dict = {}
 
-    def table(rs: RootSystem, kmax: int):
-        held = tables.get(rs)
-        if held is None or held[0] < kmax:
-            held = tables[rs] = (max(kmax, 6), build(rs, max(kmax, 6)))
-        return held[1]
-    table.cache_clear = tables.clear
-    return table
+        def table(rs: RootSystem, kmax: int):
+            top, held = tables.get(rs, (-1, None))
+            if top < kmax:
+                new = build(rs, top + 1, kmax)
+                held = new if held is None else join(held, new)
+                tables[rs] = (kmax, held)
+            return held
+        table.cache_clear = tables.clear
+        return table
+    return decorate
 
 
-@_largest_so_far
-def _fk_delta(rs: RootSystem, kmax: int) -> tuple[dict, ...]:
-    """F_N(delta, y)..F_{N+kmax}(delta, y) on packed monomials (``polyalg._packed``)."""
+@_grown(add)
+def _fk_delta(rs: RootSystem, lo: int, hi: int) -> tuple[dict, ...]:
+    """F_{N+lo}(delta, y)..F_{N+hi}(delta, y) on packed monomials (``polyalg._packed``)."""
     delta = (1,) * rs.rank
     return tuple(_Packed(_packed(fk_evaluated(rs, delta, rs.num_positive + j).terms, 2 * rs.rank))
-                 for j in range(kmax + 1))
+                 for j in range(lo, hi + 1))
 
 
 def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list[int]:
@@ -191,15 +195,15 @@ def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list
         lambda a, b: exact_quotient(a, b, "sampled power sum %d/%d is not an integer", a, b))
 
 
-@_largest_so_far
-def _delta_sums(rs: RootSystem, kmax: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The function nu -> (F_N(delta, nu), ..., F_{N+kmax}(delta, nu)), memoised per point.
+@_grown(lambda held, new: lru_cache(maxsize=None)(lambda nu: held(nu) + new(nu)))
+def _delta_sums(rs: RootSystem, lo: int, hi: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The function nu -> (F_{N+lo}(delta, nu), ..., F_{N+hi}(delta, nu)), memoised per point.
 
     The weight side of delta, its minors or its signed orbit, is formed once
-    per table; the sampled fits of one rank always ask at the same points.
+    per build; the sampled fits of one rank always ask at the same points.
     """
     n = rs.num_positive
-    sums = _alternating_sums(rs, (1,) * rs.rank, range(n, n + kmax + 1))
+    sums = _alternating_sums(rs, (1,) * rs.rank, range(n + lo, n + hi + 1))
     return lru_cache(maxsize=None)(lambda nu: tuple(sums(nu)))
 
 

@@ -134,7 +134,7 @@ def _check_power_and_weight(rs: RootSystem, mu: Sequence[Scalar], k: int) -> tup
     return check_coordinates(mu, rs.rank, exact=True)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _signed_orbit(
     rs: RootSystem, mu: tuple[Scalar, ...]
 ) -> tuple[list[int], list[list[Scalar]]]:
@@ -149,10 +149,10 @@ def _signed_orbit(
     pair w, -w gives the points p, -p with signs that differ by (-1)^N, so
     their degree-k terms agree for N + k even, which every non-vanishing k
     is: only the points above 0 in lexicographic order are kept, each with
-    its sign doubled.  That halves every pass over the orbit.  Memoised for
-    the last 64 weights, since the rank <= 2 route of ``powersum.power_sums``
-    asks ``fk_evaluated`` for one weight at every m; the lists are shared,
-    never mutated.
+    its sign doubled.  That halves every pass over the orbit.  The last
+    weight's orbit is kept, since the rank <= 2 route of
+    ``powersum.power_sums`` asks ``fk_evaluated`` for one weight at every m;
+    the lists are shared, never mutated.
     """
     r = rs.rank
     top = chamber_descent(rs.cartan, mu)

@@ -316,11 +316,11 @@ def test_delta_values_are_built_once_per_root_system(monkeypatch, kind, rank):
 
 
 def _delta_builds(monkeypatch, rs):
-    """The m of each F_m(delta) that ``power_sums`` builds from here on, one list per build.
+    """The m of each F_m(delta) that ``power_sums`` builds from here on, once per build.
 
     The held tables of rs are dropped first: F_m(delta, y) by ``fk_evaluated`` at
-    rank <= 2, one call per m; F_m(delta, nu) by one ``_alternating_sums`` call at
-    rank >= 3.
+    rank <= 2, one call per m; F_m(delta, nu) by ``_alternating_sums`` at rank >= 3,
+    one call per build for all its m.
     """
     powersum._fk_delta.cache_clear()
     powersum._delta_sums.cache_clear()
@@ -330,12 +330,7 @@ def _delta_builds(monkeypatch, rs):
 
     def counted(rs, mu, ms, *args):
         if tuple(mu) == delta:
-            if name == "_alternating_sums":
-                builds.append(list(ms))
-            elif ms == rs.num_positive:
-                builds.append([ms])
-            else:
-                builds[-1].append(ms)
+            builds.extend(ms if name == "_alternating_sums" else [ms])
         return kernel(rs, mu, ms, *args)
 
     monkeypatch.setattr(powersum, name, counted)
@@ -344,8 +339,8 @@ def _delta_builds(monkeypatch, rs):
 
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("G", 2), ("A", 3), ("B", 4)])
 def test_fit_tables_are_built_once_per_root_system(monkeypatch, kind, rank):
-    # kmax 6, then 3, then 6: one table of F_m(delta) and one expansion, built at
-    # kmax 6, and the kmax-3 call reads their prefix
+    # kmax 6, then 3, then 6: each F_m(delta) is built once and the expansion once,
+    # and the kmax-3 call reads their prefix
     rs = get_rs(kind, rank)
     n, builds = rs.num_positive, _delta_builds(monkeypatch, rs)
     substitutions = []
@@ -361,19 +356,21 @@ def test_fit_tables_are_built_once_per_root_system(monkeypatch, kind, rank):
     for lam, kmax in zip(weights, (6, 3, 6)):
         wm = weight_multiplicities(rs, lam)
         assert power_sums(rs, lam, kmax) == [oracle_power_sum(wm, k) for k in range(kmax + 1)]
-    assert builds == [list(range(n, n + 7))]
+    assert builds == list(range(n, n + 7))
     assert substitutions == ([] if rank <= 2 else [2 * rank])
-    # a first call at kmax 3 builds the table at kmax 6 as well, and kmax 8 grows it
+    # a first call at kmax 3 builds F_N..F_{N+3}(delta), and kmax 6 and 8 add only
+    # the m that are missing; the answers are those of the oracle throughout
     builds = _delta_builds(monkeypatch, rs)
     for lam, kmax in zip(weights, (3, 6, 8)):
-        power_sums(rs, lam, kmax)
-    assert builds == [list(range(n, n + 7)), list(range(n, n + 9))]
+        wm = weight_multiplicities(rs, lam)
+        assert power_sums(rs, lam, kmax) == [oracle_power_sum(wm, k) for k in range(kmax + 1)]
+        assert builds == list(range(n, n + kmax + 1))
 
 
 def test_doubled_and_plain_queries_share_the_fit_tables(monkeypatch):
     # a doubled swc at k = 6 fits at kmax 3, a plain Chern class at k = 6 at kmax 6:
-    # the second reads the first one's table of F_m(delta), and no generator image
-    # is expanded twice
+    # the second adds F_{N+4}..F_{N+6}(delta) to the first one's table, and no
+    # generator image is expanded twice
     gl4, lam = builtin_lattice("GL4"), (2, 0, 0, 0)
     rs = gl4.root_system()
     n, builds = rs.num_positive, _delta_builds(monkeypatch, rs)
@@ -388,10 +385,11 @@ def test_doubled_and_plain_queries_share_the_fit_tables(monkeypatch):
     monkeypatch.setattr(weylsum, "expand_linear_power", counted)
     try:
         swc = swc_restrict(gl4, PiSpec(lam, True), 6)
+        assert builds == list(range(n, n + 4))
         chern = chern_classes(gl4, lam, 6)
     finally:
         weylsum._generator_image.cache_clear()
-    assert builds == [list(range(n, n + 7))]
+    assert builds == list(range(n, n + 7))
     assert images and len(images) == len(set(images))
     assert swc.w[6] == mod2_reduce(chern_classes(gl4, PiSpec(lam, True), 6).c[6])
     assert chern.c[3] != BiPoly.zero(4, 0)

@@ -308,19 +308,24 @@ def lattice_contains(lattice: CharacterLattice, mu: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def _generator_substitution(lattice: CharacterLattice) -> Callable[[BiPoly], BiPoly]:
-    """The integer rows substituted for the y-variables; its memo of images lives per lattice."""
+    """The first r = rank integer rows substituted for the y-variables of the root system's ring.
+
+    GL's central row is read by the shift of ``chern_classes`` alone; the memo of images lives
+    per lattice.
+    """
     rows, _ = _generator_images(lattice)
-    n = len(rows)
-    return _substitution(n, n, [BiPoly.a_var(i, n, 0) for i in range(n)],
-                         [BiPoly.a_linear(row, ny=0) for row in rows])
+    r, n = lattice.rank, len(rows)
+    return _substitution(r, r, [BiPoly.a_var(i, n, 0) for i in range(r)],
+                         [BiPoly.a_linear(row, ny=0) for row in rows[:r]])
 
 
 def _scaled_to_generators(lattice: CharacterLattice, f: BiPoly) -> BiPoly:
     """A weight-side polynomial with each y_j replaced by row j of the integer rows.
 
-    With the rows of ``_generator_images``, scaled by D to integers, a term of
-    degree k picks up D^k: for f homogeneous of degree k the result is D^k
-    times f in the lattice generators.  The callers divide by D^k once.
+    f has the arity (r, r) of the root system's ring.  With the rows of
+    ``_generator_images``, scaled by D to integers, a term of degree k picks
+    up D^k: for f homogeneous of degree k the result is D^k times f in the
+    lattice generators.  The callers divide by D^k once.
     """
     if any(any(e[: f.na]) for e in f.terms):
         raise InternalError("expected a polynomial without symbolic weight variables")
@@ -378,7 +383,7 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     rows, d = _generator_images(lattice)
     degree = _dimension(rs, weight)
     top = min(kmax, degree)
-    power = [_scaled_to_generators(lattice, f.embed(n, n)) for f in power_sums(rs, weight, top)]
+    power = [_scaled_to_generators(lattice, f) for f in power_sums(rs, weight, top)]
     if any(shift):
         form = [sum(map(mul, shift, col)) for col in zip(*rows[rs.rank :])]
         central = BiPoly.a_linear(form, ny=0)

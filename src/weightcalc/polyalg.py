@@ -52,7 +52,10 @@ Every substitution goes through one kernel, ``_substitution``, given an
 image for every variable: ``compose`` (identity images for an omitted
 block; through it ``eval_a`` and ``evaluate``), the expansion of the basic
 invariants (``weylsum._expand``) and the change to lattice generators
-(``charclass._scaled_to_generators``).
+(``charclass._scaled_to_generators``).  It builds the image of a monomial
+one variable power at a time, and the power of an image of at most one
+term (an identity image, a number, the zero images of ``weylsum._expansion``)
+in one step: y^65535 under a number costs one product, not 65535.
 
 The exact linear algebra of every layer (Killing-form and lattice-basis
 inverses, invariant bases, sample systems) is the one Gauss-Jordan
@@ -287,8 +290,11 @@ def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], 
     Monomials are packed (``_packed``), so that they multiply by adding.  The
     image of a monomial is that of the monomial with its last exponent
     lowered by one, times one image, memoised for the life of the returned
-    function.  An output exponent is at most the degree of a term times the
-    largest image degree; that is checked before anything is packed.
+    function; where that image has at most one term (an identity image, a
+    number, or zero), the whole exponent e is lowered at once and the image
+    of the term raised to e.  An output exponent is at most the degree of a
+    term times the largest image degree; that is checked before anything is
+    packed.
     """
     given = [*a_images, *y_images]
     if (len(a_images), len(y_images)) != (na, ny):
@@ -306,12 +312,14 @@ def _substitution(na: int, ny: int, a_images, y_images) -> Callable[["BiPoly"], 
         image, steps = memo.get(key), []
         while image is None:  # lower the last variable until the memo knows the quotient
             j = (key.bit_length() - 1) >> 4
-            steps.append((key, j))
-            key -= 1 << (j << 4)
+            e = key >> (j << 4) if len(packed[j]) <= 1 else 1  # a monomial image: all at once
+            steps.append((key, j, e))
+            key -= e << (j << 4)
             image = memo.get(key)
-        for key, j in reversed(steps):
+        for key, j, e in reversed(steps):
             acc: dict[int, Scalar] = {}
-            _packed_mul_into(acc, image, packed[j])
+            _packed_mul_into(acc, image, packed[j] if e == 1 else
+                             {e * m: c ** e for m, c in packed[j].items()})
             image = memo[key] = {m: a for m, a in acc.items() if a}
         return image
 

@@ -43,7 +43,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add, mul
+from operator import mul
 
 from .errors import DomainError, InternalError, check_coordinates, check_degree, exact_quotient
 from .polyalg import (_EXP_MAX, BiPoly, _mul_into, _norm, _Packed, _packed, _packed_mul_into,
@@ -149,32 +149,28 @@ def power_sums(rs: RootSystem, lam: Sequence[int], kmax: int) -> list[BiPoly]:
     return out
 
 
-def _grown(join: Callable) -> Callable:
-    """Hold the tables ``build(rs, lo, hi)`` of F_{N+lo}..F_{N+hi}(delta), one per root system.
+def _grown(build: Callable) -> Callable:
+    """Hold the table of F_N..F_{N+kmax}(delta) per root system, one entry per m.
 
-    The first call on a root system builds the table at its kmax.  A call at
-    a larger kmax builds only the m that are missing and appends them,
-    ``join(held, new)``; a smaller kmax reads the held table, whose prefix
-    it is.  So each F_m(delta) is built once per root system, whatever the
-    order of the kmax asked.  The tables are shared by every call and never
-    mutated.
+    ``build(rs, lo, hi)`` gives the entries of F_{N+lo}..F_{N+hi}(delta).  The
+    first call on a root system builds the table at its kmax; a call at a
+    larger kmax builds the m from ``len(held)`` on and appends them; a
+    smaller kmax reads the held table, whose prefix it is.  So each
+    F_m(delta) is built once per root system, whatever the order of the kmax
+    asked.  The tables are shared by every call and never mutated.
     """
-    def decorate(build: Callable) -> Callable:
-        tables: dict = {}
+    tables: dict = {}
 
-        def table(rs: RootSystem, kmax: int):
-            top, held = tables.get(rs, (-1, None))
-            if top < kmax:
-                new = build(rs, top + 1, kmax)
-                held = new if held is None else join(held, new)
-                tables[rs] = (kmax, held)
-            return held
-        table.cache_clear = tables.clear
-        return table
-    return decorate
+    def table(rs: RootSystem, kmax: int) -> tuple:
+        held = tables.get(rs, ())
+        if len(held) <= kmax:
+            held = tables[rs] = held + build(rs, len(held), kmax)
+        return held
+    table.cache_clear = tables.clear
+    return table
 
 
-@_grown(add)
+@_grown
 def _fk_delta(rs: RootSystem, lo: int, hi: int) -> tuple[dict, ...]:
     """F_{N+lo}(delta, y)..F_{N+hi}(delta, y) on packed monomials (``polyalg._packed``)."""
     delta = (1,) * rs.rank
@@ -191,20 +187,21 @@ def _power_sums_at(rs: RootSystem, sums, nu: tuple[int, ...], kmax: int) -> list
     regular, and each P_k(nu) is an integer because nu is integral.
     """
     return _triangular_solve(
-        rs.num_positive, sums(nu), _delta_sums(rs, kmax)(nu),
+        rs.num_positive, sums(nu), [f(nu) for f in _delta_sums(rs, kmax)[:kmax + 1]],
         lambda a, b: exact_quotient(a, b, "sampled power sum %d/%d is not an integer", a, b))
 
 
-@_grown(lambda held, new: lru_cache(maxsize=None)(lambda nu: held(nu) + new(nu)))
-def _delta_sums(rs: RootSystem, lo: int, hi: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The function nu -> (F_{N+lo}(delta, nu), ..., F_{N+hi}(delta, nu)), memoised per point.
+@_grown
+def _delta_sums(rs: RootSystem, lo: int, hi: int) -> tuple[Callable[[tuple[int, ...]], int], ...]:
+    """The functions nu -> F_m(delta, nu), m = N+lo..N+hi, over one memo per point.
 
     The weight side of delta, its minors or its signed orbit, is formed once
-    per build; the sampled fits of one rank always ask at the same points.
+    per build, and each point's sums of the build once; the sampled fits of
+    one rank always ask at the same points.
     """
     n = rs.num_positive
-    sums = _alternating_sums(rs, (1,) * rs.rank, range(n + lo, n + hi + 1))
-    return lru_cache(maxsize=None)(lambda nu: tuple(sums(nu)))
+    at = lru_cache(maxsize=None)(_alternating_sums(rs, (1,) * rs.rank, range(n + lo, n + hi + 1)))
+    return tuple(lambda nu, j=j: at(nu)[j] for j in range(hi - lo + 1))
 
 
 def _triangular_solve(n: int, f_lam: Sequence, f_del: Sequence, divide: Callable) -> list:

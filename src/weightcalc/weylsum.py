@@ -29,12 +29,14 @@ Each P_k of a weight multiset (``powersum``) and each F'_k is a W-invariant,
 and one exact fit, _fit_exact, rebuilds both from sample values: it solves
 for the coefficients in a basis of products of the basic invariants p_j,
 orbit power sums over W.w1 (and, on D_r, the half-spin orbit W.w_r), for
-F'_k their transport-symmetrized products of degree k-N, and checks the fit
-at two points off the fitting set.  The fitted invariants stay in generator
-coordinates, BiPolys of arity (r, r) whose exponents count powers of
-s_j = p_j(M a) and t_j = p_j(y), M the inverse Killing form K-vee in integer
-rows (``RootSystem.killing_dual_rows``); ``_expand`` alone writes them out in
-monomials of (a, y), each scaled to integer coefficients first.
+F'_k their transport-symmetrized products of degree k-N, from the points of
+one seeded stream per rank (``_fit_points``), and checks the fit at the two
+points of that stream that follow its last solve.  The fitted invariants
+stay in generator coordinates, BiPolys of arity (r, r) whose exponents
+count powers of s_j = p_j(M a) and t_j = p_j(y), M the inverse Killing form
+K-vee in integer rows (``RootSystem.killing_dual_rows``); ``_expand`` alone
+writes them out in monomials of (a, y), each scaled to integer coefficients
+first.
 FkTable and the symbolic power sums never expand the big alternating sum;
 fk_direct and fk_reduced expand and divide it, and are kept as the
 reference that tests compare against.
@@ -47,7 +49,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, islice, repeat
 from math import comb, factorial, prod
 from operator import mul, or_
 
@@ -325,7 +327,7 @@ def _coweight_minors(rs: RootSystem, nu: tuple[int, ...], m: int) -> tuple[int, 
     """w * m!/prod k_j! * det(v_i^(k_j)), v_j = <e_j, nu>, for each ``_cauchy_binet`` term of F_m.
 
     On A_r the r + 1 values v_j take the columns 0, k_1, ..., k_r.  Memoised:
-    the sampled fits ask at the same fit and check points of each rank;
+    the sampled fits of each rank read the same stream of points;
     bounded, since ``fk_scalar`` may ask at any point.
     """
     terms = _cauchy_binet(rs, m)
@@ -645,6 +647,8 @@ def _fit_points(rs: RootSystem):
     c*2rho-vee + (1, ..., r) the degree-7 invariants of A6 and the degree-8
     invariants of C4 are linearly dependent, so no number of its points can
     separate them.  The seed is fixed, so every run draws the same points.
+    A fit solves from the first points it reads and checks itself at the
+    next two (``_fit_exact``), so the one stream serves both.
     """
     import random  # here, not at the top: only the sampled fits draw points
 
@@ -655,27 +659,30 @@ def _fit_points(rs: RootSystem):
 
 
 def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
-               rows_at, points, checks) -> list[list[Fraction]]:
-    """Exact solutions of linear systems whose rows are sampled at points.
+               rows_at, points) -> list[list[Fraction]]:
+    """Exact solutions of linear systems whose rows are sampled at a stream of points.
 
     rows_at(point) returns, for each system, its row of basis values and its
     target value at that point.  A system of n unknowns is solved with
     ``rref`` once it has n rows (at least one), and again after each further
     point while it is singular, over at most max(sizes) + 8 ``points``.  Rows
-    keep coming until the last system is solved, so each smaller one is
-    overdetermined; every solution is checked against all the rows of its
-    system, then at ``checks``, points off the fitting set, with the
-    solution and each target value multiplied by the solution's common
-    denominator, so that they compare in integers.  An inconsistent
-    system, one still singular at the bound, or a failed check raises
-    InternalError.
+    keep coming until the last system is solved, and then two more points of
+    the same stream are read, so each solution has at least two rows it was
+    not solved from.  Every solution is checked against all the rows of its
+    system, with the solution and each target value multiplied by the
+    solution's common denominator, so that they compare in integers.  An
+    inconsistent system, one still singular at the bound, or a failed check
+    raises InternalError.
     """
-    label = rs.name
     rows: list[list[list[Scalar]]] = [[] for _ in sizes]
     coeffs: list = [None] * len(sizes)
-    for count, point in enumerate(islice(points, max(sizes) + 8), 1):
+
+    def read(point):
         for system, (row, val) in zip(rows, zip(*rows_at(point))):
             system.append(row + [val])
+
+    for count, point in enumerate(islice(points, max(sizes) + 8), 1):
+        read(point)
         for s, n in enumerate(sizes):
             if coeffs[s] is None and count >= max(n, 1):
                 red, pivots = rref(rows[s])
@@ -685,36 +692,15 @@ def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],
             break
     else:
         raise InternalError(
-            f"{label}: invariant sample systems stayed singular after {count} points"
+            f"{rs.name}: invariant sample systems stayed singular after {count} points"
         )
-    scaled = [_common_denominator(c) for c in coeffs]  # the checks run on d * coefficients
-    for s, ((d, c), system) in enumerate(zip(scaled, rows)):  # every row, also later ones
+    for point in islice(points, 2):  # the rows past the last solve
+        read(point)
+    for s, (c, system) in enumerate(zip(coeffs, rows)):
+        d, c = _common_denominator(c)
         if any(sum(map(mul, c, row)) != d * row[-1] for row in system):
-            raise InternalError(f"{label}: {names[s]} sample values fit no invariant")
-    for point in checks:
-        for s, (row, val) in enumerate(zip(*rows_at(point))):
-            d, c = scaled[s]
-            if sum(map(mul, c, row)) != d * val:
-                raise InternalError(
-                    f"{label}: the {names[s]} invariant fit fails the off-line check at {point}"
-                )
+            raise InternalError(f"{rs.name}: {names[s]} sample values fit no invariant")
     return coeffs
-
-
-@lru_cache(maxsize=None)
-def _check_points(rs: RootSystem) -> tuple[tuple, ...]:
-    """The first two regular pairs (mu_c, nu_c), c = 1, 2, ..., off every fitting set.
-
-    mu_c = delta + c*(1,2,...,r) is strictly dominant; nu_c = c*2rho-vee +
-    (1,2,...,r), with 2rho-vee the sum of the positive coroots, pairs to
-    2c*height(alpha) + <alpha, (1,...,r)> with each positive root alpha.  A
-    pair where d(nu_c) vanishes is skipped; each root pairs to 0 at one c at
-    most, so the search ends.  Memoised per root system.
-    """
-    r = rs.rank
-    pairs = ((tuple(1 + c * (j + 1) for j in range(r)),
-              tuple(c * x + j + 1 for j, x in enumerate(rs.two_rho_vee))) for c in count(1))
-    return tuple(islice(((mu, nu) for mu, nu in pairs if weyl_denominator_at(rs, nu)), 2))
 
 
 def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
@@ -722,8 +708,8 @@ def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
 
     values(nu) returns [f_0(nu), ..., f_kmax(nu)] at an integral regular
     coweight nu.  ``_fit_exact`` solves each f_k in the basis of products of
-    orbit power sums (``_invariant_products``) from the values at
-    ``_fit_points`` and checks it at the coweights nu of ``_check_points``.
+    orbit power sums (``_invariant_products``) from the values at the
+    coweights of ``_fit_points`` and checks it at the next two.
     Each f_k, the c_i on the monomials t^(pi_i), is written out by
     ``_expand`` in integers and divided by its denominator.
     """
@@ -731,7 +717,7 @@ def _fit_invariants(rs: RootSystem, kmax: int, values) -> list[BiPoly]:
     products = [_invariant_products(rs, gens, k) for k in range(kmax + 1)]
     coeffs = _fit_exact(rs, [f"degree-{k}" for k in range(kmax + 1)], [len(p) for p in products],
                         lambda nu: (_invariants_at(rs, nu, kmax, products), values(nu)),
-                        _fit_points(rs), [nu for _, nu in _check_points(rs)])
+                        _fit_points(rs))
     r = rs.rank
     fitted = [BiPoly._result(r, r, {(0,) * r + e: x for e, x in zip(prods, c)})
               for prods, c in zip(products, coeffs)]
@@ -747,7 +733,7 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
     the products pi_i of orbit power sums of degree m, M a multiple of
     K-vee.  ``_fit_exact`` solves for the coefficients from
     F_k(mu, nu) / (d(nu) d-vee(mu)) with mu, nu two consecutive
-    ``_fit_points``, and checks them at ``_check_points``.  Each c_ij lands
+    ``_fit_points``, and checks them at the next two such pairs.  Each c_ij lands
     on the monomials t^(pi_i) s^(pi_j) and t^(pi_j) s^(pi_i).  Every sample
     takes ``_alternating_sums`` at a new mu, so its cost is the weight-side
     minors on A-D at rank >= 4 and the orbit of mu elsewhere: at k <= N+6,
@@ -772,7 +758,7 @@ def _fit_reduced(rs: RootSystem, ks: Sequence[int]) -> dict[int, BiPoly]:
 
     fit = _fit_points(rs)
     coeffs = _fit_exact(rs, [f"F'_{k}" for k in ks], [len(p) for p in pairs], rows_at,
-                        zip(fit, fit), _check_points(rs))
+                        zip(fit, fit))
     out = {}
     for k, prods, ps, c in zip(ks, products, pairs, coeffs):
         terms: dict[tuple, Scalar] = {}

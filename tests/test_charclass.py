@@ -311,7 +311,7 @@ def _fraction_to_generators(lat, f):
         rows = invert(lat.basis)
     zero = BiPoly.zero(lat.torus_rank, 0)
     images = [BiPoly.a_linear(list(row), ny=0) for row in rows]
-    return naive_compose(f, a_images=[zero] * f.na, y_images=images)
+    return naive_compose(f, a_images=[zero] * f.na, y_images=images[:f.ny])
 
 
 def _two_lattice_weights(lat):
@@ -337,23 +337,24 @@ def _fraction_route_power(lat, weight, kmax):
 
 @pytest.mark.parametrize("group", builtin_lattice_names())
 def test_integer_generator_change_matches_fraction_route(group):
-    # chern_classes maps each P_k to the generators at the integer rows, which
-    # scales it by D^k; the reference substitutes the rational rows into the
-    # y-side E_k
+    # chern_classes maps each P_k of the root system, in its own ring, to the generators
+    # at the first r integer rows, which scales it by D^k; the reference substitutes the
+    # rational rows into the y-side E_k, and into the P_k themselves
     lat = builtin_lattice(group)
-    n = lat.torus_rank
+    rs, r = lat.root_system(), lat.rank
     d = charclass._generator_images(lat)[1]
-    seen = []  # (y-side polynomial, its reference image), each reference computed once
+    seen = []  # (polynomial of the root system's ring, its reference image)
     for weight in _two_lattice_weights(lat):
         elem = elementary_from_power(_fraction_route_power(lat, weight, 6), 6)
-        refs = [_fraction_to_generators(lat, e) for e in elem]
-        assert [c.terms for c in chern_classes(lat, weight, 6).c] == [ref.terms for ref in refs]
-        seen += zip(elem, refs)
-    y1, yn = BiPoly.y_var(0, n, n), BiPoly.y_var(n - 1, n, n)
-    others = [BiPoly.constant(n, n, Fraction(7, 4)), BiPoly.zero(n, n), (y1 ** 3).scale(4),
-              (yn * yn).scale(Fraction(1, 3)) - (y1 * yn).scale(Fraction(5, 2))]
+        assert [c.terms for c in chern_classes(lat, weight, 6).c] == \
+            [_fraction_to_generators(lat, e).terms for e in elem]
+        power = power_sums(rs, charclass._root_coordinates(lat, weight)[:r], 6)
+        seen += [(f, _fraction_to_generators(lat, f)) for f in power]
+    y1, yr = BiPoly.y_var(0, r, r), BiPoly.y_var(r - 1, r, r)
+    others = [BiPoly.constant(r, r, Fraction(7, 4)), BiPoly.zero(r, r), (y1 ** 3).scale(4),
+              (yr * yr).scale(Fraction(1, 3)) - (y1 * yr).scale(Fraction(5, 2))]
     if lat.family != "GL":
-        others.append(q2_poly(lat.root_system()))  # the substitution c_2's closed form uses
+        others.append(q2_poly(rs))  # the substitution c_2's closed form uses
     seen += [(f, _fraction_to_generators(lat, f)) for f in others]
     for f, ref in seen:  # homogeneous, so one power of D scales each
         k = max(map(sum, f.terms), default=0)

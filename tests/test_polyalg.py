@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import naive_compose
+from weightcalc import polyalg
 from weightcalc.errors import DomainError, InternalError
 from weightcalc.polyalg import (
     BiPoly,
@@ -250,6 +251,20 @@ def test_compose_refuses_exponents_wider_than_the_packing():
     assert widest.compose(y_images=[BiPoly.constant(1, 1, 2)]) == widest
     kept = BiPoly(1, 1, {(0, (1 << 16) - 1): 3})
     assert kept.compose(a_images=[BiPoly.constant(1, 1, 2)]) == kept
+
+
+def test_a_monomial_image_lowers_a_whole_exponent_in_one_product(monkeypatch):
+    # an identity image, a number or zero raises a^65535 in one packed product, not 65535
+    calls = []
+    product = polyalg._packed_mul_into
+    monkeypatch.setattr(polyalg, "_packed_mul_into", lambda *args: calls.append(1) or product(*args))
+    widest = BiPoly(1, 1, {((1 << 16) - 1, 0): 3})
+    assert widest.eval_a([2]) == BiPoly.constant(1, 1, 3 << ((1 << 16) - 1)) and len(calls) == 1
+    assert widest.compose(y_images=[BiPoly.constant(1, 1, 2)]) == widest and len(calls) == 2
+    assert widest.eval_a([0]) == BiPoly.zero(1, 1) and len(calls) == 3
+    f = BiPoly(2, 1, {(5, 3, 1): 2, (5, 0, 0): -1})  # a1 := 1/2, a2 := y1 + 1 (two terms)
+    images = [BiPoly.constant(0, 1, Fraction(1, 2)), BiPoly.y_linear([1], na=0) + BiPoly.constant(0, 1, 1)]
+    assert f.compose(a_images=images) == naive_compose(f, a_images=images)
 
 
 def test_compose_refuses_mismatched_images():

@@ -28,7 +28,7 @@ from weightcalc.oracle import oracle_power_sum, weight_multiplicities
 from weightcalc.rootsys import build_root_system, highest_root
 from weightcalc.weylsum import FkTable, fk_evaluated, fk_scalar, invariant_basis, q2_poly
 from test_rootsys import reflection_matrix
-from test_weylsum import _corrupt_sample
+from test_weylsum import _corrupt_sample, _fit_reads
 
 RANK_LE_4 = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -268,19 +268,21 @@ def test_warm_sampled_route_expands_no_generator_again(monkeypatch, b3):
 
 @pytest.mark.parametrize("corrupt_check_points", [True, False])
 def test_corrupted_sample_value_is_caught(monkeypatch, d4, corrupt_check_points):
-    line = {nu for _, nu in weylsum._check_points(d4)}
+    # P_4 at one coweight off by one: at the first one, a fitting row, or at either of
+    # the two the fit reads past its last solve, its check points
+    runs = _fit_reads(monkeypatch)
+    power_sums(d4, (1, 0, 0, 0), 4)
+    read = runs[0][0]
     values_at = powersum._power_sums_at
+    for target in (read[-2], read[-1]) if corrupt_check_points else (read[0],):
+        def corrupted(rs, orbits, nu, kmax, target=target):
+            values = values_at(rs, orbits, nu, kmax)
+            values[4] += nu == target
+            return values
 
-    def corrupted(rs, orbits, nu, kmax):
-        values = values_at(rs, orbits, nu, kmax)
-        if (nu in line) == corrupt_check_points:
-            values[4] += 1
-        return values
-
-    monkeypatch.setattr(powersum, "_power_sums_at", corrupted)
-    match = "off-line check" if corrupt_check_points else "degree-4"
-    with pytest.raises(InternalError, match=match):
-        power_sums(d4, (1, 0, 0, 0), 4)
+        monkeypatch.setattr(powersum, "_power_sums_at", corrupted)
+        with pytest.raises(InternalError, match="D4: degree-4 sample values fit no invariant"):
+            power_sums(d4, (1, 0, 0, 0), 4)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 1), ("A", 2), ("B", 2), ("G", 2),
@@ -299,9 +301,9 @@ def test_delta_values_are_built_once_per_root_system(monkeypatch, kind, rank):
         assert powersum._fk_delta(rs, kmax)[:kmax + 1] == tuple(fresh)
         name, kernel = "fk_evaluated", fk_evaluated
     else:
-        for _, nu in weylsum._check_points(rs):
+        for nu in itertools.islice(weylsum._fit_points(rs), 2):
             fresh = [fk_scalar(rs, delta, nu, n + j) for j in range(kmax + 1)]
-            assert powersum._delta_sums(rs, kmax)(nu)[:kmax + 1] == tuple(fresh)
+            assert [f(nu) for f in powersum._delta_sums(rs, kmax)[:kmax + 1]] == fresh
         name, kernel = "_alternating_sums", weylsum._alternating_sums
     calls = []
 
@@ -531,10 +533,17 @@ def test_symbolic_d4_specializes_to_numeric():
 
 def test_symbolic_corrupted_reduced_sample_is_caught(monkeypatch):
     # on A2, k <= 4 fits F'_3, F'_5, F'_6, F'_7; F'_5 is one constant times p2(y) p2(K-vee a)
+    # (each system has one unknown, so the fit reads one pair and two past it)
     rs = get_rs("A", 2)
-    _corrupt_sample(monkeypatch, weylsum._check_points(rs)[0][1], 5)
-    with pytest.raises(InternalError, match="F'_5 invariant fit fails the off-line check"):
-        symbolic_power_sums(rs, 4)
+    runs = _fit_reads(monkeypatch)
+    symbolic_power_sums(rs, 4)
+    read = runs[0][0]
+    assert len(read) == 3
+    for target in read:
+        with monkeypatch.context() as patch:
+            _corrupt_sample(patch, target[1], 5)
+            with pytest.raises(InternalError, match="A2: F'_5 sample values fit no invariant"):
+                symbolic_power_sums(rs, 4)
 
 
 @pytest.mark.parametrize("kind,rank,size", [("B", 6, 190064602), ("A", 6, 12531870)])

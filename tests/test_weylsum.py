@@ -6,6 +6,7 @@ import ast
 import gc
 import re
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 from operator import mul
 from pathlib import Path
@@ -37,6 +38,30 @@ from weightcalc.weylsum import (
 from test_rootsys import reflection_matrix
 
 SMALL = [("A", 1), ("A", 2), ("B", 2), ("G", 2)]
+
+
+def _fit_pairs(rs, count=2):
+    """The first point pairs (mu, nu) of the stream the F'_k fits read: regular and dominant."""
+    fit = weylsum._fit_points(rs)
+    return list(islice(zip(fit, fit), count))
+
+
+def _fit_reads(monkeypatch):
+    """Spy on every ``_fit_exact`` run from here on: (points read, how many at each ``rref``)."""
+    runs = []
+    fit_exact, solve = weylsum._fit_exact, weylsum.rref
+
+    def spied(rs, names, sizes, rows_at, points):
+        runs.append(([], []))
+        return fit_exact(rs, names, sizes, lambda p: runs[-1][0].append(p) or rows_at(p), points)
+
+    def counted(rows):
+        runs[-1][1].append(len(runs[-1][0]))
+        return solve(rows)
+
+    monkeypatch.setattr(weylsum, "_fit_exact", spied)
+    monkeypatch.setattr(weylsum, "rref", counted)
+    return runs
 
 
 def _a_forms(m, r):
@@ -283,30 +308,43 @@ def test_fk_evaluated_opposition_symmetry(kind, rank, extra):
     for e, c in f.terms.items():
         y = e[rank:]
         assert f.terms.get((0,) * rank + tuple(y[j] for j in sigma)) == flip * c
-    for _, nu in weylsum._check_points(rs):  # regular coweights
-        assert f.evaluate((0,) * rank, nu) == fk_scalar(rs, mu, nu, k) != 0
+    for _, nu in _fit_pairs(rs):  # regular coweights; the second on D3 is fixed by sigma
+        value = fk_scalar(rs, mu, nu, k)
+        assert f.evaluate((0,) * rank, nu) == value
+        assert (value == 0) == (flip == -1 and tuple(nu[j] for j in sigma) == nu)
 
 
 @pytest.mark.parametrize("kind,rank", all_supported_types())
-def test_fk_at_delta_matches_the_orbit_sum(kind, rank):
+def test_fk_at_delta_matches_the_orbit_sum(monkeypatch, kind, rank):
     # powersum's memoised F_{N+i}(delta, nu), i = 0..8, against the Weyl denominator
     # formula, at a regular dominant, a regular negative and a singular integral
     # coweight: F_N = N! * d(nu), F_{N+2} = binom(N+2, 2)/dim g * q2(nu) * q2-vee(delta) * F_N
     # and F_{N+i} = 0 for odd i
     rs = get_rs(kind, rank)
     n, delta, zero = rs.num_positive, (1,) * rank, (0,) * rank
-    nu = weylsum._check_points(rs)[0][1]
+    nu = _fit_pairs(rs, 1)[0][1]
     c0 = rs.cartan[0]
     singular = (-sum(c0[j] * nu[j] for j in range(1, rank)),) + tuple(2 * x for x in nu[1:])
     assert sum(map(mul, c0, singular)) == 0  # pairs to 0 with the first simple root
     ratio = Fraction(comb(n + 2, 2), rs.dim_g) * q2_dual_poly(rs).evaluate(delta, zero)
+    reads, alternating = [], powersum._alternating_sums
+
+    def counted(rs, mu, ms):
+        at = alternating(rs, mu, ms)
+        return lambda nu: reads.append(nu) or at(nu)
+
+    powersum._delta_sums.cache_clear()
+    monkeypatch.setattr(powersum, "_alternating_sums", counted)
+    table = powersum._delta_sums(rs, 8)
+    assert len(table) == 9 and powersum._delta_sums(rs, 5) is table  # kmax 5 reads the prefix
     for point, regular in ((nu, True), (tuple(-x for x in nu), True), (singular, False)):
-        got = powersum._delta_sums(rs, 8)(point)  # a larger kmax's table holds it as a prefix
-        assert powersum._delta_sums(rs, 8)(point) is got  # memoised per point
-        assert len(got) >= 9 and got[0] == factorial(n) * weyl_denominator_at(rs, point)
+        got = [f(point) for f in table]
+        assert [f(point) for f in table] == got and reads.count(point) == 1  # memoised per point
+        assert got[0] == factorial(n) * weyl_denominator_at(rs, point)
         assert got[2] == ratio * q2_poly(rs).evaluate(zero, point) * got[0]
         assert all(got[i] == 0 for i in range(1, 9, 2))
         assert (got[0] != 0) == regular and (regular or not any(got))
+    powersum._delta_sums.cache_clear()  # the table read through the spy goes
 
 
 def test_fk_scalar_rejects_coweight_of_wrong_length(a2):
@@ -318,7 +356,7 @@ def test_fk_scalar_rejects_coweight_of_wrong_length(a2):
 def test_weight_given_as_an_iterator_is_read_once(kind, rank):
     # the check consumed the iterator, and the orbit was then walked from an empty weight
     rs = get_rs(kind, rank)
-    (mu, nu), k = weylsum._check_points(rs)[0], rs.num_positive + 2
+    (mu, nu), k = _fit_pairs(rs, 1)[0], rs.num_positive + 2
     assert fk_scalar(rs, iter(mu), iter(nu), k) == fk_scalar(rs, mu, nu, k) != 0
     if rank == 2:
         assert fk_evaluated(rs, iter(mu), k) == fk_evaluated(rs, mu, k)
@@ -381,7 +419,7 @@ def test_fk_scalar_matches_closed_forms(kind, rank):
     # F_N = N! d(nu) d-vee(mu) / d-vee(delta), F_{N+2} = C(N+2, 2)/dim g q2(nu) q2-vee(mu) F_N
     rs = get_rs(kind, rank)
     n = rs.num_positive
-    for mu, nu in weylsum._check_points(rs):
+    for mu, nu in _fit_pairs(rs):
         d, d_vee = weyl_denominator_at(rs, nu), coweyl_denominator_at(rs, mu)
         f_n = Fraction(factorial(n) * d * d_vee, coweyl_denominator_at(rs, (1,) * rank))
         q2 = sum(rs.killing[i][j] * nu[i] * nu[j] for i in range(rank) for j in range(rank))
@@ -391,14 +429,22 @@ def test_fk_scalar_matches_closed_forms(kind, rank):
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("B", 3), ("G", 2)])
-def test_check_points_are_searched_once_per_root_system(monkeypatch, kind, rank):
+def test_each_fit_reads_one_stream_two_points_past_its_last_solve(monkeypatch, kind, rank):
+    # FkTable, the symbolic power sums and, at rank >= 3, the numeric ones: every point a
+    # fit reads is the next one of its stream, the pairs of _fit_points for F'_k and the
+    # coweights themselves for P_k, and it reads exactly two past its last solve
     rs = get_rs(kind, rank)
-    points = weylsum._check_points(rs)
-    assert type(points) is tuple and len(points) == 2
-    assert all(weyl_denominator_at(rs, nu) for _, nu in points)
-    calls = []
-    monkeypatch.setattr(weylsum, "weyl_denominator_at", lambda *args: calls.append(args))
-    assert weylsum._check_points(rs) is points and calls == []
+    runs = _fit_reads(monkeypatch)
+    FkTable.build(rs, rs.num_positive + 6)
+    powersum.symbolic_power_sums(rs, 4)
+    if rank >= 3:
+        powersum.power_sums(rs, (1,) + (0,) * (rank - 1), 6)
+    assert len(runs) == (3 if rank >= 3 else 2)
+    for i, (read, solves) in enumerate(runs):
+        fit = weylsum._fit_points(rs)
+        stream = fit if i == 2 else zip(fit, fit)
+        assert read == list(islice(stream, len(read)))
+        assert solves and len(read) == solves[-1] + 2
 
 
 def test_determinants_serve_the_classical_types_they_name():
@@ -518,15 +564,14 @@ def _corrupt_sample(monkeypatch, nu_target, k):
 
 @pytest.mark.parametrize("corrupt", ["first check point", "second check point", "fit point"])
 def test_corrupted_fk_sample_is_caught(monkeypatch, corrupt):
+    # the check points are the two pairs of the stream read past the last solve
     rs, k = get_rs("G", 2), 12  # F'_12 has three unknowns: pairs of p2^3 and p6
-    if corrupt == "fit point":
-        fit = weylsum._fit_points(rs)
-        target, match = (next(fit), next(fit)), "F'_12"
-    else:
-        target = weylsum._check_points(rs)[0 if corrupt == "first check point" else 1]
-        match = "F'_12 invariant fit fails the off-line check"
+    runs = _fit_reads(monkeypatch)
+    FkTable.build(rs, k)
+    read = runs[0][0]
+    target = read[{"fit point": 0, "first check point": -2, "second check point": -1}[corrupt]]
     _corrupt_sample(monkeypatch, target[1], k)
-    with pytest.raises(InternalError, match=match):
+    with pytest.raises(InternalError, match="G2: F'_12 sample values fit no invariant"):
         FkTable.build(rs, k)
 
 
@@ -710,7 +755,7 @@ def test_classical_sums_refuse_an_inexact_quotient(monkeypatch):
     # every sum of products of minors is D^m times an integer; a wrong D leaves a remainder
     rs = get_rs("B", 4)
     den, rows = weylsum._vector_coordinates(rs)
-    mu, nu = weylsum._check_points(rs)[0]
+    mu, nu = _fit_pairs(rs, 1)[0]
     assert fk_scalar(rs, mu, nu, 16) != 0
     monkeypatch.setattr(weylsum, "_vector_coordinates", lambda rs: (1009 * den, rows))
     with pytest.raises(InternalError, match=re.escape(f"B4: F_16 at {nu} is not an integer")):

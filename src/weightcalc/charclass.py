@@ -41,11 +41,11 @@ from .errors import DomainError, InternalError, check_coordinates, check_degree,
 from .polyalg import BiPoly, Mod2Poly, _integer_rows, _mul_into, _substitution, invert, mod2_reduce
 from .rootsys import SUPPORTED_RANKS, RootSystem, build_root_system, dominant_representative
 from .powersum import (
-    _binomial_convolution,
     _casimir_ratio,
     _dimension,
     elementary_from_power,
     power_sums,
+    product_power_sums,
     validate_dominant,
 )
 from .oracle import (
@@ -365,11 +365,12 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     the root system goes to the generators at the integer rows of
     ``_generator_images``, which gives D^k * P_k.  The root coordinates past
     the rank (GL's central character) are the same for every weight, so they
-    shift each weight by one linear form, and the binomial convolution with
-    its powers adds the shift.  Newton's identities are homogeneous, so they
-    then give D^k * E_k, and each coefficient of E_k is divided by D^k once,
-    by ``exact_quotient``: the quotients are integers, and a remainder (or a
-    Fraction left by Newton's identities) signals an internal inconsistency.
+    shift each weight by one linear form L, and ``product_power_sums`` of the
+    P_k with the powers of L adds the shift.  Newton's identities are
+    homogeneous, so they then give D^k * E_k, and each coefficient of E_k is
+    divided by D^k once, by ``exact_quotient``: the quotients are integers,
+    and a remainder (or a Fraction left by Newton's identities) signals an
+    internal inconsistency.
     E_k of a multiset of m weights is 0 for k > m, so nothing past degree m
     is computed.  For the doubled form the classes of the representation and
     of its dual (all weights negated) are convolved.
@@ -387,7 +388,7 @@ def chern_classes(lattice: CharacterLattice, pi_spec, kmax: int = 6) -> ChernRes
     if any(shift):
         form = [sum(map(mul, shift, col)) for col in zip(*rows[rs.rank :])]
         central = BiPoly.a_linear(form, ny=0)
-        power = _binomial_convolution(power, [central ** j for j in range(top + 1)], top)
+        power = product_power_sums(power, [central ** j for j in range(top + 1)], top)
     cs = []
     for k, ek in enumerate(elementary_from_power(power, top)):
         dk = d ** k

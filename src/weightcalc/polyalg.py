@@ -29,8 +29,9 @@ term renders ``1``.  The zero polynomial renders ``0``.
 
 Every product of two term dicts on exponent tuples goes through one
 kernel, ``_mul_into``: ``BiPoly`` products and powers, ``fk_direct``, and
-the sums of products of the binomial convolution in ``powersum``, which
-accumulate each degree in one term dict.  Every product on packed
+the sums of products of ``powersum.product_power_sums``, the one binomial
+convolution of power sums, which accumulates each degree in one term
+dict.  Every product on packed
 monomials (``_packed``: one 16-bit field per exponent, so that monomials
 multiply by adding) goes through ``_packed_mul_into``: the substitution
 kernel, Newton's identities (``powersum.elementary_from_power``) and the

@@ -302,32 +302,18 @@ def symbolic_power_sums(rs: RootSystem, kmax: int) -> list[BiPoly]:
 def product_power_sums(
     p: Sequence[BiPoly], q: Sequence[BiPoly], kmax: int
 ) -> list[BiPoly]:
-    """Power sums of the sum-multiset {mu + nu} from those of two factors.
+    """Power sums of the sum multiset {mu + nu} from those of its two factors.
 
-    P_k = sum_i binom(k, i) * P_i(first) * P_{k-i}(second).  The two factors
-    must live in the same ring with disjoint y-variable support, so the
-    products are literal polynomial products.
+    P_k = sum_i binom(k, i) * P_i(first) * P_(k-i)(second), k = 0..kmax, on
+    any support: disjoint y-variables give an outer product, shared ones a
+    tensor product, and the powers L^j of one form add L to every weight
+    (GL's central character, ``charclass.chern_classes``).  Both factors must
+    live in one ring and reach degree kmax, else DomainError.  Each degree
+    accumulates in one term dict, the binomial folded into the smaller factor.
     """
     check_degree(kmax, "kmax")
     if len(p) <= kmax or len(q) <= kmax:
         raise DomainError("need factor power sums up to kmax")
-    if not p or not q or p[0].na != q[0].na or p[0].ny != q[0].ny:
-        raise DomainError("factor power sums must share one ring")
-    sup_p = {i for f in p for e in f.terms for i in range(f.ny) if e[f.na + i]}
-    sup_q = {i for f in q for e in f.terms for i in range(f.ny) if e[f.na + i]}
-    if sup_p & sup_q:
-        raise DomainError("factor power sums must use disjoint y-variables")
-    return _binomial_convolution(p, q, kmax)
-
-
-def _binomial_convolution(p: Sequence[BiPoly], q: Sequence[BiPoly], kmax: int) -> list[BiPoly]:
-    """sum_i binom(k, i) * p_i * q_(k-i) for k = 0..kmax, on any shared support.
-
-    The power sums of {mu + nu} when p and q are those of {mu} and {nu}: the
-    binomial theorem holds for linear forms in the same variables too.  Each
-    degree accumulates in one term dict, the binomial folded into the
-    smaller factor.
-    """
     for f in (*p[1:kmax + 1], *q[:kmax + 1]):
         p[0]._check_compat(f)
     out: list[BiPoly] = []

@@ -648,14 +648,20 @@ def _fit_points(rs: RootSystem):
     invariants of C4 are linearly dependent, so no number of its points can
     separate them.  The seed is fixed, so every run draws the same points.
     A fit solves from the first points it reads and checks itself at the
-    next two (``_fit_exact``), so the one stream serves both.
+    next two (``_fit_exact``), so the one stream serves both.  Where -1 is
+    not in W, a point fixed by sigma = -w0 is skipped: there every odd-degree
+    invariant product vanishes, so its row of an odd-degree system is zero.
     """
     import random  # here, not at the top: only the sampled fits draw points
 
     q = 16
     rng = random.Random(rs.rank)
+    sigma = [chamber_descent(rs.cartan, [-(i == j) for j in range(rs.rank)]).index(1)
+             for i in range(rs.rank)]  # -w0 w_i = w_sigma(i)
     while True:
-        yield tuple(2 * q * x + rng.randint(1, q) for x in rs.two_rho_vee)
+        nu = tuple(2 * q * x + rng.randint(1, q) for x in rs.two_rho_vee)
+        if rs.minus_one_in_weyl or tuple(nu[i] for i in sigma) != nu:
+            yield nu
 
 
 def _fit_exact(rs: RootSystem, names: Sequence[str], sizes: Sequence[int],

@@ -426,6 +426,65 @@ def test_oracle_builds_the_binomial_pair_series_in_one_place():
     ) == (["binomials", "checked", "inline", "ratio"], ["_series_at"])
 
 
+def _binomial_convolutions(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """Functions that sum binom(k, i)-weighted products of two sequences, and the calls to them.
+
+    A convolution calls ``comb(k, i)`` on two names and reads one sequence at
+    index i and one at k - i.  Each module of ``sources`` is named by its
+    key; the calls are given as "module.caller -> callee".
+    """
+    defs, calls = set(), set()
+    funcs = [(module, func) for module, text in sources.items()
+             for func in ast.walk(ast.parse(text)) if isinstance(func, ast.FunctionDef)]
+    for module, func in funcs:
+        nodes = list(ast.walk(func))
+        indices = {ast.unparse(n.slice) for n in nodes if isinstance(n, ast.Subscript)}
+        for n in nodes:
+            if _calls(n, "comb") and len(n.args) == 2 and all(isinstance(a, ast.Name) for a in n.args):
+                k, i = (a.id for a in n.args)
+                if {i, f"{k} - {i}"} <= indices:
+                    defs.add((module, func.name))
+    names = {name for _, name in defs}
+    for module, func in funcs:
+        for n in ast.walk(func):
+            callee = isinstance(n, ast.Call) and (getattr(n.func, "id", None) or getattr(n.func, "attr", None))
+            if callee in names:
+                calls.add(f"{module}.{func.name} -> {callee}")
+    return sorted(f"{module}.{name}" for module, name in defs), sorted(calls)
+
+
+def test_power_sums_are_convolved_in_one_place():
+    # the sum-multiset rule P_k = sum_i binom(k, i) P_i Q_(k-i) exists once, and GL's central
+    # character in chern_classes goes through it by its public name
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(powersum.__file__).parent.glob("*.py"))}
+    assert _binomial_convolutions(sources) == (
+        ["powersum.product_power_sums"], ["charclass.chern_classes -> product_power_sums"])
+    # the check itself finds a second copy and a call to it, and passes the triangular solve
+    assert _binomial_convolutions({
+        "powersum":
+            "def product_power_sums(p, q, kmax):\n"
+            "    return [sum(comb(k, i) * p[i] * q[k - i] for i in range(k + 1))\n"
+            "            for k in range(kmax + 1)]\n"
+            "def _binomial_convolution(p, q, kmax):\n"
+            "    for k in range(kmax + 1):\n"
+            "        for j in range(k + 1):\n"
+            "            b = comb(k, j)\n"
+            "            _mul_into(acc, {e: b * c for e, c in p[j].terms.items()}, q[k - j].terms)\n"
+            "def _triangular_solve(n, f_lam, f_del, divide):\n"
+            "    for i, num in enumerate(f_lam):\n"
+            "        for k in range(i):\n"
+            "            num = num - out[k] * f_del[i - k] * comb(n + i, k)\n",
+        "charclass":
+            "def chern_classes(lattice, pi_spec, kmax):\n"
+            "    return powersum.product_power_sums(power, central, kmax)\n"
+            "def _central_shift(power, central, top):\n"
+            "    return _binomial_convolution(power, central, top)\n",
+    }) == (["powersum._binomial_convolution", "powersum.product_power_sums"],
+           ["charclass._central_shift -> _binomial_convolution",
+            "charclass.chern_classes -> product_power_sums"])
+
+
 def test_exact_quotient_formats_its_message_only_on_a_remainder():
     def message(num, den):
         calls.append((num, den))

@@ -24,7 +24,7 @@ from weightcalc.powersum import (
     validate_dominant,
     weyl_dimension,
 )
-from weightcalc.oracle import oracle_power_sum, weight_multiplicities
+from weightcalc.oracle import WeightMultiset, oracle_elementary, oracle_power_sum, weight_multiplicities
 from weightcalc.rootsys import build_root_system, highest_root
 from weightcalc.weylsum import FkTable, fk_evaluated, fk_scalar, invariant_basis, q2_poly
 from test_rootsys import reflection_matrix
@@ -707,13 +707,28 @@ def test_one_dict_binomial_sums_match_bipoly_sums():
     assert _identical(elementary_from_power(got, 6), _newton_by_bipoly_sums(got, 6))
 
 
-def test_product_power_sums_rejects_shared_support():
-    a1 = get_rs("A", 1)
-    p = power_sums(a1, (1,), 2)
-    with pytest.raises(DomainError):
-        product_power_sums(p, p, 2)
-    with pytest.raises(DomainError):
-        product_power_sums(p, p, 5)
+@pytest.mark.parametrize("kind,rank,first,second",
+                         [("A", 2, (1, 0), (0, 1)), ("B", 2, (1, 0), (0, 1)), ("G", 2, (1, 0), (0, 1))])
+def test_product_power_sums_of_a_tensor_product(kind, rank, first, second):
+    # two weights of one group share their y-variables: P_k and E_k of the tensor product
+    # are those of the sum multiset {mu + nu} of the two oracle expansions
+    rs = get_rs(kind, rank)
+    a, b = weight_multiplicities(rs, first), weight_multiplicities(rs, second)
+    sums: dict = {}
+    for mu, m in a.expanded().items():
+        for nu, n in b.expanded().items():
+            w = tuple(map(sum, zip(mu, nu)))
+            sums[w] = sums.get(w, 0) + m * n
+    top = tuple(map(sum, zip(first, second)))
+    wm = WeightMultiset(rs, top, {w: m for w, m in sums.items() if min(w) >= 0}, sums)
+    p, q = power_sums(rs, first, 6), power_sums(rs, second, 6)
+    got = product_power_sums(p, q, 6)
+    assert got == [oracle_power_sum(wm, k) for k in range(7)]
+    assert elementary_from_power(got) == oracle_elementary(wm, 6)
+    with pytest.raises(DomainError, match="up to kmax"):
+        product_power_sums(p, q[:6], 6)
+    with pytest.raises(DomainError, match="arity mismatch"):
+        product_power_sums(p, [f.embed(rank, rank + 1) for f in q], 6)
 
 
 @pytest.mark.parametrize("kind,rank", [("A", 2), ("B", 3)])

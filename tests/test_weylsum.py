@@ -308,7 +308,10 @@ def test_fk_evaluated_opposition_symmetry(kind, rank, extra):
     for e, c in f.terms.items():
         y = e[rank:]
         assert f.terms.get((0,) * rank + tuple(y[j] for j in sigma)) == flip * c
-    for _, nu in _fit_pairs(rs):  # regular coweights; the second on D3 is fixed by sigma
+    # regular coweights: the fit stream's, none fixed by sigma, and 2rho-vee, which is
+    fixed = rs.two_rho_vee
+    assert tuple(fixed[j] for j in sigma) == fixed
+    for nu in [nu for _, nu in _fit_pairs(rs)] + [fixed]:
         value = fk_scalar(rs, mu, nu, k)
         assert f.evaluate((0,) * rank, nu) == value
         assert (value == 0) == (flip == -1 and tuple(nu[j] for j in sigma) == nu)
@@ -445,6 +448,18 @@ def test_each_fit_reads_one_stream_two_points_past_its_last_solve(monkeypatch, k
         stream = fit if i == 2 else zip(fit, fit)
         assert read == list(islice(stream, len(read)))
         assert solves and len(read) == solves[-1] + 2
+
+
+@pytest.mark.parametrize("kind,rank", [("A", r) for r in range(2, 7)] + [("D", 3), ("D", 5)])
+def test_fit_streams_avoid_the_sigma_fixed_coweights(kind, rank):
+    # -1 is not in W here: at a coweight fixed by sigma = -w0 every odd-degree invariant
+    # product vanishes, so its row of an odd-degree fit would be zero and check nothing;
+    # sigma reverses the A_r diagram and swaps the two spin nodes of D_r
+    rs = get_rs(kind, rank)
+    assert not rs.minus_one_in_weyl
+    sigma = list(range(rank))[::-1] if kind == "A" else [*range(rank - 2), rank - 1, rank - 2]
+    points = list(islice(weylsum._fit_points(rs), 64))
+    assert not [nu for nu in points if tuple(nu[j] for j in sigma) == nu]
 
 
 def test_determinants_serve_the_classical_types_they_name():
